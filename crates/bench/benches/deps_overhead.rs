@@ -87,6 +87,7 @@ fn main() {
                 0,
                 cfg.max_trip,
                 cfg.max_steps,
+                false,
             )
             .expect("record");
             black_box(g.iters.len())
@@ -106,6 +107,7 @@ fn main() {
                 0,
                 cfg.max_trip,
                 cfg.max_steps,
+                false,
             )
             .expect("record");
             assert_eq!(p.iters.len(), g.iters.len(), "full profile expected");

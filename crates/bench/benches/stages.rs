@@ -54,6 +54,7 @@ fn bench_dynamic_stage(h: &mut Harness) {
                     0,
                     DcaConfig::DEFAULT_MAX_TRIP,
                     u64::MAX,
+                    false,
                 )
                 .expect("record"),
             )
@@ -70,6 +71,7 @@ fn bench_dynamic_stage(h: &mut Harness) {
         0,
         DcaConfig::DEFAULT_MAX_TRIP,
         u64::MAX,
+        false,
     )
     .expect("record");
     let perm: Vec<usize> = (0..golden.iters.len()).rev().collect();

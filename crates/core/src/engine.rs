@@ -133,6 +133,9 @@ struct PermOutcome {
     /// Digest-capture work of this replay's verify step (`verify.digest.*`
     /// counters), also recorded from the fold.
     digest: DigestStats,
+    /// The golden suffix steps this replay skipped, when its loop-exit
+    /// state matched the golden run's (`verify.suffix_*` counters).
+    suffix: Option<u64>,
 }
 
 /// Digest-capture work done by one verify step, split by tier. `cells`
@@ -200,6 +203,9 @@ struct FoldTotals {
     ops: OpCounts,
     journal: JournalStats,
     digest: DigestStats,
+    /// Replays whose golden suffix was elided, and the steps skipped.
+    suffix_elided: u64,
+    suffix_steps_elided: u64,
     /// `(counter, slot)` per injected fault in the folded prefix.
     faults: Vec<(&'static str, usize)>,
 }
@@ -214,6 +220,10 @@ impl FoldTotals {
         self.ops = self.ops.plus(&o.ops);
         self.journal = self.journal.plus(&o.journal);
         self.digest = self.digest.plus(&o.digest);
+        if let Some(s) = o.suffix {
+            self.suffix_elided += 1;
+            self.suffix_steps_elided += s;
+        }
         if let Some(kind) = o.injected {
             self.faults.push((fault_counter(kind), slot));
         }
@@ -231,6 +241,8 @@ impl FoldTotals {
         obs.count("verify.digest.hashed", self.digest.hashed);
         obs.count("verify.digest.structural", self.digest.structural);
         obs.count("verify.digest.cells", self.digest.cells);
+        obs.count("verify.suffix_elided", self.suffix_elided);
+        obs.count("verify.suffix_steps_elided", self.suffix_steps_elided);
         record_machine_ops(obs, &self.ops);
         for &(counter, slot) in &self.faults {
             obs.count(counter, 1);
@@ -1267,7 +1279,10 @@ impl Dca {
         let hashed = stop_at_exit
             && self.config.float_tolerance == 0.0
             && self.config.digest == DigestMode::Auto;
-        let roots = stop_at_exit.then(|| digest_roots(view, live, l));
+        // The variables the rest of the program may read at the loop
+        // exit: the loop-exit digest's roots, and under the program-end
+        // scope the frame variables suffix elision compares.
+        let roots = digest_roots(view, live, l);
         let governed = !self.config.max_wall.is_unlimited();
         let mut reference_steps = 0u64;
         // Under the loop-exit scope the reference state comes from an
@@ -1344,10 +1359,9 @@ impl Dca {
                 }
             }
             let t_digest = t_start();
-            let dr = roots.as_ref().expect("loop-exit scope");
             let mut scratch = DigestScratch::new();
-            let mut vals = Vec::with_capacity(dr.vars.len());
-            read_roots(&machine, &dr.vars, &mut vals);
+            let mut vals = Vec::with_capacity(roots.vars.len());
+            read_roots(&machine, &roots.vars, &mut vals);
             let r = if hashed {
                 let (h, cells) = hash_live_state(&machine, &vals, &mut scratch);
                 obs.count("verify.digest.hashed", 1);
@@ -1431,15 +1445,42 @@ impl Dca {
                     _ => None,
                 },
             };
-            let end = run_replay_governed(
+            // Program-end suffix elision: stop at the loop exit first, and
+            // if the replay left the loop in the golden run's exit state,
+            // the rest of its run would repeat the golden suffix step for
+            // step — count those steps instead of interpreting them. An
+            // injected fault may act in the suffix, so it always runs.
+            let elide = !stop_at_exit && injected.is_none();
+            let mut end = run_replay_governed(
                 &mut w.machine,
                 &mut ctl,
-                stop_at_exit,
+                stop_at_exit || elide,
                 self.config.max_steps,
                 gov,
             );
-            let replay = t_since(t_replay);
-            let steps = w.machine.steps() - before;
+            let mut replay = t_since(t_replay);
+            let mut verify = Duration::ZERO;
+            let mut suffix = None;
+            if elide && end == ReplayEnd::LoopExited {
+                let t_cmp = t_start();
+                let same = golden.exit_matches(&w.machine, &roots.vars);
+                verify += t_since(t_cmp);
+                if same {
+                    suffix = Some(golden.suffix_steps());
+                } else {
+                    let t_rest = t_start();
+                    let spent = w.machine.steps() - before;
+                    end = run_replay_governed(
+                        &mut w.machine,
+                        &mut ctl,
+                        false,
+                        self.config.max_steps - spent,
+                        gov,
+                    );
+                    replay += t_since(t_rest);
+                }
+            }
+            let mut steps = w.machine.steps() - before;
             let t_verify = t_start();
             let mut digest = DigestStats::default();
             let end = match (&self.config.verify_scope, end) {
@@ -1463,8 +1504,7 @@ impl Dca {
                     }
                 }
                 (VerifyScope::LoopExit, ReplayEnd::LoopExited) => {
-                    let dr = roots.as_ref().expect("loop-exit scope");
-                    read_roots(&w.machine, &dr.vars, &mut w.roots);
+                    read_roots(&w.machine, &roots.vars, &mut w.roots);
                     match reference.as_ref().expect("captured above") {
                         Reference::Hash(expected) => {
                             let (h, cells) = hash_live_state(&w.machine, &w.roots, &mut w.scratch);
@@ -1511,7 +1551,7 @@ impl Dca {
                                     igov,
                                 );
                                 let div = if matches!(iend, ReplayEnd::LoopExited) {
-                                    read_roots(&w.machine, &dr.vars, &mut w.roots);
+                                    read_roots(&w.machine, &roots.vars, &mut w.roots);
                                     let golden_digest = StateDigest::capture_with(
                                         &w.machine,
                                         &w.roots,
@@ -1519,7 +1559,7 @@ impl Dca {
                                     );
                                     digest.structural += 1;
                                     digest.cells += golden_digest.cell_count();
-                                    golden_digest.first_divergence(&permuted, 0.0, &dr.names)
+                                    golden_digest.first_divergence(&permuted, 0.0, &roots.names)
                                 } else {
                                     // The diagnostic replay itself hit a
                                     // budget/deadline: report the mismatch
@@ -1540,7 +1580,7 @@ impl Dca {
                                     reference.first_divergence(
                                         &d,
                                         self.config.float_tolerance,
-                                        &dr.names,
+                                        &roots.names,
                                     ),
                                 ))
                             }
@@ -1570,10 +1610,19 @@ impl Dca {
                 (_, ReplayEnd::DeadlineExpired) => VerifyEnd::Deadline,
                 (_, ReplayEnd::Cancelled) => VerifyEnd::Cancelled,
                 (VerifyScope::ProgramEnd, ReplayEnd::LoopExited) => {
-                    unreachable!("ProgramEnd replays never stop at loop exit")
+                    // The suffix was elided: the full run would have taken
+                    // the golden suffix's steps on top, and exhausted the
+                    // budget exactly when that sum passes it.
+                    steps += suffix.expect("a program-end replay stops at the exit only to elide");
+                    if steps > self.config.max_steps {
+                        steps = self.config.max_steps;
+                        VerifyEnd::Budget
+                    } else {
+                        VerifyEnd::Complete
+                    }
                 }
             };
-            let verify = t_since(t_verify);
+            let verify = verify + t_since(t_verify);
             // Undo this replay's writes so the machine is snapshot-clean
             // for the worker's next claim. Rollback is restore work, so
             // its time lands in the `stage.restore` span.
@@ -1591,6 +1640,7 @@ impl Dca {
                 journal: w.machine.journal_stats().since(&journal_before),
                 injected,
                 digest,
+                suffix,
             }
         };
         let stop = StopIndex::new();
@@ -1630,6 +1680,7 @@ impl Dca {
                             .and_then(|p| p.for_replay(ctx.ordinal, i))
                             .filter(|k| !matches!(k, FaultKind::KillSave { .. })),
                         digest: DigestStats::default(),
+                        suffix: None,
                     });
                 if out.end != VerifyEnd::Complete {
                     stop.stop_at(i);

@@ -8,37 +8,11 @@
 //! traversal from the roots, so heaps that differ only in allocation order
 //! (as permuted executions legitimately do) still compare equal.
 
+pub use dca_deps::canon_f64_bits;
 use dca_interp::{Machine, ObjId, OutputItem, Value};
 use dca_rng::{Block4, Fingerprint};
 use std::collections::HashMap;
 use std::fmt;
-
-/// The single quiet-NaN payload every NaN canonicalizes to.
-const CANON_QNAN_BITS: u64 = 0x7ff8_0000_0000_0000;
-
-/// The canonical bit pattern of a float: every NaN (any sign/payload)
-/// maps to one quiet NaN, `-0.0` maps to `+0.0`, and everything else
-/// keeps its IEEE-754 bits. Two floats are *canonically equal* — the
-/// equality the hashed verification tier, the structural digest and the
-/// tolerance comparator's fast path all share — iff their canonical bits
-/// are equal.
-#[must_use]
-pub fn canon_f64_bits(x: f64) -> u64 {
-    // Integer-only (branch-free under cmov) so the streaming digest's
-    // per-cell loop stays straight-line: a float is NaN iff its
-    // magnitude bits exceed the exponent mask, and ±0.0 iff they are 0.
-    const SIGN: u64 = 1 << 63;
-    const EXP: u64 = 0x7FF0_0000_0000_0000;
-    let bits = x.to_bits();
-    let mag = bits & !SIGN;
-    if mag > EXP {
-        CANON_QNAN_BITS
-    } else if mag == 0 {
-        0 // +0.0; folds -0.0 in.
-    } else {
-        bits
-    }
-}
 
 /// Compares two floats under a relative tolerance.
 ///

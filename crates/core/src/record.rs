@@ -9,14 +9,19 @@
 //! 2. **Snapshotting** — machine state is saved at the invocation's first
 //!    header arrival, so permuted replays start from identical state;
 //! 3. **Golden reference** — the run's outcome is the reference that every
-//!    permuted execution is verified against (§IV-B3).
+//!    permuted execution is verified against (§IV-B3). Alongside it, the
+//!    state the run left the loop in ([`ExitState`]) lets a permuted
+//!    replay that leaves the loop in that same state skip the rest of the
+//!    program ([`GoldenRecord::exit_matches`]).
 
 use crate::outcome::ProgramOutcome;
 use crate::parallel::CancelToken;
 use crate::replay::GOVERN_GRANULE;
 use dca_analysis::IteratorSlice;
 use dca_deps::{FootprintProbe, LoopProfile};
-use dca_interp::{Addr, Hooks, InstAction, Machine, Site, Snapshot, Trap, Value};
+use dca_interp::{
+    Addr, Hooks, InstAction, Machine, Obj, ObjId, OutputItem, Position, Site, Snapshot, Trap, Value,
+};
 use dca_ir::{BlockId, FuncId, Function, Loop, VarId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -42,10 +47,162 @@ pub struct GoldenRecord {
     pub exit_target: BlockId,
     /// Frame depth the invocation ran at.
     pub depth: usize,
-    /// The golden program outcome.
+    /// The golden program outcome. A recording stopped at the loop exit
+    /// (`stop_at_exit`) holds the output up to the exit and no return
+    /// value.
     pub outcome: ProgramOutcome,
-    /// Total steps of the golden run.
+    /// Total steps of the golden run (up to the loop exit for a
+    /// recording stopped there).
     pub total_steps: u64,
+    /// The machine state the tested invocation exited in.
+    pub exit: ExitState,
+}
+
+/// The golden run's state at the moment the tested invocation exited:
+/// what a program-end replay is compared against to skip the rest of
+/// the program ([`GoldenRecord::exit_matches`]). Its size follows the
+/// invocation's work — cells written, objects allocated — not the size
+/// of the heap.
+#[derive(Debug, Clone)]
+pub struct ExitState {
+    /// Where control stood: the first instruction of the exit target,
+    /// at the invocation's depth.
+    pub position: Position,
+    /// Every cell of a pre-existing object the invocation wrote, with
+    /// its value at the exit; sorted by address, one entry per cell.
+    pub cells: Vec<(Addr, Value)>,
+    /// The objects allocated during the invocation, in allocation order;
+    /// they occupy the last `new_objs.len()` heap slots.
+    pub new_objs: Vec<Obj>,
+    /// Heap objects at the exit.
+    pub heap_len: usize,
+    /// Heap cells allocated at the exit.
+    pub heap_cells: u64,
+    /// Output items printed before the invocation started.
+    pub output_start: usize,
+    /// The items the invocation printed.
+    pub output: Vec<OutputItem>,
+    /// Every variable of the running frame at the exit.
+    pub vars: Vec<Value>,
+    /// Machine steps at the exit.
+    pub steps: u64,
+}
+
+impl ExitState {
+    /// Captures the exit state of a machine whose journal was armed at
+    /// the invocation's entry, when the heap held `base_heap` objects
+    /// and the output `base_output` items.
+    fn capture(machine: &Machine<'_>, base_heap: usize, base_output: usize) -> ExitState {
+        let mut cells: Vec<(Addr, Value)> = machine
+            .journal_writes()
+            .map(|(a, _)| (a, machine.read_cell(a)))
+            .collect();
+        cells.sort_unstable_by_key(|&(a, _)| a);
+        cells.dedup_by_key(|&mut (a, _)| a);
+        let position = machine.position().expect("a live frame at the loop exit");
+        let nvars = machine.module().func(position.func).vars.len();
+        ExitState {
+            position,
+            cells,
+            new_objs: machine.heap()[base_heap..].to_vec(),
+            heap_len: machine.heap().len(),
+            heap_cells: machine.heap_cells(),
+            output_start: base_output,
+            output: machine.output()[base_output..].to_vec(),
+            vars: (0..nvars)
+                .map(|i| machine.read_var(VarId(i as u32)))
+                .collect(),
+            steps: machine.steps(),
+        }
+    }
+}
+
+/// Bit-exact value equality: floats compare by raw `to_bits`, so `-0.0`
+/// and `+0.0` differ, as do NaNs with different payloads. Suffix elision
+/// needs this strength; canonical equality
+/// ([`dca_deps::canon_f64_bits`]) would be unsound there, because
+/// canonically equal states can still run different suffixes.
+fn raw_eq(a: Value, b: Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (a, b) => a == b,
+    }
+}
+
+fn raw_eq_output(a: &OutputItem, b: &OutputItem) -> bool {
+    match (a, b) {
+        (OutputItem::Value(x), OutputItem::Value(y)) => raw_eq(*x, *y),
+        (a, b) => a == b,
+    }
+}
+
+impl GoldenRecord {
+    /// Steps the golden run took after the loop exit.
+    #[must_use]
+    pub fn suffix_steps(&self) -> u64 {
+        self.total_steps - self.exit.steps
+    }
+
+    /// True when `machine` — a replay from [`GoldenRecord::snapshot`]
+    /// with its write journal armed at the snapshot, stopped at the loop
+    /// exit — stands in the golden run's exit state, so the rest of its
+    /// run must repeat the golden run's step for step: the interpreter is
+    /// deterministic and the rest of the program can observe nothing
+    /// else. `roots` are the variables of the running frame that the
+    /// rest of the program may read (live at the exit); the others are
+    /// dead and may differ.
+    ///
+    /// The comparison is bit-exact (raw `to_bits` for floats) and costs
+    /// O(cells written + objects allocated + roots) — the cells either
+    /// run wrote, not the heap. Caller frames need no check: nothing
+    /// runs in them while the loop does. A machine without an armed
+    /// journal never matches, since its write-set is unknown.
+    #[must_use]
+    pub fn exit_matches(&self, machine: &Machine<'_>, roots: &[VarId]) -> bool {
+        let x = &self.exit;
+        if !machine.journal_armed()
+            || machine.position() != Some(x.position)
+            || machine.heap().len() != x.heap_len
+            || machine.heap_cells() != x.heap_cells
+        {
+            return false;
+        }
+        let out = machine.output();
+        if out.len() != x.output_start + x.output.len()
+            || !out[x.output_start..]
+                .iter()
+                .zip(&x.output)
+                .all(|(a, b)| raw_eq_output(a, b))
+        {
+            return false;
+        }
+        if !roots
+            .iter()
+            .all(|&v| raw_eq(machine.read_var(v), x.vars[v.index()]))
+        {
+            return false;
+        }
+        if !x
+            .cells
+            .iter()
+            .all(|&(a, v)| raw_eq(machine.read_cell(a), v))
+        {
+            return false;
+        }
+        // Cells only the replay wrote must hold their loop-entry values,
+        // as they do in the golden run.
+        let golden_wrote = |a: Addr| x.cells.binary_search_by_key(&a, |&(c, _)| c).is_ok();
+        if !machine.journal_writes().all(|(a, _)| {
+            golden_wrote(a) || raw_eq(machine.read_cell(a), self.snapshot.read_cell(a))
+        }) {
+            return false;
+        }
+        let base = x.heap_len - x.new_objs.len();
+        x.new_objs.iter().enumerate().all(|(i, o)| {
+            let cells = machine.obj_cells(ObjId((base + i) as u32));
+            cells.len() == o.cells.len() && cells.iter().zip(&o.cells).all(|(a, b)| raw_eq(*a, *b))
+        })
+    }
 }
 
 /// Why recording failed.
@@ -97,6 +254,9 @@ struct Recorder<'a> {
     depth: Option<usize>,
     /// Request flag: the driver should snapshot now.
     want_snapshot: bool,
+    /// Request flag: the kept invocation just exited; the driver should
+    /// capture the [`ExitState`] now.
+    want_exit: bool,
     /// The iterator values of the in-flight iteration, frozen at its first
     /// payload instruction (the point Fig. 4(c)'s `rt_iterator_linearize`
     /// placement corresponds to): by then a `for` iterator still holds its
@@ -180,6 +340,7 @@ impl Hooks for Recorder<'_> {
                     } else {
                         self.exit_vals = self.capture(vars);
                         self.exit_target = Some(block);
+                        self.want_exit = true;
                         self.phase = Phase::Finishing;
                     }
                 }
@@ -236,6 +397,13 @@ impl Hooks for Recorder<'_> {
 /// `rec_vars` determines which variables are captured per iteration —
 /// normally the loop's iterator-slice variables.
 ///
+/// With `stop_at_exit` the run ends at the invocation's exit instead of
+/// the program's (mirroring [`crate::replay::run_replay`]'s
+/// `stop_at_loop_exit`): for consumers that need the loop-entry snapshot
+/// and the iterator record but not the golden outcome, such as the
+/// parallel executor. The record's `outcome` and `total_steps` then
+/// describe the run up to the exit.
+///
 /// # Errors
 ///
 /// See [`RecordError`].
@@ -250,19 +418,15 @@ pub fn record_golden(
     skip_invocations: u32,
     max_trip: usize,
     max_steps: u64,
+    stop_at_exit: bool,
 ) -> Result<GoldenRecord, RecordError> {
-    record_golden_min_trip(
-        machine,
-        main,
-        args,
-        func,
-        l,
-        slice,
-        skip_invocations,
-        max_trip,
-        max_steps,
-        0,
-    )
+    let rec_vars: Vec<VarId> = slice.slice_vars.iter().copied().collect();
+    machine
+        .push_call(main, args)
+        .map_err(RecordError::Trapped)?;
+    let mut rec = new_recorder(func, l, &rec_vars, slice, skip_invocations, max_trip, 0);
+    let run = drive(machine, &mut rec, max_steps, None, None, stop_at_exit)?;
+    seal(rec, run, machine)
 }
 
 /// Like [`record_golden`], but skips invocations shorter than `min_trip`
@@ -337,8 +501,8 @@ pub fn record_golden_governed(
         max_trip,
         min_trip,
     );
-    let (ret, snapshot) = drive(machine, &mut rec, max_steps, deadline, cancel)?;
-    seal(rec, snapshot, ret, machine)
+    let run = drive(machine, &mut rec, max_steps, deadline, cancel, false)?;
+    seal(rec, run, machine)
 }
 
 /// Like [`record_golden`], but additionally mines a per-iteration
@@ -349,7 +513,8 @@ pub fn record_golden_governed(
 /// with the golden record's.
 ///
 /// The plain recording path is untouched — disarmed recording pays
-/// nothing for the probe's existence.
+/// nothing for the probe's existence. `stop_at_exit` is as for
+/// [`record_golden`].
 ///
 /// # Errors
 ///
@@ -366,6 +531,7 @@ pub fn record_golden_profiled(
     skip_invocations: u32,
     max_trip: usize,
     max_steps: u64,
+    stop_at_exit: bool,
 ) -> Result<(GoldenRecord, LoopProfile), RecordError> {
     let rec_vars: Vec<VarId> = slice.slice_vars.iter().copied().collect();
     machine
@@ -402,24 +568,24 @@ pub fn record_golden_profiled(
     // Monomorphize the mixed-block flag away: with no mixed block (the
     // common case) the per-instruction hook compiles to the plain
     // recorder's, paying nothing per executed instruction.
-    let (ret, snapshot, rec) = if any_mixed {
+    let (run, rec) = if any_mixed {
         let mut h = ProfiledRecorder::<true> {
             rec,
             attrs,
             probe: &mut probe,
         };
-        let (ret, snapshot) = drive(machine, &mut h, max_steps, None, None)?;
-        (ret, snapshot, h.rec)
+        let run = drive(machine, &mut h, max_steps, None, None, stop_at_exit)?;
+        (run, h.rec)
     } else {
         let mut h = ProfiledRecorder::<false> {
             rec,
             attrs,
             probe: &mut probe,
         };
-        let (ret, snapshot) = drive(machine, &mut h, max_steps, None, None)?;
-        (ret, snapshot, h.rec)
+        let run = drive(machine, &mut h, max_steps, None, None, stop_at_exit)?;
+        (run, h.rec)
     };
-    let golden = seal(rec, snapshot, ret, machine)?;
+    let golden = seal(rec, run, machine)?;
     let profile = probe.finish();
     debug_assert_eq!(
         profile.iters.len(),
@@ -452,6 +618,7 @@ fn new_recorder<'a>(
         phase: Phase::Waiting,
         depth: None,
         want_snapshot: false,
+        want_exit: false,
         pending: None,
         in_iteration: false,
         iters: Vec::new(),
@@ -474,19 +641,38 @@ impl<'a> RecAccess<'a> for Recorder<'a> {
     }
 }
 
-/// Steps the machine to completion under recording hooks `h` — the
+/// What one recording run produced.
+struct Run {
+    /// `main`'s return value (`None` for a run stopped at the loop exit).
+    ret: Option<Value>,
+    /// The kept invocation's entry snapshot.
+    snapshot: Option<Snapshot>,
+    /// The kept invocation's exit state.
+    exit: Option<ExitState>,
+}
+
+/// Steps the machine to completion — or, with `stop_at_exit`, to the
+/// kept invocation's exit — under recording hooks `h`: the
 /// manual-stepping loop shared by every `record_golden*` flavor, kept
 /// generic so the plain path monomorphizes without any probe overhead.
+///
+/// The machine's write journal is armed at each invocation's entry
+/// snapshot, so at the exit its write-set gives the [`ExitState`]; it
+/// is disarmed, without rewinding, when the invocation is discarded or
+/// exits, and the rest of the program runs unjournaled.
 fn drive<'a, H: RecAccess<'a>>(
     machine: &mut Machine<'_>,
     h: &mut H,
     max_steps: u64,
     deadline: Option<Instant>,
     cancel: Option<&CancelToken>,
-) -> Result<(Option<Value>, Option<Snapshot>), RecordError> {
+    stop_at_exit: bool,
+) -> Result<Run, RecordError> {
     // Step manually so the snapshot lands exactly at the header arrival.
     let budget = machine.steps().saturating_add(max_steps);
     let mut snapshot: Option<Snapshot> = None;
+    let mut exit: Option<ExitState> = None;
+    let mut base = (0, 0);
     let mut n: u64 = 0;
     let ret = loop {
         if machine.result().is_some() {
@@ -522,27 +708,38 @@ fn drive<'a, H: RecAccess<'a>>(
         if rec.want_snapshot {
             rec.want_snapshot = false;
             snapshot = Some(machine.snapshot());
+            base = (machine.heap().len(), machine.output().len());
+            machine.begin_journal();
         }
         if rec.discard_snapshot {
             rec.discard_snapshot = false;
             snapshot = None;
+            machine.disarm_journal();
         }
         if rec.trip_overflow {
             return Err(RecordError::TripLimit);
         }
+        if rec.want_exit {
+            rec.want_exit = false;
+            exit = Some(ExitState::capture(machine, base.0, base.1));
+            machine.disarm_journal();
+            if stop_at_exit {
+                break None;
+            }
+        }
     };
-    Ok((ret, snapshot))
+    Ok(Run {
+        ret,
+        snapshot,
+        exit,
+    })
 }
 
 /// Packages a finished recording into the [`GoldenRecord`].
-fn seal(
-    rec: Recorder<'_>,
-    snapshot: Option<Snapshot>,
-    ret: Option<Value>,
-    machine: &Machine<'_>,
-) -> Result<GoldenRecord, RecordError> {
-    let snapshot = snapshot.ok_or(RecordError::NotExercised)?;
+fn seal(rec: Recorder<'_>, run: Run, machine: &Machine<'_>) -> Result<GoldenRecord, RecordError> {
+    let snapshot = run.snapshot.ok_or(RecordError::NotExercised)?;
     let exit_target = rec.exit_target.ok_or(RecordError::NotExercised)?;
+    let exit = run.exit.ok_or(RecordError::NotExercised)?;
     let rec_vars = rec.rec_vars.to_vec();
     let (iters, exit_vals, depth) = (rec.iters, rec.exit_vals, rec.depth);
     Ok(GoldenRecord {
@@ -552,8 +749,9 @@ fn seal(
         exit_vals,
         exit_target,
         depth: depth.expect("recording started"),
-        outcome: ProgramOutcome::capture(machine, ret),
+        outcome: ProgramOutcome::capture(machine, run.ret),
         total_steps: machine.steps(),
+        exit,
     })
 }
 
@@ -710,6 +908,7 @@ mod tests {
                     0,
                     DcaConfig::DEFAULT_MAX_TRIP,
                     DcaConfig::TEST_STEP_BUDGET,
+                    false,
                 );
             }
         }
@@ -825,6 +1024,7 @@ mod tests {
             1,
             DcaConfig::DEFAULT_MAX_TRIP,
             DcaConfig::TEST_STEP_BUDGET,
+            false,
         )
         .expect("record");
         assert_eq!(g.iters.len(), 5, "second invocation has 5 iterations");

@@ -458,6 +458,7 @@ mod tests {
             0,
             DcaConfig::DEFAULT_MAX_TRIP,
             DcaConfig::TEST_STEP_BUDGET,
+            false,
         )
         .expect("golden");
         let perm = perm_of(golden.iters.len());
@@ -488,6 +489,7 @@ mod tests {
             0,
             DcaConfig::DEFAULT_MAX_TRIP,
             DcaConfig::TEST_STEP_BUDGET,
+            false,
         )
         .expect("golden");
         let perm: Vec<usize> = (0..golden.iters.len()).collect();

@@ -40,5 +40,6 @@ mod profile;
 pub use autotune::{autotune_chunk, DEFAULT_DYNAMIC_CHUNK, GRAB_OVERHEAD_STEPS};
 pub use overlap::{check_decomposable, Conflict, ConflictKind, DepReport, DepVerdict};
 pub use profile::{
-    canonical_bits, CellWrite, FootprintProbe, IterFootprint, LoopProfile, DEFAULT_FOOTPRINT_CAP,
+    canon_f64_bits, canonical_bits, CellWrite, FootprintProbe, IterFootprint, LoopProfile,
+    DEFAULT_FOOTPRINT_CAP,
 };

@@ -13,27 +13,51 @@ pub const DEFAULT_FOOTPRINT_CAP: usize = 1 << 22;
 /// A heap cell key: `(object id, cell index)`.
 type Cell = (u32, u32);
 
+/// The single quiet-NaN payload every NaN canonicalizes to.
+const CANON_QNAN_BITS: u64 = 0x7ff8_0000_0000_0000;
+
+/// The canonical bit pattern of a float: every NaN (any sign/payload)
+/// maps to one quiet NaN, `-0.0` maps to `+0.0`, and everything else
+/// keeps its IEEE-754 bits. Two floats are *canonically equal* — the
+/// equality the footprint pre-check, the executor's validator, the
+/// hashed and structural state digests and the tolerance comparator's
+/// fast path all share — iff their canonical bits are equal.
+///
+/// Program-end suffix elision (`dca_core`'s `GoldenRecord::exit_matches`)
+/// deliberately compares raw `to_bits` instead: two canonically equal
+/// states can still run different suffixes (`1.0 / x` prints `inf` for
+/// `+0.0` and `-inf` for `-0.0`), and elision claims the whole rest of
+/// the program repeats the golden run, not just that two states agree.
+#[must_use]
+#[inline]
+pub fn canon_f64_bits(x: f64) -> u64 {
+    // Integer-only (branch-free under cmov) so the streaming digest's
+    // per-cell loop stays straight-line: a float is NaN iff its
+    // magnitude bits exceed the exponent mask, and ±0.0 iff they are 0.
+    const SIGN: u64 = 1 << 63;
+    const EXP: u64 = 0x7FF0_0000_0000_0000;
+    let bits = x.to_bits();
+    let mag = bits & !SIGN;
+    if mag > EXP {
+        CANON_QNAN_BITS
+    } else if mag == 0 {
+        0 // +0.0; folds -0.0 in.
+    } else {
+        bits
+    }
+}
+
 /// Canonical bit pattern of a [`Value`], used to compare stored values
-/// across iterations. Matches the live-state fingerprint's equivalence:
-/// every NaN collapses to one canonical NaN and `-0.0` to `+0.0`, so two
-/// writes that the validator would call equal compare equal here too.
-/// The tag occupies the high 64 bits so values of different types never
+/// across iterations: floats by [`canon_f64_bits`], so two writes that
+/// the validator would call equal compare equal here too. The tag
+/// occupies the high 64 bits so values of different types never
 /// collide.
 #[must_use]
 #[inline]
 pub fn canonical_bits(v: Value) -> u128 {
     let (tag, bits) = match v {
         Value::Int(x) => (1u64, x as u64),
-        Value::Float(x) => {
-            let c = if x.is_nan() {
-                f64::NAN
-            } else if x == 0.0 {
-                0.0
-            } else {
-                x
-            };
-            (2u64, c.to_bits())
-        }
+        Value::Float(x) => (2u64, canon_f64_bits(x)),
         Value::Bool(b) => (3u64, u64::from(b)),
         Value::Ptr(o) => (4u64, u64::from(o.0)),
         Value::Null => (5u64, 0),

@@ -161,6 +161,17 @@ pub struct Snapshot {
     finished: Option<Option<Value>>,
 }
 
+impl Snapshot {
+    /// Reads one heap cell of the captured state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` does not name a cell of the captured heap.
+    pub fn read_cell(&self, addr: Addr) -> Value {
+        self.heap[addr.obj.index()].cells[addr.cell as usize]
+    }
+}
+
 /// Where execution currently stands (used by stepping drivers to decide
 /// when to snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,6 +416,12 @@ impl<'m> Machine<'m> {
         self.steps
     }
 
+    /// Heap cells currently allocated — the quantity
+    /// [`Limits::max_heap_cells`] bounds.
+    pub fn heap_cells(&self) -> u64 {
+        self.heap_cells
+    }
+
     /// Monotonic heap-operation counters for this machine's lifetime.
     /// Not rewound by [`Machine::restore`] — see [`OpCounts`].
     pub fn op_counts(&self) -> OpCounts {
@@ -558,6 +575,15 @@ impl<'m> Machine<'m> {
                 )
             })
         })
+    }
+
+    /// Disarms the journal *without* rewinding: the machine keeps every
+    /// change made since [`Machine::begin_journal`] and the undo records
+    /// are dropped. The golden recording uses this at the tested loop's
+    /// exit, after reading the invocation's write-set, so the rest of the
+    /// program runs unjournaled. No-op when no journal is armed.
+    pub fn disarm_journal(&mut self) {
+        self.journal = None;
     }
 
     /// Monotonic journal counters for this machine's lifetime. Not
@@ -1616,6 +1642,31 @@ mod tests {
         assert_eq!(machine.snapshot(), snap);
         // The discarded journal contributed no rollback stats.
         assert_eq!(machine.journal_stats().rollbacks, 0);
+    }
+
+    #[test]
+    fn disarm_keeps_the_journaled_changes() {
+        let m = compile("let g: int = 3; fn main() { g = g + 1; }").expect("compile");
+        let mut machine = Machine::new(&m);
+        machine
+            .push_call(m.main().expect("main"), &[])
+            .expect("push");
+        let snap = machine.snapshot();
+        machine.begin_journal();
+        machine.run(&mut NoHooks, u64::MAX).expect("run");
+        let g = Addr {
+            obj: ObjId(0),
+            cell: 0,
+        };
+        assert_eq!(machine.journal_writes().count(), 1);
+        machine.disarm_journal();
+        assert!(!machine.journal_armed());
+        assert_eq!(machine.read_cell(g), Value::Int(4), "no rewind");
+        assert_eq!(snap.read_cell(g), Value::Int(3));
+        assert_eq!(machine.journal_stats().rollbacks, 0);
+        // Disarmed, the journal can be armed afresh.
+        machine.begin_journal();
+        assert!(machine.journal_armed());
     }
 
     #[test]

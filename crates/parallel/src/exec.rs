@@ -12,7 +12,8 @@
 //!
 //! 1. [`dca_core::record_golden`] captures the loop's first invocation —
 //!    the entry snapshot, the linearized iterator values and the iterator
-//!    exit state — exactly as the analysis did.
+//!    exit state — exactly as the analysis did, stopping at the loop exit:
+//!    nothing here reads the golden run's program outcome.
 //! 2. Each worker restores the snapshot into its own [`Machine`], runs
 //!    the iterator pre-pass (applying destructive iterator effects once,
 //!    identically in every worker), then executes only *its* subset of
@@ -374,6 +375,7 @@ pub fn execute_loop(
                 0,
                 cfg.max_trip,
                 cfg.max_steps,
+                true,
             )
             .map_err(ExecError::Record)?;
             (g, Some(p))
@@ -388,6 +390,7 @@ pub fn execute_loop(
                 0,
                 cfg.max_trip,
                 cfg.max_steps,
+                true,
             )
             .map_err(ExecError::Record)?;
             (g, None)
