@@ -3,7 +3,7 @@
 
 use dca_analysis::{EffectMap, IteratorSlice, Liveness};
 use dca_bench::harness::Harness;
-use dca_core::{record_golden, run_replay, DcaConfig, ReplayController};
+use dca_core::{record_golden, run_replay, DcaConfig, ReplayController, ReplayGovernor};
 use dca_interp::Machine;
 use dca_ir::FuncView;
 use std::hint::black_box;
@@ -80,7 +80,13 @@ fn bench_dynamic_stage(h: &mut Harness) {
             machine.restore(&golden.snapshot);
             let mut ctl =
                 ReplayController::new(lref.func, m.func(lref.func), l, &slice, &golden, &perm);
-            black_box(run_replay(&mut machine, &mut ctl, false, u64::MAX))
+            black_box(run_replay(
+                &mut machine,
+                &mut ctl,
+                false,
+                u64::MAX,
+                ReplayGovernor::default(),
+            ))
         })
     });
     h.bench_function("dynamic/full_loop_test", |b| {

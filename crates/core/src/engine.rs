@@ -12,7 +12,7 @@ use crate::parallel::{
 };
 use crate::perm::{derive_seed, schedules};
 use crate::record::{record_golden_governed, GoldenRecord, RecordError};
-use crate::replay::{run_replay_governed, ReplayController, ReplayEnd, ReplayGovernor};
+use crate::replay::{run_replay, ReplayController, ReplayEnd, ReplayGovernor};
 use crate::report::{DcaReport, LoopResult, LoopVerdict, SkipReason, Violation};
 use dca_analysis::{exclusion, EffectMap, IteratorSlice, Liveness};
 use dca_interp::{JournalStats, Limits, Machine, OpCounts, Trap, Value};
@@ -1284,6 +1284,18 @@ impl Dca {
         // scope the frame variables suffix elision compares.
         let roots = digest_roots(view, live, l);
         let governed = !self.config.max_wall.is_unlimited();
+        // Each replay's governor: a fresh per-run deadline under wall
+        // limits, the run's cancellation token, and an optional injected
+        // trap.
+        let governor = |trap_at_step: Option<u64>| ReplayGovernor {
+            deadline: if governed {
+                self.run_deadline(ctx.analysis_deadline)
+            } else {
+                None
+            },
+            trap_at_step,
+            cancel: ctx.cancel,
+        };
         let mut reference_steps = 0u64;
         // Under the loop-exit scope the reference state comes from an
         // identity replay (identical by construction to the golden run up
@@ -1297,16 +1309,13 @@ impl Dca {
             let before = machine.steps();
             let mut ctl = ReplayController::new(view.id, view.func, l, slice, golden, &identity);
             let t_replay = t_start();
-            let gov = ReplayGovernor {
-                deadline: if governed {
-                    self.run_deadline(ctx.analysis_deadline)
-                } else {
-                    None
-                },
-                cancel: ctx.cancel,
-                trap_at_step: None,
-            };
-            let end = run_replay_governed(&mut machine, &mut ctl, true, self.config.max_steps, gov);
+            let end = run_replay(
+                &mut machine,
+                &mut ctl,
+                true,
+                self.config.max_steps,
+                governor(None),
+            );
             obs.record_span("stage.replay", t_since(t_replay), 1);
             reference_steps = machine.steps() - before;
             obs.count("engine.replays", 1);
@@ -1433,25 +1442,17 @@ impl Dca {
                 // recovery path above.
                 panic!("injected fault: panic in replay slot {slot}");
             }
-            let gov = ReplayGovernor {
-                deadline: if governed {
-                    self.run_deadline(ctx.analysis_deadline)
-                } else {
-                    None
-                },
-                cancel: ctx.cancel,
-                trap_at_step: match injected {
-                    Some(FaultKind::Trap { at_step }) => Some(at_step),
-                    _ => None,
-                },
-            };
+            let gov = governor(match injected {
+                Some(FaultKind::Trap { at_step }) => Some(at_step),
+                _ => None,
+            });
             // Program-end suffix elision: stop at the loop exit first, and
             // if the replay left the loop in the golden run's exit state,
             // the rest of its run would repeat the golden suffix step for
             // step — count those steps instead of interpreting them. An
             // injected fault may act in the suffix, so it always runs.
             let elide = !stop_at_exit && injected.is_none();
-            let mut end = run_replay_governed(
+            let mut end = run_replay(
                 &mut w.machine,
                 &mut ctl,
                 stop_at_exit || elide,
@@ -1470,7 +1471,7 @@ impl Dca {
                 } else {
                     let t_rest = t_start();
                     let spent = w.machine.steps() - before;
-                    end = run_replay_governed(
+                    end = run_replay(
                         &mut w.machine,
                         &mut ctl,
                         false,
@@ -1534,21 +1535,12 @@ impl Dca {
                                 let mut ictl = ReplayController::new(
                                     view.id, view.func, l, slice, golden, &identity,
                                 );
-                                let igov = ReplayGovernor {
-                                    deadline: if governed {
-                                        self.run_deadline(ctx.analysis_deadline)
-                                    } else {
-                                        None
-                                    },
-                                    cancel: ctx.cancel,
-                                    trap_at_step: None,
-                                };
-                                let iend = run_replay_governed(
+                                let iend = run_replay(
                                     &mut w.machine,
                                     &mut ictl,
                                     true,
                                     self.config.max_steps,
-                                    igov,
+                                    governor(None),
                                 );
                                 let div = if matches!(iend, ReplayEnd::LoopExited) {
                                     read_roots(&w.machine, &roots.vars, &mut w.roots);

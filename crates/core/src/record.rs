@@ -430,44 +430,10 @@ pub fn record_golden(
 }
 
 /// Like [`record_golden`], but skips invocations shorter than `min_trip`
-/// committed iterations, recording the first one long enough to permute.
-///
-/// # Errors
-///
-/// See [`RecordError`].
-#[allow(clippy::too_many_arguments)]
-pub fn record_golden_min_trip(
-    machine: &mut Machine<'_>,
-    main: FuncId,
-    args: &[Value],
-    func: FuncId,
-    l: &Loop,
-    slice: &IteratorSlice,
-    skip_invocations: u32,
-    max_trip: usize,
-    max_steps: u64,
-    min_trip: usize,
-) -> Result<GoldenRecord, RecordError> {
-    record_golden_governed(
-        machine,
-        main,
-        args,
-        func,
-        l,
-        slice,
-        skip_invocations,
-        max_trip,
-        max_steps,
-        min_trip,
-        None,
-        None,
-    )
-}
-
-/// Like [`record_golden_min_trip`], with an optional wall-clock deadline
-/// and an optional [`CancelToken`], both checked cooperatively every
-/// [`GOVERN_GRANULE`] steps. `None` for both keeps the recording loop
-/// free of clock reads and atomic loads.
+/// committed iterations, recording the first one long enough to permute,
+/// under an optional wall-clock deadline and an optional [`CancelToken`],
+/// both checked cooperatively every [`GOVERN_GRANULE`] steps. `None` for
+/// both keeps the recording loop free of clock reads and atomic loads.
 ///
 /// # Errors
 ///
@@ -1044,7 +1010,7 @@ mod tests {
         let slice = IteratorSlice::compute(&view, l);
         let trips_of = |skip: u32| {
             let mut machine = Machine::new(&m);
-            crate::record::record_golden_min_trip(
+            crate::record::record_golden_governed(
                 &mut machine,
                 m.main().expect("main"),
                 &[],
@@ -1055,6 +1021,8 @@ mod tests {
                 DcaConfig::DEFAULT_MAX_TRIP,
                 DcaConfig::TEST_STEP_BUDGET,
                 2,
+                None,
+                None,
             )
             .map(|g| g.iters.len())
         };

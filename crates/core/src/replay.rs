@@ -17,10 +17,12 @@
 //!    run did. The pre-pass ends when control would leave the loop (or a
 //!    safety cap on header arrivals fires for iterators whose trip count
 //!    depended on skipped payload).
-//! 2. **Payload pass** — control is forced around the loop exactly
-//!    `perm.len()` times; at each header arrival the recorded variables of
-//!    the next permuted iteration are bound, slice instructions are
-//!    skipped, and edges that would leave the loop are forced back inside.
+//! 2. **Payload pass** — control is forced around the loop once per
+//!    iteration its [`IterOrder`] yields (a [`Perm`] permutation for the
+//!    analysis, a worker's share for the parallel executor); at each
+//!    header arrival the recorded variables of the next iteration are
+//!    bound, slice instructions are skipped, and edges that would leave
+//!    the loop are forced back inside.
 //! 3. **Exit** — the golden exit values are restored to the iterator
 //!    variables and control jumps to the golden exit target; the rest of
 //!    the program runs untouched.
@@ -30,7 +32,7 @@ use crate::record::GoldenRecord;
 use dca_analysis::IteratorSlice;
 use dca_interp::{Hooks, InstAction, Machine, Site, TermAction, Trap, Value};
 use dca_ir::{BlockId, FuncId, Function, Loop, Terminator, VarId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// What a replay produced.
@@ -88,11 +90,40 @@ impl ReplayGovernor<'_> {
     }
 }
 
+/// Where a replay's payload iterations come from: the seam between the
+/// loop controller and its iteration order. The analysis replays a fixed
+/// permutation ([`Perm`]); a parallel executor's worker replays its share
+/// of the iteration space (paper §IV-C runs the same payload loop over
+/// each worker's iterations).
+pub trait IterOrder {
+    /// Called at each payload header arrival with the loop frame's
+    /// variables: the recorded iteration to run next, or `None` once the
+    /// order is exhausted, which sends the controller to the loop exit.
+    /// Before the controller binds the iteration's recorded values, the
+    /// order may write `vars` (a worker resets its reduction accumulators
+    /// at chunk boundaries).
+    fn next_iter(&mut self, vars: &mut [Value]) -> Option<usize>;
+}
+
+/// A fixed permutation: `perm[k]` = which recorded iteration runs k-th.
+pub struct Perm<'a> {
+    perm: &'a [usize],
+    k: usize,
+}
+
+impl IterOrder for Perm<'_> {
+    fn next_iter(&mut self, _vars: &mut [Value]) -> Option<usize> {
+        let i = self.perm.get(self.k).copied();
+        self.k += 1;
+        i
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Running the iterator alone (Fig. 4(c) linearization semantics).
     PrePass,
-    /// Running payload instances in permuted order.
+    /// Running payload instances in the order's sequence.
     Payload,
     /// All iterations done: skip in-loop code, jump to the exit target.
     Exiting,
@@ -100,19 +131,16 @@ enum Mode {
     Done,
 }
 
-/// The [`Hooks`] implementation driving one permuted replay.
-pub struct ReplayController<'a> {
+/// The [`Hooks`] implementation driving one replay of a loop, with its
+/// payload iterations drawn from an [`IterOrder`].
+pub struct ReplayController<'a, O = Perm<'a>> {
     func: FuncId,
     func_ir: &'a Function,
     header: BlockId,
     blocks: &'a BTreeSet<BlockId>,
     slice: &'a IteratorSlice,
     golden: &'a GoldenRecord,
-    /// `perm[k]` = which recorded iteration runs k-th.
-    perm: &'a [usize],
-    /// Position of each recorded var in the capture tuples.
-    var_pos: HashMap<VarId, usize>,
-    k: usize,
+    order: O,
     needs_iter_start: bool,
     /// Header arrivals during the pre-pass (safety cap).
     prepass_arrivals: usize,
@@ -134,12 +162,21 @@ impl<'a> ReplayController<'a> {
         perm: &'a [usize],
     ) -> Self {
         assert_eq!(perm.len(), golden.iters.len(), "permutation length");
-        let var_pos: HashMap<VarId, usize> = golden
-            .rec_vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
+        Self::with_order(func, func_ir, l, slice, golden, Perm { perm, k: 0 })
+    }
+}
+
+impl<'a, O: IterOrder> ReplayController<'a, O> {
+    /// Like [`ReplayController::new`], with the payload iterations drawn
+    /// from `order` instead of a fixed permutation.
+    pub fn with_order(
+        func: FuncId,
+        func_ir: &'a Function,
+        l: &'a Loop,
+        slice: &'a IteratorSlice,
+        golden: &'a GoldenRecord,
+        order: O,
+    ) -> Self {
         ReplayController {
             func,
             func_ir,
@@ -147,9 +184,7 @@ impl<'a> ReplayController<'a> {
             blocks: &l.blocks,
             slice,
             golden,
-            perm,
-            var_pos,
-            k: 0,
+            order,
             needs_iter_start: false,
             prepass_arrivals: 0,
             mode: Mode::PrePass,
@@ -157,22 +192,30 @@ impl<'a> ReplayController<'a> {
         }
     }
 
+    /// Hands back the iteration order, with whatever it accumulated
+    /// during the run.
+    pub fn into_order(self) -> O {
+        self.order
+    }
+
     fn active_at(&self, site: Site, block: BlockId) -> bool {
         site.func == self.func && site.depth == self.golden.depth && self.blocks.contains(&block)
     }
 
-    /// Binds the recorded values of the next permuted iteration (or
-    /// switches to exit mode when all iterations have been replayed).
+    /// Binds the recorded values of the order's next iteration (or
+    /// switches to exit mode when the order is exhausted).
     fn iter_start(&mut self, vars: &mut [Value]) {
         self.needs_iter_start = false;
-        if self.k < self.perm.len() {
-            let rec = &self.golden.iters[self.perm[self.k]];
-            for (v, &pos) in &self.var_pos {
-                vars[v.index()] = rec[pos];
-            }
-            self.k += 1;
-        } else {
-            self.mode = Mode::Exiting;
+        match self.order.next_iter(vars) {
+            Some(i) => bind(&self.golden.rec_vars, &self.golden.iters[i], vars),
+            None => self.mode = Mode::Exiting,
+        }
+    }
+
+    /// At a payload header arrival, starts the next iteration.
+    fn start_pending_iter(&mut self, block: BlockId, vars: &mut [Value]) {
+        if self.mode == Mode::Payload && self.needs_iter_start && block == self.header {
+            self.iter_start(vars);
         }
     }
 
@@ -190,7 +233,15 @@ impl<'a> ReplayController<'a> {
     }
 }
 
-impl Hooks for ReplayController<'_> {
+/// Writes `vals[pos]` to each recorded variable `rec_vars[pos]` (the
+/// variables are distinct, so the order of the writes is immaterial).
+fn bind(rec_vars: &[VarId], vals: &[Value], vars: &mut [Value]) {
+    for (pos, &v) in rec_vars.iter().enumerate() {
+        vars[v.index()] = vals[pos];
+    }
+}
+
+impl<O: IterOrder> Hooks for ReplayController<'_, O> {
     fn on_block(&mut self, site: Site, block: BlockId, _vars: &mut [Value]) {
         match self.mode {
             Mode::Done => {}
@@ -228,31 +279,16 @@ impl Hooks for ReplayController<'_> {
         if matches!(self.mode, Mode::Done) || !self.active_at(site, block) {
             return InstAction::Run;
         }
+        self.start_pending_iter(block, vars);
+        // The pre-pass runs iterator instructions only (linearization);
+        // the payload pass runs everything else, the iterator having
+        // already run.
+        let in_slice = self.slice.contains((block, idx));
         match self.mode {
-            Mode::PrePass => {
-                // Linearization: iterator instructions only.
-                if self.slice.contains((block, idx)) {
-                    InstAction::Run
-                } else {
-                    InstAction::Skip
-                }
-            }
-            Mode::Payload => {
-                if self.needs_iter_start && block == self.header {
-                    self.iter_start(vars);
-                }
-                if matches!(self.mode, Mode::Exiting) {
-                    return InstAction::Skip;
-                }
-                // Payload instances only; the iterator already ran.
-                if self.slice.contains((block, idx)) {
-                    InstAction::Skip
-                } else {
-                    InstAction::Run
-                }
-            }
-            Mode::Exiting => InstAction::Skip,
+            Mode::PrePass if in_slice => InstAction::Run,
+            Mode::Payload if !in_slice => InstAction::Run,
             Mode::Done => InstAction::Run,
+            _ => InstAction::Skip,
         }
     }
 
@@ -266,6 +302,7 @@ impl Hooks for ReplayController<'_> {
         if matches!(self.mode, Mode::Done) || !self.active_at(site, block) {
             return TermAction::Default;
         }
+        self.start_pending_iter(block, vars);
         match self.mode {
             Mode::PrePass => {
                 // Natural control flow, but the moment it would leave the
@@ -279,29 +316,16 @@ impl Hooks for ReplayController<'_> {
                     }
                 }
             }
-            Mode::Payload => {
-                if self.needs_iter_start && block == self.header {
-                    self.iter_start(vars);
-                }
-                if matches!(self.mode, Mode::Exiting) {
-                    for (v, &pos) in &self.var_pos {
-                        vars[v.index()] = self.golden.exit_vals[pos];
-                    }
-                    return TermAction::Goto(self.golden.exit_target);
-                }
-                match default_target {
-                    Some(t) if self.blocks.contains(&t) => TermAction::Default,
-                    _ => TermAction::Goto(in_loop_alternative(
-                        &self.func_ir.block(block).term,
-                        self.blocks,
-                        self.header,
-                    )),
-                }
-            }
+            Mode::Payload => match default_target {
+                Some(t) if self.blocks.contains(&t) => TermAction::Default,
+                _ => TermAction::Goto(in_loop_alternative(
+                    &self.func_ir.block(block).term,
+                    self.blocks,
+                    self.header,
+                )),
+            },
             Mode::Exiting => {
-                for (v, &pos) in &self.var_pos {
-                    vars[v.index()] = self.golden.exit_vals[pos];
-                }
+                bind(&self.golden.rec_vars, &self.golden.exit_vals, vars);
                 TermAction::Goto(self.golden.exit_target)
             }
             Mode::Done => TermAction::Default,
@@ -329,49 +353,36 @@ fn in_loop_alternative(term: &Terminator, blocks: &BTreeSet<BlockId>, header: Bl
     }
 }
 
-/// Runs one permuted replay to the end of the program (or until the loop
-/// exits, under the loop-exit scope).
+/// Runs one replay to the end of the program (or until the loop exits,
+/// under the loop-exit scope), under `gov`.
 ///
-/// The machine must already be restored to `golden.snapshot`.
-pub fn run_replay(
+/// The machine must already be restored to `golden.snapshot`. An
+/// inactive governor ([`ReplayGovernor::default`]) runs the tight
+/// stepping loop, free of clock reads and extra branches (the
+/// `obs_overhead` bench asserts this).
+pub fn run_replay<O: IterOrder>(
     machine: &mut Machine<'_>,
-    ctl: &mut ReplayController<'_>,
-    stop_at_loop_exit: bool,
-    max_steps: u64,
-) -> ReplayEnd {
-    let budget = machine.steps().saturating_add(max_steps);
-    loop {
-        if let Some(ret) = machine.result() {
-            return ReplayEnd::Finished(ret);
-        }
-        if stop_at_loop_exit && ctl.loop_exited {
-            return ReplayEnd::LoopExited;
-        }
-        if machine.steps() >= budget {
-            return ReplayEnd::BudgetExhausted;
-        }
-        match machine.step(ctl) {
-            Ok(()) => {}
-            Err(Trap::NotRunning) => return ReplayEnd::Finished(machine.result().unwrap_or(None)),
-            Err(t) => return ReplayEnd::Trapped(t),
-        }
-    }
-}
-
-/// [`run_replay`] under a [`ReplayGovernor`]. An inactive governor
-/// delegates to the ungoverned tight loop, keeping the replay hot path
-/// free of clock reads and extra branches (the `obs_overhead` bench
-/// asserts this).
-pub fn run_replay_governed(
-    machine: &mut Machine<'_>,
-    ctl: &mut ReplayController<'_>,
+    ctl: &mut ReplayController<'_, O>,
     stop_at_loop_exit: bool,
     max_steps: u64,
     gov: ReplayGovernor<'_>,
 ) -> ReplayEnd {
     if gov.is_inactive() {
-        return run_replay(machine, ctl, stop_at_loop_exit, max_steps);
+        step_replay::<O, false>(machine, ctl, stop_at_loop_exit, max_steps, gov)
+    } else {
+        step_replay::<O, true>(machine, ctl, stop_at_loop_exit, max_steps, gov)
     }
+}
+
+/// The stepping loop of [`run_replay`], compiled once with the governor
+/// checks and once without.
+fn step_replay<O: IterOrder, const GOVERNED: bool>(
+    machine: &mut Machine<'_>,
+    ctl: &mut ReplayController<'_, O>,
+    stop_at_loop_exit: bool,
+    max_steps: u64,
+    gov: ReplayGovernor<'_>,
+) -> ReplayEnd {
     let budget = machine.steps().saturating_add(max_steps);
     let mut n: u64 = 0;
     loop {
@@ -384,27 +395,29 @@ pub fn run_replay_governed(
         if machine.steps() >= budget {
             return ReplayEnd::BudgetExhausted;
         }
-        if let Some(at) = gov.trap_at_step {
-            if n >= at {
-                return ReplayEnd::Trapped(Trap::Injected);
-            }
-        }
-        // Checked at n == 0 too, so a zero deadline (or an
-        // already-tripped token) expires deterministically before the
-        // first step.
-        if n.is_multiple_of(GOVERN_GRANULE) {
-            if let Some(d) = gov.deadline {
-                if Instant::now() >= d {
-                    return ReplayEnd::DeadlineExpired;
+        if GOVERNED {
+            if let Some(at) = gov.trap_at_step {
+                if n >= at {
+                    return ReplayEnd::Trapped(Trap::Injected);
                 }
             }
-            if let Some(c) = gov.cancel {
-                if c.is_cancelled() {
-                    return ReplayEnd::Cancelled;
+            // Checked at n == 0 too, so a zero deadline (or an
+            // already-tripped token) expires deterministically before the
+            // first step.
+            if n.is_multiple_of(GOVERN_GRANULE) {
+                if let Some(d) = gov.deadline {
+                    if Instant::now() >= d {
+                        return ReplayEnd::DeadlineExpired;
+                    }
+                }
+                if let Some(c) = gov.cancel {
+                    if c.is_cancelled() {
+                        return ReplayEnd::Cancelled;
+                    }
                 }
             }
+            n += 1;
         }
-        n += 1;
         match machine.step(ctl) {
             Ok(()) => {}
             Err(Trap::NotRunning) => return ReplayEnd::Finished(machine.result().unwrap_or(None)),
@@ -464,7 +477,13 @@ mod tests {
         let perm = perm_of(golden.iters.len());
         machine.restore(&golden.snapshot);
         let mut ctl = ReplayController::new(fid, m.func(fid), &l, &slice, &golden, &perm);
-        let end = run_replay(&mut machine, &mut ctl, false, DcaConfig::TEST_STEP_BUDGET);
+        let end = run_replay(
+            &mut machine,
+            &mut ctl,
+            false,
+            DcaConfig::TEST_STEP_BUDGET,
+            ReplayGovernor::default(),
+        );
         (golden.outcome.clone(), end, machine.output().to_vec())
     }
 
@@ -502,7 +521,7 @@ mod tests {
         assert!(!gov.is_inactive(), "a token arms the governor");
         machine.restore(&golden.snapshot);
         let mut ctl = ReplayController::new(main, m.func(main), &l, &slice, &golden, &perm);
-        let end = run_replay_governed(
+        let end = run_replay(
             &mut machine,
             &mut ctl,
             false,

@@ -14,10 +14,12 @@
 //!    the entry snapshot, the linearized iterator values and the iterator
 //!    exit state — exactly as the analysis did, stopping at the loop exit:
 //!    nothing here reads the golden run's program outcome.
-//! 2. Each worker restores the snapshot into its own [`Machine`], runs
-//!    the iterator pre-pass (applying destructive iterator effects once,
-//!    identically in every worker), then executes only *its* subset of
-//!    payload instances, chosen by an OpenMP-style schedule
+//! 2. Each worker restores the snapshot into its own [`Machine`] and
+//!    drives the analysis's replay controller
+//!    ([`dca_core::ReplayController`]) with a worker-share iteration
+//!    order: the iterator pre-pass applies destructive iterator effects
+//!    once, identically in every worker, then only *its* subset of
+//!    payload instances runs, chosen by an OpenMP-style schedule
 //!    ([`Schedule::StaticBlock`] contiguous blocks or
 //!    [`Schedule::Dynamic`] chunk self-scheduling over a shared atomic
 //!    counter). Heap writes are tracked by the machine's write journal;
@@ -62,16 +64,15 @@ use crate::sim::Schedule;
 use dca_analysis::{ArrayKey, EffectMap, IteratorSlice, Liveness, ReductionOp};
 use dca_core::{
     digest_roots, hash_live_state, read_roots, record_golden, record_golden_profiled, run_replay,
-    DcaConfig, DcaReport, DigestScratch, Divergence, GoldenRecord, Obs, RecordError,
-    ReplayController, ReplayEnd, StateDigest,
+    DcaConfig, DcaReport, DigestScratch, Divergence, GoldenRecord, IterOrder, Obs, RecordError,
+    ReplayController, ReplayEnd, ReplayGovernor, StateDigest,
 };
-use dca_deps::{autotune_chunk, check_decomposable, Conflict, DepVerdict, DEFAULT_DYNAMIC_CHUNK};
-use dca_interp::{Addr, Hooks, InstAction, Machine, ObjId, Site, TermAction, Trap, Value};
+use dca_deps::{autotune_chunk, check_decomposable, Conflict, DepVerdict};
+use dca_interp::{Addr, Machine, ObjId, Trap, Value};
 use dca_ir::{
-    BinOp, BlockId, FuncId, FuncView, Function, Inst, Loop, LoopRef, Module, Operand, Terminator,
-    VarId,
+    BinOp, BlockId, FuncId, FuncView, Function, Inst, Loop, LoopRef, Module, Operand, VarId,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -546,7 +547,7 @@ pub fn execute_loop(
         let results: Vec<Result<Harvest, ExecError>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
-                    let source = make_source(schedule, w, threads, n, &next);
+                    let source = make_source(chunk, w, threads, n, &next);
                     let ctx = &ctx;
                     s.spawn(move || run_worker(ctx, source))
                 })
@@ -642,7 +643,13 @@ pub fn execute_loop(
         oracle.restore(&golden.snapshot);
         let perm: Vec<usize> = (0..n).collect();
         let mut octl = ReplayController::new(lref.func, func_ir, &l, &slice, &golden, &perm);
-        match run_replay(&mut oracle, &mut octl, true, cfg.max_steps) {
+        match run_replay(
+            &mut oracle,
+            &mut octl,
+            true,
+            cfg.max_steps,
+            ReplayGovernor::default(),
+        ) {
             ReplayEnd::LoopExited => {}
             ReplayEnd::Trapped(t) => return Err(ExecError::Trapped(t)),
             ReplayEnd::BudgetExhausted => return Err(ExecError::BudgetExhausted),
@@ -731,32 +738,25 @@ struct Harvest {
     grabs: u64,
 }
 
-fn make_source<'a>(
-    schedule: Schedule,
+/// Worker `worker`'s iteration source: its contiguous block under the
+/// static schedule (`chunk` is `None`), else chunk self-scheduling over
+/// the shared counter `next`.
+fn make_source(
+    chunk: Option<usize>,
     worker: usize,
     threads: usize,
     n: usize,
-    next: &'a AtomicUsize,
-) -> IterSource<'a> {
-    match schedule {
-        Schedule::StaticBlock => IterSource::Static {
+    next: &AtomicUsize,
+) -> IterSource<'_> {
+    match chunk {
+        None => IterSource::Static {
             range: worker * n / threads..(worker + 1) * n / threads,
             chunk: worker,
         },
-        Schedule::Dynamic { chunk } => IterSource::Dynamic {
+        Some(chunk_size) => IterSource::Dynamic {
             next,
             total: n,
-            chunk_size: chunk.max(1),
-            cur: 0..0,
-            grabs: 0,
-        },
-        // `execute_loop` resolves `Auto` to a tuned `Dynamic` before any
-        // worker spawns; this arm is a defensive fallback for direct
-        // callers.
-        Schedule::Auto => IterSource::Dynamic {
-            next,
-            total: n,
-            chunk_size: DEFAULT_DYNAMIC_CHUNK,
+            chunk_size,
             cur: 0..0,
             grabs: 0,
         },
@@ -815,6 +815,50 @@ impl IterSource<'_> {
     }
 }
 
+/// One worker's share of the iteration space as a replay order (see
+/// [`IterOrder`]): draws iterations from an [`IterSource`] and harvests
+/// the scalar reduction accumulators as one partial per chunk.
+struct WorkerShare<'a> {
+    source: IterSource<'a>,
+    /// `(accumulator, identity)` seeds for recognized scalar reductions.
+    red: &'a [(VarId, Value)],
+    /// `(chunk index, accumulator values)` — one entry per chunk run.
+    partials: Vec<(usize, Vec<Value>)>,
+    cur_chunk: Option<usize>,
+    iters: u64,
+}
+
+impl WorkerShare<'_> {
+    /// Harvests the current chunk's accumulator values as a partial.
+    fn flush_chunk(&mut self, vars: &[Value]) {
+        if let Some(chunk) = self.cur_chunk.take() {
+            let vals = self.red.iter().map(|&(v, _)| vars[v.index()]).collect();
+            self.partials.push((chunk, vals));
+        }
+    }
+}
+
+impl IterOrder for WorkerShare<'_> {
+    /// At chunk boundaries the previous partial is flushed and the
+    /// accumulators reset to the identity; when the share runs out the
+    /// last partial is flushed.
+    fn next_iter(&mut self, vars: &mut [Value]) -> Option<usize> {
+        let Some((iter, chunk)) = self.source.next() else {
+            self.flush_chunk(vars);
+            return None;
+        };
+        if self.cur_chunk != Some(chunk) {
+            self.flush_chunk(vars);
+            self.cur_chunk = Some(chunk);
+            for &(v, identity) in self.red {
+                vars[v.index()] = identity;
+            }
+        }
+        self.iters += 1;
+        Some(iter)
+    }
+}
+
 fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, ExecError> {
     let mut machine = Machine::new(ctx.module);
     machine.restore(&ctx.golden.snapshot);
@@ -836,23 +880,32 @@ fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, Ex
     }
     machine.begin_journal();
 
-    let mut ctl = ExecController::new(ctx, source);
-    let budget = machine.steps().saturating_add(ctx.max_steps);
-    loop {
-        if ctl.loop_exited {
-            break;
-        }
-        if machine.result().is_some() {
+    let share = WorkerShare {
+        source,
+        red: ctx.red,
+        partials: Vec::new(),
+        cur_chunk: None,
+        iters: 0,
+    };
+    let mut ctl =
+        ReplayController::with_order(ctx.func, ctx.func_ir, ctx.l, ctx.slice, ctx.golden, share);
+    match run_replay(
+        &mut machine,
+        &mut ctl,
+        true,
+        ctx.max_steps,
+        ReplayGovernor::default(),
+    ) {
+        ReplayEnd::LoopExited => {}
+        ReplayEnd::Finished(_) => {
             return Err(ExecError::Unsupported(
                 "program finished inside the parallel loop".into(),
-            ));
+            ))
         }
-        if machine.steps() >= budget {
-            return Err(ExecError::BudgetExhausted);
-        }
-        match machine.step(&mut ctl) {
-            Ok(()) => {}
-            Err(t) => return Err(ExecError::Trapped(t)),
+        ReplayEnd::Trapped(t) => return Err(ExecError::Trapped(t)),
+        ReplayEnd::BudgetExhausted => return Err(ExecError::BudgetExhausted),
+        end @ (ReplayEnd::DeadlineExpired | ReplayEnd::Cancelled) => {
+            unreachable!("an inactive governor never ends a run: {end:?}")
         }
     }
 
@@ -882,257 +935,13 @@ fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, Ex
         })
         .collect();
 
+    let share = ctl.into_order();
     Ok(Harvest {
-        partials: ctl.partials,
+        partials: share.partials,
         cells,
-        iters: ctl.iters,
-        grabs: ctl.source.grabs(),
+        iters: share.iters,
+        grabs: share.source.grabs(),
     })
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Running the iterator alone (linearization semantics).
-    PrePass,
-    /// Running this worker's payload instances.
-    Payload,
-    /// This worker's share is done: skip in-loop code, jump to the exit.
-    Exiting,
-    /// Out of the loop.
-    Done,
-}
-
-/// The [`Hooks`] implementation driving one worker: a
-/// [`dca_core::ReplayController`] whose permutation is pulled
-/// incrementally from an [`IterSource`] instead of being fixed up front,
-/// with per-chunk reduction partial harvesting at chunk boundaries.
-struct ExecController<'a> {
-    func: FuncId,
-    func_ir: &'a Function,
-    header: BlockId,
-    blocks: &'a BTreeSet<BlockId>,
-    slice: &'a IteratorSlice,
-    golden: &'a GoldenRecord,
-    red: &'a [(VarId, Value)],
-    var_pos: HashMap<VarId, usize>,
-    source: IterSource<'a>,
-    partials: Vec<(usize, Vec<Value>)>,
-    cur_chunk: Option<usize>,
-    iters: u64,
-    needs_iter_start: bool,
-    prepass_arrivals: usize,
-    mode: Mode,
-    loop_exited: bool,
-}
-
-impl<'a> ExecController<'a> {
-    fn new(ctx: &WorkerCtx<'a>, source: IterSource<'a>) -> Self {
-        let var_pos: HashMap<VarId, usize> = ctx
-            .golden
-            .rec_vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
-        ExecController {
-            func: ctx.func,
-            func_ir: ctx.func_ir,
-            header: ctx.l.header,
-            blocks: &ctx.l.blocks,
-            slice: ctx.slice,
-            golden: ctx.golden,
-            red: ctx.red,
-            var_pos,
-            source,
-            partials: Vec::new(),
-            cur_chunk: None,
-            iters: 0,
-            needs_iter_start: false,
-            prepass_arrivals: 0,
-            mode: Mode::PrePass,
-            loop_exited: false,
-        }
-    }
-
-    fn active_at(&self, site: Site, block: BlockId) -> bool {
-        site.func == self.func && site.depth == self.golden.depth && self.blocks.contains(&block)
-    }
-
-    /// Harvests the current chunk's accumulator values as a partial.
-    fn flush_chunk(&mut self, vars: &mut [Value]) {
-        if let Some(chunk) = self.cur_chunk.take() {
-            let vals = self.red.iter().map(|&(v, _)| vars[v.index()]).collect();
-            self.partials.push((chunk, vals));
-        }
-    }
-
-    /// Binds the recorded values of this worker's next iteration (or
-    /// switches to exit mode when its share is exhausted). At chunk
-    /// boundaries the previous partial is flushed and the accumulators
-    /// reset to the identity.
-    fn iter_start(&mut self, vars: &mut [Value]) {
-        self.needs_iter_start = false;
-        match self.source.next() {
-            Some((iter, chunk)) => {
-                if self.cur_chunk != Some(chunk) {
-                    self.flush_chunk(vars);
-                    self.cur_chunk = Some(chunk);
-                    for &(v, identity) in self.red {
-                        vars[v.index()] = identity;
-                    }
-                }
-                let rec = &self.golden.iters[iter];
-                for (v, &pos) in &self.var_pos {
-                    vars[v.index()] = rec[pos];
-                }
-                self.iters += 1;
-            }
-            None => {
-                self.flush_chunk(vars);
-                self.mode = Mode::Exiting;
-            }
-        }
-    }
-
-    fn begin_payload(&mut self) {
-        self.mode = Mode::Payload;
-        self.needs_iter_start = true;
-    }
-
-    /// Pre-pass header-arrival cap, as in the replay controller.
-    fn prepass_cap(&self) -> usize {
-        self.golden.iters.len().saturating_mul(4).saturating_add(16)
-    }
-}
-
-impl Hooks for ExecController<'_> {
-    fn on_block(&mut self, site: Site, block: BlockId, _vars: &mut [Value]) {
-        match self.mode {
-            Mode::Done => {}
-            Mode::PrePass => {
-                if site.func == self.func && site.depth == self.golden.depth && block == self.header
-                {
-                    self.prepass_arrivals += 1;
-                    if self.prepass_arrivals > self.prepass_cap() {
-                        self.begin_payload();
-                    }
-                }
-            }
-            Mode::Payload | Mode::Exiting => {
-                if site.func == self.func && site.depth == self.golden.depth {
-                    if block == self.header {
-                        self.needs_iter_start = true;
-                    } else if !self.blocks.contains(&block) {
-                        self.mode = Mode::Done;
-                        self.loop_exited = true;
-                    }
-                }
-            }
-        }
-    }
-
-    fn before_inst(
-        &mut self,
-        site: Site,
-        block: BlockId,
-        idx: usize,
-        vars: &mut [Value],
-    ) -> InstAction {
-        if matches!(self.mode, Mode::Done) || !self.active_at(site, block) {
-            return InstAction::Run;
-        }
-        match self.mode {
-            Mode::PrePass => {
-                if self.slice.contains((block, idx)) {
-                    InstAction::Run
-                } else {
-                    InstAction::Skip
-                }
-            }
-            Mode::Payload => {
-                if self.needs_iter_start && block == self.header {
-                    self.iter_start(vars);
-                }
-                if matches!(self.mode, Mode::Exiting) {
-                    return InstAction::Skip;
-                }
-                if self.slice.contains((block, idx)) {
-                    InstAction::Skip
-                } else {
-                    InstAction::Run
-                }
-            }
-            Mode::Exiting => InstAction::Skip,
-            Mode::Done => InstAction::Run,
-        }
-    }
-
-    fn on_term(
-        &mut self,
-        site: Site,
-        block: BlockId,
-        default_target: Option<BlockId>,
-        vars: &mut [Value],
-    ) -> TermAction {
-        if matches!(self.mode, Mode::Done) || !self.active_at(site, block) {
-            return TermAction::Default;
-        }
-        match self.mode {
-            Mode::PrePass => match default_target {
-                Some(t) if self.blocks.contains(&t) => TermAction::Default,
-                _ => {
-                    self.begin_payload();
-                    TermAction::Goto(self.header)
-                }
-            },
-            Mode::Payload => {
-                if self.needs_iter_start && block == self.header {
-                    self.iter_start(vars);
-                }
-                if matches!(self.mode, Mode::Exiting) {
-                    for (v, &pos) in &self.var_pos {
-                        vars[v.index()] = self.golden.exit_vals[pos];
-                    }
-                    return TermAction::Goto(self.golden.exit_target);
-                }
-                match default_target {
-                    Some(t) if self.blocks.contains(&t) => TermAction::Default,
-                    _ => TermAction::Goto(in_loop_alternative(
-                        &self.func_ir.block(block).term,
-                        self.blocks,
-                        self.header,
-                    )),
-                }
-            }
-            Mode::Exiting => {
-                for (v, &pos) in &self.var_pos {
-                    vars[v.index()] = self.golden.exit_vals[pos];
-                }
-                TermAction::Goto(self.golden.exit_target)
-            }
-            Mode::Done => TermAction::Default,
-        }
-    }
-}
-
-/// The forced-branch alternative (mirrors the replay controller): the
-/// terminator's in-loop successor when the default leaves the loop, or
-/// the header when no successor stays inside.
-fn in_loop_alternative(term: &Terminator, blocks: &BTreeSet<BlockId>, header: BlockId) -> BlockId {
-    match term {
-        Terminator::Branch {
-            then_bb, else_bb, ..
-        } => {
-            if blocks.contains(then_bb) {
-                *then_bb
-            } else if blocks.contains(else_bb) {
-                *else_bb
-            } else {
-                header
-            }
-        }
-        _ => header,
-    }
 }
 
 /// The identity element for `op` at the type of `sample` (the pre-loop
@@ -1262,6 +1071,7 @@ fn bitwise_op_in_loop(func_ir: &Function, blocks: &BTreeSet<BlockId>) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_DYNAMIC_CHUNK;
 
     fn exec_tagged(src: &str, tag: &str, cfg: &ExecConfig) -> Result<ExecOutcome, ExecError> {
         let m = dca_ir::compile(src).expect("compile");
@@ -1601,6 +1411,57 @@ mod tests {
             Schedule::Dynamic { chunk } => assert_eq!(chunk, dca_deps::DEFAULT_DYNAMIC_CHUNK),
             other => panic!("default_dynamic is not Dynamic: {other:?}"),
         }
+    }
+
+    #[test]
+    fn prepass_cap_loop_keeps_its_verdict_and_execution_results() {
+        // The exit condition reads `c.n`, the payload writes the same cell
+        // through the alias `d`. Iterator recognition keys memory by root
+        // variable, so the decrement is payload: the pre-pass never sees
+        // `c.n` fall and leaves the loop only when the header-arrival cap
+        // fires. Every value below is pinned from before executor workers
+        // shared the replay controller.
+        let src = "struct C { n: int }\n\
+                   fn main() -> int { let c: *C = new C; c.n = 6; let d: *C = c; \
+                     @l: while (c.n > 0) { d.n = d.n - 1; } \
+                     return c.n; }";
+        let m = dca_ir::compile(src).expect("compile");
+        let report = dca_core::Dca::new(DcaConfig::default())
+            .analyze_module(&m)
+            .expect("analyze");
+        let r = report.by_tag("l").expect("loop @l");
+        assert_eq!(r.verdict, dca_core::LoopVerdict::Commutative);
+        assert_eq!((r.permutations_tested, r.replay_steps), (4, 1336));
+        let run = |threads, deps_precheck| {
+            let cfg = ExecConfig {
+                threads,
+                deps_precheck,
+                ..ExecConfig::default()
+            };
+            exec_tagged(src, "l", &cfg)
+        };
+        for w in [1, 2] {
+            assert_eq!(
+                run(w, true).expect_err("refused").to_string(),
+                "not decomposable: flow dependence on obj0[0] between iterations 0 and 0 \
+                 (1 conflicting cell)",
+                "width {w}"
+            );
+        }
+        let oracle = 0x7815_8dbf_9644_65bf_8414_382e_288d_609a;
+        let out = run(1, false).expect("width 1 is sequential");
+        assert!(out.validated && out.exact);
+        assert_eq!(out.trips, 6);
+        assert_eq!(
+            (out.fingerprint, out.oracle_fingerprint),
+            (oracle, Some(oracle))
+        );
+        assert_eq!(
+            run(2, false).expect_err("diverges").to_string(),
+            "parallel execution diverged from the sequential oracle \
+             (expected 78158dbf964465bf8414382e288d609a, got a760273b22b671b717f3d7f4009be195): \
+             object #0 cell 0: golden 0, permuted 3"
+        );
     }
 
     #[test]
