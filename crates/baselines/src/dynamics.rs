@@ -76,9 +76,15 @@ fn scalar_facts(module: &Module, per_loop: &mut dyn FnMut(dca_ir::LoopRef, Scala
     }
 }
 
+/// The profiling run; one that traps or runs out of steps yields an
+/// [unfinished](TraceReport::unfinished) report, never partial facts.
 fn run_trace(module: &Module, args: &[Value]) -> TraceReport {
-    trace_dependences(module, args, 500_000_000).unwrap_or_default()
+    trace_dependences(module, args, 500_000_000).unwrap_or_else(|_| TraceReport::unfinished())
 }
+
+/// The reason every non-I/O loop gets when the profiling run trapped or
+/// ran out of steps.
+const UNFINISHED: &str = "profiling run did not finish";
 
 /// Runs the shared profiling work (one traced execution) once, for use by
 /// both dynamic detectors via [`DependenceProfiling::detect_with`] and
@@ -101,6 +107,8 @@ impl DependenceProfiling {
             let d: LoopDeps = trace.deps(lref);
             let verdict = if facts.has_io {
                 (false, "I/O in loop".to_owned())
+            } else if !trace.is_complete() {
+                (false, UNFINISHED.to_owned())
             } else if !d.observed {
                 (false, "not exercised by the profiling workload".to_owned())
             } else if facts.pointer_carried_iterator {
@@ -149,6 +157,8 @@ impl DiscoPopStyle {
                 .all(|op| matches!(op, ReductionOp::Sum | ReductionOp::Product));
             let verdict = if facts.has_io {
                 (false, "I/O in loop".to_owned())
+            } else if !trace.is_complete() {
+                (false, UNFINISHED.to_owned())
             } else if !d.observed {
                 (false, "not exercised by the profiling workload".to_owned())
             } else if facts.pointer_carried_iterator {
@@ -303,5 +313,27 @@ mod tests {
         let a = DependenceProfiling.detect(&m, &[]);
         let b = DiscoPopStyle.detect(&m, &[]);
         assert_eq!(disagreements(&a, &b).len(), 1);
+    }
+
+    #[test]
+    fn trapping_profile_run_is_not_an_unexercised_loop() {
+        // The loop runs to completion, then the program traps: the trace
+        // is incomplete, which is not the loop's fault.
+        let src = "fn main() { let a: [int; 8]; \
+             @l: for (let i: int = 0; i < 8; i = i + 1) { a[i] = i; } \
+             a[9] = 1; }";
+        let m = dca_ir::compile(src).expect("compile");
+        let (lref, _) = dca_ir::all_loops(&m)[0];
+        for det in [&DependenceProfiling as &dyn Detector, &DiscoPopStyle] {
+            let report = det.detect(&m, &[]);
+            let d = report.get(lref).expect("analyzed");
+            assert!(!d.parallel);
+            assert_eq!(
+                d.reason,
+                "profiling run did not finish",
+                "{}",
+                det.technique()
+            );
+        }
     }
 }

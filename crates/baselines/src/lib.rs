@@ -36,7 +36,7 @@ pub use dca_adapter::DcaDetector;
 pub use detect::{DetectionReport, Detector, LoopDetection, Technique};
 pub use dynamics::{disagreements, shared_trace, DependenceProfiling, DiscoPopStyle};
 pub use statics::{IccStyle, IdiomsStyle, PollyStyle};
-pub use trace::{trace_dependences, DepTracer, LoopDeps, TraceReport};
+pub use trace::{trace_dependences, DepTracer, LoopDeps, TraceError, TraceReport};
 
 use dca_interp::Value;
 use dca_ir::{LoopRef, Module};

@@ -11,9 +11,11 @@
 //! the baselines combine this trace with *static* classification of
 //! loop-carried scalars (induction variables, reductions).
 
-use dca_interp::{Addr, Hooks, Machine, Site, Trap, Value};
-use dca_ir::{BlockId, FuncId, FuncView, LoopId, LoopRef, Module};
+use dca_analysis::ArrayKey;
+use dca_interp::{Addr, LoopSink, LoopTracker, Machine, ObjId, Outcome, Trap, Value};
+use dca_ir::{FuncView, LoopRef, Module};
 use std::collections::HashMap;
+use std::fmt;
 
 /// Per-location access state within one active loop invocation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,119 +55,174 @@ pub struct LoopDeps {
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     deps: HashMap<LoopRef, LoopDeps>,
+    /// The profiling run did not finish, so no loop has facts.
+    unfinished: bool,
 }
 
 impl TraceReport {
+    /// The report of a profiling run that did not finish: it holds no
+    /// dependence facts.
+    pub fn unfinished() -> Self {
+        TraceReport {
+            unfinished: true,
+            ..TraceReport::default()
+        }
+    }
+
+    /// Whether the profiling run finished (see [`TraceReport::unfinished`]).
+    pub fn is_complete(&self) -> bool {
+        !self.unfinished
+    }
+
     /// The dependence facts for `l` (all-false if never observed).
     pub fn deps(&self, l: LoopRef) -> LoopDeps {
         self.deps.get(&l).copied().unwrap_or_default()
     }
 }
 
-struct FuncTable {
-    innermost: Vec<Option<LoopId>>,
-    parent: Vec<Option<LoopId>>,
-    header: Vec<BlockId>,
-    /// Objects whose cells are reduction targets (histogram arrays),
-    /// resolved per activation: static key is (loop, var/global).
-    histogram_globals: Vec<Vec<dca_ir::GlobalId>>,
-    histogram_vars: Vec<Vec<dca_ir::VarId>>,
+/// Why a profiling run produced no report.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceError {
+    /// The program trapped.
+    Trap(Trap),
+    /// The program had not finished when the step budget ran out.
+    OutOfSteps(u64),
 }
 
-struct ActiveLoop {
-    depth: usize,
-    lref: LoopRef,
+impl From<Trap> for TraceError {
+    fn from(t: Trap) -> Self {
+        TraceError::Trap(t)
+    }
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Trap(t) => write!(f, "profiling run trapped: {t}"),
+            TraceError::OutOfSteps(n) => {
+                write!(f, "profiling run did not finish within {n} steps")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// One live loop activation's dependence state.
+#[derive(Debug)]
+pub struct Activation {
+    /// Iterations started after the first.
     iter: u64,
     /// Heap objects registered as reduction (histogram) targets for this
     /// activation.
-    reduction_objs: Vec<dca_interp::ObjId>,
-    state: HashMap<Addr, AddrState>,
+    reduction_objs: Vec<ObjId>,
+    /// Per-cell state, keyed by [`cell_key`].
+    state: HashMap<u64, AddrState>,
 }
 
-/// The profiling [`Hooks`] implementation.
+/// An activation's map key for the cell at `addr`: its object in the high
+/// half, its cell in the low half. A plain `u64` hashes inline on the
+/// per-access path.
+fn cell_key(addr: Addr) -> u64 {
+    u64::from(addr.obj.0) << 32 | u64::from(addr.cell)
+}
+
+/// The dependence-profiling [`LoopSink`]; run it under a [`LoopTracker`]
+/// that tracks every loop (as [`trace_dependences`] does).
 pub struct DepTracer {
-    tables: Vec<FuncTable>,
-    active: Vec<ActiveLoop>,
+    effects: dca_analysis::EffectMap,
+    /// Per function, per loop: the statically recognized histogram
+    /// (array reduction) targets, resolved to objects at loop entry.
+    histograms: Vec<Vec<Vec<ArrayKey>>>,
     report: TraceReport,
 }
 
 impl DepTracer {
-    /// Precomputes the loop tables (including static histogram targets, so
-    /// RAWs on recognized array reductions can be classified).
+    /// A tracer for `module`; the tracker's [`LoopSink::prepare`] calls
+    /// fill in each function's histogram targets, so RAWs on recognized
+    /// array reductions can be classified.
     pub fn new(module: &Module) -> Self {
-        let mut tables = Vec::with_capacity(module.funcs.len());
-        let effects = dca_analysis::EffectMap::new(module);
-        for i in 0..module.funcs.len() {
-            let view = FuncView::new(module, FuncId(i as u32));
-            let live = dca_analysis::Liveness::new(&view);
-            let nloops = view.loops.len();
-            let mut innermost = vec![None; view.func.blocks.len()];
-            for b in view.func.block_ids() {
-                innermost[b.index()] = view.loops.innermost(b);
-            }
-            let mut parent = vec![None; nloops];
-            let mut header = vec![BlockId(0); nloops];
-            let mut histogram_globals = vec![Vec::new(); nloops];
-            let mut histogram_vars = vec![Vec::new(); nloops];
-            for l in view.loops.iter() {
-                parent[l.id.index()] = l.parent;
-                header[l.id.index()] = l.header;
-                let slice = dca_analysis::IteratorSlice::compute_with(&view, l, &effects);
-                let red = dca_analysis::ReductionInfo::compute(&view, &live, l, &slice.slice_vars);
-                for h in &red.histograms {
-                    match h.array {
-                        dca_analysis::ArrayKey::Global(g) => {
-                            histogram_globals[l.id.index()].push(g)
-                        }
-                        dca_analysis::ArrayKey::Var(v) => histogram_vars[l.id.index()].push(v),
-                    }
-                }
-            }
-            tables.push(FuncTable {
-                innermost,
-                parent,
-                header,
-                histogram_globals,
-                histogram_vars,
-            });
-        }
         DepTracer {
-            tables,
-            active: Vec::new(),
+            effects: dca_analysis::EffectMap::new(module),
+            histograms: vec![Vec::new(); module.funcs.len()],
             report: TraceReport::default(),
         }
     }
 
     /// Consumes the tracer, producing the report.
-    pub fn finish(mut self) -> TraceReport {
-        while let Some(a) = self.active.pop() {
-            merge(&mut self.report, a);
-        }
+    pub fn into_report(self) -> TraceReport {
         self.report
     }
+}
 
-    fn chain(&self, func: FuncId, block: BlockId) -> Vec<LoopId> {
-        let t = &self.tables[func.index()];
-        let mut out = Vec::new();
-        let mut cur = t.innermost[block.index()];
-        while let Some(l) = cur {
-            out.push(l);
-            cur = t.parent[l.index()];
-        }
-        out.reverse();
-        out
+impl LoopSink for DepTracer {
+    type Act = Activation;
+
+    fn prepare(&mut self, view: &FuncView<'_>) {
+        let live = dca_analysis::Liveness::new(view);
+        self.histograms[view.id.index()] = view
+            .loops
+            .iter()
+            .map(|l| {
+                let slice = dca_analysis::IteratorSlice::compute_with(view, l, &self.effects);
+                let red = dca_analysis::ReductionInfo::compute(view, &live, l, &slice.slice_vars);
+                red.histograms.iter().map(|h| h.array).collect()
+            })
+            .collect();
     }
 
-    fn close_down_to(&mut self, keep: usize) {
-        while self.active.len() > keep {
-            let a = self.active.pop().expect("len checked");
-            merge(&mut self.report, a);
+    fn enter(&mut self, lref: LoopRef, _: u64, _: bool, vars: &[Value]) -> Activation {
+        let targets = &self.histograms[lref.func.index()][lref.loop_id.index()];
+        let reduction_objs = targets
+            .iter()
+            .filter_map(|&key| match key {
+                ArrayKey::Global(g) => Some(ObjId(g.0)),
+                ArrayKey::Var(v) => match vars.get(v.index()) {
+                    Some(&Value::Ptr(o)) => Some(o),
+                    _ => None,
+                },
+            })
+            .collect();
+        Activation {
+            iter: 0,
+            reduction_objs,
+            state: HashMap::new(),
         }
     }
 
-    fn access(&mut self, addr: Addr, is_write: bool) {
-        for a in &mut self.active {
-            let st = a.state.entry(addr).or_default();
+    fn iterate(&mut self, act: &mut Activation, _: u64) {
+        act.iter += 1;
+    }
+
+    fn exit(&mut self, lref: LoopRef, a: Activation, _: Option<u64>) {
+        let e = self.report.deps.entry(lref).or_default();
+        for (&key, st) in &a.state {
+            let reduction = a.reduction_objs.contains(&ObjId((key >> 32) as u32));
+            if st.raw {
+                e.cross_raw = true;
+                if !reduction {
+                    e.raw_outside_reductions = true;
+                }
+            }
+            if st.waw {
+                e.cross_waw = true;
+            }
+            if st.war {
+                e.cross_war = true;
+            }
+            if (st.waw || st.war) && st.upward_read && !reduction {
+                e.unprivatizable = true;
+            }
+        }
+        // "Observed" means the loop actually iterated (or at least touched
+        // memory); a header evaluation that immediately exits is not an
+        // exercised loop.
+        e.observed |= a.iter > 0 || !a.state.is_empty();
+    }
+
+    fn access(&mut self, live: &mut [Activation], addr: Addr, is_write: bool) {
+        for a in live {
+            let st = a.state.entry(cell_key(addr)).or_default();
             if st.cur_iter != a.iter {
                 st.cur_iter = a.iter;
                 st.written_this_iter = false;
@@ -198,115 +255,13 @@ impl DepTracer {
     }
 }
 
-fn merge(report: &mut TraceReport, a: ActiveLoop) {
-    let e = report.deps.entry(a.lref).or_default();
-    for (addr, st) in &a.state {
-        let reduction = a.reduction_objs.contains(&addr.obj);
-        if st.raw {
-            e.cross_raw = true;
-            if !reduction {
-                e.raw_outside_reductions = true;
-            }
-        }
-        if st.waw {
-            e.cross_waw = true;
-        }
-        if st.war {
-            e.cross_war = true;
-        }
-        if (st.waw || st.war) && st.upward_read && !reduction {
-            e.unprivatizable = true;
-        }
-    }
-    // "Observed" means the loop actually iterated (or at least touched
-    // memory); a header evaluation that immediately exits is not an
-    // exercised loop.
-    e.observed |= a.iter > 0 || !a.state.is_empty();
-}
-
-impl Hooks for DepTracer {
-    fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
-        let chain = self.chain(site.func, block);
-        let base = self
-            .active
-            .iter()
-            .position(|a| a.depth >= site.depth)
-            .unwrap_or(self.active.len());
-        let mut matched = 0;
-        while matched < chain.len() {
-            let idx = base + matched;
-            match self.active.get(idx) {
-                Some(a)
-                    if a.depth == site.depth
-                        && a.lref.func == site.func
-                        && a.lref.loop_id == chain[matched] =>
-                {
-                    matched += 1;
-                }
-                _ => break,
-            }
-        }
-        self.close_down_to(base + matched);
-        for &l in &chain[matched..] {
-            let lref = LoopRef {
-                func: site.func,
-                loop_id: l,
-            };
-            let t = &self.tables[site.func.index()];
-            let mut reduction_objs = Vec::new();
-            for &g in &t.histogram_globals[l.index()] {
-                reduction_objs.push(dca_interp::ObjId(g.0));
-            }
-            for &v in &t.histogram_vars[l.index()] {
-                if let Some(Value::Ptr(o)) = vars.get(v.index()) {
-                    reduction_objs.push(*o);
-                }
-            }
-            self.active.push(ActiveLoop {
-                depth: site.depth,
-                lref,
-                iter: 0,
-                reduction_objs,
-                state: HashMap::new(),
-            });
-        }
-        // Header re-arrival of the innermost active loop = next iteration.
-        if matched > 0 && matched == chain.len() {
-            let t = &self.tables[site.func.index()];
-            let inner = chain[matched - 1];
-            if t.header[inner.index()] == block {
-                if let Some(a) = self.active.last_mut() {
-                    if a.lref.loop_id == inner && a.lref.func == site.func {
-                        a.iter += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_read(&mut self, _site: Site, addr: Addr) {
-        self.access(addr, false);
-    }
-
-    fn on_write(&mut self, _site: Site, addr: Addr) {
-        self.access(addr, true);
-    }
-
-    fn on_return(&mut self, site: Site, _func: FuncId) {
-        let keep = self
-            .active
-            .iter()
-            .position(|a| a.depth >= site.depth)
-            .unwrap_or(self.active.len());
-        self.close_down_to(keep);
-    }
-}
-
 /// Runs `main(args)` under the dependence tracer and returns the report.
 ///
 /// # Errors
 ///
-/// Propagates interpreter traps.
+/// [`TraceError::Trap`] when the program traps, and
+/// [`TraceError::OutOfSteps`] when it has not finished after `max_steps`:
+/// facts from part of a run are not a profile.
 ///
 /// # Panics
 ///
@@ -315,12 +270,14 @@ pub fn trace_dependences(
     module: &Module,
     args: &[Value],
     max_steps: u64,
-) -> Result<TraceReport, Trap> {
+) -> Result<TraceReport, TraceError> {
     let mut machine = Machine::new(module);
     machine.push_call(module.main().expect("module has `main`"), args)?;
-    let mut tracer = DepTracer::new(module);
-    machine.run(&mut tracer, max_steps)?;
-    Ok(tracer.finish())
+    let mut tracker = LoopTracker::new(module, DepTracer::new(module));
+    match machine.run(&mut tracker, max_steps)? {
+        Outcome::Finished(_) => Ok(tracker.finish().into_report()),
+        Outcome::Paused => Err(TraceError::OutOfSteps(max_steps)),
+    }
 }
 
 #[cfg(test)]
@@ -435,5 +392,54 @@ mod tests {
         // so nothing is flagged.
         assert!(!d.unprivatizable);
         assert!(!d.cross_raw && !d.cross_waw && !d.cross_war);
+    }
+
+    #[test]
+    fn out_of_steps_is_an_error_not_a_report() {
+        let m = dca_ir::compile(
+            "fn main() { let a: [int; 64]; \
+             @l: for (let i: int = 0; i < 64; i = i + 1) { a[i] = i; } }",
+        )
+        .expect("compile");
+        let err = trace_dependences(&m, &[], 10).expect_err("10 steps cannot finish");
+        assert_eq!(
+            err.to_string(),
+            "profiling run did not finish within 10 steps"
+        );
+        assert!(trace_dependences(&m, &[], 100_000).is_ok());
+    }
+
+    #[test]
+    fn recursive_loop_deps_per_activation() {
+        // `@r` is live at depths 1, 2 and 3 at once. Within one activation
+        // each `g[i]` is touched once; the depth-1 and depth-2 activations
+        // also see their callees' updates of `g` across their own
+        // iterations, all on the recognized histogram `g`.
+        let src = "let g: [int; 4];\n\
+             fn rec(n: int) -> int { let s: int = 0; \
+               @r: for (let i: int = 0; i < 2; i = i + 1) { \
+                 if (n > 0) { s = s + rec(n - 1); } \
+                 g[i] = g[i] + n; s = s + 1; } \
+               return s; }\n\
+             fn main() { let t: int = rec(2); \
+               @tail: for (let k: int = 0; k < 3; k = k + 1) { t = t + k; } }";
+        assert_eq!(
+            deps_of(src, "r"),
+            LoopDeps {
+                cross_raw: true,
+                cross_waw: true,
+                cross_war: false,
+                raw_outside_reductions: false,
+                unprivatizable: false,
+                observed: true,
+            }
+        );
+        assert_eq!(
+            deps_of(src, "tail"),
+            LoopDeps {
+                observed: true,
+                ..LoopDeps::default()
+            }
+        );
     }
 }

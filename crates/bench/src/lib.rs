@@ -124,8 +124,10 @@ pub fn expert_speedups(p: &SuiteProgram, module: &Module, fast: bool) -> (f64, f
     .unwrap_or((1.0, 1.0))
 }
 
-/// Fraction (in %) of sequential execution covered by `selection`
-/// (outermost loops only, inclusive costs).
+/// Fraction (in %) of sequential execution covered by `selection`:
+/// steps spent inside any of its loops (inclusive of nested loops and
+/// calls), each step counted once however many selected loops are live.
+/// Zero when the run traps.
 pub fn coverage_pct(
     p: &SuiteProgram,
     module: &Module,

@@ -5,9 +5,11 @@
 //! interpreter exposes the same capability as a trait: a [`Hooks`]
 //! implementation observes every block entry, memory access, call and
 //! terminator, and may *intervene* by skipping instructions, rewriting
-//! variables, or redirecting control flow. DCA's dynamic stage, the
-//! dependence profilers and the coverage profiler are all `Hooks`
-//! implementations.
+//! variables, or redirecting control flow. DCA's dynamic stage is a
+//! `Hooks` implementation, and so is the [`LoopTracker`] behind coverage,
+//! cost and dependence profiling.
+//!
+//! [`LoopTracker`]: crate::profile::LoopTracker
 
 use crate::value::{Addr, Value};
 use dca_ir::{BlockId, FuncId};

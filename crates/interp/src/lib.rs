@@ -35,7 +35,7 @@ pub use hooks::{Hooks, InstAction, NoHooks, Site, TermAction};
 pub use machine::{
     JournalStats, Limits, Machine, Obj, OpCounts, Outcome, OutputItem, Position, Snapshot, Trap,
 };
-pub use profile::{LoopProfiler, LoopStats, ModuleProfile};
+pub use profile::{LoopSink, LoopTracker};
 pub use value::{Addr, ObjId, Value};
 
 use dca_ir::Module;
@@ -74,37 +74,6 @@ pub fn run_program(module: &Module, args: &[Value]) -> Result<ProgramResult, Tra
     }
 }
 
-/// Runs `main(args)` while profiling loop costs; returns the program result
-/// and the per-loop profile.
-///
-/// # Errors
-///
-/// Returns the first [`Trap`].
-///
-/// # Panics
-///
-/// Panics if the module has no `main` or the argument count mismatches.
-pub fn run_profiled(
-    module: &Module,
-    args: &[Value],
-) -> Result<(ProgramResult, ModuleProfile), Trap> {
-    let mut machine = Machine::new(module);
-    let main = module.main().expect("module has no `main` function");
-    machine.push_call(main, args)?;
-    let mut profiler = LoopProfiler::new(module);
-    match machine.run(&mut profiler, u64::MAX)? {
-        Outcome::Finished(ret) => {
-            let result = ProgramResult {
-                ret,
-                output: machine.output().to_vec(),
-                steps: machine.steps(),
-            };
-            Ok((result, profiler.finish(machine.steps())))
-        }
-        Outcome::Paused => unreachable!("no step budget was set"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,18 +88,5 @@ mod tests {
         let r = run_program(&m, &[]).expect("run");
         assert_eq!(r.ret, Some(Value::Int(1234)));
         assert!(r.steps > 0);
-    }
-
-    #[test]
-    fn run_profiled_returns_both() {
-        let m = dca_ir::compile(
-            "fn main() { let s: int = 0; \
-             @l: for (let i: int = 0; i < 32; i = i + 1) { s = s + i; } }",
-        )
-        .expect("compile");
-        let (r, p) = run_profiled(&m, &[]).expect("run");
-        assert_eq!(r.steps, p.total_steps);
-        let (lref, _) = dca_ir::all_loops(&m)[0];
-        assert!(p.coverage(lref) > 0.5);
     }
 }

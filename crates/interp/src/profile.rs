@@ -1,214 +1,248 @@
-//! Loop execution profiling: invocation counts, iteration counts and
-//! inclusive step costs per loop.
+//! Loop-activation tracking for whole-program instrumented runs.
 //!
-//! The paper reports *sequential coverage* — the fraction of program
-//! execution time spent inside each loop (Tables II and IV) — and its
-//! parallelization stage selects hot loops by coverage. [`LoopProfiler`]
-//! produces exactly that from one instrumented run: attach it as
-//! [`Hooks`], run the program, then call [`LoopProfiler::finish`].
+//! Sequential coverage (paper Tables II and IV), the simulator's
+//! per-iteration costs (Figs. 5–7) and the dynamic baselines' dependence
+//! profiles all rest on the same three facts about a run: when a loop is
+//! entered, when it starts another iteration, and when it exits.
+//! [`LoopTracker`] is the one [`Hooks`] implementation that derives them;
+//! each consumer is a [`LoopSink`] that keeps its own per-activation state
+//! and its own rules.
+//!
+//! An *activation* is one invocation of a loop in one call frame: a loop
+//! of a recursive function can be live at several frame depths at once,
+//! and each depth is its own activation.
 
 use crate::hooks::{Hooks, Site};
-use crate::value::Value;
+use crate::value::{Addr, Value};
 use dca_ir::{BlockId, FuncId, FuncView, LoopId, LoopRef, Module};
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
-/// Aggregate statistics for one loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoopStats {
-    /// Times the loop was entered from outside.
-    pub invocations: u64,
-    /// Header arrivals across all invocations (≈ trip count sum).
-    pub iterations: u64,
-    /// Steps spent inside the loop, *inclusive* of nested loops and calls.
-    pub steps: u64,
+/// A consumer of the loop events a [`LoopTracker`] derives from a run.
+///
+/// Events arrive in execution order. Activations nest: the tracker exits
+/// them innermost first, so a sink may treat them as a stack.
+#[allow(unused_variables)]
+pub trait LoopSink {
+    /// What the sink keeps for each live activation.
+    type Act;
+
+    /// Called once for each function with tracked loops, in function
+    /// order, while the tracker builds its tables: a sink can precompute
+    /// static per-loop facts from the same view.
+    fn prepare(&mut self, view: &FuncView<'_>) {}
+
+    /// `lref` was entered at step `steps` (at its header). `nested` tells
+    /// whether another tracked activation — any loop, any frame — is live;
+    /// `vars` are the entering frame's variables.
+    fn enter(&mut self, lref: LoopRef, steps: u64, nested: bool, vars: &[Value]) -> Self::Act;
+
+    /// Control re-arrived at the activation's header at step `steps`: the
+    /// previous iteration ended and another begins (or the exit check
+    /// runs).
+    fn iterate(&mut self, act: &mut Self::Act, steps: u64) {}
+
+    /// The activation of `lref` ended at step `steps`: control left the
+    /// loop's blocks, or its frame returned. `None` means the run ended
+    /// while it was still live.
+    fn exit(&mut self, lref: LoopRef, act: Self::Act, steps: Option<u64>);
+
+    /// A memory cell was read (`write == false`) or written while `live`
+    /// activations (outermost first) were on the stack.
+    fn access(&mut self, live: &mut [Self::Act], addr: Addr, write: bool) {}
 }
 
-/// Profile of a whole run.
-#[derive(Debug, Clone, Default)]
-pub struct ModuleProfile {
-    /// Per-loop statistics.
-    pub loops: HashMap<LoopRef, LoopStats>,
-    /// Total steps of the profiled run.
-    pub total_steps: u64,
-}
-
-impl ModuleProfile {
-    /// Fraction of total execution steps spent in `l` (inclusive), in
-    /// `[0, 1]`. Zero for never-executed loops or empty runs.
-    pub fn coverage(&self, l: LoopRef) -> f64 {
-        if self.total_steps == 0 {
-            return 0.0;
-        }
-        self.loops
-            .get(&l)
-            .map(|s| s.steps as f64 / self.total_steps as f64)
-            .unwrap_or(0.0)
-    }
-
-    /// Statistics for `l` (zeros if never executed).
-    pub fn stats(&self, l: LoopRef) -> LoopStats {
-        self.loops.get(&l).copied().unwrap_or_default()
-    }
-}
-
-/// Per-function loop lookup tables, precomputed once per module.
+/// Per-function loop tables, built once per tracker.
+#[derive(Default)]
 struct FuncTable {
-    /// Innermost loop of each block.
-    innermost: Vec<Option<LoopId>>,
-    /// Parent of each loop.
-    parent: Vec<Option<LoopId>>,
+    /// For each block, the tracked loops containing it (outermost first)
+    /// as a `(start, len)` range of `chains`.
+    block_chain: Vec<(u32, u32)>,
+    /// The tracked ancestor chains of the function's loops, concatenated.
+    chains: Vec<LoopId>,
     /// Header block of each loop.
     header: Vec<BlockId>,
 }
 
-struct ActiveLoop {
-    /// 0-based frame depth the loop executes at.
-    depth: usize,
-    lref: LoopRef,
-    enter_steps: u64,
-}
-
-/// A [`Hooks`] implementation that measures per-loop costs.
-pub struct LoopProfiler {
-    tables: Vec<FuncTable>,
-    active: Vec<ActiveLoop>,
-    stats: HashMap<LoopRef, LoopStats>,
-    last_steps: u64,
-}
-
-impl LoopProfiler {
-    /// Precomputes loop tables for every function of `module`.
-    pub fn new(module: &Module) -> Self {
-        let mut tables = Vec::with_capacity(module.funcs.len());
-        for i in 0..module.funcs.len() {
-            let view = FuncView::new(module, FuncId(i as u32));
-            let nloops = view.loops.len();
-            let mut innermost = vec![None; view.func.blocks.len()];
-            for b in view.func.block_ids() {
-                innermost[b.index()] = view.loops.innermost(b);
-            }
-            let mut parent = vec![None; nloops];
-            let mut header = vec![BlockId(0); nloops];
-            for l in view.loops.iter() {
-                parent[l.id.index()] = l.parent;
-                header[l.id.index()] = l.header;
-            }
-            tables.push(FuncTable {
-                innermost,
-                parent,
-                header,
-            });
-        }
-        LoopProfiler {
-            tables,
-            active: Vec::new(),
-            stats: HashMap::new(),
-            last_steps: 0,
-        }
-    }
-
-    /// Consumes the profiler after a run, producing the profile.
-    pub fn finish(mut self, total_steps: u64) -> ModuleProfile {
-        // Close any loops still active (e.g. the program trapped).
-        while let Some(top) = self.active.pop() {
-            let entry = self.stats.entry(top.lref).or_default();
-            entry.steps += total_steps.saturating_sub(top.enter_steps);
-        }
-        ModuleProfile {
-            loops: self.stats,
-            total_steps,
-        }
-    }
-
-    /// The loop chain (innermost-first) containing `block` of `func`.
-    fn chain(&self, func: FuncId, block: BlockId) -> Vec<LoopId> {
-        let t = &self.tables[func.index()];
-        let mut out = Vec::new();
-        let mut cur = t.innermost[block.index()];
-        while let Some(l) = cur {
-            out.push(l);
-            cur = t.parent[l.index()];
-        }
-        out
-    }
-
-    fn close_down_to(&mut self, keep: usize, now: u64) {
-        while self.active.len() > keep {
-            let top = self.active.pop().expect("len checked");
-            let entry = self.stats.entry(top.lref).or_default();
-            entry.steps += now.saturating_sub(top.enter_steps);
-        }
-    }
-}
-
-impl Hooks for LoopProfiler {
-    fn on_block(&mut self, site: Site, block: BlockId, _vars: &mut [Value]) {
-        self.last_steps = site.steps;
-        // Loops of this frame that should now be active: the chain of the
-        // new block, outermost-first.
-        let mut chain = self.chain(site.func, block);
-        chain.reverse();
-        // Find how much of the prefix (entries at this depth, same func)
-        // already matches.
-        let base = self
-            .active
-            .iter()
-            .position(|a| a.depth >= site.depth)
-            .unwrap_or(self.active.len());
-        let mut matched = 0;
-        while matched < chain.len() {
-            let idx = base + matched;
-            match self.active.get(idx) {
-                Some(a)
-                    if a.depth == site.depth
-                        && a.lref.func == site.func
-                        && a.lref.loop_id == chain[matched] =>
-                {
-                    matched += 1;
+impl FuncTable {
+    fn build(view: &FuncView<'_>, tracked: &dyn Fn(LoopId) -> bool) -> Self {
+        let loops = &view.loops;
+        // Nearest tracked loop at or above `cur` in the nest.
+        let nearest = |mut cur: Option<LoopId>| {
+            while let Some(l) = cur {
+                if tracked(l) {
+                    return Some(l);
                 }
-                _ => break,
+                cur = loops.get(l).parent;
             }
+            None
+        };
+        let mut chains = Vec::new();
+        let mut span = vec![(0, 0); loops.len()];
+        let mut header = vec![BlockId(0); loops.len()];
+        for l in loops.iter() {
+            header[l.id.index()] = l.header;
+            if !tracked(l.id) {
+                continue;
+            }
+            let start = chains.len();
+            let mut cur = Some(l.id);
+            while let Some(t) = nearest(cur) {
+                chains.push(t);
+                cur = loops.get(t).parent;
+            }
+            chains[start..].reverse();
+            span[l.id.index()] = (start as u32, (chains.len() - start) as u32);
         }
-        // Everything above the matched prefix has been exited.
+        let block_chain = view
+            .func
+            .block_ids()
+            .map(|b| nearest(loops.innermost(b)).map_or((0, 0), |l| span[l.index()]))
+            .collect();
+        FuncTable {
+            block_chain,
+            chains,
+            header,
+        }
+    }
+
+    /// The tracked loops containing `block`, outermost first.
+    #[inline]
+    fn chain(&self, block: BlockId) -> &[LoopId] {
+        match self.block_chain.get(block.index()) {
+            Some(&(start, len)) => &self.chains[start as usize..(start + len) as usize],
+            None => &[],
+        }
+    }
+}
+
+/// The loop-tracking [`Hooks`] implementation: follows loop activations
+/// through a run and reports them to a [`LoopSink`].
+///
+/// A loop is entered when control reaches one of its blocks from outside
+/// (for the reducible control flow the frontend emits, its header), starts
+/// an iteration on every later header arrival, and exits when control
+/// reaches a block of its frame outside the loop or the frame returns.
+/// Memory accesses are forwarded with every live activation.
+pub struct LoopTracker<S: LoopSink> {
+    tables: Vec<FuncTable>,
+    /// Live activations, outermost first: (frame depth, loop). Sorted by
+    /// depth; within one frame it is a prefix of the current block's chain.
+    live: Vec<(usize, LoopRef)>,
+    /// The sink's state for each entry of `live`.
+    acts: Vec<S::Act>,
+    sink: S,
+}
+
+impl<S: LoopSink> LoopTracker<S> {
+    /// Tracks every loop of `module`.
+    pub fn new(module: &Module, sink: S) -> Self {
+        Self::build(module, None, sink)
+    }
+
+    /// Tracks only the loops in `selection`. Entry, iteration and exit of
+    /// an untracked loop are not events; `nested` and the live set refer
+    /// to tracked activations only.
+    pub fn watching(module: &Module, selection: &BTreeSet<LoopRef>, sink: S) -> Self {
+        Self::build(module, Some(selection), sink)
+    }
+
+    fn build(module: &Module, selection: Option<&BTreeSet<LoopRef>>, mut sink: S) -> Self {
+        let tables = (0..module.funcs.len())
+            .map(|i| {
+                let func = FuncId(i as u32);
+                if selection.is_some_and(|s| !s.iter().any(|l| l.func == func)) {
+                    return FuncTable::default();
+                }
+                let view = FuncView::new(module, func);
+                sink.prepare(&view);
+                FuncTable::build(&view, &|loop_id| {
+                    selection.is_none_or(|s| s.contains(&LoopRef { func, loop_id }))
+                })
+            })
+            .collect();
+        LoopTracker {
+            tables,
+            live: Vec::new(),
+            acts: Vec::new(),
+            sink,
+        }
+    }
+
+    /// Ends tracking: every activation still live is reported to the sink
+    /// as unfinished (innermost first), and the sink is handed back.
+    pub fn finish(mut self) -> S {
+        while let (Some((_, lref)), Some(act)) = (self.live.pop(), self.acts.pop()) {
+            self.sink.exit(lref, act, None);
+        }
+        self.sink
+    }
+
+    /// Index of the first live activation at frame depth `depth` or
+    /// deeper.
+    fn frame_base(&self, depth: usize) -> usize {
+        self.live
+            .iter()
+            .rposition(|&(d, _)| d < depth)
+            .map_or(0, |i| i + 1)
+    }
+
+    /// Exits live activations (innermost first) until `keep` remain.
+    fn close_down_to(&mut self, keep: usize, steps: u64) {
+        while self.live.len() > keep {
+            let (Some((_, lref)), Some(act)) = (self.live.pop(), self.acts.pop()) else {
+                unreachable!("`live` and `acts` have equal lengths");
+            };
+            self.sink.exit(lref, act, Some(steps));
+        }
+    }
+}
+
+impl<S: LoopSink> Hooks for LoopTracker<S> {
+    fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
+        let base = self.frame_base(site.depth);
+        let table = &self.tables[site.func.index()];
+        let chain = table.chain(block);
+        // How much of this frame's live stack is still a prefix of the
+        // block's chain; everything above it has been exited.
+        let matched = self.live[base..]
+            .iter()
+            .zip(chain)
+            .take_while(|&(&(d, l), &c)| d == site.depth && l.func == site.func && l.loop_id == c)
+            .count();
+        let header_arrival = matched > 0
+            && matched == chain.len()
+            && table.header[chain[matched - 1].index()] == block;
         self.close_down_to(base + matched, site.steps);
-        // Enter the rest of the chain.
-        for &l in &chain[matched..] {
+        for &loop_id in &self.tables[site.func.index()].chain(block)[matched..] {
             let lref = LoopRef {
                 func: site.func,
-                loop_id: l,
+                loop_id,
             };
-            let entry = self.stats.entry(lref).or_default();
-            entry.invocations += 1;
-            entry.iterations += 1;
-            self.active.push(ActiveLoop {
-                depth: site.depth,
-                lref,
-                enter_steps: site.steps,
-            });
+            let nested = !self.live.is_empty();
+            self.acts
+                .push(self.sink.enter(lref, site.steps, nested, vars));
+            self.live.push((site.depth, lref));
         }
-        // Header re-arrival of the innermost active loop = new iteration.
-        if matched > 0 && matched == chain.len() {
-            let t = &self.tables[site.func.index()];
-            let inner = chain[matched - 1];
-            if t.header[inner.index()] == block {
-                let lref = LoopRef {
-                    func: site.func,
-                    loop_id: inner,
-                };
-                self.stats.entry(lref).or_default().iterations += 1;
-            }
+        // Header re-arrival of the innermost live loop: a new iteration.
+        if header_arrival {
+            let act = self.acts.last_mut().expect("matched activation is live");
+            self.sink.iterate(act, site.steps);
         }
     }
 
     fn on_return(&mut self, site: Site, _func: FuncId) {
-        // Close loops belonging to the returning frame (depth == site.depth)
-        // and anything deeper.
-        let keep = self
-            .active
-            .iter()
-            .position(|a| a.depth >= site.depth)
-            .unwrap_or(self.active.len());
+        // `site.depth` is the returning frame's: its loops, and anything
+        // deeper, have exited.
+        let keep = self.frame_base(site.depth);
         self.close_down_to(keep, site.steps);
+    }
+
+    fn on_read(&mut self, _site: Site, addr: Addr) {
+        self.sink.access(&mut self.acts, addr, false);
+    }
+
+    fn on_write(&mut self, _site: Site, addr: Addr) {
+        self.sink.access(&mut self.acts, addr, true);
     }
 }
 
@@ -217,19 +251,105 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
     use dca_ir::compile;
+    use std::collections::HashMap;
 
-    fn profile(src: &str) -> (ModuleProfile, dca_ir::Module) {
-        let m = compile(src).expect("compile");
-        let mut machine = Machine::new(&m);
-        machine
-            .push_call(m.main().expect("main"), &[])
-            .expect("push");
-        let mut p = LoopProfiler::new(&m);
-        machine.run(&mut p, u64::MAX).expect("run");
-        (p.finish(machine.steps()), m)
+    /// Per-loop aggregates over all activations.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct Stats {
+        /// Activations.
+        invocations: u64,
+        /// Header arrivals, entry included (the trip count plus one).
+        arrivals: u64,
+        /// Steps inside the loop, inclusive of nested loops and calls.
+        steps: u64,
+        /// Activations entered while another one was live.
+        nested: u64,
+        /// Activations still live when the run ended.
+        unfinished: u64,
+        /// Accesses seen while this loop was live.
+        accesses: u64,
     }
 
-    fn loop_by_tag(m: &dca_ir::Module, tag: &str) -> LoopRef {
+    #[derive(Default)]
+    struct StatsSink {
+        loops: HashMap<LoopRef, Stats>,
+    }
+
+    impl LoopSink for StatsSink {
+        type Act = (LoopRef, u64);
+
+        fn enter(&mut self, lref: LoopRef, steps: u64, nested: bool, _: &[Value]) -> Self::Act {
+            let s = self.loops.entry(lref).or_default();
+            s.invocations += 1;
+            s.arrivals += 1;
+            s.nested += u64::from(nested);
+            (lref, steps)
+        }
+
+        fn iterate(&mut self, act: &mut Self::Act, _: u64) {
+            self.loops.entry(act.0).or_default().arrivals += 1;
+        }
+
+        fn exit(&mut self, lref: LoopRef, act: Self::Act, steps: Option<u64>) {
+            let s = self.loops.entry(lref).or_default();
+            match steps {
+                Some(now) => s.steps += now - act.1,
+                None => s.unfinished += 1,
+            }
+        }
+
+        fn access(&mut self, live: &mut [Self::Act], _: Addr, _: bool) {
+            for &mut (lref, _) in live {
+                self.loops.entry(lref).or_default().accesses += 1;
+            }
+        }
+    }
+
+    struct Run {
+        module: Module,
+        stats: HashMap<LoopRef, Stats>,
+        total_steps: u64,
+    }
+
+    impl Run {
+        fn stats(&self, tag: &str) -> Stats {
+            self.stats
+                .get(&loop_by_tag(&self.module, tag))
+                .copied()
+                .unwrap_or_default()
+        }
+
+        fn coverage(&self, tag: &str) -> f64 {
+            self.stats(tag).steps as f64 / self.total_steps as f64
+        }
+    }
+
+    fn run_with(src: &str, watch: Option<&[&str]>, max_steps: u64) -> Run {
+        let module = compile(src).expect("compile");
+        let mut machine = Machine::new(&module);
+        machine
+            .push_call(module.main().expect("main"), &[])
+            .expect("push");
+        let mut tracker = match watch {
+            None => LoopTracker::new(&module, StatsSink::default()),
+            Some(tags) => {
+                let selection = tags.iter().map(|t| loop_by_tag(&module, t)).collect();
+                LoopTracker::watching(&module, &selection, StatsSink::default())
+            }
+        };
+        machine.run(&mut tracker, max_steps).expect("run");
+        Run {
+            stats: tracker.finish().loops,
+            total_steps: machine.steps(),
+            module,
+        }
+    }
+
+    fn run(src: &str) -> Run {
+        run_with(src, None, u64::MAX)
+    }
+
+    fn loop_by_tag(m: &Module, tag: &str) -> LoopRef {
         for (lref, t) in dca_ir::all_loops(m) {
             if t.as_deref() == Some(tag) {
                 return lref;
@@ -240,28 +360,29 @@ mod tests {
 
     #[test]
     fn single_loop_counts() {
-        let (p, m) = profile(
-            "fn main() { let s: int = 0; \
-             @l: for (let i: int = 0; i < 10; i = i + 1) { s = s + i; } }",
-        );
-        let stats = p.stats(loop_by_tag(&m, "l"));
+        let r = run("fn main() { let s: int = 0; \
+             @l: for (let i: int = 0; i < 10; i = i + 1) { s = s + i; } }");
+        let stats = r.stats("l");
         assert_eq!(stats.invocations, 1);
         // 10 executed iterations + the final failing check.
-        assert_eq!(stats.iterations, 11);
+        assert_eq!(stats.arrivals, 11);
         assert!(stats.steps > 0);
+        assert_eq!((stats.nested, stats.unfinished), (0, 0));
     }
 
     #[test]
     fn nested_loops_inclusive_attribution() {
-        let (p, m) = profile(
-            "fn main() { let s: int = 0; \
+        let r = run("fn main() { let s: int = 0; \
              @outer: for (let i: int = 0; i < 4; i = i + 1) { \
-               @inner: for (let j: int = 0; j < 4; j = j + 1) { s = s + 1; } } }",
-        );
-        let outer = p.stats(loop_by_tag(&m, "outer"));
-        let inner = p.stats(loop_by_tag(&m, "inner"));
+               @inner: for (let j: int = 0; j < 4; j = j + 1) { s = s + 1; } } }");
+        let (outer, inner) = (r.stats("outer"), r.stats("inner"));
         assert_eq!(outer.invocations, 1);
+        assert_eq!(
+            outer.arrivals, 5,
+            "inner header arrivals are not outer iterations"
+        );
         assert_eq!(inner.invocations, 4);
+        assert_eq!(inner.nested, 4);
         assert!(
             outer.steps > inner.steps,
             "outer ({}) must include inner ({})",
@@ -272,49 +393,97 @@ mod tests {
 
     #[test]
     fn coverage_is_a_fraction_of_total() {
-        let (p, m) = profile(
-            "fn main() { let s: int = 0; \
+        let r = run("fn main() { let s: int = 0; \
              @hot: for (let i: int = 0; i < 200; i = i + 1) { s = s + i; } \
-             s = s * 2; }",
-        );
-        let cov = p.coverage(loop_by_tag(&m, "hot"));
+             s = s * 2; }");
+        let cov = r.coverage("hot");
         assert!(cov > 0.8 && cov <= 1.0, "coverage {cov}");
     }
 
     #[test]
-    fn loops_in_called_functions_profiled() {
-        let (p, m) = profile(
-            "fn work(n: int) -> int { let s: int = 0; \
+    fn loops_in_called_functions_tracked() {
+        let r = run("fn work(n: int) -> int { let s: int = 0; \
              @w: for (let i: int = 0; i < n; i = i + 1) { s = s + i; } return s; }\n\
-             fn main() { work(5); work(7); }",
-        );
-        let w = p.stats(loop_by_tag(&m, "w"));
+             fn main() { work(5); work(7); }");
+        let w = r.stats("w");
         assert_eq!(w.invocations, 2);
-        assert_eq!(w.iterations, 5 + 1 + 7 + 1);
+        assert_eq!(w.arrivals, 5 + 1 + 7 + 1);
     }
 
     #[test]
     fn call_inside_loop_attributes_to_loop() {
-        let (p, m) = profile(
-            "fn heavy() -> int { let s: int = 0; \
-             for (let i: int = 0; i < 50; i = i + 1) { s = s + i; } return s; }\n\
+        let r = run("fn heavy() -> int { let s: int = 0; \
+             @callee: for (let i: int = 0; i < 50; i = i + 1) { s = s + i; } return s; }\n\
              fn main() { let t: int = 0; \
-             @caller: for (let k: int = 0; k < 3; k = k + 1) { t = t + heavy(); } }",
-        );
-        let caller = p.stats(loop_by_tag(&m, "caller"));
+             @caller: for (let k: int = 0; k < 3; k = k + 1) { t = t + heavy(); } }");
+        let caller = r.stats("caller");
         // The callee's ~50-iteration loop runs inside; inclusive cost must
         // dwarf the caller's own 3 iterations of bookkeeping.
         assert!(caller.steps > 300, "caller steps = {}", caller.steps);
+        assert_eq!(r.stats("callee").nested, 3, "the caller loop is live");
     }
 
     #[test]
-    fn unexecuted_loop_has_zero_stats() {
-        let (p, m) = profile(
-            "fn dead() { @never: while (false) { } }\n\
-             fn main() { }",
+    fn unexecuted_loop_has_no_events() {
+        let r = run("fn dead() { @never: while (false) { } }\n\
+             fn main() { }");
+        assert_eq!(r.stats("never"), Stats::default());
+        assert_eq!(r.coverage("never"), 0.0);
+    }
+
+    #[test]
+    fn recursive_loop_is_one_activation_per_frame() {
+        // `rec(2)` runs @r at depths 1, 2 and 3 at once: each frame's
+        // invocation is its own activation, nested in the caller's.
+        let r = run("fn rec(n: int) -> int { let s: int = 0; \
+             @r: for (let i: int = 0; i < 2; i = i + 1) { \
+               if (n > 0) { s = s + rec(n - 1); } s = s + 1; } return s; }\n\
+             fn main() { rec(2); }");
+        let rec = r.stats("r");
+        // 1 + 2 + 4 invocations, each with 2 iterations and an exit check.
+        assert_eq!(rec.invocations, 7);
+        assert_eq!(rec.arrivals, 7 * 3);
+        assert_eq!(rec.nested, 6);
+        assert_eq!(rec.unfinished, 0);
+        // Inclusive steps add up per activation, so overlapping depths
+        // count more than the whole run.
+        assert!(
+            rec.steps > r.total_steps,
+            "{} vs {}",
+            rec.steps,
+            r.total_steps
         );
-        let never = p.stats(loop_by_tag(&m, "never"));
-        assert_eq!(never, LoopStats::default());
-        assert_eq!(p.coverage(loop_by_tag(&m, "never")), 0.0);
+    }
+
+    #[test]
+    fn watching_ignores_untracked_loops() {
+        let src = "fn main() { let a: [int; 4]; \
+             @outer: for (let i: int = 0; i < 3; i = i + 1) { \
+               @inner: for (let j: int = 0; j < 4; j = j + 1) { a[j] = i; } } }";
+        let r = run_with(src, Some(&["inner"]), u64::MAX);
+        assert_eq!(r.stats("outer"), Stats::default());
+        let inner = r.stats("inner");
+        assert_eq!((inner.invocations, inner.arrivals), (3, 15));
+        assert_eq!(inner.nested, 0, "only tracked activations nest");
+        assert_eq!(inner.accesses, 12);
+    }
+
+    #[test]
+    fn accesses_reach_every_live_activation() {
+        let r = run("fn main() { let a: [int; 4]; \
+             @outer: for (let i: int = 0; i < 3; i = i + 1) { \
+               a[i] = i; \
+               @inner: for (let j: int = 0; j < 4; j = j + 1) { a[j] = a[j] + 1; } } }");
+        assert_eq!(r.stats("inner").accesses, 3 * 4 * 2);
+        assert_eq!(r.stats("outer").accesses, 3 + 3 * 4 * 2);
+    }
+
+    #[test]
+    fn finish_reports_live_activations_as_unfinished() {
+        let src = "fn main() { let s: int = 0; \
+             @l: for (let i: int = 0; i < 1000; i = i + 1) { s = s + i; } }";
+        let r = run_with(src, None, 100);
+        let l = r.stats("l");
+        assert_eq!((l.invocations, l.unfinished, l.steps), (1, 1, 0));
     }
 }

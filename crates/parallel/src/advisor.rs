@@ -114,7 +114,7 @@ pub fn advise(
     cfg: &SimConfig,
 ) -> Result<Vec<Advice>, Trap> {
     let all: BTreeSet<LoopRef> = report.iter().map(|r| r.lref).collect();
-    let profile = measure_costs(module, args, &all, u64::MAX)?;
+    let profile = measure_costs(module, args, &all)?;
     let total = profile.total_steps.max(1) as f64;
     let mut out = Vec::new();
     for r in report.iter() {

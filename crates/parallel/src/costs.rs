@@ -5,8 +5,8 @@
 //! instrumented sequential run collects these as interpreter step deltas
 //! between header arrivals.
 
-use dca_interp::{Hooks, Machine, Site, Trap, Value};
-use dca_ir::{BlockId, FuncId, FuncView, LoopRef, Module};
+use dca_interp::{LoopSink, LoopTracker, Machine, Trap, Value};
+use dca_ir::{LoopRef, Module};
 use std::collections::{BTreeSet, HashMap};
 
 /// The measured iterations of one loop invocation.
@@ -47,138 +47,92 @@ impl CostProfile {
     }
 }
 
-struct WatchedLoop {
-    header: BlockId,
-    blocks: BTreeSet<BlockId>,
-}
-
-struct ActiveInvocation {
-    lref: LoopRef,
-    depth: usize,
-    last_header_steps: u64,
-    costs: InvocationCosts,
-}
-
-/// The measuring [`Hooks`] implementation.
+/// The cost-measuring [`LoopSink`]: one [`InvocationCosts`] per
+/// activation of a selected loop. Its live state per activation is the
+/// step count at the last header arrival and the costs so far.
+#[derive(Debug, Default)]
 pub struct CostProfiler {
-    /// Watched loops per function.
-    watched: HashMap<FuncId, Vec<(LoopRef, WatchedLoop)>>,
-    active: Vec<ActiveInvocation>,
-    out: CostProfile,
+    per_loop: HashMap<LoopRef, Vec<InvocationCosts>>,
 }
 
-impl CostProfiler {
-    /// Prepares to measure exactly the loops in `selection`.
-    pub fn new(module: &Module, selection: &BTreeSet<LoopRef>) -> Self {
-        let mut watched: HashMap<FuncId, Vec<(LoopRef, WatchedLoop)>> = HashMap::new();
-        for &lref in selection {
-            let view = FuncView::new(module, lref.func);
-            let l = view.loops.get(lref.loop_id);
-            watched.entry(lref.func).or_default().push((
-                lref,
-                WatchedLoop {
-                    header: l.header,
-                    blocks: l.blocks.clone(),
-                },
-            ));
-        }
-        CostProfiler {
-            watched,
-            active: Vec::new(),
-            out: CostProfile::default(),
-        }
+impl LoopSink for CostProfiler {
+    type Act = (u64, InvocationCosts);
+
+    fn enter(&mut self, _: LoopRef, steps: u64, nested: bool, _: &[Value]) -> Self::Act {
+        // The first header arrival opens the invocation; it records no
+        // iteration.
+        let costs = InvocationCosts {
+            nested,
+            ..InvocationCosts::default()
+        };
+        (steps, costs)
     }
 
-    /// Finishes the measurement.
-    pub fn finish(mut self, total_steps: u64) -> CostProfile {
-        while let Some(a) = self.active.pop() {
-            self.out.per_loop.entry(a.lref).or_default().push(a.costs);
-        }
-        self.out.total_steps = total_steps;
-        self.out
+    fn iterate(&mut self, (last_header, costs): &mut Self::Act, steps: u64) {
+        costs.iter_costs.push(steps - *last_header);
+        *last_header = steps;
     }
 
-    fn close(&mut self, idx: usize, now: u64) {
-        let mut a = self.active.remove(idx);
+    fn exit(&mut self, lref: LoopRef, (last_header, mut costs): Self::Act, steps: Option<u64>) {
         // The final partial interval (exit check) attributes to the last
-        // iteration; drop it when no iteration was recorded.
-        let tail = now.saturating_sub(a.last_header_steps);
-        if let Some(last) = a.costs.iter_costs.last_mut() {
-            *last += tail;
+        // iteration; it is dropped when no iteration was recorded, and for
+        // an invocation still open when the run ended.
+        if let (Some(now), Some(last)) = (steps, costs.iter_costs.last_mut()) {
+            *last += now.saturating_sub(last_header);
         }
-        self.out.per_loop.entry(a.lref).or_default().push(a.costs);
+        self.per_loop.entry(lref).or_default().push(costs);
     }
 }
 
-impl Hooks for CostProfiler {
-    fn on_block(&mut self, site: Site, block: BlockId, _vars: &mut [Value]) {
-        // Close invocations whose loop we just left (same depth and
-        // function, block outside), or record an iteration boundary at the
-        // header.
-        let mut i = 0;
-        while i < self.active.len() {
-            let (lref, depth) = (self.active[i].lref, self.active[i].depth);
-            if depth == site.depth && lref.func == site.func {
-                let watched = &self.watched[&site.func];
-                let w = &watched
-                    .iter()
-                    .find(|(l, _)| *l == lref)
-                    .expect("active loops are watched")
-                    .1;
-                if block == w.header {
-                    let a = &mut self.active[i];
-                    let delta = site.steps - a.last_header_steps;
-                    a.costs.iter_costs.push(delta);
-                    a.last_header_steps = site.steps;
-                } else if !w.blocks.contains(&block) {
-                    self.close(i, site.steps);
-                    continue;
-                }
-            }
-            i += 1;
+/// Steps during which at least one selected activation is live: only an
+/// outermost activation (entered with none other live) opens an interval,
+/// and its exit closes it, since activations exit innermost first. One
+/// still live when the run ends has no exit step and adds nothing; the
+/// runs of [`covered_fraction`] finish, so that never happens.
+#[derive(Default)]
+struct UnionCoverage {
+    since: u64,
+    covered: u64,
+}
+
+impl LoopSink for UnionCoverage {
+    /// Whether the activation is outermost.
+    type Act = bool;
+
+    fn enter(&mut self, _: LoopRef, steps: u64, nested: bool, _: &[Value]) -> bool {
+        if !nested {
+            self.since = steps;
         }
-        // Open a new invocation when a watched header is entered and it is
-        // not already active at this depth.
-        if let Some(ws) = self.watched.get(&site.func) {
-            for (lref, w) in ws {
-                if w.header == block
-                    && !self
-                        .active
-                        .iter()
-                        .any(|a| a.lref == *lref && a.depth == site.depth)
-                {
-                    let nested = !self.active.is_empty();
-                    self.active.push(ActiveInvocation {
-                        lref: *lref,
-                        depth: site.depth,
-                        last_header_steps: site.steps,
-                        costs: InvocationCosts {
-                            nested,
-                            ..InvocationCosts::default()
-                        },
-                    });
-                }
-            }
-        }
+        !nested
     }
 
-    fn on_return(&mut self, site: Site, _func: FuncId) {
-        let now = site.steps;
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].depth >= site.depth {
-                self.close(i, now);
-            } else {
-                i += 1;
-            }
+    fn exit(&mut self, _: LoopRef, outermost: bool, steps: Option<u64>) {
+        if let (true, Some(now)) = (outermost, steps) {
+            self.covered += now.saturating_sub(self.since);
         }
     }
+}
+
+/// Runs `main(args)` with `sink` watching the loops in `selection`;
+/// returns the sink and the run's total step count.
+fn run_watching<S: LoopSink>(
+    module: &Module,
+    args: &[Value],
+    selection: &BTreeSet<LoopRef>,
+    sink: S,
+) -> Result<(S, u64), Trap> {
+    let mut machine = Machine::new(module);
+    machine.push_call(module.main().expect("module has `main`"), args)?;
+    let mut tracker = LoopTracker::watching(module, selection, sink);
+    machine.run(&mut tracker, u64::MAX)?;
+    Ok((tracker.finish(), machine.steps()))
 }
 
 /// Measures the fraction of execution steps spent inside *any* loop of
 /// `selection` (union attribution: overlapping activations — e.g. a
-/// selected callee loop running inside a selected caller loop — are not
-/// double-counted). Returns a value in `[0, 1]`.
+/// selected callee loop running inside a selected caller loop, or one loop
+/// live at two depths of a recursion — are not double-counted). Returns a
+/// value in `[0, 1]`.
 ///
 /// # Errors
 ///
@@ -192,79 +146,8 @@ pub fn covered_fraction(
     args: &[Value],
     selection: &BTreeSet<LoopRef>,
 ) -> Result<f64, Trap> {
-    struct UnionCoverage {
-        watched: HashMap<FuncId, Vec<(LoopRef, WatchedLoop)>>,
-        /// Stack of (depth, lref) activations.
-        active: Vec<(usize, LoopRef)>,
-        covered: u64,
-        last_steps: u64,
-    }
-    impl UnionCoverage {
-        fn tick(&mut self, now: u64) {
-            if !self.active.is_empty() {
-                self.covered += now.saturating_sub(self.last_steps);
-            }
-            self.last_steps = now;
-        }
-    }
-    impl Hooks for UnionCoverage {
-        fn on_block(&mut self, site: Site, block: BlockId, _vars: &mut [Value]) {
-            self.tick(site.steps);
-            // Close activations we have left.
-            self.active.retain(|&(d, lref)| {
-                if d != site.depth || lref.func != site.func {
-                    // A deeper frame returning is handled in on_return;
-                    // keep anything at other depths.
-                    return d < site.depth;
-                }
-                let w = &self.watched[&site.func]
-                    .iter()
-                    .find(|(l, _)| *l == lref)
-                    .expect("active loops are watched")
-                    .1;
-                w.blocks.contains(&block)
-            });
-            if let Some(ws) = self.watched.get(&site.func) {
-                for (lref, w) in ws {
-                    if w.header == block
-                        && !self
-                            .active
-                            .iter()
-                            .any(|&(d, l)| l == *lref && d == site.depth)
-                    {
-                        self.active.push((site.depth, *lref));
-                    }
-                }
-            }
-        }
-        fn on_return(&mut self, site: Site, _func: FuncId) {
-            self.tick(site.steps);
-            self.active.retain(|&(d, _)| d < site.depth);
-        }
-    }
-    let mut machine = Machine::new(module);
-    machine.push_call(module.main().expect("module has `main`"), args)?;
-    let mut watched: HashMap<FuncId, Vec<(LoopRef, WatchedLoop)>> = HashMap::new();
-    for &lref in selection {
-        let view = FuncView::new(module, lref.func);
-        let l = view.loops.get(lref.loop_id);
-        watched.entry(lref.func).or_default().push((
-            lref,
-            WatchedLoop {
-                header: l.header,
-                blocks: l.blocks.clone(),
-            },
-        ));
-    }
-    let mut cov = UnionCoverage {
-        watched,
-        active: Vec::new(),
-        covered: 0,
-        last_steps: 0,
-    };
-    machine.run(&mut cov, u64::MAX)?;
-    cov.tick(machine.steps());
-    Ok(cov.covered as f64 / machine.steps().max(1) as f64)
+    let (cov, total) = run_watching(module, args, selection, UnionCoverage::default())?;
+    Ok(cov.covered as f64 / total.max(1) as f64)
 }
 
 /// Measures iteration costs for `selection` in one sequential run of
@@ -281,13 +164,12 @@ pub fn measure_costs(
     module: &Module,
     args: &[Value],
     selection: &BTreeSet<LoopRef>,
-    max_steps: u64,
 ) -> Result<CostProfile, Trap> {
-    let mut machine = Machine::new(module);
-    machine.push_call(module.main().expect("module has `main`"), args)?;
-    let mut profiler = CostProfiler::new(module, selection);
-    machine.run(&mut profiler, max_steps)?;
-    Ok(profiler.finish(machine.steps()))
+    let (profiler, total_steps) = run_watching(module, args, selection, CostProfiler::default())?;
+    Ok(CostProfile {
+        per_loop: profiler.per_loop,
+        total_steps,
+    })
 }
 
 #[cfg(test)]
@@ -301,8 +183,7 @@ mod tests {
             .find(|(_, t)| t.as_deref() == Some(tag))
             .expect("tagged loop")
             .0;
-        let profile =
-            measure_costs(&m, &[], &BTreeSet::from([lref]), 100_000_000).expect("measure");
+        let profile = measure_costs(&m, &[], &BTreeSet::from([lref])).expect("measure");
         (profile, lref)
     }
 
@@ -362,5 +243,97 @@ mod tests {
             "l",
         );
         assert_eq!(p.loop_total(l), 0);
+    }
+
+    #[test]
+    fn zero_trip_and_unfinished_invocations_carry_no_tail() {
+        let m = dca_ir::compile(
+            "fn go(n: int) { let s: int = 0; \
+             @l: for (let i: int = 0; i < n; i = i + 1) { s = s + i; } }\n\
+             fn main() { go(0); go(1000); }",
+        )
+        .expect("compile");
+        let (l, _) = dca_ir::all_loops(&m)[0];
+        let mut machine = Machine::new(&m);
+        machine
+            .push_call(m.main().expect("main"), &[])
+            .expect("push");
+        let mut tracker = LoopTracker::watching(&m, &BTreeSet::from([l]), CostProfiler::default());
+        machine.run(&mut tracker, 200).expect("run");
+        let invs = &tracker.finish().per_loop[&l];
+        assert_eq!(invs.len(), 2);
+        assert!(
+            invs[0].iter_costs.is_empty(),
+            "zero trips: the exit check is no iteration"
+        );
+        // The run stopped mid-loop: every recorded iteration is a whole
+        // header-to-header interval, with no exit tail added to the last.
+        let costs = &invs[1].iter_costs;
+        assert!(costs.len() > 5);
+        assert!(costs.iter().all(|&c| c == costs[0]), "{costs:?}");
+    }
+
+    /// `@r` runs at depths 1, 2 and 3 at once: `rec(2)` calls `rec(1)`
+    /// twice, and each of those calls `rec(0)` twice.
+    const RECURSIVE: &str = "let g: [int; 4];\n\
+         fn rec(n: int) -> int { let s: int = 0; \
+           @r: for (let i: int = 0; i < 2; i = i + 1) { \
+             if (n > 0) { s = s + rec(n - 1); } \
+             g[i] = g[i] + n; s = s + 1; } \
+           return s; }\n\
+         fn main() { let t: int = rec(2); \
+           @tail: for (let k: int = 0; k < 3; k = k + 1) { t = t + k; } }";
+
+    fn recursive() -> (Module, LoopRef, LoopRef) {
+        let m = dca_ir::compile(RECURSIVE).expect("compile");
+        let tag = |tag: &str| {
+            dca_ir::all_loops(&m)
+                .into_iter()
+                .find(|(_, t)| t.as_deref() == Some(tag))
+                .expect("tagged loop")
+                .0
+        };
+        let (r, tail) = (tag("r"), tag("tail"));
+        (m, r, tail)
+    }
+
+    #[test]
+    fn recursive_loop_costs_per_depth() {
+        let (m, r, tail) = recursive();
+        let p = measure_costs(&m, &[], &BTreeSet::from([r, tail])).expect("measure");
+        assert_eq!(p.total_steps, 293);
+        let inv = |iter_costs: &[u64], nested| InvocationCosts {
+            iter_costs: iter_costs.to_vec(),
+            nested,
+        };
+        // Invocations are listed as they exit: the deepest first. Each
+        // depth's iterations include the deeper calls it made; only the
+        // depth-1 invocation runs with no other `@r` live.
+        let (leaf, mid) = (inv(&[14, 16], true), inv(&[52, 54], true));
+        let top = inv(&[128, 130], false);
+        assert_eq!(
+            p.per_loop[&r],
+            [
+                leaf.clone(),
+                leaf.clone(),
+                mid.clone(),
+                leaf.clone(),
+                leaf,
+                mid,
+                top
+            ]
+        );
+        assert_eq!(p.per_loop[&tail], [inv(&[8, 8, 10], false)]);
+    }
+
+    #[test]
+    fn recursive_loop_steps_are_covered_once() {
+        let (m, r, tail) = recursive();
+        // The depth-1 invocation spans 258 of the run's 293 steps; the
+        // deeper ones overlap it and add nothing.
+        let cov = covered_fraction(&m, &[], &BTreeSet::from([r])).expect("cover");
+        assert_eq!(cov, 258.0 / 293.0);
+        let cov = covered_fraction(&m, &[], &BTreeSet::from([r, tail])).expect("cover");
+        assert_eq!(cov, (258.0 + 26.0) / 293.0);
     }
 }

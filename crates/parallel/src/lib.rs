@@ -62,7 +62,7 @@ pub fn speedup_for_selection(
     cfg: &SimConfig,
 ) -> Result<f64, Trap> {
     let outer = outermost_only(module, selection);
-    let profile = costs::measure_costs(module, args, &outer, u64::MAX)?;
+    let profile = costs::measure_costs(module, args, &outer)?;
     // Account reduction-combine costs per loop by adjusting the config.
     let total = profile.total_steps.max(1) as f64;
     let mut parallel_time = total;
@@ -110,7 +110,7 @@ pub fn speedup_with_extra(
     extra: f64,
 ) -> Result<(f64, f64), Trap> {
     let outer = outermost_only(module, selection);
-    let profile = costs::measure_costs(module, args, &outer, u64::MAX)?;
+    let profile = costs::measure_costs(module, args, &outer)?;
     let total = profile.total_steps.max(1) as f64;
     let mut selected_seq = 0.0;
     let mut selected_par = 0.0;
