@@ -190,7 +190,7 @@ impl LoopSink for DepTracer {
         }
     }
 
-    fn iterate(&mut self, act: &mut Activation, _: u64) {
+    fn iterate(&mut self, act: &mut Activation, _: u64, _: &[Value]) {
         act.iter += 1;
     }
 
@@ -220,14 +220,14 @@ impl LoopSink for DepTracer {
         e.observed |= a.iter > 0 || !a.state.is_empty();
     }
 
-    fn access(&mut self, live: &mut [Activation], addr: Addr, is_write: bool) {
+    fn access(&mut self, live: &mut [Activation], addr: Addr, store: Option<(Value, Value)>) {
         for a in live {
             let st = a.state.entry(cell_key(addr)).or_default();
             if st.cur_iter != a.iter {
                 st.cur_iter = a.iter;
                 st.written_this_iter = false;
             }
-            if is_write {
+            if store.is_some() {
                 if let Some(w) = st.last_write_iter {
                     if w != a.iter {
                         st.waw = true;

@@ -1,11 +1,11 @@
 //! Asserts the footprint dependence subsystem (DESIGN.md §18) is free
 //! when disarmed and cheap when armed.
 //!
-//! Measurements: golden recording of a read/write-heavy loop through the
-//! plain [`dca_core::record_golden`] path (what the executor uses when
-//! neither the pre-check nor [`Schedule::Auto`] wants a profile) vs the
-//! profiled path ([`dca_core::record_golden_profiled`]), which pays for
-//! the per-access footprint probe; and a whole [`execute_loop`] run with
+//! Measurements: golden recording of a read/write-heavy loop through
+//! [`dca_core::record_golden`] without a probe (what the executor does
+//! when neither the pre-check nor [`Schedule::Auto`] wants a profile) vs
+//! with a [`FootprintProbe`], which pays for the per-access footprint
+//! bookkeeping; and a whole [`execute_loop`] run with
 //! the pre-check disabled vs enabled. Two claims are gated, so a
 //! `cargo bench --bench deps_overhead` in CI guards them:
 //!
@@ -20,7 +20,8 @@
 
 use dca_analysis::{EffectMap, IteratorSlice};
 use dca_bench::harness::Harness;
-use dca_core::{record_golden, record_golden_profiled, DcaConfig, Obs};
+use dca_core::{record_golden, DcaConfig, Obs};
+use dca_deps::FootprintProbe;
 use dca_interp::Machine;
 use dca_ir::FuncView;
 use dca_parallel::{execute_loop, ExecConfig};
@@ -72,7 +73,6 @@ fn main() {
     let l = view.loops.get(lref.loop_id).clone();
     let effects = EffectMap::new(&m);
     let slice = IteratorSlice::compute_with(&view, &l, &effects);
-    let func_ir = m.func(lref.func);
 
     h.bench_function("deps/record_plain", |b| {
         b.iter(|| {
@@ -85,9 +85,13 @@ fn main() {
                 &l,
                 &slice,
                 0,
+                0,
                 cfg.max_trip,
                 cfg.max_steps,
+                None,
+                None,
                 false,
+                None,
             )
             .expect("record");
             black_box(g.iters.len())
@@ -96,20 +100,25 @@ fn main() {
     h.bench_function("deps/record_profiled", |b| {
         b.iter(|| {
             let mut rec = Machine::new(&m);
-            let (g, p) = record_golden_profiled(
+            let mut probe = FootprintProbe::new();
+            let g = record_golden(
                 &mut rec,
                 main_fn,
                 &[],
                 lref.func,
-                func_ir,
                 &l,
                 &slice,
                 0,
+                0,
                 cfg.max_trip,
                 cfg.max_steps,
+                None,
+                None,
                 false,
+                Some(&mut probe),
             )
             .expect("record");
+            let p = probe.finish();
             assert_eq!(p.iters.len(), g.iters.len(), "full profile expected");
             black_box(g.iters.len())
         })

@@ -52,9 +52,13 @@ fn bench_dynamic_stage(h: &mut Harness) {
                     l,
                     &slice,
                     0,
+                    0,
                     DcaConfig::DEFAULT_MAX_TRIP,
                     u64::MAX,
+                    None,
+                    None,
                     false,
+                    None,
                 )
                 .expect("record"),
             )
@@ -69,9 +73,13 @@ fn bench_dynamic_stage(h: &mut Harness) {
         l,
         &slice,
         0,
+        0,
         DcaConfig::DEFAULT_MAX_TRIP,
         u64::MAX,
+        None,
+        None,
         false,
+        None,
     )
     .expect("record");
     let perm: Vec<usize> = (0..golden.iters.len()).rev().collect();

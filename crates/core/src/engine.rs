@@ -11,7 +11,7 @@ use crate::parallel::{
     effective_threads, parallel_map, parallel_scan_with, split_threads, CancelToken, StopIndex,
 };
 use crate::perm::{derive_seed, schedules};
-use crate::record::{record_golden_governed, GoldenRecord, RecordError};
+use crate::record::{record_golden, GoldenRecord, RecordError};
 use crate::replay::{run_replay, ReplayController, ReplayEnd, ReplayGovernor};
 use crate::report::{DcaReport, LoopResult, LoopVerdict, SkipReason, Violation};
 use dca_analysis::{exclusion, EffectMap, IteratorSlice, Liveness};
@@ -88,6 +88,21 @@ enum VerifyEnd {
     /// ([`DcaConfig::max_heap_cells`]) — a resource limit like
     /// [`VerifyEnd::Budget`], never a violation.
     MemBudget,
+}
+
+impl VerifyEnd {
+    /// The verdict a loop gets when its verification ends this way.
+    fn verdict(self) -> LoopVerdict {
+        match self {
+            VerifyEnd::Complete => LoopVerdict::Commutative,
+            VerifyEnd::Violated(violation) => LoopVerdict::NonCommutative(violation),
+            VerifyEnd::Budget => LoopVerdict::Skipped(SkipReason::ReplayBudget),
+            VerifyEnd::Deadline => LoopVerdict::Skipped(SkipReason::Deadline),
+            VerifyEnd::Fault(msg) => LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
+            VerifyEnd::Cancelled => LoopVerdict::Skipped(SkipReason::Cancelled),
+            VerifyEnd::MemBudget => LoopVerdict::Skipped(SkipReason::MemoryBudget),
+        }
+    }
 }
 
 /// The outcome of verifying one permutation set, with the counters the
@@ -471,6 +486,25 @@ impl Dca {
     /// The whole-analysis deadline for a call starting now.
     fn analysis_deadline(&self) -> Option<Instant> {
         self.config.max_wall.analysis.map(|d| Instant::now() + d)
+    }
+
+    /// The verdict for a loop whose golden recording failed with `e`, or
+    /// `None` for [`RecordError::NotExercised`]: the invocation never ran,
+    /// which stops the search for invocations without a verdict of its
+    /// own.
+    fn record_verdict(&self, e: RecordError) -> Option<LoopVerdict> {
+        let reason = match e {
+            RecordError::NotExercised => return None,
+            RecordError::TripLimit => SkipReason::TripLimit,
+            RecordError::Trapped(Trap::OutOfMemory) if self.config.max_heap_cells.is_some() => {
+                SkipReason::MemoryBudget
+            }
+            RecordError::Trapped(t) => SkipReason::GoldenTrapped(t),
+            RecordError::BudgetExhausted => SkipReason::GoldenBudget,
+            RecordError::DeadlineExpired => SkipReason::Deadline,
+            RecordError::Cancelled => SkipReason::Cancelled,
+        };
+        Some(LoopVerdict::Skipped(reason))
     }
 
     /// The deadline for one program run starting now: the per-replay limit
@@ -913,7 +947,7 @@ impl Dca {
             let inv_start = Instant::now();
             let rec_t = obs.span_start();
             let mut machine = self.new_machine(module);
-            let rec = record_golden_governed(
+            let rec = record_golden(
                 &mut machine,
                 main,
                 args,
@@ -921,60 +955,26 @@ impl Dca {
                 l,
                 &slice,
                 invocation,
+                2,
                 self.config.max_trip,
                 self.config.max_steps,
-                2,
                 self.run_deadline(ctx.analysis_deadline),
                 ctx.cancel,
+                false,
+                None,
             );
             obs.span_end("stage.record", rec_t);
             obs.count("engine.golden_runs", 1);
             record_machine_ops(&obs, &machine.op_counts());
             let golden = match rec {
                 Ok(g) => g,
-                Err(RecordError::NotExercised) => break,
-                Err(RecordError::TripLimit) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::TripLimit),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::Trapped(Trap::OutOfMemory))
-                    if self.config.max_heap_cells.is_some() =>
-                {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::MemoryBudget),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::Trapped(t)) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenTrapped(t)),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::BudgetExhausted) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenBudget),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::DeadlineExpired) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::Cancelled) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        ..base.clone()
-                    });
+                Err(e) => {
+                    if let Some(verdict) = self.record_verdict(e) {
+                        out.push(LoopResult {
+                            verdict,
+                            ..base.clone()
+                        });
+                    }
                     break;
                 }
             };
@@ -984,15 +984,7 @@ impl Dca {
             let summary = self.verify_permutations(
                 module, &view, &live, l, &slice, &golden, &perms, threads, &obs, ctx,
             );
-            let verdict = match summary.end {
-                VerifyEnd::Complete => LoopVerdict::Commutative,
-                VerifyEnd::Violated(violation) => LoopVerdict::NonCommutative(violation),
-                VerifyEnd::Budget => LoopVerdict::Skipped(SkipReason::ReplayBudget),
-                VerifyEnd::Deadline => LoopVerdict::Skipped(SkipReason::Deadline),
-                VerifyEnd::Fault(msg) => LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
-                VerifyEnd::Cancelled => LoopVerdict::Skipped(SkipReason::Cancelled),
-                VerifyEnd::MemBudget => LoopVerdict::Skipped(SkipReason::MemoryBudget),
-            };
+            let verdict = summary.end.verdict();
             out.push(LoopResult {
                 verdict,
                 trips: trip,
@@ -1097,7 +1089,7 @@ impl Dca {
         for invocation in 0..self.config.invocations {
             let rec_t = obs.span_start();
             let mut machine = self.new_machine(module);
-            let rec = record_golden_governed(
+            let rec = record_golden(
                 &mut machine,
                 main,
                 args,
@@ -1105,56 +1097,23 @@ impl Dca {
                 l,
                 &slice,
                 invocation,
+                2,
                 self.config.max_trip,
                 self.config.max_steps,
-                2,
                 self.run_deadline(ctx.analysis_deadline),
                 ctx.cancel,
+                false,
+                None,
             );
             obs.span_end("stage.record", rec_t);
             obs.count("engine.golden_runs", 1);
             record_machine_ops(obs, &machine.op_counts());
             let golden = match rec {
                 Ok(g) => g,
-                Err(RecordError::NotExercised) => break,
-                Err(RecordError::TripLimit) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::TripLimit),
-                        ..base
-                    }
-                }
-                Err(RecordError::Trapped(Trap::OutOfMemory))
-                    if self.config.max_heap_cells.is_some() =>
-                {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::MemoryBudget),
-                        ..base
-                    }
-                }
-                Err(RecordError::Trapped(t)) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenTrapped(t)),
-                        ..base
-                    }
-                }
-                Err(RecordError::BudgetExhausted) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenBudget),
-                        ..base
-                    }
-                }
-                Err(RecordError::DeadlineExpired) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                        ..base
-                    }
-                }
-                Err(RecordError::Cancelled) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        ..base
-                    }
-                }
+                Err(e) => match self.record_verdict(e) {
+                    Some(verdict) => return LoopResult { verdict, ..base },
+                    None => break,
+                },
             };
             let trip = golden.iters.len();
             trips_seen = trips_seen.max(trip);
@@ -1170,62 +1129,14 @@ impl Dca {
             );
             perms_total += summary.tested;
             steps_total += summary.replay_steps;
-            match summary.end {
-                VerifyEnd::Complete => {}
-                VerifyEnd::Violated(violation) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::NonCommutative(violation),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Budget => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::ReplayBudget),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Deadline => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Fault(msg) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Cancelled => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::MemBudget => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::MemoryBudget),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
+            if summary.end != VerifyEnd::Complete {
+                return LoopResult {
+                    verdict: summary.end.verdict(),
+                    trips: trip,
+                    permutations_tested: perms_total,
+                    replay_steps: steps_total,
+                    ..base
+                };
             }
         }
         if !exercised {

@@ -75,8 +75,6 @@ pub use outcome::{
     StateDigest,
 };
 pub use parallel::{effective_threads, CancelToken};
-pub use record::{
-    record_golden, record_golden_governed, record_golden_profiled, GoldenRecord, RecordError,
-};
+pub use record::{record_golden, GoldenRecord, RecordError};
 pub use replay::{run_replay, IterOrder, Perm, ReplayController, ReplayEnd, ReplayGovernor};
 pub use report::{DcaReport, LoopResult, LoopVerdict, SkipReason, Violation};

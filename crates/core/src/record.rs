@@ -13,16 +13,23 @@
 //!    state the run left the loop in ([`ExitState`]) lets a permuted
 //!    replay that leaves the loop in that same state skip the rest of the
 //!    program ([`GoldenRecord::exit_matches`]).
+//!
+//! The run follows the tested loop with a [`LoopTracker`], the tracker
+//! behind every whole-program instrumented run; a private [`LoopSink`]
+//! keeps the recording rules: which activation is recorded, where each
+//! iteration's values freeze and when one commits. A
+//! [`dca_deps::FootprintProbe`] passed to [`record_golden`] rides inside
+//! that sink and takes its iteration boundaries from the same commits.
 
 use crate::outcome::ProgramOutcome;
 use crate::parallel::CancelToken;
 use crate::replay::GOVERN_GRANULE;
 use dca_analysis::IteratorSlice;
-use dca_deps::{FootprintProbe, LoopProfile};
+use dca_deps::FootprintProbe;
 use dca_interp::{
-    Addr, Hooks, InstAction, Machine, Obj, ObjId, OutputItem, Position, Site, Snapshot, Trap, Value,
+    Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot, Trap, Value,
 };
-use dca_ir::{BlockId, FuncId, Function, Loop, VarId};
+use dca_ir::{BlockId, FuncId, Loop, LoopRef, VarId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,13 +47,6 @@ pub struct GoldenRecord {
     pub iters: Vec<Vec<Value>>,
     /// The recorded variables, in the order values are stored.
     pub rec_vars: Vec<VarId>,
-    /// Values of the recorded variables at the moment the loop exited.
-    pub exit_vals: Vec<Value>,
-    /// The first out-of-loop block control reached (the golden exit
-    /// target).
-    pub exit_target: BlockId,
-    /// Frame depth the invocation ran at.
-    pub depth: usize,
     /// The golden program outcome. A recording stopped at the loop exit
     /// (`stop_at_exit`) holds the output up to the exit and no return
     /// value.
@@ -65,8 +65,9 @@ pub struct GoldenRecord {
 /// of the heap.
 #[derive(Debug, Clone)]
 pub struct ExitState {
-    /// Where control stood: the first instruction of the exit target,
-    /// at the invocation's depth.
+    /// Where control stood: the first instruction of the exit target
+    /// (the first out-of-loop block control reached), at the frame depth
+    /// the invocation ran at.
     pub position: Position,
     /// Every cell of a pre-existing object the invocation wrote, with
     /// its value at the exit; sorted by address, one entry per cell.
@@ -223,179 +224,167 @@ pub enum RecordError {
     Cancelled,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for the loop header.
-    Waiting,
-    /// Inside an invocation, recording it.
-    Recording,
-    /// Invocation kept; running to program end.
-    Finishing,
-}
-
-struct Recorder<'a> {
-    func: FuncId,
-    header: BlockId,
-    blocks: &'a BTreeSet<BlockId>,
-    rec_vars: &'a [VarId],
-    slice: &'a IteratorSlice,
-    max_trip: usize,
+/// The golden-recording [`LoopSink`]: picks the invocation to record
+/// among the tested loop's activations and records it. Each activation's
+/// state is whether it is the one being recorded.
+///
+/// The sink cannot touch the machine; it asks the stepping driver to
+/// snapshot, to drop the snapshot or to capture the exit state through
+/// its request flags, which the driver reads after every step.
+struct GoldenSink<'p> {
+    rec_vars: Vec<VarId>,
+    /// For each block of the recorded function, whether each instruction
+    /// is payload (`true`) or iterator-slice work; empty outside the loop.
+    payload: Vec<Vec<bool>>,
     /// Invocations with fewer committed iterations than this are skipped
-    /// (there is nothing to permute below two iterations); the recorder
-    /// moves on to the next invocation.
+    /// (there is nothing to permute below two iterations).
     min_trip: usize,
+    max_trip: usize,
     /// Eligible (long-enough) invocations still to skip before keeping
     /// one: the caller's invocation index counts *eligible* invocations.
     skips_left: u32,
-    /// Tells the driver to drop the snapshot of a too-short invocation.
-    discard_snapshot: bool,
-    phase: Phase,
-    /// Depth at which the tested invocation runs.
-    depth: Option<usize>,
-    /// Request flag: the driver should snapshot now.
-    want_snapshot: bool,
-    /// Request flag: the kept invocation just exited; the driver should
-    /// capture the [`ExitState`] now.
-    want_exit: bool,
+    probe: Option<&'p mut FootprintProbe>,
+    /// An activation is being recorded.
+    recording: bool,
+    /// The last instruction the recorded activation's frame ran; an
+    /// access takes its side.
+    at: (BlockId, usize),
+    /// The recorded invocation was kept; nothing more is recorded.
+    kept: bool,
     /// The iterator values of the in-flight iteration, frozen at its first
     /// payload instruction (the point Fig. 4(c)'s `rt_iterator_linearize`
     /// placement corresponds to): by then a `for` iterator still holds its
     /// pre-increment value while a destructive pop has already produced
     /// this iteration's element.
     pending: Option<Vec<Value>>,
-    /// True between a header arrival and the loop exit/next arrival.
-    in_iteration: bool,
     iters: Vec<Vec<Value>>,
-    exit_vals: Vec<Value>,
-    exit_target: Option<BlockId>,
+    /// Request: the recorded activation started; snapshot now and arm the
+    /// write journal.
+    want_snapshot: bool,
+    /// Request: the recorded activation was discarded; drop its snapshot.
+    discard_snapshot: bool,
+    /// Request: the kept invocation exited; capture the [`ExitState`].
+    want_exit: bool,
     trip_overflow: bool,
 }
 
-impl Recorder<'_> {
+impl GoldenSink<'_> {
     fn capture(&self, vars: &[Value]) -> Vec<Value> {
         self.rec_vars.iter().map(|v| vars[v.index()]).collect()
     }
 
-    /// Discards the in-flight invocation and waits for the next one.
-    fn restart(&mut self) {
-        self.iters.clear();
-        self.pending = None;
-        self.in_iteration = false;
-        self.discard_snapshot = true;
-        self.depth = None;
-        self.phase = Phase::Waiting;
+    /// Commits one iteration that ended at step `steps`.
+    fn commit(&mut self, tuple: Vec<Value>, steps: u64) {
+        self.iters.push(tuple);
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.commit_iter(steps);
+        }
     }
 }
 
-impl Hooks for Recorder<'_> {
-    fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
-        if site.func != self.func {
+impl LoopSink for GoldenSink<'_> {
+    type Act = bool;
+
+    fn enter(&mut self, _: LoopRef, steps: u64, _: bool, _: &[Value]) -> bool {
+        // An activation starting while one is recorded runs in a deeper
+        // recursive frame of the recorded one: it is not an invocation.
+        if self.recording || self.kept {
+            return false;
+        }
+        self.recording = true;
+        self.want_snapshot = true;
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.begin_invocation(steps);
+        }
+        true
+    }
+
+    fn iterate(&mut self, recorded: &mut bool, steps: u64, vars: &[Value]) {
+        if !*recorded {
             return;
         }
-        match self.phase {
-            Phase::Waiting => {
-                if block == self.header {
-                    self.phase = Phase::Recording;
-                    self.depth = Some(site.depth);
-                    self.want_snapshot = true;
-                    self.pending = None;
-                    self.in_iteration = true;
-                }
-            }
-            Phase::Recording => {
-                if Some(site.depth) != self.depth {
-                    return;
-                }
-                if block == self.header {
-                    // Iteration boundary: commit the finished iteration.
-                    // All-slice iterations (no payload executed) commit
-                    // their end-of-iteration values; payload never reads
-                    // them during replay.
-                    if self.in_iteration {
-                        let tuple = self.pending.take().unwrap_or_else(|| self.capture(vars));
-                        self.iters.push(tuple);
-                        if self.iters.len() > self.max_trip {
-                            self.trip_overflow = true;
-                        }
-                    }
-                    self.in_iteration = true;
-                    self.pending = None;
-                } else if !self.blocks.contains(&block) {
-                    // Loop exit: commit the final partial iteration only if
-                    // it did payload work (a break), not when the header
-                    // check simply failed.
-                    if let Some(p) = self.pending.take() {
-                        self.iters.push(p);
-                    }
-                    self.in_iteration = false;
-                    if self.iters.len() < self.min_trip {
-                        // Too short to permute: look for a longer
-                        // invocation instead (does not consume a skip).
-                        self.restart();
-                    } else if self.skips_left > 0 {
-                        // An eligible invocation the caller asked us to
-                        // pass over.
-                        self.skips_left -= 1;
-                        self.restart();
-                    } else {
-                        self.exit_vals = self.capture(vars);
-                        self.exit_target = Some(block);
-                        self.want_exit = true;
-                        self.phase = Phase::Finishing;
-                    }
-                }
-            }
-            Phase::Finishing => {}
+        // All-slice iterations (no payload executed) commit their
+        // header-arrival values; payload never reads them during replay.
+        let tuple = self.pending.take().unwrap_or_else(|| self.capture(vars));
+        self.commit(tuple, steps);
+        if self.iters.len() > self.max_trip {
+            self.trip_overflow = true;
         }
     }
 
-    fn before_inst(
-        &mut self,
-        site: Site,
-        block: BlockId,
-        idx: usize,
-        vars: &mut [Value],
-    ) -> InstAction {
-        if let Phase::Recording = self.phase {
-            if self.pending.is_none()
-                && site.func == self.func
-                && Some(site.depth) == self.depth
-                && self.blocks.contains(&block)
-                && !self.slice.contains((block, idx))
-            {
-                // First payload instruction of this iteration: freeze the
-                // iterator values the payload instance will consume.
-                self.pending = Some(self.capture(vars));
-            }
+    fn inst(&mut self, recorded: &mut bool, block: BlockId, idx: usize, vars: &[Value]) {
+        if !*recorded {
+            return;
         }
-        InstAction::Run
+        self.at = (block, idx);
+        if self.pending.is_none() && self.payload[block.index()][idx] {
+            self.pending = Some(self.capture(vars));
+        }
     }
 
-    fn on_return(&mut self, site: Site, func: FuncId) {
-        // The tested invocation's frame returned (the loop exited through
-        // a `return` block that itself sits outside the loop — on_block
-        // handles that first — or the whole function ended). Keep what was
-        // recorded if it qualifies; otherwise look for another invocation.
-        if let Phase::Recording = self.phase {
-            if func == self.func && Some(site.depth) == self.depth {
-                if self.iters.len() < self.min_trip || self.skips_left > 0 {
-                    self.skips_left = self
-                        .skips_left
-                        .saturating_sub(u32::from(self.iters.len() >= self.min_trip));
-                    self.restart();
-                } else {
-                    self.phase = Phase::Finishing;
-                }
+    fn exit(&mut self, _: LoopRef, recorded: bool, steps: Option<u64>) {
+        let (true, Some(steps)) = (recorded, steps) else {
+            return;
+        };
+        self.recording = false;
+        // The final partial iteration commits only if it did payload work
+        // (a break), not when the header check simply failed.
+        if let Some(tuple) = self.pending.take() {
+            self.commit(tuple, steps);
+        }
+        let eligible = self.iters.len() >= self.min_trip;
+        if !eligible || self.skips_left > 0 {
+            // Too short to permute (does not use up a skip), or an
+            // eligible invocation the caller asked to pass over: wait for
+            // the next one.
+            self.skips_left -= u32::from(eligible);
+            self.iters.clear();
+            self.discard_snapshot = true;
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.abort_invocation();
             }
+        } else {
+            self.kept = true;
+            self.want_exit = true;
+            // What accumulated since the last commit belongs to the failed
+            // header check, not to an iteration.
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.drop_partial();
+            }
+        }
+    }
+
+    fn access(&mut self, _: &mut [bool], addr: Addr, store: Option<(Value, Value)>) {
+        let Some(p) = self.probe.as_deref_mut() else {
+            return;
+        };
+        if self.recording {
+            // An access in a callee takes the side of the calling
+            // instruction: the last one the recorded frame ran.
+            let (block, idx) = self.at;
+            p.set_payload(self.payload[block.index()][idx]);
+        }
+        match store {
+            None => p.read(addr.obj.0, addr.cell),
+            Some((old, new)) => p.store(addr.obj.0, addr.cell, old, new),
         }
     }
 }
 
-/// Runs the golden execution for `l` (invocation `skip_invocations`) and
-/// records everything replay needs.
+/// Runs the golden execution for `l`, a loop of `func`, and records
+/// everything replay needs about its invocation `invocation`, counted
+/// among the invocations with at least `min_trip` committed iterations;
+/// shorter ones are passed over. The recorded variables are the loop's
+/// iterator-slice variables.
 ///
-/// `rec_vars` determines which variables are captured per iteration —
-/// normally the loop's iterator-slice variables.
+/// The machine is stepped under a [`LoopTracker`] watching `l`, with an
+/// optional wall-clock deadline and an optional [`CancelToken`], both
+/// checked cooperatively every [`GOVERN_GRANULE`] steps. `None` for both
+/// keeps the recording loop free of clock reads and atomic loads. The
+/// write journal is armed at each invocation's entry snapshot, so at the
+/// exit its write-set gives the [`ExitState`]; it is disarmed, without
+/// rewinding, when the invocation is discarded or exits, and the rest of
+/// the program runs unjournaled.
 ///
 /// With `stop_at_exit` the run ends at the invocation's exit instead of
 /// the program's (mirroring [`crate::replay::run_replay`]'s
@@ -404,9 +393,16 @@ impl Hooks for Recorder<'_> {
 /// parallel executor. The record's `outcome` and `total_steps` then
 /// describe the run up to the exit.
 ///
+/// A `probe` mines a per-iteration memory and cost footprint from the
+/// same run: it sees every heap access and every step, attributed to the
+/// committed iteration and the slice or payload side it belongs to. The
+/// iterations of its [`FootprintProbe::finish`] profile align 1:1 with
+/// the record's.
+///
 /// # Errors
 ///
-/// See [`RecordError`].
+/// See [`RecordError`]; expiry yields [`RecordError::DeadlineExpired`],
+/// a tripped token yields [`RecordError::Cancelled`].
 #[allow(clippy::too_many_arguments)]
 pub fn record_golden(
     machine: &mut Machine<'_>,
@@ -415,225 +411,54 @@ pub fn record_golden(
     func: FuncId,
     l: &Loop,
     slice: &IteratorSlice,
-    skip_invocations: u32,
-    max_trip: usize,
-    max_steps: u64,
-    stop_at_exit: bool,
-) -> Result<GoldenRecord, RecordError> {
-    let rec_vars: Vec<VarId> = slice.slice_vars.iter().copied().collect();
-    machine
-        .push_call(main, args)
-        .map_err(RecordError::Trapped)?;
-    let mut rec = new_recorder(func, l, &rec_vars, slice, skip_invocations, max_trip, 0);
-    let run = drive(machine, &mut rec, max_steps, None, None, stop_at_exit)?;
-    seal(rec, run, machine)
-}
-
-/// Like [`record_golden`], but skips invocations shorter than `min_trip`
-/// committed iterations, recording the first one long enough to permute,
-/// under an optional wall-clock deadline and an optional [`CancelToken`],
-/// both checked cooperatively every [`GOVERN_GRANULE`] steps. `None` for
-/// both keeps the recording loop free of clock reads and atomic loads.
-///
-/// # Errors
-///
-/// See [`RecordError`]; expiry yields [`RecordError::DeadlineExpired`],
-/// a tripped token yields [`RecordError::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-pub fn record_golden_governed(
-    machine: &mut Machine<'_>,
-    main: FuncId,
-    args: &[Value],
-    func: FuncId,
-    l: &Loop,
-    slice: &IteratorSlice,
-    skip_invocations: u32,
-    max_trip: usize,
-    max_steps: u64,
+    invocation: u32,
     min_trip: usize,
+    max_trip: usize,
+    max_steps: u64,
     deadline: Option<Instant>,
     cancel: Option<&CancelToken>,
-) -> Result<GoldenRecord, RecordError> {
-    let rec_vars: Vec<VarId> = slice.slice_vars.iter().copied().collect();
-    machine
-        .push_call(main, args)
-        .map_err(RecordError::Trapped)?;
-    let mut rec = new_recorder(
-        func,
-        l,
-        &rec_vars,
-        slice,
-        skip_invocations,
-        max_trip,
-        min_trip,
-    );
-    let run = drive(machine, &mut rec, max_steps, deadline, cancel, false)?;
-    seal(rec, run, machine)
-}
-
-/// Like [`record_golden`], but additionally mines a per-iteration
-/// memory/cost footprint ([`dca_deps::LoopProfile`]) from the same run: a
-/// [`dca_deps::FootprintProbe`] composed with the recorder attributes
-/// every heap access and every step to the committed iteration (and the
-/// slice/payload side) it belongs to. The profile's iterations align 1:1
-/// with the golden record's.
-///
-/// The plain recording path is untouched — disarmed recording pays
-/// nothing for the probe's existence. `stop_at_exit` is as for
-/// [`record_golden`].
-///
-/// # Errors
-///
-/// See [`RecordError`].
-#[allow(clippy::too_many_arguments)]
-pub fn record_golden_profiled(
-    machine: &mut Machine<'_>,
-    main: FuncId,
-    args: &[Value],
-    func: FuncId,
-    func_ir: &Function,
-    l: &Loop,
-    slice: &IteratorSlice,
-    skip_invocations: u32,
-    max_trip: usize,
-    max_steps: u64,
     stop_at_exit: bool,
-) -> Result<(GoldenRecord, LoopProfile), RecordError> {
-    let rec_vars: Vec<VarId> = slice.slice_vars.iter().copied().collect();
-    machine
-        .push_call(main, args)
-        .map_err(RecordError::Trapped)?;
-    let rec = new_recorder(func, l, &rec_vars, slice, skip_invocations, max_trip, 0);
-    let mut probe = FootprintProbe::new();
-    // Per-block attribution, resolved once. Most loop blocks are *uniform*
-    // (all-slice or all-payload, the way the front end lowers them), and a
-    // uniform block attributes once at block entry — the per-instruction
-    // hook stays a pure delegation unless some block genuinely interleaves
-    // slice and payload instructions.
-    let mut attrs: Vec<BlockAttr> = (0..func_ir.blocks.len())
-        .map(|_| BlockAttr::Outside)
+    probe: Option<&mut FootprintProbe>,
+) -> Result<GoldenRecord, RecordError> {
+    let module = machine.module();
+    let f = module.func(func);
+    let payload = f
+        .block_ids()
+        .map(|b| {
+            if l.blocks.contains(&b) {
+                (0..f.block(b).insts.len())
+                    .map(|idx| !slice.contains((b, idx)))
+                    .collect()
+            } else {
+                Vec::new()
+            }
+        })
         .collect();
-    let mut any_mixed = false;
-    for &b in &l.blocks {
-        let ia: Vec<bool> = (0..func_ir.block(b).insts.len())
-            .map(|idx| !slice.contains((b, idx)))
-            .collect();
-        attrs[b.index()] = match ia.split_first() {
-            // An instruction-free block flips nothing — same as the
-            // per-instruction path, which would never fire in it.
-            None => BlockAttr::Outside,
-            Some((&first, rest)) if rest.iter().all(|&p| p == first) => {
-                BlockAttr::Uniform { payload: first }
-            }
-            Some(_) => {
-                any_mixed = true;
-                BlockAttr::Mixed(ia)
-            }
-        };
-    }
-    // Monomorphize the mixed-block flag away: with no mixed block (the
-    // common case) the per-instruction hook compiles to the plain
-    // recorder's, paying nothing per executed instruction.
-    let (run, rec) = if any_mixed {
-        let mut h = ProfiledRecorder::<true> {
-            rec,
-            attrs,
-            probe: &mut probe,
-        };
-        let run = drive(machine, &mut h, max_steps, None, None, stop_at_exit)?;
-        (run, h.rec)
-    } else {
-        let mut h = ProfiledRecorder::<false> {
-            rec,
-            attrs,
-            probe: &mut probe,
-        };
-        let run = drive(machine, &mut h, max_steps, None, None, stop_at_exit)?;
-        (run, h.rec)
-    };
-    let golden = seal(rec, run, machine)?;
-    let profile = probe.finish();
-    debug_assert_eq!(
-        profile.iters.len(),
-        golden.iters.len(),
-        "profile iterations must align with the golden record"
-    );
-    Ok((golden, profile))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn new_recorder<'a>(
-    func: FuncId,
-    l: &'a Loop,
-    rec_vars: &'a [VarId],
-    slice: &'a IteratorSlice,
-    skip_invocations: u32,
-    max_trip: usize,
-    min_trip: usize,
-) -> Recorder<'a> {
-    Recorder {
-        func,
-        header: l.header,
-        blocks: &l.blocks,
-        rec_vars,
-        slice,
-        max_trip,
+    let sink = GoldenSink {
+        rec_vars: slice.slice_vars.iter().copied().collect(),
+        payload,
         min_trip,
-        skips_left: skip_invocations,
-        discard_snapshot: false,
-        phase: Phase::Waiting,
-        depth: None,
-        want_snapshot: false,
-        want_exit: false,
+        max_trip,
+        skips_left: invocation,
+        probe,
+        recording: false,
+        at: (l.header, 0),
+        kept: false,
         pending: None,
-        in_iteration: false,
         iters: Vec::new(),
-        exit_vals: Vec::new(),
-        exit_target: None,
+        want_snapshot: false,
+        discard_snapshot: false,
+        want_exit: false,
         trip_overflow: false,
-    }
-}
-
-/// Hook stacks the recording driver accepts: the plain [`Recorder`] or a
-/// composition wrapping one. The driver reads the recorder's request
-/// flags (snapshot, discard, trip overflow) through this access.
-trait RecAccess<'a>: Hooks {
-    fn rec(&mut self) -> &mut Recorder<'a>;
-}
-
-impl<'a> RecAccess<'a> for Recorder<'a> {
-    fn rec(&mut self) -> &mut Recorder<'a> {
-        self
-    }
-}
-
-/// What one recording run produced.
-struct Run {
-    /// `main`'s return value (`None` for a run stopped at the loop exit).
-    ret: Option<Value>,
-    /// The kept invocation's entry snapshot.
-    snapshot: Option<Snapshot>,
-    /// The kept invocation's exit state.
-    exit: Option<ExitState>,
-}
-
-/// Steps the machine to completion — or, with `stop_at_exit`, to the
-/// kept invocation's exit — under recording hooks `h`: the
-/// manual-stepping loop shared by every `record_golden*` flavor, kept
-/// generic so the plain path monomorphizes without any probe overhead.
-///
-/// The machine's write journal is armed at each invocation's entry
-/// snapshot, so at the exit its write-set gives the [`ExitState`]; it
-/// is disarmed, without rewinding, when the invocation is discarded or
-/// exits, and the rest of the program runs unjournaled.
-fn drive<'a, H: RecAccess<'a>>(
-    machine: &mut Machine<'_>,
-    h: &mut H,
-    max_steps: u64,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
-    stop_at_exit: bool,
-) -> Result<Run, RecordError> {
+    };
+    let lref = LoopRef {
+        func,
+        loop_id: l.id,
+    };
+    let mut tracker = LoopTracker::watching(module, &BTreeSet::from([lref]), sink);
+    machine
+        .push_call(main, args)
+        .map_err(RecordError::Trapped)?;
     // Step manually so the snapshot lands exactly at the header arrival.
     let budget = machine.steps().saturating_add(max_steps);
     let mut snapshot: Option<Snapshot> = None;
@@ -665,28 +490,28 @@ fn drive<'a, H: RecAccess<'a>>(
             }
             n += 1;
         }
-        match machine.step(h) {
+        match machine.step(&mut tracker) {
             Ok(()) => {}
             Err(Trap::NotRunning) => break machine.result().unwrap_or(None),
             Err(t) => return Err(RecordError::Trapped(t)),
         }
-        let rec = h.rec();
-        if rec.want_snapshot {
-            rec.want_snapshot = false;
+        let sink = tracker.sink_mut();
+        if sink.want_snapshot {
+            sink.want_snapshot = false;
             snapshot = Some(machine.snapshot());
             base = (machine.heap().len(), machine.output().len());
             machine.begin_journal();
         }
-        if rec.discard_snapshot {
-            rec.discard_snapshot = false;
+        if sink.discard_snapshot {
+            sink.discard_snapshot = false;
             snapshot = None;
             machine.disarm_journal();
         }
-        if rec.trip_overflow {
+        if sink.trip_overflow {
             return Err(RecordError::TripLimit);
         }
-        if rec.want_exit {
-            rec.want_exit = false;
+        if sink.want_exit {
+            sink.want_exit = false;
             exit = Some(ExitState::capture(machine, base.0, base.1));
             machine.disarm_journal();
             if stop_at_exit {
@@ -694,157 +519,17 @@ fn drive<'a, H: RecAccess<'a>>(
             }
         }
     };
-    Ok(Run {
-        ret,
-        snapshot,
-        exit,
-    })
-}
-
-/// Packages a finished recording into the [`GoldenRecord`].
-fn seal(rec: Recorder<'_>, run: Run, machine: &Machine<'_>) -> Result<GoldenRecord, RecordError> {
-    let snapshot = run.snapshot.ok_or(RecordError::NotExercised)?;
-    let exit_target = rec.exit_target.ok_or(RecordError::NotExercised)?;
-    let exit = run.exit.ok_or(RecordError::NotExercised)?;
-    let rec_vars = rec.rec_vars.to_vec();
-    let (iters, exit_vals, depth) = (rec.iters, rec.exit_vals, rec.depth);
+    let snapshot = snapshot.ok_or(RecordError::NotExercised)?;
+    let exit = exit.ok_or(RecordError::NotExercised)?;
+    let sink = tracker.finish();
     Ok(GoldenRecord {
         snapshot: Arc::new(snapshot),
-        iters,
-        rec_vars,
-        exit_vals,
-        exit_target,
-        depth: depth.expect("recording started"),
-        outcome: ProgramOutcome::capture(machine, run.ret),
+        iters: sink.iters,
+        rec_vars: sink.rec_vars,
+        outcome: ProgramOutcome::capture(machine, ret),
         total_steps: machine.steps(),
         exit,
     })
-}
-
-/// Probe attribution for one block of the recorded function: whether its
-/// instructions' memory effects are payload or iterator-slice work.
-enum BlockAttr {
-    /// Outside the loop (or instruction-free): entering it changes no
-    /// attribution. Effects in callees keep the calling side's flag.
-    Outside,
-    /// Every instruction sits on one side — attributed once at block
-    /// entry; the whole block executes once entered (a trap mid-block
-    /// aborts the recording entirely), so entry attribution equals
-    /// per-instruction attribution.
-    Uniform {
-        /// The single side of every instruction in the block: payload
-        /// (`true`) or iterator slice (`false`).
-        payload: bool,
-    },
-    /// Slice and payload instructions interleave: attribution must track
-    /// each instruction (the loop header's compare-and-branch block
-    /// sometimes carries a leading payload store). One side flag per
-    /// instruction.
-    Mixed(Vec<bool>),
-}
-
-/// The [`Recorder`] composed with a [`FootprintProbe`]: delegates every
-/// recording decision to the inner recorder unchanged and mirrors its
-/// phase transitions into probe lifecycle calls, so the profile's
-/// iteration boundaries are *defined by* the recorder's commits — the
-/// two can never disagree about what iteration `k` was.
-/// `MIXED` mirrors whether any loop block is [`BlockAttr::Mixed`]; with
-/// `false` (the common case) the per-instruction hook monomorphizes to a
-/// pure delegation.
-struct ProfiledRecorder<'a, 'p, const MIXED: bool> {
-    rec: Recorder<'a>,
-    /// A [`BlockAttr`] for every block of the recorded function.
-    attrs: Vec<BlockAttr>,
-    probe: &'p mut FootprintProbe,
-}
-
-impl<'a, const MIXED: bool> RecAccess<'a> for ProfiledRecorder<'a, '_, MIXED> {
-    fn rec(&mut self) -> &mut Recorder<'a> {
-        &mut self.rec
-    }
-}
-
-impl<const MIXED: bool> ProfiledRecorder<'_, '_, MIXED> {
-    /// Translates a recorder phase/commit transition (observed around a
-    /// delegated hook call) into probe lifecycle events.
-    fn sync(&mut self, was: (Phase, usize), steps: u64) {
-        let now = (self.rec.phase, self.rec.iters.len());
-        match (was.0, now.0) {
-            (Phase::Waiting, Phase::Recording) => self.probe.begin_invocation(steps),
-            (Phase::Recording, Phase::Waiting) => self.probe.abort_invocation(),
-            _ => {}
-        }
-        if now.1 > was.1 {
-            self.probe.commit_iter(steps);
-        }
-        if now.0 == Phase::Finishing && was.0 != Phase::Finishing {
-            // Loop exited; whatever accumulated since the last commit
-            // belongs to the failed header check, not to an iteration.
-            self.probe.drop_partial();
-        }
-    }
-}
-
-impl<const MIXED: bool> Hooks for ProfiledRecorder<'_, '_, MIXED> {
-    fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
-        if site.func != self.rec.func || self.rec.phase == Phase::Finishing {
-            // The plain recorder ignores foreign-function blocks and is
-            // inert once the kept invocation exited, so there is no
-            // transition to mirror and no attribution to flip (callee
-            // effects keep the calling side's flag).
-            return;
-        }
-        let was = (self.rec.phase, self.rec.iters.len());
-        self.rec.on_block(site, block, vars);
-        self.sync(was, site.steps);
-        if self.rec.phase == Phase::Recording && Some(site.depth) == self.rec.depth {
-            if let BlockAttr::Uniform { payload } = self.attrs[block.index()] {
-                self.probe.set_payload(payload);
-            }
-        }
-    }
-
-    fn before_inst(
-        &mut self,
-        site: Site,
-        block: BlockId,
-        idx: usize,
-        vars: &mut [Value],
-    ) -> InstAction {
-        let act = self.rec.before_inst(site, block, idx, vars);
-        // Attribute subsequent memory effects: payload or slice. Uniform
-        // blocks were attributed at entry; only a mixed block needs the
-        // flag tracked per instruction, and only loop-level instructions
-        // flip it, so effects inside callees attribute to the calling
-        // instruction's side.
-        if MIXED
-            && self.rec.phase == Phase::Recording
-            && site.func == self.rec.func
-            && Some(site.depth) == self.rec.depth
-        {
-            if let BlockAttr::Mixed(sides) = &self.attrs[block.index()] {
-                self.probe.set_payload(sides[idx]);
-            }
-        }
-        act
-    }
-
-    fn on_return(&mut self, site: Site, func: FuncId) {
-        if func != self.rec.func || self.rec.phase != Phase::Recording {
-            return;
-        }
-        let was = (self.rec.phase, self.rec.iters.len());
-        self.rec.on_return(site, func);
-        self.sync(was, site.steps);
-    }
-
-    fn on_read(&mut self, _site: Site, addr: Addr) {
-        self.probe.read(addr.obj.0, addr.cell);
-    }
-
-    fn on_store(&mut self, _site: Site, addr: Addr, old: Value, new: Value) {
-        self.probe.store(addr.obj.0, addr.cell, old, new);
-    }
 }
 
 #[cfg(test)]
@@ -854,31 +539,46 @@ mod tests {
     use dca_analysis::IteratorSlice;
     use dca_ir::FuncView;
 
-    fn golden(src: &str, tag: &str) -> Result<GoldenRecord, RecordError> {
+    /// Records invocation `skip` of the loop tagged `tag` in `src`,
+    /// counting invocations of at least `min_trip` iterations, with an
+    /// optional probe.
+    fn record(
+        src: &str,
+        tag: &str,
+        skip: u32,
+        min_trip: usize,
+        probe: Option<&mut FootprintProbe>,
+    ) -> Result<GoldenRecord, RecordError> {
         let m = dca_ir::compile(src).expect("compile");
-        let main = m.main().expect("main");
         // Find the tagged loop anywhere in the module.
         for (i, _) in m.funcs.iter().enumerate() {
             let fid = dca_ir::FuncId(i as u32);
             let view = FuncView::new(&m, fid);
             if let Some(l) = view.loops.by_tag(tag) {
                 let slice = IteratorSlice::compute(&view, l);
-                let mut machine = Machine::new(&m);
                 return record_golden(
-                    &mut machine,
-                    main,
+                    &mut Machine::new(&m),
+                    m.main().expect("main"),
                     &[],
                     fid,
                     l,
                     &slice,
-                    0,
+                    skip,
+                    min_trip,
                     DcaConfig::DEFAULT_MAX_TRIP,
                     DcaConfig::TEST_STEP_BUDGET,
+                    None,
+                    None,
                     false,
+                    probe,
                 );
             }
         }
         panic!("no loop tagged @{tag}");
+    }
+
+    fn golden(src: &str, tag: &str) -> Result<GoldenRecord, RecordError> {
+        record(src, tag, 0, 0, None)
     }
 
     #[test]
@@ -973,26 +673,7 @@ mod tests {
         let src = "fn work(n: int) -> int { let s: int = 0; \
              @w: for (let i: int = 0; i < n; i = i + 1) { s = s + i; } return s; }\n\
              fn main() -> int { return work(3) + work(5); }";
-        let m = dca_ir::compile(src).expect("compile");
-        let main = m.main().expect("main");
-        let fid = m.func_by_name("work").expect("work");
-        let view = FuncView::new(&m, fid);
-        let l = view.loops.by_tag("w").expect("tag");
-        let slice = IteratorSlice::compute(&view, l);
-        let mut machine = Machine::new(&m);
-        let g = record_golden(
-            &mut machine,
-            main,
-            &[],
-            fid,
-            l,
-            &slice,
-            1,
-            DcaConfig::DEFAULT_MAX_TRIP,
-            DcaConfig::TEST_STEP_BUDGET,
-            false,
-        )
-        .expect("record");
+        let g = record(src, "w", 1, 0, None).expect("record");
         assert_eq!(g.iters.len(), 5, "second invocation has 5 iterations");
     }
 
@@ -1003,32 +684,107 @@ mod tests {
         let src = "fn work(n: int) -> int { let s: int = 0; \
              @w: for (let i: int = 0; i < n; i = i + 1) { s = s + i; } return s; }\n\
              fn main() -> int { return work(0) + work(3) + work(1) + work(5); }";
-        let m = dca_ir::compile(src).expect("compile");
-        let fid = m.func_by_name("work").expect("work");
-        let view = FuncView::new(&m, fid);
-        let l = view.loops.by_tag("w").expect("tag");
-        let slice = IteratorSlice::compute(&view, l);
-        let trips_of = |skip: u32| {
-            let mut machine = Machine::new(&m);
-            crate::record::record_golden_governed(
-                &mut machine,
-                m.main().expect("main"),
-                &[],
-                fid,
-                l,
-                &slice,
-                skip,
-                DcaConfig::DEFAULT_MAX_TRIP,
-                DcaConfig::TEST_STEP_BUDGET,
-                2,
-                None,
-                None,
-            )
-            .map(|g| g.iters.len())
-        };
+        let trips_of = |skip: u32| record(src, "w", skip, 2, None).map(|g| g.iters.len());
         assert_eq!(trips_of(0).expect("first eligible"), 3);
         assert_eq!(trips_of(1).expect("second eligible"), 5);
         assert_eq!(trips_of(2), Err(RecordError::NotExercised));
+    }
+
+    #[test]
+    fn deeper_recursive_activations_are_not_invocations() {
+        // `rec(n)` runs @r for n + 2 trips and recurses from its first
+        // iteration: rec(2) is live at depth 1 while rec(1) and rec(0) run
+        // @r deeper. Only activations starting while none is recorded
+        // count, so the invocations are rec(2) and main's rec(1), even
+        // when the recorded rec(2) is skipped.
+        let src = "fn rec(n: int) -> int { let s: int = 0; \
+             @r: for (let i: int = 0; i < n + 2; i = i + 1) { \
+               if (n > 0) { if (i == 0) { s = s + rec(n - 1); } } s = s + 1; } \
+             return s; }\n\
+             fn main() -> int { return rec(2) + rec(1); }";
+        let record = |skip: u32| record(src, "r", skip, 2, None);
+        let g = record(0).expect("rec(2)");
+        assert_eq!((g.iters.len(), g.exit.position.depth), (4, 1));
+        let g = record(1).expect("main's rec(1)");
+        assert_eq!((g.iters.len(), g.exit.position.depth), (3, 1));
+        assert_eq!(
+            record(2).map(|g| g.iters.len()),
+            Err(RecordError::NotExercised)
+        );
+    }
+
+    #[test]
+    fn early_return_exits_to_the_return_block() {
+        let src = "fn find(n: int) -> int { \
+             @l: for (let i: int = 0; i < 10; i = i + 1) { if (i == n) { return i; } } \
+             return 0 - 1; }\n\
+             fn main() -> int { return find(3); }";
+        let g = golden(src, "l").expect("record");
+        // Iterations 0..=2 run to the latch. The `i == n` test decides the
+        // exit, so it is iterator-slice work: the fourth arrival runs no
+        // payload before the `return` and commits nothing.
+        assert_eq!(g.iters.len(), 3);
+        assert_eq!(g.outcome.ret, Some(Value::Int(3)));
+        let m = dca_ir::compile(src).expect("compile");
+        let fid = m.func_by_name("find").expect("find");
+        let exit = g.exit.position;
+        assert_eq!(exit.func, fid);
+        let view = FuncView::new(&m, fid);
+        let l = view.loops.by_tag("l").expect("tag");
+        assert!(!l.blocks.contains(&exit.block));
+        assert!(matches!(
+            m.func(fid).block(exit.block).term,
+            dca_ir::Terminator::Return(_)
+        ));
+    }
+
+    #[test]
+    fn probed_recording_aligns_after_a_skipped_invocation() {
+        // The probe starts on work(1), aborts when it is skipped, and
+        // restarts on work(4).
+        let src = "fn work(n: int) -> int { let a: [int; 8]; let s: int = 0; \
+             @w: for (let i: int = 0; i < n; i = i + 1) { a[i] = i; s = s + a[i]; } \
+             return s; }\n\
+             fn main() -> int { return work(1) + work(4); }";
+        let mut probe = FootprintProbe::new();
+        let probed = record(src, "w", 1, 0, Some(&mut probe)).expect("probed record");
+        let profile = probe.finish();
+        let plain = record(src, "w", 1, 0, None).expect("plain record");
+        assert_eq!(probed.iters.len(), 4);
+        assert_eq!(profile.iters.len(), probed.iters.len());
+        assert_eq!(probed.iters, plain.iters);
+        assert!(profile.iters.iter().all(|it| it.writes.len() == 1));
+    }
+
+    #[test]
+    fn probe_sides_follow_the_recorded_frame() {
+        // Popping the global `top` is iterator-slice work; reading the
+        // stack and writing `out`, in the loop and in the callee `bump`,
+        // is payload work.
+        let src = "let top: int;\n\
+             let stack: [int; 8];\n\
+             fn bump(a: *int, i: int) { a[i] = a[i] + 1; }\n\
+             fn main() -> int { let out: *int = new [int; 8]; \
+               for (let i: int = 0; i < 5; i = i + 1) { stack[i] = i + 2; } top = 5; \
+               @w: while (top > 0) { top = top - 1; let x: int = stack[top]; \
+                 out[x] = x * 3; bump(out, x); } \
+               return out[2] + out[6]; }";
+        let mut probe = FootprintProbe::new();
+        let g = record(src, "w", 0, 0, Some(&mut probe)).expect("record");
+        let profile = probe.finish();
+        assert_eq!(g.outcome.ret, Some(Value::Int(26)));
+        let cells = |ws: &[dca_deps::CellWrite]| -> Vec<(u32, u32)> {
+            ws.iter().map(|w| (w.obj, w.cell)).collect()
+        };
+        let (top, stack, out) = (0, 1, 2);
+        for (k, it) in profile.iters.iter().enumerate() {
+            let x = 6 - k as u32;
+            assert_eq!(it.reads, vec![(stack, x - 2)], "iteration {k}");
+            assert_eq!(cells(&it.writes), vec![(out, x)], "iteration {k}");
+            assert_eq!(it.slice_reads, vec![(top, 0)], "iteration {k}");
+            assert_eq!(cells(&it.slice_writes), vec![(top, 0)], "iteration {k}");
+        }
+        assert_eq!(profile.iters.len(), 5);
     }
 
     #[test]
@@ -1044,14 +800,20 @@ mod tests {
 
     #[test]
     fn exit_target_is_outside_the_loop() {
-        let g = golden(
-            "fn main() -> int { let s: int = 0; \
-             @l: for (let i: int = 0; i < 3; i = i + 1) { s = s + i; } return s; }",
-            "l",
-        )
-        .expect("record");
-        // exit_vals captured the final iterator state (i == 3 among them).
-        assert!(g.exit_vals.iter().any(|v| matches!(v, Value::Int(3))));
-        assert_eq!(g.depth, 0);
+        let src = "fn main() -> int { let s: int = 0; \
+             @l: for (let i: int = 0; i < 3; i = i + 1) { s = s + i; } return s; }";
+        let g = golden(src, "l").expect("record");
+        let m = dca_ir::compile(src).expect("compile");
+        let view = FuncView::new(&m, m.main().expect("main"));
+        let l = view.loops.by_tag("l").expect("tag");
+        let x = &g.exit;
+        assert!(!l.blocks.contains(&x.position.block));
+        assert_eq!((x.position.inst, x.position.depth), (0, 0));
+        // The exit state holds the final iterator state (i == 3 among the
+        // recorded variables).
+        assert!(g
+            .rec_vars
+            .iter()
+            .any(|v| matches!(x.vars[v.index()], Value::Int(3))));
     }
 }

@@ -199,7 +199,9 @@ impl<'a, O: IterOrder> ReplayController<'a, O> {
     }
 
     fn active_at(&self, site: Site, block: BlockId) -> bool {
-        site.func == self.func && site.depth == self.golden.depth && self.blocks.contains(&block)
+        site.func == self.func
+            && site.depth == self.golden.exit.position.depth
+            && self.blocks.contains(&block)
     }
 
     /// Binds the recorded values of the order's next iteration (or
@@ -246,7 +248,9 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
         match self.mode {
             Mode::Done => {}
             Mode::PrePass => {
-                if site.func == self.func && site.depth == self.golden.depth && block == self.header
+                if site.func == self.func
+                    && site.depth == self.golden.exit.position.depth
+                    && block == self.header
                 {
                     self.prepass_arrivals += 1;
                     if self.prepass_arrivals > self.prepass_cap() {
@@ -255,7 +259,7 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
                 }
             }
             Mode::Payload | Mode::Exiting => {
-                if site.func == self.func && site.depth == self.golden.depth {
+                if site.func == self.func && site.depth == self.golden.exit.position.depth {
                     if block == self.header {
                         self.needs_iter_start = true;
                     } else if !self.blocks.contains(&block) {
@@ -325,8 +329,11 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
                 )),
             },
             Mode::Exiting => {
-                bind(&self.golden.rec_vars, &self.golden.exit_vals, vars);
-                TermAction::Goto(self.golden.exit_target)
+                let x = &self.golden.exit;
+                for &v in &self.golden.rec_vars {
+                    vars[v.index()] = x.vars[v.index()];
+                }
+                TermAction::Goto(x.position.block)
             }
             Mode::Done => TermAction::Default,
         }
@@ -469,9 +476,13 @@ mod tests {
             &l,
             &slice,
             0,
+            0,
             DcaConfig::DEFAULT_MAX_TRIP,
             DcaConfig::TEST_STEP_BUDGET,
+            None,
+            None,
             false,
+            None,
         )
         .expect("golden");
         let perm = perm_of(golden.iters.len());
@@ -506,9 +517,13 @@ mod tests {
             &l,
             &slice,
             0,
+            0,
             DcaConfig::DEFAULT_MAX_TRIP,
             DcaConfig::TEST_STEP_BUDGET,
+            None,
+            None,
             false,
+            None,
         )
         .expect("golden");
         let perm: Vec<usize> = (0..golden.iters.len()).collect();

@@ -5,9 +5,9 @@
 //! interpreter exposes the same capability as a trait: a [`Hooks`]
 //! implementation observes every block entry, memory access, call and
 //! terminator, and may *intervene* by skipping instructions, rewriting
-//! variables, or redirecting control flow. DCA's dynamic stage is a
-//! `Hooks` implementation, and so is the [`LoopTracker`] behind coverage,
-//! cost and dependence profiling.
+//! variables, or redirecting control flow. DCA's permuted replay is a
+//! `Hooks` implementation, and so is the [`LoopTracker`] behind golden
+//! recording and coverage, cost and dependence profiling.
 //!
 //! [`LoopTracker`]: crate::profile::LoopTracker
 

@@ -1,18 +1,20 @@
 //! Loop-activation tracking for whole-program instrumented runs.
 //!
-//! Sequential coverage (paper Tables II and IV), the simulator's
-//! per-iteration costs (Figs. 5–7) and the dynamic baselines' dependence
-//! profiles all rest on the same three facts about a run: when a loop is
-//! entered, when it starts another iteration, and when it exits.
-//! [`LoopTracker`] is the one [`Hooks`] implementation that derives them;
-//! each consumer is a [`LoopSink`] that keeps its own per-activation state
-//! and its own rules.
+//! DCA's golden recording (paper §IV-B1), sequential coverage (Tables II
+//! and IV), the simulator's per-iteration costs (Figs. 5–7) and the
+//! dynamic baselines' dependence profiles all rest on the same three
+//! facts about a run: when a loop is entered, when it starts another
+//! iteration, and when it exits. [`LoopTracker`] is the one [`Hooks`]
+//! implementation that derives them; each consumer is a [`LoopSink`] that
+//! keeps its own per-activation state and its own rules. Sinks that need
+//! more also see the instructions run in the innermost activation's frame
+//! and each memory access, a store with its old and new values.
 //!
 //! An *activation* is one invocation of a loop in one call frame: a loop
 //! of a recursive function can be live at several frame depths at once,
 //! and each depth is its own activation.
 
-use crate::hooks::{Hooks, Site};
+use crate::hooks::{Hooks, InstAction, Site};
 use crate::value::{Addr, Value};
 use dca_ir::{BlockId, FuncId, FuncView, LoopId, LoopRef, Module};
 use std::collections::BTreeSet;
@@ -38,17 +40,24 @@ pub trait LoopSink {
 
     /// Control re-arrived at the activation's header at step `steps`: the
     /// previous iteration ended and another begins (or the exit check
-    /// runs).
-    fn iterate(&mut self, act: &mut Self::Act, steps: u64) {}
+    /// runs). `vars` are the activation's frame variables.
+    fn iterate(&mut self, act: &mut Self::Act, steps: u64, vars: &[Value]) {}
+
+    /// Instruction `idx` of `block` is about to run in the frame of the
+    /// innermost live activation `act` (so `block` is one of its loop's
+    /// blocks). Instructions of callees, including deeper activations'
+    /// frames, are not reported to outer activations.
+    fn inst(&mut self, act: &mut Self::Act, block: BlockId, idx: usize, vars: &[Value]) {}
 
     /// The activation of `lref` ended at step `steps`: control left the
     /// loop's blocks, or its frame returned. `None` means the run ended
     /// while it was still live.
     fn exit(&mut self, lref: LoopRef, act: Self::Act, steps: Option<u64>);
 
-    /// A memory cell was read (`write == false`) or written while `live`
-    /// activations (outermost first) were on the stack.
-    fn access(&mut self, live: &mut [Self::Act], addr: Addr, write: bool) {}
+    /// A memory cell was read (`store == None`) or overwritten
+    /// (`store == Some((old, new))`) while `live` activations (outermost
+    /// first) were on the stack.
+    fn access(&mut self, live: &mut [Self::Act], addr: Addr, store: Option<(Value, Value)>) {}
 }
 
 /// Per-function loop tables, built once per tracker.
@@ -168,6 +177,12 @@ impl<S: LoopSink> LoopTracker<S> {
         }
     }
 
+    /// The sink, for a driver that steps the machine itself and reads
+    /// the sink's state between steps.
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
+    }
+
     /// Ends tracking: every activation still live is reported to the sink
     /// as unfinished (innermost first), and the sink is handed back.
     pub fn finish(mut self) -> S {
@@ -199,8 +214,13 @@ impl<S: LoopSink> LoopTracker<S> {
 
 impl<S: LoopSink> Hooks for LoopTracker<S> {
     fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
-        let base = self.frame_base(site.depth);
         let table = &self.tables[site.func.index()];
+        if table.chains.is_empty() {
+            // No activation is live in a frame without tracked loops, nor
+            // deeper: those exited when their frames returned.
+            return;
+        }
+        let base = self.frame_base(site.depth);
         let chain = table.chain(block);
         // How much of this frame's live stack is still a prefix of the
         // block's chain; everything above it has been exited.
@@ -226,8 +246,25 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
         // Header re-arrival of the innermost live loop: a new iteration.
         if header_arrival {
             let act = self.acts.last_mut().expect("matched activation is live");
-            self.sink.iterate(act, site.steps);
+            self.sink.iterate(act, site.steps, vars);
         }
+    }
+
+    fn before_inst(
+        &mut self,
+        site: Site,
+        block: BlockId,
+        idx: usize,
+        vars: &mut [Value],
+    ) -> InstAction {
+        // While an activation is live, code runs in its frame or in the
+        // deeper frames of its callees.
+        if let (Some(&(depth, _)), Some(act)) = (self.live.last(), self.acts.last_mut()) {
+            if depth == site.depth {
+                self.sink.inst(act, block, idx, vars);
+            }
+        }
+        InstAction::Run
     }
 
     fn on_return(&mut self, site: Site, _func: FuncId) {
@@ -238,11 +275,11 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
     }
 
     fn on_read(&mut self, _site: Site, addr: Addr) {
-        self.sink.access(&mut self.acts, addr, false);
+        self.sink.access(&mut self.acts, addr, None);
     }
 
-    fn on_write(&mut self, _site: Site, addr: Addr) {
-        self.sink.access(&mut self.acts, addr, true);
+    fn on_store(&mut self, _site: Site, addr: Addr, old: Value, new: Value) {
+        self.sink.access(&mut self.acts, addr, Some((old, new)));
     }
 }
 
@@ -286,7 +323,7 @@ mod tests {
             (lref, steps)
         }
 
-        fn iterate(&mut self, act: &mut Self::Act, _: u64) {
+        fn iterate(&mut self, act: &mut Self::Act, _: u64, _: &[Value]) {
             self.loops.entry(act.0).or_default().arrivals += 1;
         }
 
@@ -298,7 +335,7 @@ mod tests {
             }
         }
 
-        fn access(&mut self, live: &mut [Self::Act], _: Addr, _: bool) {
+        fn access(&mut self, live: &mut [Self::Act], _: Addr, _: Option<(Value, Value)>) {
             for &mut (lref, _) in live {
                 self.loops.entry(lref).or_default().accesses += 1;
             }
@@ -476,6 +513,113 @@ mod tests {
                @inner: for (let j: int = 0; j < 4; j = j + 1) { a[j] = a[j] + 1; } } }");
         assert_eq!(r.stats("inner").accesses, 3 * 4 * 2);
         assert_eq!(r.stats("outer").accesses, 3 + 3 * 4 * 2);
+    }
+
+    /// Logs the per-frame events of every activation of one function's
+    /// loops, watching variable `var` of that function.
+    struct FrameSink {
+        var: dca_ir::VarId,
+        nvars: usize,
+        /// `var` at each header re-arrival.
+        arrivals: Vec<Value>,
+        /// Instruction events, and those whose frame was not the
+        /// activation's (other variables or another value of `var`).
+        insts: u64,
+        foreign: u64,
+        stores: Vec<(Value, Value)>,
+        reads: u64,
+    }
+
+    impl LoopSink for FrameSink {
+        /// `var` at entry.
+        type Act = Value;
+
+        fn enter(&mut self, _: LoopRef, _: u64, _: bool, vars: &[Value]) -> Value {
+            vars[self.var.index()]
+        }
+
+        fn iterate(&mut self, _: &mut Value, _: u64, vars: &[Value]) {
+            self.arrivals.push(vars[self.var.index()]);
+        }
+
+        fn inst(&mut self, act: &mut Value, _: BlockId, _: usize, vars: &[Value]) {
+            self.insts += 1;
+            if vars.len() != self.nvars || vars[self.var.index()] != *act {
+                self.foreign += 1;
+            }
+        }
+
+        fn exit(&mut self, _: LoopRef, _: Value, _: Option<u64>) {}
+
+        fn access(&mut self, _: &mut [Value], _: Addr, store: Option<(Value, Value)>) {
+            match store {
+                Some(s) => self.stores.push(s),
+                None => self.reads += 1,
+            }
+        }
+    }
+
+    /// Runs `src` with a [`FrameSink`] tracking `func`'s loops and
+    /// watching its variable `var`.
+    fn frame_events(src: &str, func: &str, var: &str) -> FrameSink {
+        let module = compile(src).expect("compile");
+        let fid = module.func_by_name(func).expect("func");
+        let f = module.func(fid);
+        let var = (0..f.vars.len())
+            .map(|i| dca_ir::VarId(i as u32))
+            .find(|&v| f.var(v).name == var)
+            .expect("var");
+        let sink = FrameSink {
+            var,
+            nvars: f.vars.len(),
+            arrivals: Vec::new(),
+            insts: 0,
+            foreign: 0,
+            stores: Vec::new(),
+            reads: 0,
+        };
+        let selection = dca_ir::all_loops(&module)
+            .into_iter()
+            .map(|(l, _)| l)
+            .filter(|l| l.func == fid)
+            .collect();
+        let mut machine = Machine::new(&module);
+        machine
+            .push_call(module.main().expect("main"), &[])
+            .expect("push");
+        let mut tracker = LoopTracker::watching(&module, &selection, sink);
+        machine.run(&mut tracker, u64::MAX).expect("run");
+        tracker.finish()
+    }
+
+    #[test]
+    fn inst_events_stay_in_the_activation_frame() {
+        // Each @r activation calls a helper and recurses before its loop
+        // starts in the deeper frame: neither frame's instructions may
+        // reach the caller's activation.
+        let src = "fn h(k: int) -> int { let z: int = k * 7; return z; }\n\
+             fn rec(n: int) -> int { let s: int = h(n); \
+               @r: for (let i: int = 0; i < 2; i = i + 1) { \
+                 s = s + h(i); if (n > 0) { s = s + rec(n - 1); } } return s; }\n\
+             fn main() { rec(2); }";
+        let e = frame_events(src, "rec", "n");
+        assert!(e.insts > 0);
+        assert_eq!(e.foreign, 0, "{} of {} events", e.foreign, e.insts);
+    }
+
+    #[test]
+    fn iterate_sees_the_frame_and_stores_carry_values() {
+        let e = frame_events(
+            "fn main() { let a: [int; 1]; \
+             @l: for (let i: int = 0; i < 3; i = i + 1) { a[0] = a[0] + i; } }",
+            "main",
+            "i",
+        );
+        let ints = |xs: &[i64]| xs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>();
+        assert_eq!(e.arrivals, ints(&[1, 2, 3]));
+        let (old, new): (Vec<Value>, Vec<Value>) = e.stores.into_iter().unzip();
+        assert_eq!((old, new), (ints(&[0, 0, 1]), ints(&[0, 1, 3])));
+        assert_eq!(e.reads, 3);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl LoopSink for CostProfiler {
         (steps, costs)
     }
 
-    fn iterate(&mut self, (last_header, costs): &mut Self::Act, steps: u64) {
+    fn iterate(&mut self, (last_header, costs): &mut Self::Act, steps: u64, _: &[Value]) {
         costs.iter_costs.push(steps - *last_header);
         *last_header = steps;
     }

@@ -11,9 +11,12 @@
 //! The execution model reuses the dynamic stage's machinery end to end:
 //!
 //! 1. [`dca_core::record_golden`] captures the loop's first invocation —
-//!    the entry snapshot, the linearized iterator values and the iterator
-//!    exit state — exactly as the analysis did, stopping at the loop exit:
-//!    nothing here reads the golden run's program outcome.
+//!    the entry snapshot, the linearized iterator values and the exit
+//!    state — exactly as the analysis did, stopping at the loop exit:
+//!    nothing here reads the golden run's program outcome. When the
+//!    decomposability pre-check or chunk autotuning wants it, a
+//!    [`dca_deps::FootprintProbe`] rides in the same run and returns the
+//!    per-iteration footprint profile.
 //! 2. Each worker restores the snapshot into its own [`Machine`] and
 //!    drives the analysis's replay controller
 //!    ([`dca_core::ReplayController`]) with a worker-share iteration
@@ -63,11 +66,11 @@ use crate::plan::ParallelPlan;
 use crate::sim::Schedule;
 use dca_analysis::{ArrayKey, EffectMap, IteratorSlice, Liveness, ReductionOp};
 use dca_core::{
-    digest_roots, hash_live_state, read_roots, record_golden, record_golden_profiled, run_replay,
-    DcaConfig, DcaReport, DigestScratch, Divergence, GoldenRecord, IterOrder, Obs, RecordError,
-    ReplayController, ReplayEnd, ReplayGovernor, StateDigest,
+    digest_roots, hash_live_state, read_roots, record_golden, run_replay, DcaConfig, DcaReport,
+    DigestScratch, Divergence, GoldenRecord, IterOrder, Obs, RecordError, ReplayController,
+    ReplayEnd, ReplayGovernor, StateDigest,
 };
-use dca_deps::{autotune_chunk, check_decomposable, Conflict, DepVerdict};
+use dca_deps::{autotune_chunk, check_decomposable, Conflict, DepVerdict, FootprintProbe};
 use dca_interp::{Addr, Machine, ObjId, Trap, Value};
 use dca_ir::{
     BinOp, BlockId, FuncId, FuncView, Function, Inst, Loop, LoopRef, Module, Operand, VarId,
@@ -359,44 +362,33 @@ pub fn execute_loop(
     }
 
     // The footprint profile feeds both the decomposability pre-check and
-    // chunk autotuning; when neither is requested, record without hooks
-    // so the plain path pays nothing.
+    // chunk autotuning; when neither is requested, record without a probe.
     let want_profile = cfg.deps_precheck || cfg.schedule == Schedule::Auto;
-    let (golden, profile) = {
-        let mut rec = Machine::new(module);
-        if want_profile {
-            let (g, p) = record_golden_profiled(
-                &mut rec,
-                main,
-                args,
-                lref.func,
-                func_ir,
-                &l,
-                &slice,
-                0,
-                cfg.max_trip,
-                cfg.max_steps,
-                true,
-            )
-            .map_err(ExecError::Record)?;
-            (g, Some(p))
-        } else {
-            let g = record_golden(
-                &mut rec,
-                main,
-                args,
-                lref.func,
-                &l,
-                &slice,
-                0,
-                cfg.max_trip,
-                cfg.max_steps,
-                true,
-            )
-            .map_err(ExecError::Record)?;
-            (g, None)
-        }
-    };
+    let mut probe = want_profile.then(FootprintProbe::new);
+    let golden = record_golden(
+        &mut Machine::new(module),
+        main,
+        args,
+        lref.func,
+        &l,
+        &slice,
+        0,
+        0,
+        cfg.max_trip,
+        cfg.max_steps,
+        None,
+        None,
+        true,
+        probe.as_mut(),
+    )
+    .map_err(ExecError::Record)?;
+    let profile = probe.map(FootprintProbe::finish);
+    debug_assert!(
+        profile
+            .as_ref()
+            .is_none_or(|p| p.iters.len() == golden.iters.len()),
+        "profile iterations must align with the golden record"
+    );
     let n = golden.iters.len();
 
     // The master machine the harvests merge onto; also used to resolve
@@ -625,8 +617,8 @@ pub fn execute_loop(
 
     // Iterator exit state: the recorded values close the loop exactly as
     // the replay controller's exit phase does.
-    for (pos, &v) in golden.rec_vars.iter().enumerate() {
-        master.write_var(v, golden.exit_vals[pos]);
+    for &v in &golden.rec_vars {
+        master.write_var(v, golden.exit.vars[v.index()]);
     }
 
     // --- Differential validation. ---

@@ -5,7 +5,7 @@
 //! golden run's bit for bit, counts the golden suffix's steps instead of
 //! interpreting them. These tests recompute every tested loop the slow
 //! way, with full-suffix replays through the public API
-//! (`record_golden_governed`, then `run_replay(.., false, ..)`), and
+//! (`record_golden`, then `run_replay(.., false, ..)`), and
 //! require the engine's verdict, permutation count and replay steps to
 //! match exactly. They also pin the states that must not elide (and one
 //! that must), and check that an identity replay to the loop exit — the
@@ -14,7 +14,6 @@
 
 use dca::analysis::{EffectMap, IteratorSlice, Liveness};
 use dca::core::perm::{derive_seed, schedules};
-use dca::core::record::record_golden_governed;
 use dca::core::{
     digest_roots, record_golden, run_replay, Dca, DcaConfig, FaultKind, FaultPlan, GoldenRecord,
     LoopVerdict, ObsOptions, RecordError, ReplayController, ReplayEnd, ReplayGovernor, Violation,
@@ -47,7 +46,7 @@ fn full_suffix(m: &Module, args: &[Value], lref: LoopRef, cfg: &DcaConfig) -> Ou
     let (mut perms_total, mut steps_total) = (0, 0);
     for invocation in 0..cfg.invocations {
         let mut machine = Machine::new(m);
-        let golden = match record_golden_governed(
+        let golden = match record_golden(
             &mut machine,
             main,
             args,
@@ -55,10 +54,12 @@ fn full_suffix(m: &Module, args: &[Value], lref: LoopRef, cfg: &DcaConfig) -> Ou
             l,
             &slice,
             invocation,
+            2,
             cfg.max_trip,
             cfg.max_steps,
-            2,
             None,
+            None,
+            false,
             None,
         ) {
             Ok(g) => g,
@@ -185,9 +186,13 @@ fn identity_exit_misses(name: &str, m: &Module, args: &[Value]) -> (usize, Vec<S
             l,
             &slice,
             0,
+            0,
             cfg.max_trip,
             cfg.max_steps,
+            None,
+            None,
             true,
+            None,
         ) else {
             continue;
         };
@@ -300,9 +305,13 @@ fn reverse_to_exit(
         l,
         &slice,
         0,
+        0,
         cfg.max_trip,
         cfg.max_steps,
+        None,
+        None,
         false,
+        None,
     )
     .expect("record");
     let perm: Vec<usize> = (0..golden.iters.len()).rev().collect();
@@ -456,9 +465,13 @@ fn injected_faults_still_run_the_suffix() {
         l,
         &slice,
         0,
+        0,
         cfg.max_trip,
         cfg.max_steps,
+        None,
+        None,
         false,
+        None,
     )
     .expect("record");
     let perms = schedules(
