@@ -6,9 +6,10 @@
 //! Two invariants are enforced here, per loop:
 //!
 //! * **Oracle stability** — the sequential oracle fingerprint must be
-//!   identical at every execution width (it is computed from the same
-//!   golden recording; a difference means the executor perturbed
-//!   recording or replay). The binary exits non-zero on a mismatch.
+//!   identical at every execution width (it is the live-out state of the
+//!   same golden recording, stopped at the loop exit; a difference means
+//!   the executor perturbed the recording). The binary exits non-zero on
+//!   a mismatch.
 //! * **No silent corruption** — a width where the merged parallel state
 //!   does not match the oracle must surface as a rejection
 //!   ([`dca_parallel::ExecError::Diverged`]), never as a validated run.
@@ -36,7 +37,11 @@
 //! CI runs this binary twice and diffs stdout: the width sweep is
 //! internal (`DCA_EXEC_WIDTHS`, default `1 2 4`), every printed field is
 //! deterministic, so any diff means non-deterministic execution or
-//! merge. Width-dependent accounting (steals, combines) goes to stderr.
+//! merge. CI also diffs each pre-check mode's stdout against the pinned
+//! `bench/expected/suite_execute.txt` and
+//! `bench/expected/suite_execute_noprecheck.txt`, so an oracle
+//! fingerprint cannot drift across commits unnoticed. Width-dependent
+//! accounting (steals, combines) goes to stderr.
 
 use dca_core::{Dca, DcaConfig, Obs};
 use dca_parallel::{execute_loop, ExecConfig, ExecError};

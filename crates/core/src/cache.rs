@@ -160,9 +160,12 @@ impl KeyBuilder {
             }
         }
         fp.push(config.seed);
+        // Tag 1 was the loop-exit scope whose reference came from an
+        // identity replay; retiring it keeps those entries from serving
+        // verdicts or step counts checked against the golden run.
         fp.push(match config.verify_scope {
             VerifyScope::ProgramEnd => 0,
-            VerifyScope::LoopExit => 1,
+            VerifyScope::LoopExit => 2,
         });
         fp.push(config.float_tolerance.to_bits());
         fp.push(match config.digest {
@@ -1122,5 +1125,26 @@ mod tests {
             "arg type is part of the key"
         );
         std::mem::drop(seen);
+    }
+
+    #[test]
+    fn scope_tags_keep_program_end_keys_and_retire_old_loop_exit_keys() {
+        let m = dca_ir::compile(
+            "fn main() -> int { let i: int = 0; let s: int = 0;
+             @l: while (i < 4) { s = s + i; i = i + 1; } return s; }",
+        )
+        .expect("compile");
+        let key = |cfg: &DcaConfig| KeyBuilder::new(cfg, &[], &m).all_loop_keys(&m)[0];
+        // Program-end keys are unchanged, so existing cache files still hit.
+        assert_eq!(
+            key(&DcaConfig::default()),
+            0x0cc9_a98e_ae65_a18c_1045_9cda_f387_8d95
+        );
+        // Loop-exit verdicts written when the scope's reference was an
+        // identity replay must never be served again.
+        assert_ne!(
+            key(&DcaConfig::exact()),
+            0xe375_723c_d68b_c81c_333c_ee1a_e8c1_75ce
+        );
     }
 }

@@ -82,9 +82,13 @@ pub enum VerifyScope {
     #[default]
     ProgramEnd,
     /// Compare at the loop exit: live-out scalars plus a canonical digest
-    /// of the heap reachable from live-out pointers and globals. Cheaper
-    /// but stricter (transient structure differences, such as a permuted
-    /// worklist's element order, count as mismatches).
+    /// of the heap reachable from live-out pointers and globals. The
+    /// reference is the golden run itself, recorded up to the loop exit
+    /// and digested where it stands. Cheaper but stricter (transient
+    /// structure differences, such as a permuted worklist's element
+    /// order, count as mismatches). `tests/precision.rs` checks on the
+    /// suite that every loop commutative at the loop exit is commutative
+    /// at program end too.
     LoopExit,
 }
 
@@ -225,11 +229,6 @@ pub struct DcaConfig {
     /// verification engine's pool): analysis width and execution width
     /// are different knobs.
     pub exec_threads: usize,
-    /// Whether every parallel execution is differentially validated
-    /// against the sequential oracle (live-out fingerprint comparison,
-    /// divergence = hard error). On by default; turning it off trades
-    /// the correctness oracle for one sequential run less per loop.
-    pub exec_validate: bool,
 }
 
 impl Default for DcaConfig {
@@ -253,7 +252,6 @@ impl Default for DcaConfig {
             fault_retries: 0,
             cancel: None,
             exec_threads: 0,
-            exec_validate: true,
         }
     }
 }
@@ -324,7 +322,6 @@ mod tests {
         assert_eq!(c.fault_retries, 0, "no fault retries by default");
         assert!(c.cancel.is_none(), "no cancellation token by default");
         assert_eq!(c.exec_threads, 0, "auto-detect executor width by default");
-        assert!(c.exec_validate, "parallel runs validate by default");
     }
 
     #[test]

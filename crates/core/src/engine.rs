@@ -109,8 +109,8 @@ impl VerifyEnd {
 /// report carries. `tested` counts the permutations verified successfully
 /// *before* the first terminal outcome (all of them on
 /// [`VerifyEnd::Complete`]); `replay_steps` sums the interpreter steps of
-/// the reference replay, those permutations, and the terminal one — a sum
-/// that is identical for every worker-thread count.
+/// those permutations and the terminal one — a sum that is identical for
+/// every worker-thread count.
 #[derive(Debug, Clone, PartialEq)]
 struct VerifySummary {
     end: VerifyEnd,
@@ -207,7 +207,7 @@ fn fault_counter(kind: FaultKind) -> &'static str {
 }
 
 /// Obs-relevant totals folded from the sequential prefix of one
-/// permutation verification, plus the reference replay.
+/// permutation verification.
 #[derive(Default)]
 struct FoldTotals {
     replays: u64,
@@ -960,7 +960,7 @@ impl Dca {
                 self.config.max_steps,
                 self.run_deadline(ctx.analysis_deadline),
                 ctx.cancel,
-                false,
+                self.config.verify_scope == VerifyScope::LoopExit,
                 None,
             );
             obs.span_end("stage.record", rec_t);
@@ -982,7 +982,7 @@ impl Dca {
             let seed = derive_seed(self.config.seed, lref.func.0, lref.loop_id.0, invocation);
             let perms = schedules(&self.config.permutations, trip, seed);
             let summary = self.verify_permutations(
-                module, &view, &live, l, &slice, &golden, &perms, threads, &obs, ctx,
+                module, &view, &live, l, &slice, &golden, &machine, &perms, threads, &obs, ctx,
             );
             let verdict = summary.end.verdict();
             out.push(LoopResult {
@@ -1102,7 +1102,7 @@ impl Dca {
                 self.config.max_steps,
                 self.run_deadline(ctx.analysis_deadline),
                 ctx.cancel,
-                false,
+                self.config.verify_scope == VerifyScope::LoopExit,
                 None,
             );
             obs.span_end("stage.record", rec_t);
@@ -1125,7 +1125,7 @@ impl Dca {
             let seed = derive_seed(self.config.seed, lref.func.0, lref.loop_id.0, invocation);
             let perms = schedules(&self.config.permutations, trip, seed);
             let summary = self.verify_permutations(
-                module, view, live, l, &slice, &golden, &perms, threads, obs, ctx,
+                module, view, live, l, &slice, &golden, &machine, &perms, threads, obs, ctx,
             );
             perms_total += summary.tested;
             steps_total += summary.replay_steps;
@@ -1155,7 +1155,10 @@ impl Dca {
     }
 
     /// Verifies every permutation against the golden reference, fanning
-    /// the replays out across up to `threads` workers.
+    /// the replays out across up to `threads` workers. `golden_machine`
+    /// is the machine that recorded `golden`; under the loop-exit scope
+    /// the recording stopped at the loop exit, and the reference state is
+    /// read from it.
     ///
     /// Each worker owns a private [`Machine`] restored from the shared
     /// golden snapshot, so replays share no mutable state. Early exit is
@@ -1173,6 +1176,7 @@ impl Dca {
         l: &Loop,
         slice: &IteratorSlice,
         golden: &GoldenRecord,
+        golden_machine: &Machine<'_>,
         perms: &[Vec<usize>],
         threads: usize,
         obs: &Obs,
@@ -1207,97 +1211,27 @@ impl Dca {
             trap_at_step,
             cancel: ctx.cancel,
         };
-        let mut reference_steps = 0u64;
-        // Under the loop-exit scope the reference state comes from an
-        // identity replay (identical by construction to the golden run up
-        // to the exit point).
-        let reference = if stop_at_exit {
-            let identity: Vec<usize> = (0..golden.iters.len()).collect();
-            let t_restore = t_start();
-            let mut machine = self.new_machine(module);
-            machine.restore(&golden.snapshot);
-            obs.record_span("stage.restore", t_since(t_restore), 1);
-            let before = machine.steps();
-            let mut ctl = ReplayController::new(view.id, view.func, l, slice, golden, &identity);
-            let t_replay = t_start();
-            let end = run_replay(
-                &mut machine,
-                &mut ctl,
-                true,
-                self.config.max_steps,
-                governor(None),
-            );
-            obs.record_span("stage.replay", t_since(t_replay), 1);
-            reference_steps = machine.steps() - before;
-            obs.count("engine.replays", 1);
-            record_machine_ops(obs, &machine.op_counts());
-            match end {
-                ReplayEnd::LoopExited => {}
-                // `Finished` without a loop exit means the frame unwound
-                // before the loop completed: there is no state to digest.
-                ReplayEnd::Finished(_) => {
-                    return VerifySummary {
-                        end: VerifyEnd::Violated(Violation::ReplayDiverged),
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::BudgetExhausted => {
-                    return VerifySummary {
-                        end: VerifyEnd::Budget,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::Trapped(Trap::OutOfMemory) if self.config.max_heap_cells.is_some() => {
-                    return VerifySummary {
-                        end: VerifyEnd::MemBudget,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::Trapped(t) => {
-                    return VerifySummary {
-                        end: VerifyEnd::Violated(Violation::ReplayTrapped(t)),
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::DeadlineExpired => {
-                    return VerifySummary {
-                        end: VerifyEnd::Deadline,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::Cancelled => {
-                    return VerifySummary {
-                        end: VerifyEnd::Cancelled,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-            }
+        // Under the loop-exit scope the golden recording stopped at the
+        // loop exit, so its machine stands in the reference state.
+        let reference = stop_at_exit.then(|| {
             let t_digest = t_start();
             let mut scratch = DigestScratch::new();
             let mut vals = Vec::with_capacity(roots.vars.len());
-            read_roots(&machine, &roots.vars, &mut vals);
+            read_roots(golden_machine, &roots.vars, &mut vals);
             let r = if hashed {
-                let (h, cells) = hash_live_state(&machine, &vals, &mut scratch);
+                let (h, cells) = hash_live_state(golden_machine, &vals, &mut scratch);
                 obs.count("verify.digest.hashed", 1);
                 obs.count("verify.digest.cells", cells);
                 Reference::Hash(h)
             } else {
-                let d = StateDigest::capture_with(&machine, &vals, &mut scratch);
+                let d = StateDigest::capture_with(golden_machine, &vals, &mut scratch);
                 obs.count("verify.digest.structural", 1);
                 obs.count("verify.digest.cells", d.cell_count());
                 Reference::Digest(d)
             };
             obs.record_span("stage.verify", t_since(t_digest), 1);
-            Some(r)
-        } else {
-            None
-        };
+            r
+        });
         let check_one = |w: &mut ReplayWorker<'_>, slot: usize, perm: &Vec<usize>| -> PermOutcome {
             // Deterministic fault targeting: the (loop ordinal, slot)
             // pair is position-based, so the same replay is hit at every
@@ -1427,49 +1361,24 @@ impl Dca {
                             } else {
                                 // Tier-2 diagnostics: the 16-byte reference
                                 // can say *that* the states differ but not
-                                // *where*. Materialize the permuted
-                                // structural digest, rewind, rebuild the
-                                // golden loop-exit state via an identity
-                                // replay, and diff the two. Only the
-                                // terminal replay pays this; `steps` was
-                                // measured before the verify step, so the
-                                // diagnostic replay never perturbs
-                                // `replay_steps`.
+                                // *where*. Materialize both structural
+                                // digests — the permuted one and the
+                                // golden one from the recording machine —
+                                // and diff them. Only the terminal replay
+                                // pays this.
                                 let permuted =
                                     StateDigest::capture_with(&w.machine, &w.roots, &mut w.scratch);
-                                digest.structural += 1;
-                                digest.cells += permuted.cell_count();
-                                w.machine.rollback();
-                                w.machine.clear_alloc_fault();
-                                w.machine.begin_journal();
-                                let identity: Vec<usize> = (0..golden.iters.len()).collect();
-                                let mut ictl = ReplayController::new(
-                                    view.id, view.func, l, slice, golden, &identity,
+                                read_roots(golden_machine, &roots.vars, &mut w.roots);
+                                let golden_digest = StateDigest::capture_with(
+                                    golden_machine,
+                                    &w.roots,
+                                    &mut w.scratch,
                                 );
-                                let iend = run_replay(
-                                    &mut w.machine,
-                                    &mut ictl,
-                                    true,
-                                    self.config.max_steps,
-                                    governor(None),
-                                );
-                                let div = if matches!(iend, ReplayEnd::LoopExited) {
-                                    read_roots(&w.machine, &roots.vars, &mut w.roots);
-                                    let golden_digest = StateDigest::capture_with(
-                                        &w.machine,
-                                        &w.roots,
-                                        &mut w.scratch,
-                                    );
-                                    digest.structural += 1;
-                                    digest.cells += golden_digest.cell_count();
-                                    golden_digest.first_divergence(&permuted, 0.0, &roots.names)
-                                } else {
-                                    // The diagnostic replay itself hit a
-                                    // budget/deadline: report the mismatch
-                                    // without a pinpointed divergence.
-                                    None
-                                };
-                                VerifyEnd::Violated(Violation::OutcomeMismatch(div))
+                                digest.structural += 2;
+                                digest.cells += permuted.cell_count() + golden_digest.cell_count();
+                                VerifyEnd::Violated(Violation::OutcomeMismatch(
+                                    golden_digest.first_divergence(&permuted, 0.0, &roots.names),
+                                ))
                             }
                         }
                         Reference::Digest(reference) => {
@@ -1621,7 +1530,7 @@ impl Dca {
                 );
             }
         }
-        let replay_steps = totals.steps + reference_steps;
+        let replay_steps = totals.steps;
         if terminal == usize::MAX {
             return VerifySummary {
                 end: VerifyEnd::Complete,
@@ -1646,9 +1555,9 @@ impl Dca {
     }
 }
 
-/// The loop-exit reference state captured from the identity replay: a
-/// 16-byte fingerprint under the hashed tier, the materialized
-/// structural digest otherwise.
+/// The loop-exit reference state, captured from the golden recording
+/// machine standing at the loop exit: a 16-byte fingerprint under the
+/// hashed tier, the materialized structural digest otherwise.
 enum Reference {
     Hash(u128),
     Digest(StateDigest),

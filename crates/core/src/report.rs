@@ -14,9 +14,8 @@ use std::time::Duration;
 pub enum Violation {
     /// A permuted execution produced a different outcome than the golden
     /// reference. Carries the first point of divergence in canonical
-    /// traversal order when the engine could pinpoint one (`None` only
-    /// when the diagnostic pass itself could not complete — e.g. the
-    /// identity replay used to rebuild the golden state hit a budget).
+    /// traversal order when the engine could pinpoint one (`None` when
+    /// the comparison found none to name).
     OutcomeMismatch(Option<Divergence>),
     /// A permuted execution trapped (paper §IV-E: permuted execution of
     /// non-commutative loops can behave unpredictably; we detect this
@@ -140,9 +139,9 @@ pub struct LoopResult {
     /// How many permutations were executed.
     pub permutations_tested: usize,
     /// Interpreter steps consumed by the verification replays of this
-    /// loop (the reference replay, every completed permutation, and the
-    /// first terminal one). Deterministic for a given config and workload,
-    /// regardless of the worker-thread count.
+    /// loop (every completed permutation and the first terminal one).
+    /// Deterministic for a given config and workload, regardless of the
+    /// worker-thread count.
     pub replay_steps: u64,
     /// Wall-clock time spent analyzing this loop (golden recording plus
     /// replays). Purely informational; varies run to run.

@@ -5,15 +5,16 @@
 //! predicts what running them in parallel *would* buy. This module is the
 //! payoff: it actually runs a proven loop's iterations across a pool of
 //! OS threads, one interpreter per worker, and then **differentially
-//! validates** the merged result against the sequential oracle before
-//! anyone gets to trust it.
+//! validates** the merged result against the sequential oracle — the
+//! program's own original-order run — before anyone gets to trust it.
 //!
 //! The execution model reuses the dynamic stage's machinery end to end:
 //!
 //! 1. [`dca_core::record_golden`] captures the loop's first invocation —
 //!    the entry snapshot, the linearized iterator values and the exit
 //!    state — exactly as the analysis did, stopping at the loop exit:
-//!    nothing here reads the golden run's program outcome. When the
+//!    nothing here reads the golden run's program outcome, and the
+//!    recording machine is kept, standing in the exit state. When the
 //!    decomposability pre-check or chunk autotuning wants it, a
 //!    [`dca_deps::FootprintProbe`] rides in the same run and returns the
 //!    per-iteration footprint profile.
@@ -33,11 +34,13 @@
 //!    scalar partials are combined with the plan's operators in a
 //!    deterministic chunk-ordered tree, and the recorded iterator exit
 //!    values close the loop.
-//! 4. Unless validation is disabled, the merged live-out state is
-//!    fingerprinted ([`dca_core::hash_live_state`]) and compared against
-//!    a sequential identity replay of the same invocation. A mismatch is
-//!    a hard [`ExecError::Diverged`] carrying the first divergent root or
-//!    cell — a parallel run never silently returns corrupted state.
+//! 4. The merged live-out state is fingerprinted
+//!    ([`dca_core::hash_live_state`]) and compared against the same roots
+//!    in the recording machine of step 1: the sequential oracle is the
+//!    golden run itself, not a replay through the controller the workers
+//!    use, so a controller bug cannot cancel out. A mismatch is a hard
+//!    [`ExecError::Diverged`] carrying the first divergent root or cell —
+//!    a parallel run never silently returns corrupted state.
 //!
 //! Floating-point reductions combined in a different order are not
 //! bit-identical in general; [`ExecConfig::float_tolerance`] falls back
@@ -111,15 +114,12 @@ pub struct ExecConfig {
     /// Iteration schedule. [`Schedule::Dynamic`] chunks are clamped to at
     /// least one iteration per grab.
     pub schedule: Schedule,
-    /// Run the sequential oracle and compare live-out fingerprints.
-    /// Leaving this on is the whole point; turning it off is for
-    /// benchmarking the parallel path alone.
-    pub validate: bool,
     /// Relative tolerance for the digest fallback when fingerprints are
     /// not bit-identical (reassociated float reductions). `0.0` demands
     /// exactness up to NaN/`-0.0` canonicalization.
     pub float_tolerance: f64,
-    /// Interpreter step budget per worker (and for the oracle).
+    /// Interpreter step budget for the golden recording and for each
+    /// worker.
     pub max_steps: u64,
     /// Trip-count cap for the golden recording.
     pub max_trip: usize,
@@ -136,7 +136,6 @@ impl Default for ExecConfig {
         ExecConfig {
             threads: 0,
             schedule: Schedule::StaticBlock,
-            validate: true,
             float_tolerance: 1e-8,
             max_steps: DcaConfig::DEFAULT_MAX_STEPS,
             max_trip: DcaConfig::DEFAULT_MAX_TRIP,
@@ -147,14 +146,13 @@ impl Default for ExecConfig {
 
 impl ExecConfig {
     /// Derives an execution configuration from an analysis
-    /// configuration: `exec_threads`/`exec_validate` plus the shared
-    /// float tolerance and budgets.
+    /// configuration: `exec_threads` plus the shared float tolerance and
+    /// budgets.
     #[must_use]
     pub fn from_dca(cfg: &DcaConfig) -> Self {
         ExecConfig {
             threads: cfg.exec_threads,
             schedule: Schedule::StaticBlock,
-            validate: cfg.exec_validate,
             float_tolerance: cfg.float_tolerance,
             max_steps: cfg.max_steps,
             max_trip: cfg.max_trip,
@@ -186,13 +184,14 @@ pub enum ExecError {
     },
     /// Recording the golden invocation failed.
     Record(RecordError),
-    /// A worker (or the oracle) trapped.
+    /// A worker trapped.
     Trapped(Trap),
-    /// A worker (or the oracle) ran out of interpreter steps.
+    /// A worker ran out of interpreter steps.
     BudgetExhausted,
     /// The merged parallel state does not match the sequential oracle.
     Diverged {
-        /// The oracle's live-out fingerprint.
+        /// The oracle's live-out fingerprint (the golden run's, at the
+        /// loop exit).
         expected: u128,
         /// The merged parallel fingerprint.
         actual: u128,
@@ -267,15 +266,16 @@ pub struct ExecOutcome {
     /// Reduction combine operations performed during the merge (scalar
     /// tree combines plus histogram cell combines).
     pub combine_steps: u64,
-    /// True when the sequential oracle ran and agreed.
+    /// True when the merged state agreed with the sequential oracle.
+    /// Every `Ok` outcome is validated, so this is always `true`.
     pub validated: bool,
     /// True when the agreement was bit-exact (fingerprint equality);
-    /// false under the float-tolerance fallback or when validation was
-    /// disabled.
+    /// false under the float-tolerance fallback.
     pub exact: bool,
     /// The merged live-out fingerprint ([`dca_core::hash_live_state`]).
     pub fingerprint: u128,
-    /// The sequential oracle's fingerprint, when validation ran. Unlike
+    /// The sequential oracle's fingerprint: the golden run's live-out
+    /// state at the loop exit. Always `Some` on an `Ok` outcome. Unlike
     /// [`ExecOutcome::fingerprint`] this is independent of the worker
     /// count even for tolerance-validated float reductions, so it is
     /// the value to compare across execution widths.
@@ -365,8 +365,11 @@ pub fn execute_loop(
     // chunk autotuning; when neither is requested, record without a probe.
     let want_profile = cfg.deps_precheck || cfg.schedule == Schedule::Auto;
     let mut probe = want_profile.then(FootprintProbe::new);
+    // The recording stops at the loop exit, so its machine is left
+    // standing in the sequential exit state: the oracle.
+    let mut oracle = Machine::new(module);
     let golden = record_golden(
-        &mut Machine::new(module),
+        &mut oracle,
         main,
         args,
         lref.func,
@@ -399,14 +402,12 @@ pub fn execute_loop(
     let mut reds: Vec<ScalarMerge> = Vec::with_capacity(plan.reductions.len());
     for sr in &plan.reductions {
         let bop = if sr.op == ReductionOp::Bitwise {
-            Some(
-                bitwise_op_for_var(func_ir, &l.blocks, sr.var).ok_or_else(|| {
-                    ExecError::Unsupported(format!(
-                        "ambiguous bitwise reduction operator for {}",
-                        var_name(sr.var)
-                    ))
-                })?,
-            )
+            Some(bitwise_op(func_ir, &l.blocks, Some(sr.var)).ok_or_else(|| {
+                ExecError::Unsupported(format!(
+                    "ambiguous bitwise reduction operator for {}",
+                    var_name(sr.var)
+                ))
+            })?)
         } else {
             None
         };
@@ -434,7 +435,7 @@ pub fn execute_loop(
             },
         };
         let bop = if h.op == ReductionOp::Bitwise {
-            Some(bitwise_op_in_loop(func_ir, &l.blocks).ok_or_else(|| {
+            Some(bitwise_op(func_ir, &l.blocks, None).ok_or_else(|| {
                 ExecError::Unsupported("ambiguous bitwise histogram operator".into())
             })?)
         } else {
@@ -627,50 +628,23 @@ pub fn execute_loop(
     read_roots(&master, &roots.vars, &mut buf);
     let (par_fp, _) = hash_live_state(&master, &buf, &mut scratch);
 
-    let mut validated = false;
-    let mut exact = false;
-    let mut oracle_fp = None;
-    if cfg.validate {
-        let mut oracle = Machine::new(module);
-        oracle.restore(&golden.snapshot);
-        let perm: Vec<usize> = (0..n).collect();
-        let mut octl = ReplayController::new(lref.func, func_ir, &l, &slice, &golden, &perm);
-        match run_replay(
-            &mut oracle,
-            &mut octl,
-            true,
-            cfg.max_steps,
-            ReplayGovernor::default(),
-        ) {
-            ReplayEnd::LoopExited => {}
-            ReplayEnd::Trapped(t) => return Err(ExecError::Trapped(t)),
-            ReplayEnd::BudgetExhausted => return Err(ExecError::BudgetExhausted),
-            other => {
-                return Err(ExecError::Unsupported(format!(
-                    "oracle replay ended unexpectedly: {other:?}"
-                )))
-            }
-        }
-        let mut obuf = Vec::new();
-        read_roots(&oracle, &roots.vars, &mut obuf);
-        let (seq_fp, _) = hash_live_state(&oracle, &obuf, &mut scratch);
-        oracle_fp = Some(seq_fp);
-        validated = true;
-        exact = par_fp == seq_fp;
-        if !exact {
-            let seq_digest = StateDigest::capture(&oracle, &obuf);
-            let par_digest = StateDigest::capture(&master, &buf);
-            let tol = cfg.float_tolerance;
-            if !(tol > 0.0 && seq_digest.matches(&par_digest, tol)) {
-                obs.count("exec.divergences", 1);
-                return Err(ExecError::Diverged {
-                    expected: seq_fp,
-                    actual: par_fp,
-                    detail: seq_digest
-                        .first_divergence(&par_digest, tol, &roots.names)
-                        .map(Box::new),
-                });
-            }
+    let mut obuf = Vec::new();
+    read_roots(&oracle, &roots.vars, &mut obuf);
+    let (seq_fp, _) = hash_live_state(&oracle, &obuf, &mut scratch);
+    let exact = par_fp == seq_fp;
+    if !exact {
+        let seq_digest = StateDigest::capture(&oracle, &obuf);
+        let par_digest = StateDigest::capture(&master, &buf);
+        let tol = cfg.float_tolerance;
+        if !(tol > 0.0 && seq_digest.matches(&par_digest, tol)) {
+            obs.count("exec.divergences", 1);
+            return Err(ExecError::Diverged {
+                expected: seq_fp,
+                actual: par_fp,
+                detail: seq_digest
+                    .first_divergence(&par_digest, tol, &roots.names)
+                    .map(Box::new),
+            });
         }
     }
 
@@ -687,10 +661,10 @@ pub fn execute_loop(
         steals,
         chunk,
         combine_steps,
-        validated,
+        validated: true,
         exact,
         fingerprint: par_fp,
-        oracle_fingerprint: oracle_fp,
+        oracle_fingerprint: Some(seq_fp),
     })
 }
 
@@ -1016,38 +990,22 @@ fn combine_value(
     })
 }
 
-/// The concrete bitwise operator applied to `var` inside the loop, when
-/// it is unambiguous. [`ReductionOp::Bitwise`] conflates `&`/`|`/`^`;
-/// the identity and combine differ, so the executor re-derives the
-/// operator from the loop body.
-fn bitwise_op_for_var(func_ir: &Function, blocks: &BTreeSet<BlockId>, var: VarId) -> Option<BinOp> {
+/// The single bitwise operator the loop body applies, when unambiguous:
+/// to `var` (an instruction reading it) for a scalar reduction, anywhere
+/// in the body for a histogram update (`None`).
+/// [`ReductionOp::Bitwise`] conflates `&`/`|`/`^`; the identity and
+/// combine differ, so the executor re-derives the operator from the
+/// loop body.
+fn bitwise_op(func_ir: &Function, blocks: &BTreeSet<BlockId>, var: Option<VarId>) -> Option<BinOp> {
     let mut found: Option<BinOp> = None;
     for &b in blocks {
         for inst in &func_ir.block(b).insts {
             if let Inst::Bin { op, a, b: rhs, .. } = inst {
-                let touches = matches!(a, Operand::Var(v) if *v == var)
-                    || matches!(rhs, Operand::Var(v) if *v == var);
+                let touches = var.is_none_or(|var| {
+                    matches!(a, Operand::Var(v) if *v == var)
+                        || matches!(rhs, Operand::Var(v) if *v == var)
+                });
                 if touches && matches!(op, BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor) {
-                    match found {
-                        None => found = Some(*op),
-                        Some(prev) if prev == *op => {}
-                        Some(_) => return None,
-                    }
-                }
-            }
-        }
-    }
-    found
-}
-
-/// Like [`bitwise_op_for_var`], for histogram updates: the single
-/// bitwise operator used anywhere in the loop body, when unambiguous.
-fn bitwise_op_in_loop(func_ir: &Function, blocks: &BTreeSet<BlockId>) -> Option<BinOp> {
-    let mut found: Option<BinOp> = None;
-    for &b in blocks {
-        for inst in &func_ir.block(b).insts {
-            if let Inst::Bin { op, .. } = inst {
-                if matches!(op, BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor) {
                     match found {
                         None => found = Some(*op),
                         Some(prev) if prev == *op => {}

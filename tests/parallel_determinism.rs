@@ -109,8 +109,8 @@ fn parallel_reports_match_sequential_on_suite_programs() {
 
 #[test]
 fn parallel_matches_sequential_under_loop_exit_scope() {
-    // The loop-exit scope adds the identity reference replay to the
-    // accounting; it must stay deterministic too.
+    // The loop-exit scope takes its reference from a golden recording
+    // stopped at the loop exit; it must stay deterministic too.
     let m = mixed_module(20, 5);
     let cfg = DcaConfig {
         verify_scope: dca::core::VerifyScope::LoopExit,

@@ -2,7 +2,7 @@
 //! ground truth, and agreement between the pragmatic permutation presets
 //! and exhaustive permutation testing on small trip counts.
 
-use dca::core::{Dca, DcaConfig, LoopVerdict, PermutationSet, Violation};
+use dca::core::{Dca, DcaConfig, LoopVerdict, PermutationSet, VerifyScope, Violation};
 use dca::ir::LoopRef;
 use std::collections::BTreeSet;
 
@@ -122,4 +122,60 @@ fn seeds_change_schedules_but_not_verdicts_here() {
             ra.lref
         );
     }
+}
+
+/// The loop-exit scope is the stricter one: its reference is the golden
+/// run's own exit state, and a permuted run that leaves the loop in an
+/// equivalent state runs the same suffix to the same outcome. So every
+/// loop it proves commutative must also be commutative at program end.
+#[test]
+fn loop_exit_commutativity_implies_program_end_commutativity() {
+    let loop_exit = DcaConfig {
+        verify_scope: VerifyScope::LoopExit,
+        ..DcaConfig::fast()
+    };
+    for p in dca::suite::all_programs() {
+        let m = p.module();
+        let strict = Dca::new(loop_exit.clone())
+            .analyze(&m, &p.targs())
+            .expect("analyze");
+        let outcome = Dca::new(DcaConfig::fast())
+            .analyze(&m, &p.targs())
+            .expect("analyze");
+        for (rs, ro) in strict.iter().zip(outcome.iter()) {
+            assert_eq!(rs.lref, ro.lref);
+            if rs.verdict.is_commutative() {
+                assert!(
+                    ro.verdict.is_commutative(),
+                    "{}: {} (@{:?}) commutative at the loop exit but {:?} at program end",
+                    p.name,
+                    rs.lref,
+                    rs.tag,
+                    ro.verdict
+                );
+            }
+        }
+    }
+}
+
+/// `bfs_levels` is refuted at program end, so the loop exit must refute
+/// it too. Its condition reads the frontier the payload refills, so no
+/// replay through the replay controller reaches the golden exit state,
+/// identity order included: the permuted replays leave 150 objects
+/// reachable, the golden run 148. A reference built by an identity
+/// replay agreed with the permuted replays and hid this; the golden run
+/// does not.
+#[test]
+fn bfs_levels_is_refuted_at_the_loop_exit() {
+    let p = dca::suite::by_name("bfs").expect("bfs");
+    let m = p.module();
+    let report = Dca::new(DcaConfig::exact())
+        .analyze(&m, &p.targs())
+        .expect("analyze");
+    let r = report.by_tag("bfs_levels").expect("bfs_levels");
+    assert!(
+        matches!(r.verdict, LoopVerdict::NonCommutative(_)),
+        "bfs_levels: {:?}",
+        r.verdict
+    );
 }
