@@ -103,9 +103,9 @@ pub enum VerifyScope {
 /// latency bounds, not for reproducible studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WallLimits {
-    /// Deadline for a single program run (golden recording or one
-    /// permuted replay). Expiry skips that loop with
-    /// [`crate::SkipReason::Deadline`].
+    /// Deadline for a single program run (the golden recording run or
+    /// one permuted replay). Expiry skips the loops that run had not
+    /// finished with [`crate::SkipReason::Deadline`].
     pub replay: Option<Duration>,
     /// Deadline for the whole [`crate::Dca::analyze`] call. Once expired,
     /// every not-yet-finished loop is reported as skipped with

@@ -11,7 +11,7 @@ use crate::parallel::{
     effective_threads, parallel_map, parallel_scan_with, split_threads, CancelToken, StopIndex,
 };
 use crate::perm::{derive_seed, schedules};
-use crate::record::{record_golden, GoldenRecord, RecordError};
+use crate::record::{record_program, GoldenRecord, RecordError, RecordRequest};
 use crate::replay::{run_replay, ReplayController, ReplayEnd, ReplayGovernor};
 use crate::report::{DcaReport, LoopResult, LoopVerdict, SkipReason, Violation};
 use dca_analysis::{exclusion, EffectMap, IteratorSlice, Liveness};
@@ -492,14 +492,14 @@ impl Dca {
     /// `None` for [`RecordError::NotExercised`]: the invocation never ran,
     /// which stops the search for invocations without a verdict of its
     /// own.
-    fn record_verdict(&self, e: RecordError) -> Option<LoopVerdict> {
+    fn record_verdict(&self, e: &RecordError) -> Option<LoopVerdict> {
         let reason = match e {
             RecordError::NotExercised => return None,
             RecordError::TripLimit => SkipReason::TripLimit,
             RecordError::Trapped(Trap::OutOfMemory) if self.config.max_heap_cells.is_some() => {
                 SkipReason::MemoryBudget
             }
-            RecordError::Trapped(t) => SkipReason::GoldenTrapped(t),
+            RecordError::Trapped(t) => SkipReason::GoldenTrapped(t.clone()),
             RecordError::BudgetExhausted => SkipReason::GoldenBudget,
             RecordError::DeadlineExpired => SkipReason::Deadline,
             RecordError::Cancelled => SkipReason::Cancelled,
@@ -530,6 +530,11 @@ impl Dca {
 
     /// Analyzes every loop of `module`, running `main(args)` as the
     /// workload.
+    ///
+    /// The stages run in order (paper Fig. 3): the static stage for every
+    /// loop the journal or the cache does not serve, one golden run of the
+    /// program that records every loop the static stage did not exclude,
+    /// then each loop's permuted replays and verification.
     ///
     /// # Errors
     ///
@@ -590,46 +595,47 @@ impl Dca {
         } else {
             Vec::new()
         };
-        // Split the worker budget: independent loops fan out across
-        // `outer` workers, and each loop's permutation replays across
-        // `inner` — so a module with one hot loop still uses every core.
-        let threads = effective_threads(self.config.threads);
-        let (outer, inner) = split_threads(threads, items.len());
-        let outcomes = parallel_map(outer, &items, &obs, "loops", |i, lref| {
-            // A tripped token means stop at the next safe point: loops
-            // not yet started are skipped outright, and the partial
-            // report stays valid.
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                let tag = FuncView::new(module, lref.func)
-                    .loops
-                    .get(lref.loop_id)
-                    .tag
-                    .clone();
-                return (
-                    LoopResult {
-                        lref: *lref,
-                        tag,
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        trips: 0,
-                        permutations_tested: 0,
-                        replay_steps: 0,
-                        wall: Duration::ZERO,
-                        cached: false,
-                        resumed: false,
-                    },
-                    0u64,
-                );
-            }
-            let key = keys.get(i).copied();
-            // Journal consultation comes first: an interrupted run's
-            // decided loops are served exactly as recorded, including
-            // skips the cache refuses to persist.
-            if let (Some(j), Some(key)) = (&journal, key) {
-                if let Some(e) = j.decide(key) {
-                    if e.quarantined || !perturbing {
-                        return (
-                            LoopResult {
-                                lref: *lref,
+        let ctx_of = |ordinal: usize| LoopCtx {
+            ordinal,
+            fault: fault.as_ref(),
+            analysis_deadline,
+            cancel,
+        };
+        // A loop of a cancelled run is skipped outright, and the partial
+        // report stays valid.
+        let cancelled = |lref: LoopRef| LoopResult {
+            lref,
+            tag: FuncView::new(module, lref.func)
+                .loops
+                .get(lref.loop_id)
+                .tag
+                .clone(),
+            verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
+            trips: 0,
+            permutations_tested: 0,
+            replay_steps: 0,
+            wall: Duration::ZERO,
+            cached: false,
+            resumed: false,
+        };
+        // ---- Serve what the journal and the cache decided, and run the
+        // static stage for the rest.
+        let mut stages: Vec<Stage<'_>> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &lref)| {
+                if cancel.is_some_and(CancelToken::is_cancelled) {
+                    return Stage::Served(cancelled(lref));
+                }
+                let key = keys.get(i).copied();
+                // Journal consultation comes first: an interrupted run's
+                // decided loops are served exactly as recorded, including
+                // skips the cache refuses to persist.
+                if let (Some(j), Some(key)) = (&journal, key) {
+                    if let Some(e) = j.decide(key) {
+                        if e.quarantined || !perturbing {
+                            return Stage::Served(LoopResult {
+                                lref,
                                 tag: e.cached.tag,
                                 verdict: e.cached.verdict,
                                 trips: e.cached.trips,
@@ -638,19 +644,16 @@ impl Dca {
                                 wall: Duration::ZERO,
                                 cached: false,
                                 resumed: true,
-                            },
-                            0u64,
-                        );
+                            });
+                        }
                     }
                 }
-            }
-            // Cache consultation happens before any recording or replay:
-            // a hit serves the stored verdict outright.
-            if let (Some(vc), Some(key)) = (&cache, key) {
-                if let CacheDecision::Hit(hit) = vc.decide(key) {
-                    return (
-                        LoopResult {
-                            lref: *lref,
+                // Cache consultation happens before any recording or
+                // replay: a hit serves the stored verdict outright.
+                if let (Some(vc), Some(key)) = (&cache, key) {
+                    if let CacheDecision::Hit(hit) = vc.decide(key) {
+                        return Stage::Served(LoopResult {
+                            lref,
                             tag: hit.tag,
                             verdict: hit.verdict,
                             trips: hit.trips,
@@ -659,47 +662,88 @@ impl Dca {
                             wall: Duration::ZERO,
                             cached: true,
                             resumed: false,
-                        },
-                        0u64,
-                    );
+                        });
+                    }
+                }
+                // A panic in the static stage is contained like any other
+                // engine fault of the loop.
+                catch_contained(|| self.static_stage(module, &effects, lref, &obs, ctx_of(i)))
+                    .unwrap_or_else(|msg| Stage::Decided(engine_fault_result(lref, msg)))
+            })
+            .collect();
+        // ---- One golden run records every loop still to test. A panic
+        // there is contained and becomes an engine fault of each of them.
+        let tested: Vec<&Tested<'_>> = stages
+            .iter()
+            .filter_map(|s| match s {
+                Stage::Tested(t, _) => Some(&**t),
+                _ => None,
+            })
+            .collect();
+        let recorded = catch_contained(|| {
+            let invocations = self.config.invocations;
+            self.record_loops(module, main, args, &tested, invocations, &obs, ctx_of(0))
+        });
+        drop(tested);
+        let mut recorded = recorded.map(Vec::into_iter);
+        for stage in &mut stages {
+            if let Stage::Tested(t, goldens) = stage {
+                match &mut recorded {
+                    Ok(records) => *goldens = records.next().expect("one per tested loop"),
+                    Err(msg) => {
+                        *stage = Stage::Decided(engine_fault_result(t.base.lref, msg.clone()))
+                    }
                 }
             }
-            let ctx = LoopCtx {
-                ordinal: i,
-                fault: fault.as_ref(),
-                analysis_deadline,
-                cancel,
-            };
+        }
+        // ---- Verify each loop. Independent loops fan out across `outer`
+        // workers, and each loop's permutation replays across `inner` — so
+        // a module with one hot loop still uses every core.
+        let threads = effective_threads(self.config.threads);
+        let (outer, inner) = split_threads(threads, items.len());
+        let outcomes = parallel_map(outer, &stages, &obs, "loops", |i, stage| {
+            let (lref, key) = (items[i], keys.get(i).copied());
+            if let Stage::Served(r) = stage {
+                return (r.clone(), 0u64);
+            }
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return (cancelled(lref), 0);
+            }
             // Write-ahead: announce the loop before verifying it, so an
             // operator tailing the journal sees what was in flight when a
             // kill lands.
             if let (Some(j), Some(key)) = (&journal, key) {
                 j.record_start(key, &lref.to_string());
             }
-            // Contain per-loop engine faults: a panic anywhere in this
-            // loop's analysis becomes a classified `EngineFault` skip and
-            // the remaining loops keep analyzing, instead of the panic
-            // poisoning the worker scope and aborting the whole report.
-            // Transient faults are retried up to `fault_retries` times;
-            // the retry count rides the result tuple so the post-fold
-            // accounting stays deterministic.
-            let mut retries = 0u64;
-            let result = loop {
-                let r = catch_contained(|| {
-                    let view = FuncView::new(module, lref.func);
-                    let live = Liveness::new_with_obs(&view, &obs);
-                    let l = view.loops.get(lref.loop_id);
-                    self.test_loop_inner(
-                        module, main, args, &effects, &view, &live, l, inner, &obs, ctx,
-                    )
-                })
-                .unwrap_or_else(|msg| engine_fault_result(*lref, msg));
-                let faulted = matches!(r.verdict, LoopVerdict::Skipped(SkipReason::EngineFault(_)));
-                if faulted && retries < u64::from(self.config.fault_retries) {
-                    retries += 1;
-                    continue;
+            let (result, retries) = match stage {
+                Stage::Served(r) | Stage::Decided(r) => (r.clone(), 0),
+                Stage::Tested(t, goldens) => {
+                    // Contain per-loop engine faults: a panic anywhere in
+                    // this loop's verification becomes a classified
+                    // `EngineFault` skip and the remaining loops keep
+                    // going, instead of the panic poisoning the worker
+                    // scope and aborting the whole report. Transient
+                    // faults re-run the verification up to
+                    // `fault_retries` times; the retry count rides the
+                    // result tuple so the post-fold accounting stays
+                    // deterministic.
+                    let mut retries = 0u64;
+                    loop {
+                        let start = Instant::now();
+                        let mut r = catch_contained(|| {
+                            self.verify_loop(module, t, goldens, inner, &obs, ctx_of(i))
+                        })
+                        .unwrap_or_else(|msg| engine_fault_result(lref, msg));
+                        r.wall = start.elapsed();
+                        let faulted =
+                            matches!(r.verdict, LoopVerdict::Skipped(SkipReason::EngineFault(_)));
+                        if faulted && retries < u64::from(self.config.fault_retries) {
+                            retries += 1;
+                            continue;
+                        }
+                        break (r, retries);
+                    }
                 }
-                break r;
             };
             // Journal the verdict as soon as it exists — the file on disk
             // is never more than one in-flight loop behind. A verdict
@@ -874,16 +918,26 @@ impl Dca {
             cancel: self.config.cancel.as_ref().or(internal_cancel.as_ref()),
         };
         let effects = EffectMap::new_with_obs(module, &obs);
-        let view = FuncView::new(module, lref.func);
-        let live = Liveness::new_with_obs(&view, &obs);
-        let l = view.loops.get(lref.loop_id);
         let threads = effective_threads(self.config.threads);
-        let result = catch_contained(|| {
-            self.test_loop_inner(
-                module, main, args, &effects, &view, &live, l, threads, &obs, ctx,
-            )
+        let start = Instant::now();
+        let t = match self.static_stage(module, &effects, lref, &obs, ctx) {
+            Stage::Tested(t, _) => t,
+            Stage::Served(r) | Stage::Decided(r) => return Ok(r),
+        };
+        let mut result = catch_contained(|| {
+            let goldens = self.record_loops(
+                module,
+                main,
+                args,
+                &[&t],
+                self.config.invocations,
+                &obs,
+                ctx,
+            );
+            self.verify_loop(module, &t, &goldens[0], threads, &obs, ctx)
         })
         .unwrap_or_else(|msg| engine_fault_result(lref, msg));
+        result.wall = start.elapsed();
         obs.flush();
         Ok(result)
     }
@@ -920,126 +974,76 @@ impl Dca {
             cancel: self.config.cancel.as_ref().or(internal_cancel.as_ref()),
         };
         let effects = EffectMap::new_with_obs(module, &obs);
-        let view = FuncView::new(module, lref.func);
-        let live = Liveness::new_with_obs(&view, &obs);
-        let l = view.loops.get(lref.loop_id);
         let threads = effective_threads(self.config.threads);
-        let slice = IteratorSlice::compute_with_obs(&view, l, &effects, &obs);
-        let base = LoopResult {
-            lref,
-            tag: l.tag.clone(),
-            verdict: LoopVerdict::NotExercised,
-            trips: 0,
-            permutations_tested: 0,
-            replay_steps: 0,
-            wall: std::time::Duration::ZERO,
-            cached: false,
-            resumed: false,
+        let t = match self.static_stage(module, &effects, lref, &obs, ctx) {
+            Stage::Tested(t, _) => t,
+            Stage::Served(r) | Stage::Decided(r) => return Ok(vec![r]),
         };
-        if let Some(reason) = exclusion(&view, l, &slice, &effects.io_funcs()) {
-            return Ok(vec![LoopResult {
-                verdict: LoopVerdict::Excluded(reason),
-                ..base
-            }]);
-        }
+        let goldens = self.record_loops(module, main, args, &[&t], k, &obs, ctx);
         let mut out = Vec::new();
-        for invocation in 0..k {
+        for (invocation, golden) in goldens[0].iter().enumerate() {
             let inv_start = Instant::now();
-            let rec_t = obs.span_start();
-            let mut machine = self.new_machine(module);
-            let rec = record_golden(
-                &mut machine,
-                main,
-                args,
-                view.id,
-                l,
-                &slice,
-                invocation,
-                2,
-                self.config.max_trip,
-                self.config.max_steps,
-                self.run_deadline(ctx.analysis_deadline),
-                ctx.cancel,
-                self.config.verify_scope == VerifyScope::LoopExit,
-                None,
-            );
-            obs.span_end("stage.record", rec_t);
-            obs.count("engine.golden_runs", 1);
-            record_machine_ops(&obs, &machine.op_counts());
-            let golden = match rec {
-                Ok(g) => g,
+            let (golden, exit) = match golden {
+                Ok((g, x)) => (g, x.as_ref()),
                 Err(e) => {
                     if let Some(verdict) = self.record_verdict(e) {
                         out.push(LoopResult {
                             verdict,
-                            ..base.clone()
+                            ..t.base.clone()
                         });
                     }
                     break;
                 }
             };
             let trip = golden.iters.len();
-            let seed = derive_seed(self.config.seed, lref.func.0, lref.loop_id.0, invocation);
-            let perms = schedules(&self.config.permutations, trip, seed);
-            let summary = self.verify_permutations(
-                module, &view, &live, l, &slice, &golden, &machine, &perms, threads, &obs, ctx,
+            let seed = derive_seed(
+                self.config.seed,
+                lref.func.0,
+                lref.loop_id.0,
+                invocation as u32,
             );
-            let verdict = summary.end.verdict();
+            let perms = schedules(&self.config.permutations, trip, seed);
+            let summary =
+                self.verify_permutations(module, &t, golden, exit, &perms, threads, &obs, ctx);
             out.push(LoopResult {
-                verdict,
+                verdict: summary.end.verdict(),
                 trips: trip,
                 permutations_tested: summary.tested,
                 replay_steps: summary.replay_steps,
                 wall: inv_start.elapsed(),
-                ..base.clone()
+                ..t.base.clone()
             });
         }
         obs.flush();
         Ok(out)
     }
 
-    /// Tests one loop with `threads` workers for its permutation replays;
-    /// stamps the wall-clock time spent on the result.
-    #[allow(clippy::too_many_arguments)]
-    fn test_loop_inner(
-        &self,
-        module: &Module,
-        main: FuncId,
-        args: &[Value],
-        effects: &EffectMap,
-        view: &FuncView<'_>,
-        live: &Liveness,
-        l: &Loop,
-        threads: usize,
-        obs: &Obs,
-        ctx: LoopCtx<'_>,
-    ) -> LoopResult {
-        let start = Instant::now();
-        let mut result = self.test_loop_untimed(
-            module, main, args, effects, view, live, l, threads, obs, ctx,
-        );
-        result.wall = start.elapsed();
-        result
+    /// The verdict of a loop that must not start: the analysis deadline
+    /// has expired, or the run was cancelled. The report stays complete;
+    /// each remaining loop costs one clock read and one atomic load.
+    fn upfront_skip(&self, ctx: LoopCtx<'_>) -> Option<LoopVerdict> {
+        if ctx.analysis_deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(LoopVerdict::Skipped(SkipReason::Deadline));
+        }
+        ctx.cancel
+            .is_some_and(CancelToken::is_cancelled)
+            .then_some(LoopVerdict::Skipped(SkipReason::Cancelled))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn test_loop_untimed(
+    /// The static stage (paper §IV-A) for one loop: separation and
+    /// exclusion. The loop is [`Stage::Tested`] unless it was excluded or
+    /// the analysis deadline or a cancel stopped it.
+    fn static_stage<'m>(
         &self,
-        module: &Module,
-        main: FuncId,
-        args: &[Value],
+        module: &'m Module,
         effects: &EffectMap,
-        view: &FuncView<'_>,
-        live: &Liveness,
-        l: &Loop,
-        threads: usize,
+        lref: LoopRef,
         obs: &Obs,
         ctx: LoopCtx<'_>,
-    ) -> LoopResult {
-        let lref = LoopRef {
-            func: view.id,
-            loop_id: l.id,
-        };
+    ) -> Stage<'m> {
+        let view = FuncView::new(module, lref.func);
+        let live = Liveness::new_with_obs(&view, obs);
+        let l = view.loops.get(lref.loop_id);
         let base = LoopResult {
             lref,
             tag: l.tag.clone(),
@@ -1047,69 +1051,136 @@ impl Dca {
             trips: 0,
             permutations_tested: 0,
             replay_steps: 0,
-            wall: std::time::Duration::ZERO,
+            wall: Duration::ZERO,
             cached: false,
             resumed: false,
         };
-        // An analysis deadline that has already expired skips the loop up
-        // front — the report stays complete, each remaining loop just
-        // costs one clock read.
-        if let Some(d) = ctx.analysis_deadline {
-            if Instant::now() >= d {
-                return LoopResult {
-                    verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                    ..base
-                };
-            }
+        if let Some(verdict) = self.upfront_skip(ctx) {
+            return Stage::Decided(LoopResult { verdict, ..base });
         }
-        // A tripped cancel token likewise skips up front, keeping the
-        // partial report valid.
-        if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
-            return LoopResult {
-                verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                ..base
-            };
-        }
-        // ---- static stage (paper §IV-A): separation + exclusion.
         let static_t = obs.span_start();
-        let slice = IteratorSlice::compute_with_obs(view, l, effects, obs);
-        let excluded = exclusion(view, l, &slice, &effects.io_funcs());
+        let slice = IteratorSlice::compute_with_obs(&view, l, effects, obs);
+        let excluded = exclusion(&view, l, &slice, &effects.io_funcs());
         obs.span_end("stage.static", static_t);
         if let Some(reason) = excluded {
-            return LoopResult {
+            return Stage::Decided(LoopResult {
                 verdict: LoopVerdict::Excluded(reason),
                 ..base
-            };
+            });
         }
-        // ---- dynamic stage: aggregate over the tested invocations.
+        let roots = digest_roots(&view, &live, l);
+        let t = Tested {
+            view,
+            slice,
+            roots,
+            base,
+        };
+        Stage::Tested(Box::new(t), Vec::new())
+    }
+
+    /// Records the invocations `0..invocations` of every tested loop in
+    /// one golden run of the program (paper §IV-B1), with what the
+    /// loop-exit scope compares against at each kept exit. Runs nothing
+    /// when there is nothing to record.
+    #[allow(clippy::too_many_arguments)]
+    fn record_loops(
+        &self,
+        module: &Module,
+        main: FuncId,
+        args: &[Value],
+        tested: &[&Tested<'_>],
+        invocations: u32,
+        obs: &Obs,
+        ctx: LoopCtx<'_>,
+    ) -> Vec<Vec<Golden>> {
+        if tested.is_empty() || invocations == 0 {
+            return tested.iter().map(|_| Vec::new()).collect();
+        }
+        let rec_t = obs.span_start();
+        let stop_at_exit = self.config.verify_scope == VerifyScope::LoopExit;
+        // Tier 1 (hashed) applies when a tolerance of exactly zero makes
+        // canonical-bit equality the comparator — then replays can stream
+        // their state into a fingerprint instead of materializing a
+        // digest.
+        let hashed = self.config.float_tolerance == 0.0 && self.config.digest == DigestMode::Auto;
+        let mut refs: Vec<Vec<ExitRef>> = tested.iter().map(|_| Vec::new()).collect();
+        let mut scratch = DigestScratch::new();
+        let mut vals = Vec::new();
+        let requests = tested
+            .iter()
+            .map(|t| RecordRequest {
+                func: t.view.id,
+                l: t.l(),
+                slice: &t.slice,
+                invocations: 0..invocations,
+                min_trip: 2,
+                max_trip: self.config.max_trip,
+                probe: None,
+            })
+            .collect();
+        let mut machine = self.new_machine(module);
+        let run = record_program(
+            &mut machine,
+            main,
+            args,
+            requests,
+            self.config.max_steps,
+            self.run_deadline(ctx.analysis_deadline),
+            ctx.cancel,
+            stop_at_exit,
+            &mut |r, m| {
+                // The machine stands in the golden loop-exit state only
+                // now; capture the reference, and the structural digest a
+                // hashed mismatch is diagnosed against.
+                if stop_at_exit {
+                    read_roots(m, &tested[r].roots.vars, &mut vals);
+                    refs[r].push(ExitRef {
+                        hash: hashed.then(|| hash_live_state(m, &vals, &mut scratch)),
+                        digest: StateDigest::capture_with(m, &vals, &mut scratch),
+                    });
+                }
+            },
+        );
+        obs.span_end("stage.record", rec_t);
+        obs.count("engine.golden_runs", 1);
+        obs.count("engine.snapshot_cells_peak", run.snapshot_cells_peak);
+        record_machine_ops(obs, &machine.op_counts());
+        run.loops
+            .into_iter()
+            .zip(refs)
+            .map(|(records, refs)| {
+                let mut refs = refs.into_iter();
+                records
+                    .into_iter()
+                    .map(|g| g.map(|g| (g, refs.next())))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Verifies one tested loop against its golden records: the permuted
+    /// replays of each recorded invocation, aggregated into one verdict.
+    fn verify_loop(
+        &self,
+        module: &Module,
+        t: &Tested<'_>,
+        goldens: &[Golden],
+        threads: usize,
+        obs: &Obs,
+        ctx: LoopCtx<'_>,
+    ) -> LoopResult {
+        let base = t.base.clone();
+        let lref = base.lref;
+        if let Some(verdict) = self.upfront_skip(ctx) {
+            return LoopResult { verdict, ..base };
+        }
         let mut trips_seen = 0;
         let mut perms_total = 0;
         let mut steps_total = 0u64;
         let mut exercised = false;
-        for invocation in 0..self.config.invocations {
-            let rec_t = obs.span_start();
-            let mut machine = self.new_machine(module);
-            let rec = record_golden(
-                &mut machine,
-                main,
-                args,
-                view.id,
-                l,
-                &slice,
-                invocation,
-                2,
-                self.config.max_trip,
-                self.config.max_steps,
-                self.run_deadline(ctx.analysis_deadline),
-                ctx.cancel,
-                self.config.verify_scope == VerifyScope::LoopExit,
-                None,
-            );
-            obs.span_end("stage.record", rec_t);
-            obs.count("engine.golden_runs", 1);
-            record_machine_ops(obs, &machine.op_counts());
-            let golden = match rec {
-                Ok(g) => g,
+        for (invocation, golden) in goldens.iter().enumerate() {
+            let (golden, exit) = match golden {
+                Ok((g, x)) => (g, x.as_ref()),
                 Err(e) => match self.record_verdict(e) {
                     Some(verdict) => return LoopResult { verdict, ..base },
                     None => break,
@@ -1122,11 +1193,15 @@ impl Dca {
                 continue;
             }
             exercised = true;
-            let seed = derive_seed(self.config.seed, lref.func.0, lref.loop_id.0, invocation);
-            let perms = schedules(&self.config.permutations, trip, seed);
-            let summary = self.verify_permutations(
-                module, view, live, l, &slice, &golden, &machine, &perms, threads, obs, ctx,
+            let seed = derive_seed(
+                self.config.seed,
+                lref.func.0,
+                lref.loop_id.0,
+                invocation as u32,
             );
+            let perms = schedules(&self.config.permutations, trip, seed);
+            let summary =
+                self.verify_permutations(module, t, golden, exit, &perms, threads, obs, ctx);
             perms_total += summary.tested;
             steps_total += summary.replay_steps;
             if summary.end != VerifyEnd::Complete {
@@ -1155,10 +1230,9 @@ impl Dca {
     }
 
     /// Verifies every permutation against the golden reference, fanning
-    /// the replays out across up to `threads` workers. `golden_machine`
-    /// is the machine that recorded `golden`; under the loop-exit scope
-    /// the recording stopped at the loop exit, and the reference state is
-    /// read from it.
+    /// the replays out across up to `threads` workers. Under the
+    /// loop-exit scope, `exit` is the reference state captured from the
+    /// golden recording machine at the invocation's exit.
     ///
     /// Each worker owns a private [`Machine`] restored from the shared
     /// golden snapshot, so replays share no mutable state. Early exit is
@@ -1171,33 +1245,21 @@ impl Dca {
     fn verify_permutations(
         &self,
         module: &Module,
-        view: &FuncView<'_>,
-        live: &Liveness,
-        l: &Loop,
-        slice: &IteratorSlice,
+        t: &Tested<'_>,
         golden: &GoldenRecord,
-        golden_machine: &Machine<'_>,
+        exit: Option<&ExitRef>,
         perms: &[Vec<usize>],
         threads: usize,
         obs: &Obs,
         ctx: LoopCtx<'_>,
     ) -> VerifySummary {
+        let (view, l, slice, roots) = (&t.view, t.l(), &t.slice, &t.roots);
         // Per-replay timing only happens when obs is live; disabled runs
         // never read the clock here.
         let timing = obs.is_enabled();
         let t_start = move || if timing { Some(Instant::now()) } else { None };
         let t_since = |t: Option<Instant>| t.map_or(Duration::ZERO, |t| t.elapsed());
         let stop_at_exit = self.config.verify_scope == VerifyScope::LoopExit;
-        // Tier 1 (hashed) applies when a tolerance of exactly zero makes
-        // canonical-bit equality the comparator — then the traversal can
-        // stream into a fingerprint instead of materializing a digest.
-        let hashed = stop_at_exit
-            && self.config.float_tolerance == 0.0
-            && self.config.digest == DigestMode::Auto;
-        // The variables the rest of the program may read at the loop
-        // exit: the loop-exit digest's roots, and under the program-end
-        // scope the frame variables suffix elision compares.
-        let roots = digest_roots(view, live, l);
         let governed = !self.config.max_wall.is_unlimited();
         // Each replay's governor: a fresh per-run deadline under wall
         // limits, the run's cancellation token, and an optional injected
@@ -1211,26 +1273,19 @@ impl Dca {
             trap_at_step,
             cancel: ctx.cancel,
         };
-        // Under the loop-exit scope the golden recording stopped at the
-        // loop exit, so its machine stands in the reference state.
         let reference = stop_at_exit.then(|| {
-            let t_digest = t_start();
-            let mut scratch = DigestScratch::new();
-            let mut vals = Vec::with_capacity(roots.vars.len());
-            read_roots(golden_machine, &roots.vars, &mut vals);
-            let r = if hashed {
-                let (h, cells) = hash_live_state(golden_machine, &vals, &mut scratch);
-                obs.count("verify.digest.hashed", 1);
-                obs.count("verify.digest.cells", cells);
-                Reference::Hash(h)
-            } else {
-                let d = StateDigest::capture_with(golden_machine, &vals, &mut scratch);
-                obs.count("verify.digest.structural", 1);
-                obs.count("verify.digest.cells", d.cell_count());
-                Reference::Digest(d)
-            };
-            obs.record_span("stage.verify", t_since(t_digest), 1);
-            r
+            let x = exit.expect("the loop-exit reference is captured at the exit");
+            match x.hash {
+                Some((_, cells)) => {
+                    obs.count("verify.digest.hashed", 1);
+                    obs.count("verify.digest.cells", cells);
+                }
+                None => {
+                    obs.count("verify.digest.structural", 1);
+                    obs.count("verify.digest.cells", x.digest.cell_count());
+                }
+            }
+            x
         });
         let check_one = |w: &mut ReplayWorker<'_>, slot: usize, perm: &Vec<usize>| -> PermOutcome {
             // Deterministic fault targeting: the (loop ordinal, slot)
@@ -1351,45 +1406,42 @@ impl Dca {
                 }
                 (VerifyScope::LoopExit, ReplayEnd::LoopExited) => {
                     read_roots(&w.machine, &roots.vars, &mut w.roots);
-                    match reference.as_ref().expect("captured above") {
-                        Reference::Hash(expected) => {
+                    let reference = reference.expect("captured above");
+                    match reference.hash {
+                        Some((expected, _)) => {
                             let (h, cells) = hash_live_state(&w.machine, &w.roots, &mut w.scratch);
                             digest.hashed += 1;
                             digest.cells += cells;
-                            if h == *expected {
+                            if h == expected {
                                 VerifyEnd::Complete
                             } else {
                                 // Tier-2 diagnostics: the 16-byte reference
                                 // can say *that* the states differ but not
-                                // *where*. Materialize both structural
-                                // digests — the permuted one and the
-                                // golden one from the recording machine —
-                                // and diff them. Only the terminal replay
-                                // pays this.
+                                // *where*. Materialize the permuted
+                                // structural digest and diff it against
+                                // the golden one captured at the exit.
+                                // Only the terminal replay pays this.
                                 let permuted =
                                     StateDigest::capture_with(&w.machine, &w.roots, &mut w.scratch);
-                                read_roots(golden_machine, &roots.vars, &mut w.roots);
-                                let golden_digest = StateDigest::capture_with(
-                                    golden_machine,
-                                    &w.roots,
-                                    &mut w.scratch,
-                                );
                                 digest.structural += 2;
-                                digest.cells += permuted.cell_count() + golden_digest.cell_count();
+                                digest.cells +=
+                                    permuted.cell_count() + reference.digest.cell_count();
                                 VerifyEnd::Violated(Violation::OutcomeMismatch(
-                                    golden_digest.first_divergence(&permuted, 0.0, &roots.names),
+                                    reference
+                                        .digest
+                                        .first_divergence(&permuted, 0.0, &roots.names),
                                 ))
                             }
                         }
-                        Reference::Digest(reference) => {
+                        None => {
                             let d = StateDigest::capture_with(&w.machine, &w.roots, &mut w.scratch);
                             digest.structural += 1;
                             digest.cells += d.cell_count();
-                            if reference.matches(&d, self.config.float_tolerance) {
+                            if reference.digest.matches(&d, self.config.float_tolerance) {
                                 VerifyEnd::Complete
                             } else {
                                 VerifyEnd::Violated(Violation::OutcomeMismatch(
-                                    reference.first_divergence(
+                                    reference.digest.first_divergence(
                                         &d,
                                         self.config.float_tolerance,
                                         &roots.names,
@@ -1555,12 +1607,48 @@ impl Dca {
     }
 }
 
+/// A loop that passed the static stage (paper §IV-A): what its golden
+/// recording and its verification read.
+struct Tested<'m> {
+    view: FuncView<'m>,
+    slice: IteratorSlice,
+    /// The loop-exit digest roots, also the frame variables suffix
+    /// elision compares.
+    roots: DigestRoots,
+    /// The loop's result before any verdict.
+    base: LoopResult,
+}
+
+impl Tested<'_> {
+    fn l(&self) -> &Loop {
+        self.view.loops.get(self.base.lref.loop_id)
+    }
+}
+
 /// The loop-exit reference state, captured from the golden recording
-/// machine standing at the loop exit: a 16-byte fingerprint under the
-/// hashed tier, the materialized structural digest otherwise.
-enum Reference {
-    Hash(u128),
-    Digest(StateDigest),
+/// machine standing at a tested invocation's exit.
+struct ExitRef {
+    /// The hashed tier's 16-byte fingerprint and its cell count.
+    hash: Option<(u128, u64)>,
+    /// The structural digest: the reference itself outside the hashed
+    /// tier, and the golden side of a hashed mismatch's diagnostic.
+    digest: StateDigest,
+}
+
+/// One recorded invocation with its loop-exit reference, or why it was
+/// not recorded.
+type Golden = Result<(GoldenRecord, Option<ExitRef>), RecordError>;
+
+/// One loop of an [`Dca::analyze`] call between its stages.
+enum Stage<'m> {
+    /// Served from the journal or the cache, or cancelled before it
+    /// started: reported as is, and nothing is journaled.
+    Served(LoopResult),
+    /// Decided without a recording: excluded, stopped by the deadline or
+    /// a cancel, or a contained engine fault.
+    Decided(LoopResult),
+    /// Passed the static stage; its golden records, once recorded.
+    Tested(Box<Tested<'m>>, Vec<Golden>),
 }
 
 /// The digest-root set for the loop-exit scope. Roots are *all*
@@ -2171,12 +2259,64 @@ mod tests {
             obs.spans["stage.static"].count, 2,
             "one static stage per loop"
         );
-        assert!(obs.spans["stage.record"].count >= 2);
+        assert_eq!(
+            obs.spans["stage.record"].count, 1,
+            "one golden run records both loops"
+        );
+        assert_eq!(obs.counter("engine.golden_runs"), 1);
+        assert_eq!(
+            obs.counter("engine.snapshot_cells_peak"),
+            2 * 16,
+            "both loops' snapshots of the 16-cell array are alive at once"
+        );
         // Per-replay spans line up with the replay counter.
         let replays = obs.counter("engine.replays");
         assert_eq!(obs.spans["stage.restore"].count, replays);
         assert_eq!(obs.spans["stage.replay"].count, replays);
         assert_eq!(obs.spans["stage.verify"].count, replays);
+    }
+
+    #[test]
+    fn nothing_to_record_runs_no_program() {
+        let cfg = |cache: Option<std::path::PathBuf>| DcaConfig {
+            obs: crate::config::ObsOptions::metrics(),
+            cache,
+            ..DcaConfig::fast()
+        };
+        // (golden runs, `stage.record` spans)
+        let runs = |r: &DcaReport| {
+            let obs = r.obs.as_ref().expect("metrics on");
+            let spans = obs.spans.get("stage.record").map_or(0, |s| s.count);
+            (obs.counter("engine.golden_runs"), spans)
+        };
+        let io = dca_ir::compile(
+            "fn main() { \
+             @a: for (let i: int = 0; i < 4; i = i + 1) { print(i); } \
+             @b: for (let i: int = 0; i < 4; i = i + 1) { print(i * 2); } }",
+        )
+        .expect("compile");
+        let r = Dca::new(cfg(None)).analyze_module(&io).expect("analyze");
+        assert!(r
+            .iter()
+            .all(|l| matches!(l.verdict, LoopVerdict::Excluded(_))));
+        assert_eq!(runs(&r), (0, 0), "every loop is excluded");
+        let dir = std::env::temp_dir().join(format!("dca-engine-no-record-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("cache.json");
+        let m = dca_ir::compile(
+            "fn main() -> int { let a: [int; 16]; let s: int = 0; \
+             @fill: for (let i: int = 0; i < 16; i = i + 1) { a[i] = i * 2; } \
+             @sum: for (let i: int = 0; i < 16; i = i + 1) { s = s + a[i]; } return s; }",
+        )
+        .expect("compile");
+        let cold = Dca::new(cfg(Some(path.clone())))
+            .analyze_module(&m)
+            .expect("cold");
+        assert_eq!(runs(&cold), (1, 1), "one run records both loops");
+        let warm = Dca::new(cfg(Some(path))).analyze_module(&m).expect("warm");
+        assert_eq!(warm.cached_count(), warm.len());
+        assert_eq!(runs(&warm), (0, 0), "the cache serves every loop");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     type NamedTotals = Vec<(String, u64)>;

@@ -75,6 +75,9 @@ pub use outcome::{
     StateDigest,
 };
 pub use parallel::{effective_threads, CancelToken};
-pub use record::{record_golden, GoldenRecord, RecordError};
+pub use record::{
+    record_golden, record_program, GoldenRecord, LoopRecords, ProgramRecording, RecordError,
+    RecordRequest,
+};
 pub use replay::{run_replay, IterOrder, Perm, ReplayController, ReplayEnd, ReplayGovernor};
 pub use report::{DcaReport, LoopResult, LoopVerdict, SkipReason, Violation};

@@ -3,7 +3,7 @@
 //! One instrumented run of the program in its original, programmer-intended
 //! order does three jobs at once:
 //!
-//! 1. **Linearization** — at every header arrival of the target loop
+//! 1. **Linearization** — at every header arrival of a tested loop
 //!    invocation, the values of the iterator-slice variables are captured
 //!    into a random-access sequence (Fig. 4(c));
 //! 2. **Snapshotting** — machine state is saved at the invocation's first
@@ -14,12 +14,18 @@
 //!    replay that leaves the loop in that same state skip the rest of the
 //!    program ([`GoldenRecord::exit_matches`]).
 //!
-//! The run follows the tested loop with a [`LoopTracker`], the tracker
+//! The interpreter is deterministic, so one run serves every loop of the
+//! program: [`record_program`] records all the loops it is asked for in a
+//! single run, and each loop gets the records a run of its own would give.
+//! The run follows the tested loops with a [`LoopTracker`], the tracker
 //! behind every whole-program instrumented run; a private [`LoopSink`]
-//! keeps the recording rules: which activation is recorded, where each
-//! iteration's values freeze and when one commits. A
-//! [`dca_deps::FootprintProbe`] passed to [`record_golden`] rides inside
-//! that sink and takes its iteration boundaries from the same commits.
+//! keeps the recording rules for each loop: which activation is recorded,
+//! where each iteration's values freeze and when one commits. Each
+//! recorded activation has its own snapshot and its own write set, so
+//! nested tested loops record side by side. [`record_golden`] is the
+//! one-loop, one-invocation form; a [`dca_deps::FootprintProbe`] passed to
+//! it rides inside the sink and takes its iteration boundaries from the
+//! same commits.
 
 use crate::outcome::ProgramOutcome;
 use crate::parallel::CancelToken;
@@ -29,8 +35,9 @@ use dca_deps::FootprintProbe;
 use dca_interp::{
     Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot, Trap, Value,
 };
-use dca_ir::{BlockId, FuncId, Loop, LoopRef, VarId};
-use std::collections::BTreeSet;
+use dca_ir::{BlockId, FuncId, Loop, LoopRef, Module, VarId};
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,7 +70,7 @@ pub struct GoldenRecord {
 /// the program ([`GoldenRecord::exit_matches`]). Its size follows the
 /// invocation's work — cells written, objects allocated — not the size
 /// of the heap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExitState {
     /// Where control stood: the first instruction of the exit target
     /// (the first out-of-loop block control reached), at the frame depth
@@ -90,16 +97,21 @@ pub struct ExitState {
 }
 
 impl ExitState {
-    /// Captures the exit state of a machine whose journal was armed at
-    /// the invocation's entry, when the heap held `base_heap` objects
-    /// and the output `base_output` items.
-    fn capture(machine: &Machine<'_>, base_heap: usize, base_output: usize) -> ExitState {
-        let mut cells: Vec<(Addr, Value)> = machine
-            .journal_writes()
-            .map(|(a, _)| (a, machine.read_cell(a)))
+    /// Captures the exit state of a machine whose invocation started when
+    /// the heap held `base_heap` objects and the output `base_output`
+    /// items, and stored to the cells `writes` of those objects.
+    fn capture(
+        machine: &Machine<'_>,
+        base_heap: usize,
+        base_output: usize,
+        mut writes: Vec<Addr>,
+    ) -> ExitState {
+        writes.sort_unstable();
+        writes.dedup();
+        let cells = writes
+            .into_iter()
+            .map(|a| (a, machine.read_cell(a)))
             .collect();
-        cells.sort_unstable_by_key(|&(a, _)| a);
-        cells.dedup_by_key(|&mut (a, _)| a);
         let position = machine.position().expect("a live frame at the loop exit");
         let nvars = machine.module().func(position.func).vars.len();
         ExitState {
@@ -224,33 +236,74 @@ pub enum RecordError {
     Cancelled,
 }
 
-/// The golden-recording [`LoopSink`]: picks the invocation to record
-/// among the tested loop's activations and records it. Each activation's
-/// state is whether it is the one being recorded.
-///
-/// The sink cannot touch the machine; it asks the stepping driver to
-/// snapshot, to drop the snapshot or to capture the exit state through
-/// its request flags, which the driver reads after every step.
-struct GoldenSink<'p> {
+/// One loop for [`record_program`] to record.
+pub struct RecordRequest<'a> {
+    /// The function the loop belongs to.
+    pub func: FuncId,
+    /// The loop.
+    pub l: &'a Loop,
+    /// The loop's iterator slice: its variables are the recorded ones, and
+    /// every loop instruction outside it is payload.
+    pub slice: &'a IteratorSlice,
+    /// The invocations to record, counted among the invocations with at
+    /// least `min_trip` committed iterations; shorter ones are passed over.
+    pub invocations: Range<u32>,
+    /// The fewest committed iterations an invocation needs to count.
+    pub min_trip: usize,
+    /// More committed iterations than this fail the loop with
+    /// [`RecordError::TripLimit`].
+    pub max_trip: usize,
+    /// A footprint probe for a one-invocation request (see
+    /// [`record_golden`]).
+    pub probe: Option<&'a mut FootprintProbe>,
+}
+
+/// One request's results: one per requested invocation, in invocation
+/// order, ending at the first that failed.
+pub type LoopRecords = Vec<Result<GoldenRecord, RecordError>>;
+
+/// What one [`record_program`] run produced.
+#[derive(Debug)]
+pub struct ProgramRecording {
+    /// Each request's records, in request order.
+    pub loops: Vec<LoopRecords>,
+    /// The most heap cells the run's golden snapshots held at once. A kept
+    /// record holds its snapshot to the end of the run.
+    pub snapshot_cells_peak: u64,
+}
+
+/// Where a watched loop stands in the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Waiting for its next candidate invocation.
+    Waiting,
+    /// An activation is being recorded.
+    Recording,
+    /// Every requested invocation was kept, or the loop failed.
+    Done,
+}
+
+/// One watched loop's recording state. At most one of its activations
+/// is recorded at a time.
+struct Watch<'p> {
     rec_vars: Vec<VarId>,
-    /// For each block of the recorded function, whether each instruction
-    /// is payload (`true`) or iterator-slice work; empty outside the loop.
+    /// For each block of the loop's function, whether each instruction is
+    /// payload (`true`) or iterator-slice work; empty outside the loop.
     payload: Vec<Vec<bool>>,
     /// Invocations with fewer committed iterations than this are skipped
     /// (there is nothing to permute below two iterations).
     min_trip: usize,
     max_trip: usize,
     /// Eligible (long-enough) invocations still to skip before keeping
-    /// one: the caller's invocation index counts *eligible* invocations.
+    /// one: the requested invocations count *eligible* invocations.
     skips_left: u32,
+    /// Invocations still to keep.
+    keeps_left: u32,
     probe: Option<&'p mut FootprintProbe>,
-    /// An activation is being recorded.
-    recording: bool,
+    phase: Phase,
     /// The last instruction the recorded activation's frame ran; an
     /// access takes its side.
     at: (BlockId, usize),
-    /// The recorded invocation was kept; nothing more is recorded.
-    kept: bool,
     /// The iterator values of the in-flight iteration, frozen at its first
     /// payload instruction (the point Fig. 4(c)'s `rt_iterator_linearize`
     /// placement corresponds to): by then a `for` iterator still holds its
@@ -258,17 +311,25 @@ struct GoldenSink<'p> {
     /// this iteration's element.
     pending: Option<Vec<Value>>,
     iters: Vec<Vec<Value>>,
-    /// Request: the recorded activation started; snapshot now and arm the
-    /// write journal.
-    want_snapshot: bool,
-    /// Request: the recorded activation was discarded; drop its snapshot.
-    discard_snapshot: bool,
-    /// Request: the kept invocation exited; capture the [`ExitState`].
-    want_exit: bool,
-    trip_overflow: bool,
+    /// Heap objects at the recorded activation's entry, set by the driver
+    /// with the snapshot: only cells of older objects join `writes`.
+    base_heap: usize,
+    /// The cells of pre-existing objects the recorded activation stored
+    /// to, once per store.
+    writes: Vec<Addr>,
+    /// The invocations requested.
+    wanted: usize,
+    /// Set by the driver: the recorded activation's entry snapshot with
+    /// its heap cells, and the output items at its entry.
+    snapshot: Option<(Snapshot, u64)>,
+    base_output: usize,
+    /// The invocations kept so far.
+    kept: Vec<GoldenRecord>,
+    /// Why the loop failed on its own, if it did.
+    failure: Option<RecordError>,
 }
 
-impl GoldenSink<'_> {
+impl Watch<'_> {
     fn capture(&self, vars: &[Value]) -> Vec<Value> {
         self.rec_vars.iter().map(|v| vars[v.index()]).collect()
     }
@@ -282,92 +343,401 @@ impl GoldenSink<'_> {
     }
 }
 
-impl LoopSink for GoldenSink<'_> {
-    type Act = bool;
+/// What the stepping driver must do for one watched loop after a step;
+/// the sink cannot touch the machine.
+enum Event {
+    /// The recorded activation started: snapshot now.
+    Enter,
+    /// The recorded activation was passed over, or failed: drop its
+    /// snapshot.
+    Discard,
+    /// The recorded activation exited and is kept: capture its
+    /// [`ExitState`] now.
+    Keep {
+        iters: Vec<Vec<Value>>,
+        writes: Vec<Addr>,
+    },
+}
 
-    fn enter(&mut self, _: LoopRef, steps: u64, _: bool, _: &[Value]) -> bool {
+/// The golden-recording [`LoopSink`]: picks, among each watched loop's
+/// activations, the invocations to record and records them. An
+/// activation's state is the index of the watch recording it, if any.
+struct GoldenSink<'p> {
+    watches: Vec<Watch<'p>>,
+    /// The watch of each watched loop.
+    by_loop: HashMap<LoopRef, usize>,
+    /// Some watch has a probe, which sees every access.
+    probed: bool,
+    /// Requests to the stepping driver, which reads them after every step.
+    events: Vec<(usize, Event)>,
+}
+
+impl<'p> GoldenSink<'p> {
+    /// The watch recording activation `act`, while it records.
+    fn recording(&mut self, act: Option<usize>) -> Option<&mut Watch<'p>> {
+        act.map(|r| &mut self.watches[r])
+            .filter(|w| w.phase == Phase::Recording)
+    }
+}
+
+impl LoopSink for GoldenSink<'_> {
+    type Act = Option<usize>;
+
+    fn enter(&mut self, lref: LoopRef, steps: u64, _: bool, _: &[Value]) -> Option<usize> {
+        let r = self.by_loop[&lref];
+        let w = &mut self.watches[r];
         // An activation starting while one is recorded runs in a deeper
         // recursive frame of the recorded one: it is not an invocation.
-        if self.recording || self.kept {
-            return false;
+        if w.phase != Phase::Waiting {
+            return None;
         }
-        self.recording = true;
-        self.want_snapshot = true;
-        if let Some(p) = self.probe.as_deref_mut() {
+        w.phase = Phase::Recording;
+        w.base_heap = 0;
+        if let Some(p) = w.probe.as_deref_mut() {
             p.begin_invocation(steps);
         }
-        true
+        self.events.push((r, Event::Enter));
+        Some(r)
     }
 
-    fn iterate(&mut self, recorded: &mut bool, steps: u64, vars: &[Value]) {
-        if !*recorded {
-            return;
-        }
-        // All-slice iterations (no payload executed) commit their
-        // header-arrival values; payload never reads them during replay.
-        let tuple = self.pending.take().unwrap_or_else(|| self.capture(vars));
-        self.commit(tuple, steps);
-        if self.iters.len() > self.max_trip {
-            self.trip_overflow = true;
-        }
-    }
-
-    fn inst(&mut self, recorded: &mut bool, block: BlockId, idx: usize, vars: &[Value]) {
-        if !*recorded {
-            return;
-        }
-        self.at = (block, idx);
-        if self.pending.is_none() && self.payload[block.index()][idx] {
-            self.pending = Some(self.capture(vars));
-        }
-    }
-
-    fn exit(&mut self, _: LoopRef, recorded: bool, steps: Option<u64>) {
-        let (true, Some(steps)) = (recorded, steps) else {
+    fn iterate(&mut self, act: &mut Option<usize>, steps: u64, vars: &[Value]) {
+        let Some(w) = self.recording(*act) else {
             return;
         };
-        self.recording = false;
+        // All-slice iterations (no payload executed) commit their
+        // header-arrival values; payload never reads them during replay.
+        let tuple = w.pending.take().unwrap_or_else(|| w.capture(vars));
+        w.commit(tuple, steps);
+        if w.iters.len() > w.max_trip {
+            w.phase = Phase::Done;
+            w.failure = Some(RecordError::TripLimit);
+            self.events.push((act.expect("recorded"), Event::Discard));
+        }
+    }
+
+    fn inst(&mut self, frame: &mut [Option<usize>], block: BlockId, idx: usize, vars: &[Value]) {
+        // Every recorded activation of the frame runs this instruction,
+        // an outer loop's included while an inner one is live.
+        for &mut act in frame {
+            let Some(w) = self.recording(act) else {
+                continue;
+            };
+            w.at = (block, idx);
+            if w.pending.is_none() && w.payload[block.index()][idx] {
+                w.pending = Some(w.capture(vars));
+            }
+        }
+    }
+
+    fn exit(&mut self, _: LoopRef, act: Option<usize>, steps: Option<u64>) {
+        let (Some(r), Some(steps)) = (act, steps) else {
+            return;
+        };
+        let Some(w) = self.recording(act) else {
+            return;
+        };
         // The final partial iteration commits only if it did payload work
         // (a break), not when the header check simply failed.
-        if let Some(tuple) = self.pending.take() {
-            self.commit(tuple, steps);
+        if let Some(tuple) = w.pending.take() {
+            w.commit(tuple, steps);
         }
-        let eligible = self.iters.len() >= self.min_trip;
-        if !eligible || self.skips_left > 0 {
+        let eligible = w.iters.len() >= w.min_trip;
+        if !eligible || w.skips_left > 0 {
             // Too short to permute (does not use up a skip), or an
             // eligible invocation the caller asked to pass over: wait for
             // the next one.
-            self.skips_left -= u32::from(eligible);
-            self.iters.clear();
-            self.discard_snapshot = true;
-            if let Some(p) = self.probe.as_deref_mut() {
+            w.skips_left -= u32::from(eligible);
+            w.iters.clear();
+            w.writes.clear();
+            w.phase = Phase::Waiting;
+            if let Some(p) = w.probe.as_deref_mut() {
                 p.abort_invocation();
             }
+            self.events.push((r, Event::Discard));
         } else {
-            self.kept = true;
-            self.want_exit = true;
+            w.keeps_left -= 1;
+            w.phase = if w.keeps_left == 0 {
+                Phase::Done
+            } else {
+                Phase::Waiting
+            };
             // What accumulated since the last commit belongs to the failed
             // header check, not to an iteration.
-            if let Some(p) = self.probe.as_deref_mut() {
+            if let Some(p) = w.probe.as_deref_mut() {
                 p.drop_partial();
             }
+            let event = Event::Keep {
+                iters: std::mem::take(&mut w.iters),
+                writes: std::mem::take(&mut w.writes),
+            };
+            self.events.push((r, event));
         }
     }
 
-    fn access(&mut self, _: &mut [bool], addr: Addr, store: Option<(Value, Value)>) {
-        let Some(p) = self.probe.as_deref_mut() else {
+    // Runs on every heap access of the run; inlined into the tracker's
+    // read and store hooks, a probed recording is ~8% faster.
+    #[inline]
+    fn access(&mut self, live: &mut [Option<usize>], addr: Addr, store: Option<(Value, Value)>) {
+        if store.is_some() {
+            for &mut act in live {
+                if let Some(w) = self.recording(act) {
+                    if addr.obj.index() < w.base_heap {
+                        w.writes.push(addr);
+                    }
+                }
+            }
+        }
+        if !self.probed {
             return;
-        };
-        if self.recording {
-            // An access in a callee takes the side of the calling
-            // instruction: the last one the recorded frame ran.
-            let (block, idx) = self.at;
-            p.set_payload(self.payload[block.index()][idx]);
         }
-        match store {
-            None => p.read(addr.obj.0, addr.cell),
-            Some((old, new)) => p.store(addr.obj.0, addr.cell, old, new),
+        for w in &mut self.watches {
+            let Some(p) = w.probe.as_deref_mut() else {
+                continue;
+            };
+            if w.phase == Phase::Recording {
+                // An access in a callee takes the side of the calling
+                // instruction: the last one the recorded frame ran.
+                let (block, idx) = w.at;
+                p.set_payload(w.payload[block.index()][idx]);
+            }
+            match store {
+                None => p.read(addr.obj.0, addr.cell),
+                Some((old, new)) => p.store(addr.obj.0, addr.cell, old, new),
+            }
         }
+    }
+}
+
+/// For each block of `func`, whether each instruction is payload of `l`
+/// (outside its iterator slice); empty for blocks outside the loop.
+fn payload_table(module: &Module, func: FuncId, l: &Loop, slice: &IteratorSlice) -> Vec<Vec<bool>> {
+    let f = module.func(func);
+    f.block_ids()
+        .map(|b| {
+            if l.blocks.contains(&b) {
+                (0..f.block(b).insts.len())
+                    .map(|idx| !slice.contains((b, idx)))
+                    .collect()
+            } else {
+                Vec::new()
+            }
+        })
+        .collect()
+}
+
+/// Runs the golden execution once and records every requested loop from
+/// that one run: for each request, what replay needs about each of its
+/// invocations. The interpreter is deterministic, so each loop's records
+/// are the ones a run recording that loop alone would give.
+///
+/// The machine is stepped under one [`LoopTracker`] watching every
+/// requested loop, with an optional wall-clock deadline and an optional
+/// [`CancelToken`], both checked cooperatively every [`GOVERN_GRANULE`]
+/// steps. `None` for both keeps the recording loop free of clock reads
+/// and atomic loads. Each recorded activation keeps its own entry
+/// snapshot and its own write set, the stored cells of objects that
+/// existed at its entry, from which its [`ExitState`] is built at the
+/// exit; nested tested loops and loops of different functions are
+/// recorded side by side.
+///
+/// With `stop_at_exit` each record ends at its invocation's exit instead
+/// of the program's (mirroring [`crate::replay::run_replay`]'s
+/// `stop_at_loop_exit`): its `outcome` and `total_steps` describe the run
+/// up to that exit, and the run stops once every request has finished, so
+/// the machine stands at the last kept exit. `on_exit(request, machine)`
+/// is called at every kept exit with the machine standing there.
+///
+/// Failures follow the runs each loop would get alone. A trap or an
+/// exhausted step budget, a deadline or a cancel fails every loop that has
+/// not finished; under the program-end scope no loop finishes before the
+/// program does. [`RecordError::TripLimit`] fails only its own loop, and
+/// a loop whose invocations never all run is
+/// [`RecordError::NotExercised`].
+#[allow(clippy::too_many_arguments)]
+pub fn record_program(
+    machine: &mut Machine<'_>,
+    main: FuncId,
+    args: &[Value],
+    requests: Vec<RecordRequest<'_>>,
+    max_steps: u64,
+    deadline: Option<Instant>,
+    cancel: Option<&CancelToken>,
+    stop_at_exit: bool,
+    on_exit: &mut dyn FnMut(usize, &Machine<'_>),
+) -> ProgramRecording {
+    let module = machine.module();
+    let mut by_loop = HashMap::new();
+    let watches: Vec<Watch<'_>> = requests
+        .into_iter()
+        .enumerate()
+        .map(|(r, q)| {
+            let lref = LoopRef {
+                func: q.func,
+                loop_id: q.l.id,
+            };
+            assert!(by_loop.insert(lref, r).is_none(), "one request per loop");
+            let keeps = q.invocations.end.saturating_sub(q.invocations.start);
+            Watch {
+                rec_vars: q.slice.slice_vars.iter().copied().collect(),
+                payload: payload_table(module, q.func, q.l, q.slice),
+                min_trip: q.min_trip,
+                max_trip: q.max_trip,
+                skips_left: q.invocations.start,
+                keeps_left: keeps,
+                probe: q.probe,
+                phase: if keeps == 0 {
+                    Phase::Done
+                } else {
+                    Phase::Waiting
+                },
+                at: (q.l.header, 0),
+                pending: None,
+                iters: Vec::new(),
+                base_heap: 0,
+                writes: Vec::new(),
+                wanted: keeps as usize,
+                snapshot: None,
+                base_output: 0,
+                kept: Vec::new(),
+                failure: None,
+            }
+        })
+        .collect();
+    let idle = watches.iter().all(|w| w.phase == Phase::Done);
+    let sink = GoldenSink {
+        probed: watches.iter().any(|w| w.probe.is_some()),
+        watches,
+        events: Vec::new(),
+        by_loop,
+    };
+    let selection: BTreeSet<LoopRef> = sink.by_loop.keys().copied().collect();
+    let mut tracker = LoopTracker::watching(module, &selection, sink);
+    let mut live_cells = 0u64;
+    let mut peak = 0u64;
+    let end: Result<Option<Value>, RecordError> = 'run: {
+        if idle {
+            break 'run Ok(None);
+        }
+        if let Err(t) = machine.push_call(main, args) {
+            break 'run Err(RecordError::Trapped(t));
+        }
+        // Step manually so each snapshot lands exactly at its header
+        // arrival.
+        let budget = machine.steps().saturating_add(max_steps);
+        let mut n: u64 = 0;
+        loop {
+            if let Some(ret) = machine.result() {
+                break 'run Ok(ret);
+            }
+            if machine.steps() >= budget {
+                break 'run Err(RecordError::BudgetExhausted);
+            }
+            // Cooperative deadline and cancellation, one clock read /
+            // atomic load per granule (checked at n == 0 too, so a zero
+            // deadline or pre-tripped token fires deterministically).
+            if deadline.is_some() || cancel.is_some() {
+                if n.is_multiple_of(GOVERN_GRANULE) {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        break 'run Err(RecordError::DeadlineExpired);
+                    }
+                    if cancel.is_some_and(CancelToken::is_cancelled) {
+                        break 'run Err(RecordError::Cancelled);
+                    }
+                }
+                n += 1;
+            }
+            match machine.step(&mut tracker) {
+                Ok(()) => {}
+                Err(Trap::NotRunning) => break 'run Ok(machine.result().unwrap_or(None)),
+                Err(t) => break 'run Err(RecordError::Trapped(t)),
+            }
+            let sink = tracker.sink_mut();
+            if sink.events.is_empty() {
+                continue;
+            }
+            for (r, event) in std::mem::take(&mut sink.events) {
+                let w = &mut sink.watches[r];
+                match event {
+                    Event::Enter => {
+                        let cells = machine.heap_cells();
+                        live_cells += cells;
+                        peak = peak.max(live_cells);
+                        w.snapshot = Some((machine.snapshot(), cells));
+                        w.base_heap = machine.heap().len();
+                        w.base_output = machine.output().len();
+                    }
+                    Event::Discard => {
+                        if let Some((_, cells)) = w.snapshot.take() {
+                            live_cells -= cells;
+                        }
+                    }
+                    Event::Keep { iters, writes } => {
+                        let (snapshot, _) = w.snapshot.take().expect("a kept activation entered");
+                        let exit = ExitState::capture(machine, w.base_heap, w.base_output, writes);
+                        on_exit(r, machine);
+                        w.kept.push(GoldenRecord {
+                            snapshot: Arc::new(snapshot),
+                            iters,
+                            rec_vars: w.rec_vars.clone(),
+                            // A record of the whole program gets its
+                            // outcome at the program end.
+                            outcome: ProgramOutcome {
+                                output: if stop_at_exit {
+                                    machine.output().to_vec()
+                                } else {
+                                    Vec::new()
+                                },
+                                ret: None,
+                            },
+                            total_steps: machine.steps(),
+                            exit,
+                        });
+                    }
+                }
+            }
+            // Every loop finished: stop, unless a kept record still waits
+            // for the program-end outcome.
+            if sink.watches.iter().all(|w| w.phase == Phase::Done)
+                && (stop_at_exit || sink.watches.iter().all(|w| w.kept.is_empty()))
+            {
+                break 'run Ok(None);
+            }
+        }
+    };
+    let program_end = end
+        .as_ref()
+        .map(|&ret| (ProgramOutcome::capture(machine, ret), machine.steps()));
+    let loops = tracker
+        .finish()
+        .watches
+        .into_iter()
+        .map(|w| {
+            let mut out = LoopRecords::with_capacity(w.wanted);
+            for mut g in w.kept {
+                if !stop_at_exit {
+                    match &program_end {
+                        Ok((outcome, steps)) => {
+                            g.outcome = outcome.clone();
+                            g.total_steps = *steps;
+                        }
+                        Err(e) => {
+                            out.push(Err((*e).clone()));
+                            return out;
+                        }
+                    }
+                }
+                out.push(Ok(g));
+            }
+            if out.len() < w.wanted {
+                let e = w.failure.or_else(|| end.clone().err());
+                out.push(Err(e.unwrap_or(RecordError::NotExercised)));
+            }
+            out
+        })
+        .collect();
+    ProgramRecording {
+        loops,
+        snapshot_cells_peak: peak,
     }
 }
 
@@ -377,21 +747,12 @@ impl LoopSink for GoldenSink<'_> {
 /// shorter ones are passed over. The recorded variables are the loop's
 /// iterator-slice variables.
 ///
-/// The machine is stepped under a [`LoopTracker`] watching `l`, with an
-/// optional wall-clock deadline and an optional [`CancelToken`], both
-/// checked cooperatively every [`GOVERN_GRANULE`] steps. `None` for both
-/// keeps the recording loop free of clock reads and atomic loads. The
-/// write journal is armed at each invocation's entry snapshot, so at the
-/// exit its write-set gives the [`ExitState`]; it is disarmed, without
-/// rewinding, when the invocation is discarded or exits, and the rest of
-/// the program runs unjournaled.
-///
-/// With `stop_at_exit` the run ends at the invocation's exit instead of
-/// the program's (mirroring [`crate::replay::run_replay`]'s
-/// `stop_at_loop_exit`): for consumers that need the loop-entry snapshot
-/// and the iterator record but not the golden outcome, such as the
-/// parallel executor. The record's `outcome` and `total_steps` then
-/// describe the run up to the exit.
+/// This is [`record_program`] with one request for one invocation; see
+/// there for the deadline, the cancel token and `stop_at_exit`. With
+/// `stop_at_exit` the machine is left standing at the invocation's exit:
+/// for consumers that need the loop-entry snapshot, the iterator record
+/// and the sequential exit state but not the golden outcome, such as the
+/// parallel executor.
 ///
 /// A `probe` mines a per-iteration memory and cost footprint from the
 /// same run: it sees every heap access and every step, attributed to the
@@ -420,116 +781,31 @@ pub fn record_golden(
     stop_at_exit: bool,
     probe: Option<&mut FootprintProbe>,
 ) -> Result<GoldenRecord, RecordError> {
-    let module = machine.module();
-    let f = module.func(func);
-    let payload = f
-        .block_ids()
-        .map(|b| {
-            if l.blocks.contains(&b) {
-                (0..f.block(b).insts.len())
-                    .map(|idx| !slice.contains((b, idx)))
-                    .collect()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let sink = GoldenSink {
-        rec_vars: slice.slice_vars.iter().copied().collect(),
-        payload,
+    let request = RecordRequest {
+        func,
+        l,
+        slice,
+        invocations: invocation..invocation + 1,
         min_trip,
         max_trip,
-        skips_left: invocation,
         probe,
-        recording: false,
-        at: (l.header, 0),
-        kept: false,
-        pending: None,
-        iters: Vec::new(),
-        want_snapshot: false,
-        discard_snapshot: false,
-        want_exit: false,
-        trip_overflow: false,
     };
-    let lref = LoopRef {
-        func,
-        loop_id: l.id,
-    };
-    let mut tracker = LoopTracker::watching(module, &BTreeSet::from([lref]), sink);
-    machine
-        .push_call(main, args)
-        .map_err(RecordError::Trapped)?;
-    // Step manually so the snapshot lands exactly at the header arrival.
-    let budget = machine.steps().saturating_add(max_steps);
-    let mut snapshot: Option<Snapshot> = None;
-    let mut exit: Option<ExitState> = None;
-    let mut base = (0, 0);
-    let mut n: u64 = 0;
-    let ret = loop {
-        if machine.result().is_some() {
-            break machine.result().expect("checked");
-        }
-        if machine.steps() >= budget {
-            return Err(RecordError::BudgetExhausted);
-        }
-        // Cooperative deadline and cancellation, one clock read / atomic
-        // load per granule (checked at n == 0 too, so a zero deadline or
-        // pre-tripped token fires deterministically).
-        if deadline.is_some() || cancel.is_some() {
-            if n.is_multiple_of(GOVERN_GRANULE) {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(RecordError::DeadlineExpired);
-                    }
-                }
-                if let Some(c) = cancel {
-                    if c.is_cancelled() {
-                        return Err(RecordError::Cancelled);
-                    }
-                }
-            }
-            n += 1;
-        }
-        match machine.step(&mut tracker) {
-            Ok(()) => {}
-            Err(Trap::NotRunning) => break machine.result().unwrap_or(None),
-            Err(t) => return Err(RecordError::Trapped(t)),
-        }
-        let sink = tracker.sink_mut();
-        if sink.want_snapshot {
-            sink.want_snapshot = false;
-            snapshot = Some(machine.snapshot());
-            base = (machine.heap().len(), machine.output().len());
-            machine.begin_journal();
-        }
-        if sink.discard_snapshot {
-            sink.discard_snapshot = false;
-            snapshot = None;
-            machine.disarm_journal();
-        }
-        if sink.trip_overflow {
-            return Err(RecordError::TripLimit);
-        }
-        if sink.want_exit {
-            sink.want_exit = false;
-            exit = Some(ExitState::capture(machine, base.0, base.1));
-            machine.disarm_journal();
-            if stop_at_exit {
-                break None;
-            }
-        }
-    };
-    let snapshot = snapshot.ok_or(RecordError::NotExercised)?;
-    let exit = exit.ok_or(RecordError::NotExercised)?;
-    let sink = tracker.finish();
-    Ok(GoldenRecord {
-        snapshot: Arc::new(snapshot),
-        iters: sink.iters,
-        rec_vars: sink.rec_vars,
-        outcome: ProgramOutcome::capture(machine, ret),
-        total_steps: machine.steps(),
-        exit,
-    })
+    let run = record_program(
+        machine,
+        main,
+        args,
+        vec![request],
+        max_steps,
+        deadline,
+        cancel,
+        stop_at_exit,
+        &mut |_, _| {},
+    );
+    run.loops
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("one result for the one requested invocation")
 }
 
 #[cfg(test)]
@@ -538,6 +814,7 @@ mod tests {
     use crate::config::DcaConfig;
     use dca_analysis::IteratorSlice;
     use dca_ir::FuncView;
+    use std::ops::Range;
 
     /// Records invocation `skip` of the loop tagged `tag` in `src`,
     /// counting invocations of at least `min_trip` iterations, with an
@@ -785,6 +1062,210 @@ mod tests {
             assert_eq!(cells(&it.slice_writes), vec![(top, 0)], "iteration {k}");
         }
         assert_eq!(profile.iters.len(), 5);
+    }
+
+    /// Records the loops tagged in `wanted` — (tag, invocations,
+    /// trip limit) — from one run of `m`, counting invocations of at
+    /// least two iterations.
+    fn record_many(
+        m: &Module,
+        wanted: &[(&str, Range<u32>, usize)],
+        stop_at_exit: bool,
+    ) -> ProgramRecording {
+        let views: Vec<FuncView<'_>> = (0..m.funcs.len())
+            .map(|i| FuncView::new(m, FuncId(i as u32)))
+            .collect();
+        let found: Vec<_> = wanted
+            .iter()
+            .map(|(tag, invocations, max_trip)| {
+                let (view, l) = views
+                    .iter()
+                    .find_map(|v| v.loops.by_tag(tag).map(|l| (v, l)))
+                    .expect("tag");
+                (
+                    view,
+                    l,
+                    IteratorSlice::compute(view, l),
+                    invocations,
+                    max_trip,
+                )
+            })
+            .collect();
+        let requests = found
+            .iter()
+            .map(|(view, l, slice, invocations, &max_trip)| RecordRequest {
+                func: view.id,
+                l,
+                slice,
+                invocations: (*invocations).clone(),
+                min_trip: 2,
+                max_trip,
+                probe: None,
+            })
+            .collect();
+        record_program(
+            &mut Machine::new(m),
+            m.main().expect("main"),
+            &[],
+            requests,
+            DcaConfig::TEST_STEP_BUDGET,
+            None,
+            None,
+            stop_at_exit,
+            &mut |_, _| {},
+        )
+    }
+
+    const MAX: usize = DcaConfig::DEFAULT_MAX_TRIP;
+
+    /// The `Int` values of each recorded iteration.
+    fn ints(g: &GoldenRecord) -> Vec<Vec<i64>> {
+        g.iters
+            .iter()
+            .map(|vals| {
+                vals.iter()
+                    .filter_map(|v| match v {
+                        Value::Int(x) => Some(*x),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nested_tested_loops_freeze_the_outer_values_in_the_inner_header() {
+        // The outer body starts with the inner loop, so the outer loop's
+        // first payload instruction is in the inner loop's header block:
+        // the outer activation must see it while the inner one is live.
+        let src = "fn main() -> int { let a: [int; 8]; let k: int = 0; \
+             @outer: for (let i: int = 0; i < 3; i = i + 1) { \
+               @inner: while (k < (i + 1) * 2) { a[k] = i; k = k + 1; } } \
+             return a[1] + a[3] + a[5]; }";
+        let m = dca_ir::compile(src).expect("compile");
+        let run = record_many(&m, &[("outer", 0..1, MAX), ("inner", 0..2, MAX)], false);
+        let [outer, inner] = &run.loops[..] else {
+            panic!("two loops")
+        };
+        let outer = outer[0].as_ref().expect("outer");
+        let alone = record(src, "outer", 0, 2, None).expect("outer alone");
+        assert_eq!(outer.iters, alone.iters);
+        assert_eq!(outer.exit, alone.exit);
+        // Frozen before the latch increments `i`: 0, 1, 2, not 1, 2, 3.
+        let i_vals: Vec<i64> = ints(outer).iter().map(|v| v[0]).collect();
+        assert_eq!(i_vals, [0, 1, 2]);
+        assert_eq!(outer.outcome.ret, Some(Value::Int(3)));
+        for (k, g) in inner.iter().enumerate() {
+            let g = g.as_ref().expect("inner");
+            let alone = record(src, "inner", k as u32, 2, None).expect("inner alone");
+            assert_eq!((g.iters.len(), &g.iters), (2, &alone.iters));
+            assert_eq!(g.exit, alone.exit);
+            assert!(*g.snapshot == *alone.snapshot);
+        }
+    }
+
+    #[test]
+    fn trip_limit_fails_only_its_own_loop() {
+        let src = "fn main() -> int { let s: int = 0; let t: int = 0; \
+             @long: for (let i: int = 0; i < 5; i = i + 1) { s = s + i; } \
+             @short: for (let j: int = 0; j < 3; j = j + 1) { t = t + j; } \
+             return s * 10 + t; }";
+        let m = dca_ir::compile(src).expect("compile");
+        let run = record_many(&m, &[("long", 0..1, 3), ("short", 0..1, 3)], false);
+        assert!(matches!(run.loops[0][..], [Err(RecordError::TripLimit)]));
+        let short = run.loops[1][0].as_ref().expect("short records");
+        assert_eq!(short.iters.len(), 3);
+        // The run went on to the program end for the sibling.
+        assert_eq!(short.outcome.ret, Some(Value::Int(103)));
+        assert_eq!(
+            short.total_steps,
+            golden(src, "short").expect("alone").total_steps
+        );
+    }
+
+    #[test]
+    fn three_invocations_from_one_run() {
+        // Trips 3, 1, 4, 5: the 1-trip invocation does not count.
+        let src = "fn work(n: int) -> int { let a: [int; 8]; let s: int = 0; \
+             @w: for (let i: int = 0; i < n; i = i + 1) { a[i] = i; s = s + a[i]; } \
+             return s; }\n\
+             fn main() -> int { return work(3) + work(1) + work(4) + work(5); }";
+        let m = dca_ir::compile(src).expect("compile");
+        let run = record_many(&m, &[("w", 0..3, MAX)], false);
+        let records = &run.loops[0];
+        assert_eq!(records.len(), 3);
+        for (k, (g, trips)) in records.iter().zip([3, 4, 5]).enumerate() {
+            let g = g.as_ref().expect("record");
+            let alone = record(src, "w", k as u32, 2, None).expect("alone");
+            assert_eq!(g.iters.len(), trips);
+            assert_eq!(g.iters, alone.iters);
+            assert_eq!(g.exit, alone.exit);
+            assert_eq!(
+                (&g.outcome, g.total_steps),
+                (&alone.outcome, alone.total_steps)
+            );
+            assert!(*g.snapshot == *alone.snapshot);
+        }
+        // Each call allocates its 8-cell frame array, so the kept
+        // snapshots hold 8, 24 and 32 cells, all alive at the end; the
+        // skipped work(1) snapshot (16 cells) was dropped at its exit.
+        assert_eq!(run.snapshot_cells_peak, 8 + 24 + 32);
+        // A fourth eligible invocation never runs.
+        assert_eq!(
+            record_many(&m, &[("w", 2..4, MAX)], false).loops[0]
+                .iter()
+                .map(|g| g.as_ref().map(|g| g.iters.len()).map_err(Clone::clone))
+                .collect::<Vec<_>>(),
+            [Ok(5), Err(RecordError::NotExercised)]
+        );
+    }
+
+    #[test]
+    fn trap_between_exits_fails_only_the_later_loop_at_the_loop_exit() {
+        let src = "fn main() -> int { let a: [int; 4]; let s: int = 0; let z: int = 0; \
+             @first: for (let i: int = 0; i < 4; i = i + 1) { a[i] = i; } \
+             s = a[z - 1]; \
+             @second: for (let j: int = 0; j < 4; j = j + 1) { s = s + a[j]; } \
+             return s; }";
+        let m = dca_ir::compile(src).expect("compile");
+        let wanted = [("first", 0..1, MAX), ("second", 0..1, MAX)];
+        let at_exit = record_many(&m, &wanted, true);
+        let first = at_exit.loops[0][0]
+            .as_ref()
+            .expect("first keeps its record");
+        assert_eq!(first.iters.len(), 4);
+        assert_eq!(first.total_steps, first.exit.steps);
+        assert!(matches!(
+            at_exit.loops[1][..],
+            [Err(RecordError::Trapped(_))]
+        ));
+        // Each record a run of its loop alone gives.
+        let m2 = dca_ir::compile(src).expect("compile");
+        let views = FuncView::new(&m2, m2.main().expect("main"));
+        let l = views.loops.by_tag("first").expect("tag");
+        let alone = record_golden(
+            &mut Machine::new(&m2),
+            m2.main().expect("main"),
+            &[],
+            views.id,
+            l,
+            &IteratorSlice::compute(&views, l),
+            0,
+            2,
+            MAX,
+            DcaConfig::TEST_STEP_BUDGET,
+            None,
+            None,
+            true,
+            None,
+        )
+        .expect("alone");
+        assert_eq!((&first.iters, &first.exit), (&alone.iters, &alone.exit));
+        // Under the program-end scope the trap fails both.
+        let to_end = record_many(&m, &wanted, false);
+        for records in &to_end.loops {
+            assert!(matches!(records[..], [Err(RecordError::Trapped(_))]));
+        }
     }
 
     #[test]

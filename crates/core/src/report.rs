@@ -143,8 +143,10 @@ pub struct LoopResult {
     /// Deterministic for a given config and workload, regardless of the
     /// worker-thread count.
     pub replay_steps: u64,
-    /// Wall-clock time spent analyzing this loop (golden recording plus
-    /// replays). Purely informational; varies run to run.
+    /// Wall-clock time spent analyzing this loop: its verification under
+    /// [`crate::Dca::analyze`], whose one golden run records every loop,
+    /// and everything from the static stage on under
+    /// [`crate::Dca::test_loop`]. Purely informational; varies run to run.
     pub wall: Duration,
     /// True when this verdict was served from the persistent verdict
     /// cache ([`crate::cache`]) instead of being recomputed. Provenance

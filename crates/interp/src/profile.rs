@@ -7,8 +7,8 @@
 //! iteration, and when it exits. [`LoopTracker`] is the one [`Hooks`]
 //! implementation that derives them; each consumer is a [`LoopSink`] that
 //! keeps its own per-activation state and its own rules. Sinks that need
-//! more also see the instructions run in the innermost activation's frame
-//! and each memory access, a store with its old and new values.
+//! more also see the instructions run in each activation's own frame and
+//! each memory access, a store with its old and new values.
 //!
 //! An *activation* is one invocation of a loop in one call frame: a loop
 //! of a recursive function can be live at several frame depths at once,
@@ -44,10 +44,12 @@ pub trait LoopSink {
     fn iterate(&mut self, act: &mut Self::Act, steps: u64, vars: &[Value]) {}
 
     /// Instruction `idx` of `block` is about to run in the frame of the
-    /// innermost live activation `act` (so `block` is one of its loop's
-    /// blocks). Instructions of callees, including deeper activations'
-    /// frames, are not reported to outer activations.
-    fn inst(&mut self, act: &mut Self::Act, block: BlockId, idx: usize, vars: &[Value]) {}
+    /// innermost live activation. `frame` holds every live activation of
+    /// that frame, outermost first (a nest of loops of one function, so
+    /// `block` is one of each one's loop blocks). Instructions of callees,
+    /// including deeper activations' frames, are not reported to the
+    /// activations of a caller's frame.
+    fn inst(&mut self, frame: &mut [Self::Act], block: BlockId, idx: usize, vars: &[Value]) {}
 
     /// The activation of `lref` ended at step `steps`: control left the
     /// loop's blocks, or its frame returned. `None` means the run ended
@@ -258,11 +260,11 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
         vars: &mut [Value],
     ) -> InstAction {
         // While an activation is live, code runs in its frame or in the
-        // deeper frames of its callees.
-        if let (Some(&(depth, _)), Some(act)) = (self.live.last(), self.acts.last_mut()) {
-            if depth == site.depth {
-                self.sink.inst(act, block, idx, vars);
-            }
+        // deeper frames of its callees. The live stack is sorted by depth,
+        // so this frame's activations are its top run at `site.depth`.
+        if self.live.last().is_some_and(|&(d, _)| d == site.depth) {
+            let base = self.frame_base(site.depth);
+            self.sink.inst(&mut self.acts[base..], block, idx, vars);
         }
         InstAction::Run
     }
@@ -542,10 +544,12 @@ mod tests {
             self.arrivals.push(vars[self.var.index()]);
         }
 
-        fn inst(&mut self, act: &mut Value, _: BlockId, _: usize, vars: &[Value]) {
-            self.insts += 1;
-            if vars.len() != self.nvars || vars[self.var.index()] != *act {
-                self.foreign += 1;
+        fn inst(&mut self, frame: &mut [Value], _: BlockId, _: usize, vars: &[Value]) {
+            for act in frame {
+                self.insts += 1;
+                if vars.len() != self.nvars || vars[self.var.index()] != *act {
+                    self.foreign += 1;
+                }
             }
         }
 
@@ -605,6 +609,51 @@ mod tests {
         let e = frame_events(src, "rec", "n");
         assert!(e.insts > 0);
         assert_eq!(e.foreign, 0, "{} of {} events", e.foreign, e.insts);
+    }
+
+    #[test]
+    fn inst_events_reach_every_activation_of_the_frame() {
+        /// Each instruction event, once per activation it reached.
+        struct Blocks(Vec<(LoopRef, BlockId)>);
+
+        impl LoopSink for Blocks {
+            type Act = LoopRef;
+
+            fn enter(&mut self, lref: LoopRef, _: u64, _: bool, _: &[Value]) -> LoopRef {
+                lref
+            }
+
+            fn inst(&mut self, frame: &mut [LoopRef], block: BlockId, _: usize, _: &[Value]) {
+                for &mut l in frame {
+                    self.0.push((l, block));
+                }
+            }
+
+            fn exit(&mut self, _: LoopRef, _: LoopRef, _: Option<u64>) {}
+        }
+
+        // @inner's header runs in main's frame, where @outer is live too.
+        let module = compile(
+            "fn main() { let a: [int; 8]; let k: int = 0; \
+             @outer: for (let i: int = 0; i < 3; i = i + 1) { \
+               @inner: while (k < (i + 1) * 2) { a[k] = i; k = k + 1; } } }",
+        )
+        .expect("compile");
+        let (outer, inner) = (loop_by_tag(&module, "outer"), loop_by_tag(&module, "inner"));
+        let header = FuncView::new(&module, inner.func)
+            .loops
+            .get(inner.loop_id)
+            .header;
+        let mut machine = Machine::new(&module);
+        machine
+            .push_call(module.main().expect("main"), &[])
+            .expect("push");
+        let mut tracker = LoopTracker::new(&module, Blocks(Vec::new()));
+        machine.run(&mut tracker, u64::MAX).expect("run");
+        let events = tracker.finish().0;
+        let in_header = |l: LoopRef| events.iter().filter(|&&e| e == (l, header)).count();
+        assert!(in_header(inner) > 0);
+        assert_eq!(in_header(outer), in_header(inner));
     }
 
     #[test]

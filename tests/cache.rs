@@ -6,6 +6,18 @@
 use dca::core::{Dca, DcaConfig, DcaReport, ObsOptions};
 use dca_rng::Rng;
 use std::path::PathBuf;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+/// `DCA_CACHE` is process-global and wins over every configured cache
+/// path, so no other test here may analyze while
+/// `dca_cache_env_var_enables_the_cache` has it set: the others hold this
+/// lock for reading, that test holds it for writing.
+static DCA_CACHE_ENV: RwLock<()> = RwLock::new(());
+
+/// Keeps `DCA_CACHE` unset for the rest of the calling test.
+fn env_unset() -> RwLockReadGuard<'static, ()> {
+    DCA_CACHE_ENV.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A unique scratch directory per test (the suite runs tests in
 /// parallel, so cache files must never be shared implicitly).
@@ -60,6 +72,7 @@ fn assert_reports_equal_modulo_cache(a: &DcaReport, b: &DcaReport, context: &str
 
 #[test]
 fn cached_verdict_equals_fresh_verdict() {
+    let _env = env_unset();
     let dir = scratch("property");
     let mut rng = Rng::seed_from_u64(21);
     for case in 0..6 {
@@ -111,6 +124,7 @@ fn cached_verdict_equals_fresh_verdict() {
 
 #[test]
 fn warm_obs_rollups_identical_across_widths() {
+    let _env = env_unset();
     // Cache hits ride the same deterministic fold as everything else:
     // counter values (including `cache.{hits,misses,stores}`) and span
     // counts must not depend on the worker count.
@@ -173,6 +187,7 @@ fn warm_obs_rollups_identical_across_widths() {
 
 #[test]
 fn key_changes_invalidate_stale_verdicts() {
+    let _env = env_unset();
     let dir = scratch("invalidate");
     let path = dir.join("cache.json");
     let mut rng = Rng::seed_from_u64(23);
@@ -207,6 +222,7 @@ fn key_changes_invalidate_stale_verdicts() {
 
 #[test]
 fn damaged_cache_bypasses_with_fault_counter_and_correct_verdicts() {
+    let _env = env_unset();
     let dir = scratch("damage");
     let path = dir.join("cache.json");
     let m = gen_program(&mut Rng::seed_from_u64(24));
@@ -241,6 +257,7 @@ fn damaged_cache_bypasses_with_fault_counter_and_correct_verdicts() {
 
 #[test]
 fn fault_injection_and_deadlines_bypass_the_cache() {
+    let _env = env_unset();
     let dir = scratch("bypass");
     let path = dir.join("cache.json");
     let m = gen_program(&mut Rng::seed_from_u64(25));
@@ -275,6 +292,7 @@ fn fault_injection_and_deadlines_bypass_the_cache() {
 
 #[test]
 fn cache_file_fuzz_never_panics_or_serves_wrong_verdicts() {
+    let _env = env_unset();
     // `dca-rng`-driven byte mutations of a valid cache file: whatever the
     // mutation does — file-level damage (bypass), entry-level damage
     // (checksum drop → recompute) or no semantic change (hit) — the
@@ -344,9 +362,12 @@ fn dca_cache_env_var_enables_the_cache() {
     let dir = scratch("env");
     let path = dir.join("env-cache.json");
     let m = gen_program(&mut Rng::seed_from_u64(28));
-    // SAFETY/isolation note: no other test in this *file* reads
-    // DCA_CACHE concurrently with a different expectation; the variable
-    // is removed again before the test ends.
+    // Isolation: every other test in this file holds `DCA_CACHE_ENV`
+    // for reading, so none analyzes while the variable is set; it is
+    // removed again before the lock is released.
+    let env = DCA_CACHE_ENV
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
     std::env::set_var("DCA_CACHE", &path);
     let cold = Dca::new(DcaConfig::fast())
         .analyze_module(&m)
@@ -355,6 +376,7 @@ fn dca_cache_env_var_enables_the_cache() {
         .analyze_module(&m)
         .expect("warm");
     std::env::remove_var("DCA_CACHE");
+    drop(env);
     assert_eq!(cold.cached_count(), 0);
     assert!(warm.cached_count() > 0, "env-configured cache serves hits");
     assert_eq!(
