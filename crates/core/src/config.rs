@@ -128,16 +128,17 @@ impl WallLimits {
 /// verification always compares the concrete outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DigestMode {
-    /// Pick the cheapest sound comparator automatically: when
-    /// [`DcaConfig::float_tolerance`] is exactly `0`, stream the canonical
-    /// heap traversal into a 128-bit fingerprint (tier 1 — no digest
-    /// materialization, no per-replay allocation) and keep only a 16-byte
-    /// reference hash; otherwise materialize the structural
-    /// [`crate::StateDigest`] (tier 2), since a tolerance comparison needs
-    /// the actual values. The default.
+    /// Fingerprint first, at every [`DcaConfig::float_tolerance`]: stream
+    /// the canonical heap traversal into a 128-bit fingerprint (tier 1 —
+    /// no digest materialization, no per-replay allocation) and compare
+    /// it with the golden one. Equal fingerprints are an exact match,
+    /// which matches under any tolerance. Only a mismatch materializes
+    /// the structural [`crate::StateDigest`]s (tier 2), to compare them
+    /// under the tolerance and name the first divergence. See
+    /// [`crate::ExitRef::check`]. The default.
     #[default]
     Auto,
-    /// Always materialize the structural digest, even at zero tolerance.
+    /// Always materialize the structural digest; never fingerprint.
     /// This exists as the differential oracle for the hashed tier: the
     /// `hash_digest_equals_structural_digest` property test runs both
     /// modes and asserts bit-identical reports.
@@ -158,8 +159,10 @@ pub struct DcaConfig {
     /// error thresholds for the same reason). Bitwise-identical floats —
     /// including NaNs — always match regardless of tolerance; setting
     /// this to `0.0` demands exactly that (canonical-bit equality, where
-    /// `-0.0 == +0.0` and all NaNs are one value) and unlocks the hashed
-    /// verification tier under [`VerifyScope::LoopExit`].
+    /// `-0.0 == +0.0` and all NaNs are one value). The tolerance applies
+    /// only where states differ bit for bit: under
+    /// [`VerifyScope::LoopExit`] a fingerprint match settles a replay at
+    /// any tolerance (see [`DigestMode::Auto`]).
     pub float_tolerance: f64,
     /// Loop-exit state comparator selection; see [`DigestMode`].
     pub digest: DigestMode,
@@ -222,13 +225,6 @@ pub struct DcaConfig {
     /// run cannot be cancelled externally; the CLI installs a token
     /// wired to Ctrl-C. See [`CancelToken`].
     pub cancel: Option<CancelToken>,
-    /// Worker threads for the *real-thread loop executor* (the CLI's
-    /// `--execute` mode, `dca-parallel::exec`); `0` means the
-    /// `DCA_EXEC_THREADS` environment variable if set, else one per
-    /// available CPU. Independent of [`DcaConfig::threads`] (the
-    /// verification engine's pool): analysis width and execution width
-    /// are different knobs.
-    pub exec_threads: usize,
 }
 
 impl Default for DcaConfig {
@@ -251,7 +247,6 @@ impl Default for DcaConfig {
             max_heap_cells: None,
             fault_retries: 0,
             cancel: None,
-            exec_threads: 0,
         }
     }
 }
@@ -286,8 +281,7 @@ impl DcaConfig {
     }
 
     /// [`DcaConfig::fast`] with loop-exit scope and bit-exact float
-    /// comparison — the configuration the hashed verification tier
-    /// targets.
+    /// comparison.
     pub fn exact() -> Self {
         DcaConfig {
             verify_scope: VerifyScope::LoopExit,
@@ -321,7 +315,6 @@ mod tests {
         assert!(c.max_heap_cells.is_none(), "no heap budget by default");
         assert_eq!(c.fault_retries, 0, "no fault retries by default");
         assert!(c.cancel.is_none(), "no cancellation token by default");
-        assert_eq!(c.exec_threads, 0, "auto-detect executor width by default");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! (paper Fig. 3).
 
 use crate::cache::{CacheDecision, CacheStats, CachedVerdict, KeyBuilder, VerdictCache};
-use crate::config::{DcaConfig, DigestMode, PermutationSet, VerifyScope};
+use crate::config::{DcaConfig, PermutationSet, VerifyScope};
 use crate::fault::{catch_contained, FaultKind, FaultPlan, STALL_DURATION};
 use crate::journal::{RunJournal, RunJournalStats};
-use crate::outcome::{hash_live_state, DigestScratch, StateDigest};
+use crate::outcome::{DigestScratch, DigestStats, ExitRef, GoldenDigest, StateDigest};
 use crate::parallel::{
     effective_threads, parallel_map, parallel_scan_with, split_threads, CancelToken, StopIndex,
 };
@@ -151,30 +151,6 @@ struct PermOutcome {
     /// The golden suffix steps this replay skipped, when its loop-exit
     /// state matched the golden run's (`verify.suffix_*` counters).
     suffix: Option<u64>,
-}
-
-/// Digest-capture work done by one verify step, split by tier. `cells`
-/// counts canonical values absorbed — scalar roots plus reachable heap
-/// cells — the same unit for both tiers, so the counter tracks state
-/// size independently of which comparator ran.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct DigestStats {
-    /// Fingerprint captures (tier 1).
-    hashed: u64,
-    /// Materialized [`StateDigest`] captures (tier 2 / diagnostics).
-    structural: u64,
-    /// Canonical values absorbed across both tiers.
-    cells: u64,
-}
-
-impl DigestStats {
-    fn plus(&self, o: &DigestStats) -> DigestStats {
-        DigestStats {
-            hashed: self.hashed + o.hashed,
-            structural: self.structural + o.structural,
-            cells: self.cells + o.cells,
-        }
-    }
 }
 
 /// Per-worker state for the permutation scan: one interpreter machine
@@ -604,19 +580,8 @@ impl Dca {
         // A loop of a cancelled run is skipped outright, and the partial
         // report stays valid.
         let cancelled = |lref: LoopRef| LoopResult {
-            lref,
-            tag: FuncView::new(module, lref.func)
-                .loops
-                .get(lref.loop_id)
-                .tag
-                .clone(),
             verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-            trips: 0,
-            permutations_tested: 0,
-            replay_steps: 0,
-            wall: Duration::ZERO,
-            cached: false,
-            resumed: false,
+            ..base_result(lref, loop_tag(module, lref))
         };
         // ---- Serve what the journal and the cache decided, and run the
         // static stage for the rest.
@@ -673,7 +638,7 @@ impl Dca {
             .collect();
         // ---- One golden run records every loop still to test. A panic
         // there is contained and becomes an engine fault of each of them.
-        let tested: Vec<&Tested<'_>> = stages
+        let tested: Vec<&LoopFacts<'_>> = stages
             .iter()
             .filter_map(|s| match s {
                 Stage::Tested(t, _) => Some(&**t),
@@ -690,9 +655,7 @@ impl Dca {
             if let Stage::Tested(t, goldens) = stage {
                 match &mut recorded {
                     Ok(records) => *goldens = records.next().expect("one per tested loop"),
-                    Err(msg) => {
-                        *stage = Stage::Decided(engine_fault_result(t.base.lref, msg.clone()))
-                    }
+                    Err(msg) => *stage = Stage::Decided(engine_fault_result(t.lref, msg.clone())),
                 }
             }
         }
@@ -989,7 +952,7 @@ impl Dca {
                     if let Some(verdict) = self.record_verdict(e) {
                         out.push(LoopResult {
                             verdict,
-                            ..t.base.clone()
+                            ..t.base()
                         });
                     }
                     break;
@@ -1011,7 +974,7 @@ impl Dca {
                 permutations_tested: summary.tested,
                 replay_steps: summary.replay_steps,
                 wall: inv_start.elapsed(),
-                ..t.base.clone()
+                ..t.base()
             });
         }
         obs.flush();
@@ -1030,9 +993,9 @@ impl Dca {
             .then_some(LoopVerdict::Skipped(SkipReason::Cancelled))
     }
 
-    /// The static stage (paper §IV-A) for one loop: separation and
-    /// exclusion. The loop is [`Stage::Tested`] unless it was excluded or
-    /// the analysis deadline or a cancel stopped it.
+    /// The static stage (paper §IV-A) for one loop: the loop's facts,
+    /// then exclusion. The loop is [`Stage::Tested`] unless it was
+    /// excluded or the analysis deadline or a cancel stopped it.
     fn static_stage<'m>(
         &self,
         module: &'m Module,
@@ -1041,41 +1004,20 @@ impl Dca {
         obs: &Obs,
         ctx: LoopCtx<'_>,
     ) -> Stage<'m> {
-        let view = FuncView::new(module, lref.func);
-        let live = Liveness::new_with_obs(&view, obs);
-        let l = view.loops.get(lref.loop_id);
-        let base = LoopResult {
-            lref,
-            tag: l.tag.clone(),
-            verdict: LoopVerdict::NotExercised,
-            trips: 0,
-            permutations_tested: 0,
-            replay_steps: 0,
-            wall: Duration::ZERO,
-            cached: false,
-            resumed: false,
-        };
         if let Some(verdict) = self.upfront_skip(ctx) {
-            return Stage::Decided(LoopResult { verdict, ..base });
-        }
-        let static_t = obs.span_start();
-        let slice = IteratorSlice::compute_with_obs(&view, l, effects, obs);
-        let excluded = exclusion(&view, l, &slice, &effects.io_funcs());
-        obs.span_end("stage.static", static_t);
-        if let Some(reason) = excluded {
             return Stage::Decided(LoopResult {
-                verdict: LoopVerdict::Excluded(reason),
-                ..base
+                verdict,
+                ..base_result(lref, loop_tag(module, lref))
             });
         }
-        let roots = digest_roots(&view, &live, l);
-        let t = Tested {
-            view,
-            slice,
-            roots,
-            base,
-        };
-        Stage::Tested(Box::new(t), Vec::new())
+        let facts = LoopFacts::build(module, effects, lref, obs);
+        if let Some(reason) = exclusion(&facts.view, facts.l(), &facts.slice, &effects.io_funcs()) {
+            return Stage::Decided(LoopResult {
+                verdict: LoopVerdict::Excluded(reason),
+                ..facts.base()
+            });
+        }
+        Stage::Tested(Box::new(facts), Vec::new())
     }
 
     /// Records the invocations `0..invocations` of every tested loop in
@@ -1088,7 +1030,7 @@ impl Dca {
         module: &Module,
         main: FuncId,
         args: &[Value],
-        tested: &[&Tested<'_>],
+        tested: &[&LoopFacts<'_>],
         invocations: u32,
         obs: &Obs,
         ctx: LoopCtx<'_>,
@@ -1098,12 +1040,7 @@ impl Dca {
         }
         let rec_t = obs.span_start();
         let stop_at_exit = self.config.verify_scope == VerifyScope::LoopExit;
-        // Tier 1 (hashed) applies when a tolerance of exactly zero makes
-        // canonical-bit equality the comparator — then replays can stream
-        // their state into a fingerprint instead of materializing a
-        // digest.
-        let hashed = self.config.float_tolerance == 0.0 && self.config.digest == DigestMode::Auto;
-        let mut refs: Vec<Vec<ExitRef>> = tested.iter().map(|_| Vec::new()).collect();
+        let mut refs: Vec<Vec<GoldenExit>> = tested.iter().map(|_| Vec::new()).collect();
         let mut scratch = DigestScratch::new();
         let mut vals = Vec::new();
         let requests = tested
@@ -1131,13 +1068,13 @@ impl Dca {
             &mut |r, m| {
                 // The machine stands in the golden loop-exit state only
                 // now; capture the reference, and the structural digest a
-                // hashed mismatch is diagnosed against.
+                // mismatch is compared against.
                 if stop_at_exit {
                     read_roots(m, &tested[r].roots.vars, &mut vals);
-                    refs[r].push(ExitRef {
-                        hash: hashed.then(|| hash_live_state(m, &vals, &mut scratch)),
-                        digest: StateDigest::capture_with(m, &vals, &mut scratch),
-                    });
+                    refs[r].push((
+                        ExitRef::capture(m, &vals, self.config.digest, &mut scratch),
+                        StateDigest::capture_with(m, &vals, &mut scratch),
+                    ));
                 }
             },
         );
@@ -1163,13 +1100,13 @@ impl Dca {
     fn verify_loop(
         &self,
         module: &Module,
-        t: &Tested<'_>,
+        t: &LoopFacts<'_>,
         goldens: &[Golden],
         threads: usize,
         obs: &Obs,
         ctx: LoopCtx<'_>,
     ) -> LoopResult {
-        let base = t.base.clone();
+        let base = t.base();
         let lref = base.lref;
         if let Some(verdict) = self.upfront_skip(ctx) {
             return LoopResult { verdict, ..base };
@@ -1177,7 +1114,6 @@ impl Dca {
         let mut trips_seen = 0;
         let mut perms_total = 0;
         let mut steps_total = 0u64;
-        let mut exercised = false;
         for (invocation, golden) in goldens.iter().enumerate() {
             let (golden, exit) = match golden {
                 Ok((g, x)) => (g, x.as_ref()),
@@ -1187,12 +1123,10 @@ impl Dca {
                 },
             };
             let trip = golden.iters.len();
+            // `record_loops` asks for `min_trip: 2`: the recorder keeps
+            // no invocation with nothing to permute.
+            debug_assert!(trip >= 2, "recorded a trip of {trip}");
             trips_seen = trips_seen.max(trip);
-            if trip < 2 {
-                // Nothing to permute in this invocation.
-                continue;
-            }
-            exercised = true;
             let seed = derive_seed(
                 self.config.seed,
                 lref.func.0,
@@ -1214,11 +1148,9 @@ impl Dca {
                 };
             }
         }
-        if !exercised {
-            return LoopResult {
-                trips: trips_seen,
-                ..base
-            };
+        // A loop is exercised iff it has a recorded invocation.
+        if !goldens.iter().any(Result::is_ok) {
+            return base;
         }
         LoopResult {
             verdict: LoopVerdict::Commutative,
@@ -1245,9 +1177,9 @@ impl Dca {
     fn verify_permutations(
         &self,
         module: &Module,
-        t: &Tested<'_>,
+        t: &LoopFacts<'_>,
         golden: &GoldenRecord,
-        exit: Option<&ExitRef>,
+        exit: Option<&GoldenExit>,
         perms: &[Vec<usize>],
         threads: usize,
         obs: &Obs,
@@ -1275,14 +1207,15 @@ impl Dca {
         };
         let reference = stop_at_exit.then(|| {
             let x = exit.expect("the loop-exit reference is captured at the exit");
-            match x.hash {
+            let (reference, golden_digest) = x;
+            match reference.hash {
                 Some((_, cells)) => {
                     obs.count("verify.digest.hashed", 1);
                     obs.count("verify.digest.cells", cells);
                 }
                 None => {
                     obs.count("verify.digest.structural", 1);
-                    obs.count("verify.digest.cells", x.digest.cell_count());
+                    obs.count("verify.digest.cells", golden_digest.cell_count());
                 }
             }
             x
@@ -1406,49 +1339,19 @@ impl Dca {
                 }
                 (VerifyScope::LoopExit, ReplayEnd::LoopExited) => {
                     read_roots(&w.machine, &roots.vars, &mut w.roots);
-                    let reference = reference.expect("captured above");
-                    match reference.hash {
-                        Some((expected, _)) => {
-                            let (h, cells) = hash_live_state(&w.machine, &w.roots, &mut w.scratch);
-                            digest.hashed += 1;
-                            digest.cells += cells;
-                            if h == expected {
-                                VerifyEnd::Complete
-                            } else {
-                                // Tier-2 diagnostics: the 16-byte reference
-                                // can say *that* the states differ but not
-                                // *where*. Materialize the permuted
-                                // structural digest and diff it against
-                                // the golden one captured at the exit.
-                                // Only the terminal replay pays this.
-                                let permuted =
-                                    StateDigest::capture_with(&w.machine, &w.roots, &mut w.scratch);
-                                digest.structural += 2;
-                                digest.cells +=
-                                    permuted.cell_count() + reference.digest.cell_count();
-                                VerifyEnd::Violated(Violation::OutcomeMismatch(
-                                    reference
-                                        .digest
-                                        .first_divergence(&permuted, 0.0, &roots.names),
-                                ))
-                            }
-                        }
-                        None => {
-                            let d = StateDigest::capture_with(&w.machine, &w.roots, &mut w.scratch);
-                            digest.structural += 1;
-                            digest.cells += d.cell_count();
-                            if reference.digest.matches(&d, self.config.float_tolerance) {
-                                VerifyEnd::Complete
-                            } else {
-                                VerifyEnd::Violated(Violation::OutcomeMismatch(
-                                    reference.digest.first_divergence(
-                                        &d,
-                                        self.config.float_tolerance,
-                                        &roots.names,
-                                    ),
-                                ))
-                            }
-                        }
+                    let (reference, golden_digest) = reference.expect("captured above");
+                    let check = reference.check(
+                        &w.machine,
+                        &w.roots,
+                        GoldenDigest::Captured(golden_digest),
+                        self.config.float_tolerance,
+                        &roots.names,
+                        &mut w.scratch,
+                        &mut digest,
+                    );
+                    match check.result {
+                        Ok(()) => VerifyEnd::Complete,
+                        Err(d) => VerifyEnd::Violated(Violation::OutcomeMismatch(Some(d))),
                     }
                 }
                 (VerifyScope::LoopExit, ReplayEnd::Finished(_)) => {
@@ -1607,37 +1510,14 @@ impl Dca {
     }
 }
 
-/// A loop that passed the static stage (paper §IV-A): what its golden
-/// recording and its verification read.
-struct Tested<'m> {
-    view: FuncView<'m>,
-    slice: IteratorSlice,
-    /// The loop-exit digest roots, also the frame variables suffix
-    /// elision compares.
-    roots: DigestRoots,
-    /// The loop's result before any verdict.
-    base: LoopResult,
-}
+/// The loop-exit state of the golden recording machine standing at a
+/// tested invocation's exit: the reference, and the structural digest a
+/// mismatch is compared against (the machine moves on).
+type GoldenExit = (ExitRef, StateDigest);
 
-impl Tested<'_> {
-    fn l(&self) -> &Loop {
-        self.view.loops.get(self.base.lref.loop_id)
-    }
-}
-
-/// The loop-exit reference state, captured from the golden recording
-/// machine standing at a tested invocation's exit.
-struct ExitRef {
-    /// The hashed tier's 16-byte fingerprint and its cell count.
-    hash: Option<(u128, u64)>,
-    /// The structural digest: the reference itself outside the hashed
-    /// tier, and the golden side of a hashed mismatch's diagnostic.
-    digest: StateDigest,
-}
-
-/// One recorded invocation with its loop-exit reference, or why it was
-/// not recorded.
-type Golden = Result<(GoldenRecord, Option<ExitRef>), RecordError>;
+/// One recorded invocation with its loop-exit state, or why it was not
+/// recorded.
+type Golden = Result<(GoldenRecord, Option<GoldenExit>), RecordError>;
 
 /// One loop of an [`Dca::analyze`] call between its stages.
 enum Stage<'m> {
@@ -1648,7 +1528,7 @@ enum Stage<'m> {
     /// a cancel, or a contained engine fault.
     Decided(LoopResult),
     /// Passed the static stage; its golden records, once recorded.
-    Tested(Box<Tested<'m>>, Vec<Golden>),
+    Tested(Box<LoopFacts<'m>>, Vec<Golden>),
 }
 
 /// The digest-root set for the loop-exit scope. Roots are *all*
@@ -1685,6 +1565,64 @@ pub fn digest_roots(view: &FuncView<'_>, live: &Liveness, l: &Loop) -> DigestRoo
     DigestRoots { vars, names }
 }
 
+/// A loop's static facts (paper §IV-A): its function view, the
+/// function's liveness, the iterator/payload separation and the
+/// loop-exit digest roots. The engine's static stage adds exclusion on
+/// top; `dca-parallel`'s executor and `ParallelPlan` read the same
+/// facts, so a loop is separated one way everywhere.
+pub struct LoopFacts<'m> {
+    /// The loop.
+    pub lref: LoopRef,
+    /// Its function's CFG, dominators and loop forest.
+    pub view: FuncView<'m>,
+    /// Its function's liveness.
+    pub live: Liveness,
+    /// Iterator/payload separation.
+    pub slice: IteratorSlice,
+    /// The loop-exit digest roots, also the frame variables suffix
+    /// elision compares.
+    pub roots: DigestRoots,
+}
+
+impl<'m> LoopFacts<'m> {
+    /// Builds `lref`'s facts against the module's effect map. The
+    /// separation is timed as the `stage.static` span; liveness and the
+    /// slice record their own `analysis.*` spans and counters.
+    pub fn build(module: &'m Module, effects: &EffectMap, lref: LoopRef, obs: &Obs) -> Self {
+        let view = FuncView::new(module, lref.func);
+        let live = Liveness::new_with_obs(&view, obs);
+        let l = view.loops.get(lref.loop_id);
+        let static_t = obs.span_start();
+        let slice = IteratorSlice::compute_with_obs(&view, l, effects, obs);
+        obs.span_end("stage.static", static_t);
+        let roots = digest_roots(&view, &live, l);
+        LoopFacts {
+            lref,
+            view,
+            live,
+            slice,
+            roots,
+        }
+    }
+
+    /// [`LoopFacts::build`] for a caller that needs one loop of the
+    /// module: builds the effect map first.
+    pub fn for_loop(module: &'m Module, lref: LoopRef, obs: &Obs) -> Self {
+        LoopFacts::build(module, &EffectMap::new_with_obs(module, obs), lref, obs)
+    }
+
+    /// The loop.
+    #[must_use]
+    pub fn l(&self) -> &Loop {
+        self.view.loops.get(self.lref.loop_id)
+    }
+
+    /// The loop's result before any verdict.
+    fn base(&self) -> LoopResult {
+        base_result(self.lref, self.l().tag.clone())
+    }
+}
+
 /// Refills `buf` with the current values of the digest-root variables.
 pub fn read_roots(machine: &Machine<'_>, vars: &[VarId], buf: &mut Vec<Value>) {
     buf.clear();
@@ -1697,9 +1635,17 @@ pub fn read_roots(machine: &Machine<'_>, vars: &[VarId], buf: &mut Vec<Value>) {
 /// re-enter the code that just faulted.
 fn engine_fault_result(lref: LoopRef, msg: String) -> LoopResult {
     LoopResult {
-        lref,
-        tag: None,
         verdict: LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
+        ..base_result(lref, None)
+    }
+}
+
+/// A loop's result before any verdict: not exercised, nothing run.
+fn base_result(lref: LoopRef, tag: Option<String>) -> LoopResult {
+    LoopResult {
+        lref,
+        tag,
+        verdict: LoopVerdict::NotExercised,
         trips: 0,
         permutations_tested: 0,
         replay_steps: 0,
@@ -1707,6 +1653,15 @@ fn engine_fault_result(lref: LoopRef, msg: String) -> LoopResult {
         cached: false,
         resumed: false,
     }
+}
+
+/// The source tag of `lref`, for a loop reported without its facts.
+fn loop_tag(module: &Module, lref: LoopRef) -> Option<String> {
+    FuncView::new(module, lref.func)
+        .loops
+        .get(lref.loop_id)
+        .tag
+        .clone()
 }
 
 /// Combines the per-loop results of two workloads: a refutation
@@ -1768,7 +1723,7 @@ fn merge_reports(a: DcaReport, b: DcaReport) -> DcaReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PermutationSet;
+    use crate::config::DigestMode;
 
     fn analyze(src: &str) -> DcaReport {
         let m = dca_ir::compile(src).expect("compile");
@@ -1986,12 +1941,22 @@ mod tests {
                 v => panic!("expected a live-out mismatch, got {v}"),
             }
         };
+        // The hashed tier runs at every tolerance.
+        let tolerant = DcaConfig {
+            float_tolerance: 1e-8,
+            ..DcaConfig::exact()
+        };
         let hashed = diverge(DcaConfig::exact());
         let structural = diverge(DcaConfig {
             digest: DigestMode::Structural,
             ..DcaConfig::exact()
         });
         assert_eq!(hashed, structural, "tiers must report the same divergence");
+        assert_eq!(
+            diverge(tolerant.clone()),
+            structural,
+            "a tolerance must not move the divergence"
+        );
         let rendered = Violation::OutcomeMismatch(Some(hashed)).to_string();
         assert!(
             rendered.contains("golden") && rendered.contains("permuted"),
@@ -2015,16 +1980,26 @@ mod tests {
                 obs.counter("verify.digest.cells"),
             )
         };
-        let (h_hashed, h_structural, h_cells) = count(DcaConfig::exact());
-        assert!(h_hashed >= 2, "reference + terminal replay fingerprinted");
-        assert_eq!(h_structural, 2, "one diagnostic pair per refutation");
+        for cfg in [DcaConfig::exact(), tolerant] {
+            let tol = cfg.float_tolerance;
+            let (h_hashed, h_structural, h_cells) = count(cfg);
+            assert!(
+                h_hashed >= 2,
+                "tol {tol}: reference + terminal replay fingerprinted"
+            );
+            assert_eq!(
+                h_structural, 2,
+                "tol {tol}: one diagnostic pair per refutation"
+            );
+            assert!(h_cells > 0);
+        }
         let (s_hashed, s_structural, s_cells) = count(DcaConfig {
             digest: DigestMode::Structural,
             ..DcaConfig::exact()
         });
         assert_eq!(s_hashed, 0, "forced structural never fingerprints");
         assert!(s_structural >= 2, "reference + terminal replay digested");
-        assert!(h_cells > 0 && s_cells > 0);
+        assert!(s_cells > 0);
     }
 
     #[test]

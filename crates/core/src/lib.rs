@@ -67,14 +67,14 @@ pub use dca_deps::{
     FootprintProbe, IterFootprint, LoopProfile,
 };
 pub use dca_obs::{Obs, ObsRollup, SpanStat};
-pub use engine::{digest_roots, read_roots, Dca, DcaError, DigestRoots};
+pub use engine::{digest_roots, read_roots, Dca, DcaError, DigestRoots, LoopFacts};
 pub use fault::{catch_contained, FaultKind, FaultPlan, FaultSpecError};
 pub use journal::{JournalEntry, RunJournal, RunJournalStats};
 pub use outcome::{
-    canon_f64_bits, float_close, hash_live_state, DigestScratch, Divergence, ProgramOutcome,
-    StateDigest,
+    canon_f64_bits, float_close, hash_live_state, DigestScratch, DigestStats, Divergence,
+    ExitCheck, ExitRef, GoldenDigest, ProgramOutcome, StateDigest,
 };
-pub use parallel::{effective_threads, CancelToken};
+pub use parallel::{effective_threads, parallel_map, CancelToken};
 pub use record::{
     record_golden, record_program, GoldenRecord, LoopRecords, ProgramRecording, RecordError,
     RecordRequest,

@@ -8,6 +8,7 @@
 //! traversal from the roots, so heaps that differ only in allocation order
 //! (as permuted executions legitimately do) still compare equal.
 
+use crate::config::DigestMode;
 pub use dca_deps::canon_f64_bits;
 use dca_interp::{Machine, ObjId, OutputItem, Value};
 use dca_rng::{Block4, Fingerprint};
@@ -297,10 +298,9 @@ impl DigestScratch {
         }
     }
 
-    /// Runs the canonical traversal — roots are the globals (in fixed
-    /// declaration order) then the pointers among the live-out values —
-    /// leaving the numbering in `canon` and the visit order in `order`.
-    fn traverse(&mut self, machine: &Machine<'_>, roots: &[Value]) {
+    /// Numbers the traversal roots afresh: the globals (in fixed
+    /// declaration order), then the pointers among the live-out values.
+    fn seed(&mut self, machine: &Machine<'_>, roots: &[Value]) {
         self.canon.clear();
         self.order.clear();
         for g in 0..machine.globals_len() {
@@ -311,6 +311,13 @@ impl DigestScratch {
                 self.visit(*o);
             }
         }
+    }
+
+    /// Runs the canonical traversal from the [`DigestScratch::seed`]
+    /// roots, leaving the numbering in `canon` and the visit order in
+    /// `order`.
+    fn traverse(&mut self, machine: &Machine<'_>, roots: &[Value]) {
+        self.seed(machine, roots);
         // BFS in canonical order; `order` doubles as the work queue (its
         // tail is the frontier).
         let mut i = 0;
@@ -592,16 +599,7 @@ pub fn hash_live_state(
     roots: &[Value],
     scratch: &mut DigestScratch,
 ) -> (u128, u64) {
-    scratch.canon.clear();
-    scratch.order.clear();
-    for g in 0..machine.globals_len() {
-        scratch.visit(ObjId(g as u32));
-    }
-    for v in roots {
-        if let Value::Ptr(o) = v {
-            scratch.visit(*o);
-        }
-    }
+    scratch.seed(machine, roots);
     let n_globals = machine.globals_len() as u32;
     let mut s = CellStream::new();
     s.word(roots.len() as u64);
@@ -676,33 +674,14 @@ impl StateDigest {
 
     /// True if two digests agree (floats under `rel_tol`).
     pub fn matches(&self, other: &StateDigest, rel_tol: f64) -> bool {
-        let cv_ok = |a: &CanonValue, b: &CanonValue| match (a, b) {
-            (CanonValue::Scalar(x), CanonValue::Scalar(y)) => value_close(x, y, rel_tol),
-            (CanonValue::Ref(x), CanonValue::Ref(y)) => x == y,
-            _ => false,
-        };
-        self.scalars.len() == other.scalars.len()
-            && self.heap.len() == other.heap.len()
-            && self
-                .scalars
-                .iter()
-                .zip(&other.scalars)
-                .all(|(a, b)| cv_ok(a, b))
-            && self
-                .heap
-                .iter()
-                .zip(&other.heap)
-                .all(|((ka, ca), (kb, cb))| {
-                    ka == kb && ca.len() == cb.len() && ca.iter().zip(cb).all(|(a, b)| cv_ok(a, b))
-                })
+        self.first_divergence(other, rel_tol, &[]).is_none()
     }
 
     /// The first divergence between this (golden) digest and a permuted
     /// one, walking both in canonical order: scalar roots (named via
     /// `root_names`, parallel to [`StateDigest::scalars`]), then object
     /// count, then each object's class/size, then its cells. Returns
-    /// `None` when [`StateDigest::matches`] would under the same
-    /// `rel_tol`. The walk order is a pure function of the two digests,
+    /// `None` when the two agree under `rel_tol`. The walk order is a pure function of the two digests,
     /// so the reported divergence is deterministic.
     pub fn first_divergence(
         &self,
@@ -763,6 +742,131 @@ impl StateDigest {
             }
         }
         None
+    }
+}
+
+/// Digest work done by loop-exit checks, split by tier. `cells` counts
+/// canonical values absorbed — scalar roots plus reachable heap cells —
+/// the same unit for both tiers, so the counter tracks state size
+/// independently of which comparator ran.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DigestStats {
+    /// Fingerprint captures (tier 1).
+    pub hashed: u64,
+    /// Materialized [`StateDigest`] captures (tier 2).
+    pub structural: u64,
+    /// Canonical values absorbed across both tiers.
+    pub cells: u64,
+}
+
+impl DigestStats {
+    /// The sum of two tallies.
+    #[must_use]
+    pub fn plus(&self, o: &DigestStats) -> DigestStats {
+        DigestStats {
+            hashed: self.hashed + o.hashed,
+            structural: self.structural + o.structural,
+            cells: self.cells + o.cells,
+        }
+    }
+}
+
+/// Where an [`ExitRef::check`] finds the golden digest, which it reads
+/// only on a fingerprint mismatch.
+pub enum GoldenDigest<'a, 'm> {
+    /// Captured while the golden machine stood at the exit.
+    Captured(&'a StateDigest),
+    /// A golden machine still standing at the exit, with its root values.
+    Standing(&'a Machine<'m>, &'a [Value]),
+}
+
+/// The golden run's loop-exit reference: the live-out fingerprint of the
+/// golden machine standing at the exit, or none under
+/// [`DigestMode::Structural`]. [`ExitRef::check`] is the one comparison
+/// of a candidate loop-exit state with the golden one, for permuted
+/// replays and merged parallel runs alike (DESIGN.md §14).
+#[derive(Debug, Clone, Copy)]
+pub struct ExitRef {
+    /// The golden fingerprint and the values it absorbed.
+    pub hash: Option<(u128, u64)>,
+}
+
+/// What an [`ExitRef::check`] found.
+#[derive(Debug)]
+pub struct ExitCheck {
+    /// The candidate's fingerprint, when the reference has one.
+    pub fingerprint: Option<u128>,
+    /// `Ok` when the states match, bit for bit or within the tolerance;
+    /// else the first divergence.
+    pub result: Result<(), Divergence>,
+}
+
+impl ExitRef {
+    /// The reference for a golden machine standing at a loop exit, with
+    /// `roots` its digest-root values: fingerprinted under
+    /// [`DigestMode::Auto`], left to the digests under
+    /// [`DigestMode::Structural`].
+    pub fn capture(
+        machine: &Machine<'_>,
+        roots: &[Value],
+        mode: DigestMode,
+        scratch: &mut DigestScratch,
+    ) -> ExitRef {
+        ExitRef {
+            hash: (mode == DigestMode::Auto).then(|| hash_live_state(machine, roots, scratch)),
+        }
+    }
+
+    /// Compares the candidate `machine`'s live state (root values
+    /// `roots`, named by `names`) with the golden one. Equal fingerprints
+    /// match exactly, and so under any tolerance; otherwise both digests
+    /// are materialized and compared under `rel_tol`. `stats` tallies the
+    /// work.
+    #[allow(clippy::too_many_arguments)]
+    pub fn check(
+        &self,
+        machine: &Machine<'_>,
+        roots: &[Value],
+        golden: GoldenDigest<'_, '_>,
+        rel_tol: f64,
+        names: &[String],
+        scratch: &mut DigestScratch,
+        stats: &mut DigestStats,
+    ) -> ExitCheck {
+        let fingerprint = self.hash.map(|_| {
+            let (h, cells) = hash_live_state(machine, roots, scratch);
+            stats.hashed += 1;
+            stats.cells += cells;
+            h
+        });
+        if fingerprint.is_some() && fingerprint == self.hash.map(|(h, _)| h) {
+            return ExitCheck {
+                fingerprint,
+                result: Ok(()),
+            };
+        }
+        let candidate = StateDigest::capture_with(machine, roots, scratch);
+        stats.structural += 1;
+        stats.cells += candidate.cell_count();
+        let standing;
+        let golden = match golden {
+            GoldenDigest::Captured(d) => d,
+            GoldenDigest::Standing(m, r) => {
+                standing = StateDigest::capture_with(m, r, scratch);
+                &standing
+            }
+        };
+        // A structural reference is counted once, where it was captured.
+        if self.hash.is_some() {
+            stats.structural += 1;
+            stats.cells += golden.cell_count();
+        }
+        ExitCheck {
+            fingerprint,
+            result: golden
+                .first_divergence(&candidate, rel_tol, names)
+                .map_or(Ok(()), Err),
+        }
     }
 }
 

@@ -3,8 +3,9 @@
 //! The dynamic stage of DCA is embarrassingly parallel at two levels:
 //! every permuted replay of one loop starts from the same immutable golden
 //! snapshot, and every loop of a module is verified independently. This
-//! module provides the two scheduling primitives the engine builds on —
-//! both implemented with [`std::thread::scope`], so borrowed inputs (the
+//! module provides the scheduling primitive the engine builds on, and
+//! `dca-parallel`'s executor runs its workers on too — one pool,
+//! implemented with [`std::thread::scope`], so borrowed inputs (the
 //! module, the snapshot) are shared without cloning or `Arc`.
 //!
 //! # Determinism
@@ -12,7 +13,7 @@
 //! Parallel execution must be *observationally identical* to sequential
 //! execution: same verdicts, same `permutations_tested`, same
 //! `replay_steps`. [`parallel_map`] guarantees this trivially (results are
-//! returned in item order). [`parallel_scan`] reproduces sequential
+//! returned in item order). [`parallel_scan_with`] reproduces sequential
 //! early-exit semantics with a [`StopIndex`]: workers claim indices in
 //! increasing order from a shared atomic counter, a terminal outcome at
 //! index *t* lowers the stop index to *t* via `fetch_min`, and workers
@@ -200,11 +201,8 @@ impl Default for StopIndex {
 /// Applies `f` to every item on up to `threads` workers and returns the
 /// results **in item order**. `f(i, &items[i])` must be pure up to its
 /// return value; items are claimed dynamically, so uneven per-item cost
-/// balances itself.
-///
-/// When `obs` has a trace sink, each worker of the multi-threaded path
-/// emits one `worker` event tagged with `pool` on exit (see DESIGN.md
-/// §11); with tracing off the workers never read the clock.
+/// balances itself. This is [`parallel_scan_with`] with no stop and no
+/// worker state, so it emits the same `worker` trace events.
 ///
 /// # Panics
 ///
@@ -221,43 +219,18 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = threads.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (next, f) = (&next, &f);
-    let buckets: Vec<Vec<(usize, R)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut stats = WorkerStats::begin(obs);
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        let t = stats.item_start();
-                        local.push((i, f(i, item)));
-                        stats.item_end(t);
-                    }
-                    stats.finish(obs, pool, w);
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in buckets.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index was claimed exactly once"))
-        .collect()
+    parallel_scan_with(
+        threads,
+        items,
+        &StopIndex::new(),
+        obs,
+        pool,
+        || (),
+        |(), i, t| f(i, t),
+    )
+    .into_iter()
+    .map(|r| r.expect("with no stop every slot is filled"))
+    .collect()
 }
 
 /// Applies `f` to a prefix of `items` on up to `threads` workers,
@@ -273,32 +246,13 @@ where
 /// finish them — and callers must ignore them.
 ///
 /// When `obs` has a trace sink, each worker of the multi-threaded path
-/// emits one `worker` event tagged with `pool` on exit, and a
-/// `stop_observed` event when it abandons a claim because the claim is
-/// past the current stop index — the scheduling-dependent race the
-/// deterministic fold hides. With tracing off the workers never read the
-/// clock.
+/// emits one `worker` event tagged with `pool` on exit (see DESIGN.md
+/// §11), and a `stop_observed` event when it abandons a claim because
+/// the claim is past the current stop index — the scheduling-dependent
+/// race the deterministic fold hides. With tracing off the workers never
+/// read the clock.
 ///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn parallel_scan<T, R, F>(
-    threads: usize,
-    items: &[T],
-    stop: &StopIndex,
-    obs: &Obs,
-    pool: &'static str,
-    f: F,
-) -> Vec<Option<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_scan_with(threads, items, stop, obs, pool, || (), |(), i, t| f(i, t))
-}
-
-/// [`parallel_scan`] with **worker-local state**: `init()` runs once per
+/// Each worker carries **worker-local state**: `init()` runs once per
 /// worker (once total on the sequential path) and the resulting value is
 /// threaded mutably through every item that worker processes. This is how
 /// the engine amortizes expensive per-worker setup — one interpreter
@@ -448,12 +402,20 @@ mod tests {
         let items: Vec<usize> = (0..200).collect();
         for threads in [1, 2, 8] {
             let stop = StopIndex::new();
-            let slots = parallel_scan(threads, &items, &stop, &Obs::disabled(), "test", |i, &x| {
-                if x == 23 {
-                    stop.stop_at(i);
-                }
-                x
-            });
+            let slots = parallel_scan_with(
+                threads,
+                &items,
+                &stop,
+                &Obs::disabled(),
+                "test",
+                || (),
+                |(), i, &x| {
+                    if x == 23 {
+                        stop.stop_at(i);
+                    }
+                    x
+                },
+            );
             assert_eq!(stop.current(), 23, "threads={threads}");
             for (i, s) in slots.iter().enumerate().take(24) {
                 assert_eq!(s, &Some(i), "threads={threads} slot {i}");
@@ -468,11 +430,19 @@ mod tests {
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 4] {
             let stop = StopIndex::new();
-            parallel_scan(threads, &items, &stop, &Obs::disabled(), "test", |i, &x| {
-                if x == 10 || x == 40 {
-                    stop.stop_at(i);
-                }
-            });
+            parallel_scan_with(
+                threads,
+                &items,
+                &stop,
+                &Obs::disabled(),
+                "test",
+                || (),
+                |(), i, &x| {
+                    if x == 10 || x == 40 {
+                        stop.stop_at(i);
+                    }
+                },
+            );
             assert_eq!(stop.current(), 10, "threads={threads}");
         }
     }
@@ -481,7 +451,15 @@ mod tests {
     fn scan_without_terminal_processes_everything() {
         let items: Vec<u64> = (0..50).collect();
         let stop = StopIndex::new();
-        let slots = parallel_scan(4, &items, &stop, &Obs::disabled(), "test", |_, &x| x + 1);
+        let slots = parallel_scan_with(
+            4,
+            &items,
+            &stop,
+            &Obs::disabled(),
+            "test",
+            || (),
+            |(), _, &x| x + 1,
+        );
         assert_eq!(stop.current(), usize::MAX);
         assert!(slots.iter().all(Option::is_some));
     }
@@ -492,14 +470,22 @@ mod tests {
         let ran_past = AtomicBool::new(false);
         let items: Vec<usize> = (0..100).collect();
         let stop = StopIndex::new();
-        parallel_scan(1, &items, &stop, &Obs::disabled(), "test", |i, _| {
-            if i == 5 {
-                stop.stop_at(i);
-            }
-            if i > 5 {
-                ran_past.store(true, Ordering::SeqCst);
-            }
-        });
+        parallel_scan_with(
+            1,
+            &items,
+            &stop,
+            &Obs::disabled(),
+            "test",
+            || (),
+            |(), i, _| {
+                if i == 5 {
+                    stop.stop_at(i);
+                }
+                if i > 5 {
+                    ran_past.store(true, Ordering::SeqCst);
+                }
+            },
+        );
         assert!(!ran_past.load(Ordering::SeqCst));
     }
 

@@ -11,8 +11,8 @@
 use crate::costs::measure_costs;
 use crate::plan::ParallelPlan;
 use crate::sim::{simulate_invocation, Schedule, SimConfig};
-use dca_analysis::ReductionOp;
-use dca_core::DcaReport;
+use dca_analysis::{EffectMap, ReductionOp};
+use dca_core::{DcaReport, LoopFacts, Obs};
 use dca_interp::{Trap, Value};
 use dca_ir::{LoopRef, Module};
 use std::collections::BTreeSet;
@@ -116,10 +116,11 @@ pub fn advise(
     let all: BTreeSet<LoopRef> = report.iter().map(|r| r.lref).collect();
     let profile = measure_costs(module, args, &all)?;
     let total = profile.total_steps.max(1) as f64;
+    let (effects, obs) = (EffectMap::new(module), Obs::disabled());
     let mut out = Vec::new();
     for r in report.iter() {
         let commutative = r.verdict.is_commutative();
-        let plan = ParallelPlan::build(module, r.lref);
+        let plan = ParallelPlan::build(&LoopFacts::build(module, &effects, r.lref, &obs));
         let loop_cfg = SimConfig {
             reduction_vars: plan.reductions.len(),
             ..*cfg

@@ -34,19 +34,24 @@
 //!    scalar partials are combined with the plan's operators in a
 //!    deterministic chunk-ordered tree, and the recorded iterator exit
 //!    values close the loop.
-//! 4. The merged live-out state is fingerprinted
-//!    ([`dca_core::hash_live_state`]) and compared against the same roots
-//!    in the recording machine of step 1: the sequential oracle is the
-//!    golden run itself, not a replay through the controller the workers
-//!    use, so a controller bug cannot cancel out. A mismatch is a hard
-//!    [`ExecError::Diverged`] carrying the first divergent root or cell —
-//!    a parallel run never silently returns corrupted state.
+//! 4. The merged live-out state is checked against the same roots in the
+//!    recording machine of step 1 with the engine's own loop-exit check
+//!    ([`dca_core::ExitRef::check`]): the sequential oracle is the golden
+//!    run itself, not a replay through the controller the workers use,
+//!    so a controller bug cannot cancel out. Equal fingerprints are an
+//!    exact match; otherwise both states are digested and compared under
+//!    [`ExecConfig::float_tolerance`], the oracle's digest taken only
+//!    then. A mismatch is a hard [`ExecError::Diverged`] carrying the
+//!    first divergent root or cell — a parallel run never silently
+//!    returns corrupted state.
 //!
-//! Floating-point reductions combined in a different order are not
-//! bit-identical in general; [`ExecConfig::float_tolerance`] falls back
-//! to a tolerance comparison ([`dca_core::StateDigest`]) when the exact
-//! fingerprints differ. With the tolerance at `0.0` the comparison is
-//! exact up to NaN/`-0.0` canonicalization.
+//! The loop's facts — separation, liveness, digest roots — are the
+//! engine's ([`dca_core::LoopFacts`]), built once and shared with the
+//! [`ParallelPlan`], and the workers run on the engine's pool
+//! ([`dca_core::parallel_map`]). Floating-point reductions combined in a
+//! different order are not bit-identical in general, which is what the
+//! tolerance is for; at `0.0` the comparison is exact up to
+//! NaN/`-0.0` canonicalization.
 //!
 //! ```
 //! use dca_parallel::exec::{execute_loop, ExecConfig};
@@ -67,17 +72,15 @@
 
 use crate::plan::ParallelPlan;
 use crate::sim::Schedule;
-use dca_analysis::{ArrayKey, EffectMap, IteratorSlice, Liveness, ReductionOp};
+use dca_analysis::{ArrayKey, ReductionOp};
 use dca_core::{
-    digest_roots, hash_live_state, read_roots, record_golden, run_replay, DcaConfig, DcaReport,
-    DigestScratch, Divergence, GoldenRecord, IterOrder, Obs, RecordError, ReplayController,
-    ReplayEnd, ReplayGovernor, StateDigest,
+    parallel_map, read_roots, record_golden, run_replay, DcaConfig, DcaReport, DigestMode,
+    DigestScratch, DigestStats, Divergence, ExitRef, GoldenDigest, GoldenRecord, IterOrder,
+    LoopFacts, Obs, RecordError, ReplayController, ReplayEnd, ReplayGovernor,
 };
 use dca_deps::{autotune_chunk, check_decomposable, Conflict, DepVerdict, FootprintProbe};
 use dca_interp::{Addr, Machine, ObjId, Trap, Value};
-use dca_ir::{
-    BinOp, BlockId, FuncId, FuncView, Function, Inst, Loop, LoopRef, Module, Operand, VarId,
-};
+use dca_ir::{BinOp, BlockId, Function, Inst, LoopRef, Module, Operand, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -146,12 +149,12 @@ impl Default for ExecConfig {
 
 impl ExecConfig {
     /// Derives an execution configuration from an analysis
-    /// configuration: `exec_threads` plus the shared float tolerance and
-    /// budgets.
+    /// configuration: the shared float tolerance and budgets, with the
+    /// worker count left to [`exec_threads`].
     #[must_use]
     pub fn from_dca(cfg: &DcaConfig) -> Self {
         ExecConfig {
-            threads: cfg.exec_threads,
+            threads: 0,
             schedule: Schedule::StaticBlock,
             float_tolerance: cfg.float_tolerance,
             max_steps: cfg.max_steps,
@@ -329,15 +332,12 @@ pub fn execute_loop(
     let main = module
         .main()
         .ok_or_else(|| ExecError::Unsupported("module has no main".into()))?;
-    let view = FuncView::new(module, lref.func);
-    let l = view.loops.get(lref.loop_id).clone();
-    let live = Liveness::new(&view);
-    let effects = EffectMap::new(module);
-    let slice = IteratorSlice::compute_with(&view, &l, &effects);
-    let func_ir = module.func(lref.func);
+    let facts = LoopFacts::for_loop(module, lref, obs);
+    let (l, slice, roots) = (facts.l(), &facts.slice, &facts.roots);
+    let func_ir = facts.view.func;
     let var_name = |v: VarId| func_ir.var(v).name.clone();
 
-    let plan = ParallelPlan::build(module, lref);
+    let plan = ParallelPlan::build(&facts);
     if !plan.is_clean() {
         return Err(ExecError::Unresolved(
             plan.unresolved.iter().copied().map(var_name).collect(),
@@ -347,8 +347,7 @@ pub fn execute_loop(
     // in the loop, not iterator control (covered by the recorded exit
     // values), not a reduction (covered by the partial combine). Their
     // final value is a function of iteration order.
-    let roots = digest_roots(&view, &live, &l);
-    let defined = live.loop_defs(&l);
+    let defined = facts.live.loop_defs(l);
     let red_vars: BTreeSet<VarId> = plan.reductions.iter().map(|r| r.var).collect();
     let sensitive: Vec<String> = roots
         .vars
@@ -373,8 +372,8 @@ pub fn execute_loop(
         main,
         args,
         lref.func,
-        &l,
-        &slice,
+        l,
+        slice,
         0,
         0,
         cfg.max_trip,
@@ -516,42 +515,20 @@ pub fn execute_loop(
 
     let red_seed: Vec<(VarId, Value)> = reds.iter().map(|r| (r.var, r.identity)).collect();
     let ctx = WorkerCtx {
-        module,
-        func: lref.func,
-        func_ir,
-        l: &l,
-        slice: &slice,
+        facts: &facts,
         golden: &golden,
         red: &red_seed,
         hists: &hists,
         max_steps: cfg.max_steps,
     };
 
-    let harvests: Vec<Harvest> = if threads <= 1 {
-        vec![run_worker(
-            &ctx,
-            IterSource::Static {
-                range: 0..n,
-                chunk: 0,
-            },
-        )?]
-    } else {
-        let next = AtomicUsize::new(0);
-        let results: Vec<Result<Harvest, ExecError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let source = make_source(chunk, w, threads, n, &next);
-                    let ctx = &ctx;
-                    s.spawn(move || run_worker(ctx, source))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        results.into_iter().collect::<Result<Vec<_>, _>>()?
-    };
+    let next = AtomicUsize::new(0);
+    let workers: Vec<usize> = (0..threads).collect();
+    let harvests = parallel_map(threads, &workers, obs, "exec", |_, &w| {
+        run_worker(&ctx, make_source(chunk, w, threads, n, &next))
+    })
+    .into_iter()
+    .collect::<Result<Vec<Harvest>, ExecError>>()?;
 
     let iters: u64 = harvests.iter().map(|h| h.iters).sum();
     debug_assert_eq!(
@@ -622,30 +599,32 @@ pub fn execute_loop(
         master.write_var(v, golden.exit.vars[v.index()]);
     }
 
-    // --- Differential validation. ---
+    // --- Differential validation, against the oracle still standing at
+    // the exit. ---
     let mut scratch = DigestScratch::new();
-    let mut buf = Vec::new();
-    read_roots(&master, &roots.vars, &mut buf);
-    let (par_fp, _) = hash_live_state(&master, &buf, &mut scratch);
-
-    let mut obuf = Vec::new();
+    let (mut obuf, mut buf) = (Vec::new(), Vec::new());
     read_roots(&oracle, &roots.vars, &mut obuf);
-    let (seq_fp, _) = hash_live_state(&oracle, &obuf, &mut scratch);
-    let exact = par_fp == seq_fp;
-    if !exact {
-        let seq_digest = StateDigest::capture(&oracle, &obuf);
-        let par_digest = StateDigest::capture(&master, &buf);
-        let tol = cfg.float_tolerance;
-        if !(tol > 0.0 && seq_digest.matches(&par_digest, tol)) {
-            obs.count("exec.divergences", 1);
-            return Err(ExecError::Diverged {
-                expected: seq_fp,
-                actual: par_fp,
-                detail: seq_digest
-                    .first_divergence(&par_digest, tol, &roots.names)
-                    .map(Box::new),
-            });
-        }
+    read_roots(&master, &roots.vars, &mut buf);
+    let reference = ExitRef::capture(&oracle, &obuf, DigestMode::Auto, &mut scratch);
+    let check = reference.check(
+        &master,
+        &buf,
+        GoldenDigest::Standing(&oracle, &obuf),
+        cfg.float_tolerance,
+        &roots.names,
+        &mut scratch,
+        &mut DigestStats::default(),
+    );
+    let (Some((seq_fp, _)), Some(par_fp)) = (reference.hash, check.fingerprint) else {
+        unreachable!("the auto digest mode fingerprints both states")
+    };
+    if let Err(detail) = check.result {
+        obs.count("exec.divergences", 1);
+        return Err(ExecError::Diverged {
+            expected: seq_fp,
+            actual: par_fp,
+            detail: Some(Box::new(detail)),
+        });
     }
 
     obs.count("exec.invocations", 1);
@@ -662,7 +641,7 @@ pub fn execute_loop(
         chunk,
         combine_steps,
         validated: true,
-        exact,
+        exact: par_fp == seq_fp,
         fingerprint: par_fp,
         oracle_fingerprint: Some(seq_fp),
     })
@@ -678,11 +657,7 @@ struct ScalarMerge {
 
 /// Everything a worker borrows, shared across the pool.
 struct WorkerCtx<'a> {
-    module: &'a Module,
-    func: FuncId,
-    func_ir: &'a Function,
-    l: &'a Loop,
-    slice: &'a IteratorSlice,
+    facts: &'a LoopFacts<'a>,
     golden: &'a GoldenRecord,
     /// `(accumulator, identity)` seeds for recognized scalar reductions.
     red: &'a [(VarId, Value)],
@@ -706,7 +681,8 @@ struct Harvest {
 
 /// Worker `worker`'s iteration source: its contiguous block under the
 /// static schedule (`chunk` is `None`), else chunk self-scheduling over
-/// the shared counter `next`.
+/// the shared counter `next`. A lone worker takes the whole range as one
+/// share under every schedule.
 fn make_source(
     chunk: Option<usize>,
     worker: usize,
@@ -714,7 +690,7 @@ fn make_source(
     n: usize,
     next: &AtomicUsize,
 ) -> IterSource<'_> {
-    match chunk {
+    match chunk.filter(|_| threads > 1) {
         None => IterSource::Static {
             range: worker * n / threads..(worker + 1) * n / threads,
             chunk: worker,
@@ -826,7 +802,8 @@ impl IterOrder for WorkerShare<'_> {
 }
 
 fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, ExecError> {
-    let mut machine = Machine::new(ctx.module);
+    let f = ctx.facts;
+    let mut machine = Machine::new(f.view.module);
     machine.restore(&ctx.golden.snapshot);
     let base_heap = machine.heap().len();
     let base_out = machine.output().len();
@@ -854,7 +831,7 @@ fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, Ex
         iters: 0,
     };
     let mut ctl =
-        ReplayController::with_order(ctx.func, ctx.func_ir, ctx.l, ctx.slice, ctx.golden, share);
+        ReplayController::with_order(f.lref.func, f.view.func, f.l(), &f.slice, ctx.golden, share);
     match run_replay(
         &mut machine,
         &mut ctl,
@@ -1101,6 +1078,42 @@ mod tests {
             fps.push(out.fingerprint);
         }
         assert!(fps.windows(2).all(|p| p[0] == p[1]));
+    }
+
+    #[test]
+    fn regrouped_float_sum_validates_only_under_tolerance() {
+        // Four workers regroup the sum, so the merged bits differ from the
+        // sequential ones: the fingerprints mismatch and the check falls
+        // through to the digests, the oracle's taken only then.
+        let src = "fn main() -> float { let s: float = 0.0; \
+             @l: for (let i: int = 0; i < 1000; i = i + 1) { s = s + 1.0 / (i as float + 1.0); } \
+             return s; }";
+        let cfg = ExecConfig {
+            threads: 4,
+            ..ExecConfig::default()
+        };
+        let out = exec_tagged(src, "l", &cfg).expect("within the default tolerance");
+        assert!(out.validated && !out.exact, "{out:?}");
+        assert_ne!(Some(out.fingerprint), out.oracle_fingerprint);
+        let exact = ExecConfig {
+            float_tolerance: 0.0,
+            ..cfg
+        };
+        match exec_tagged(src, "l", &exact) {
+            Err(ExecError::Diverged {
+                expected,
+                actual,
+                detail,
+            }) => {
+                assert_eq!(Some(expected), out.oracle_fingerprint);
+                assert_eq!(actual, out.fingerprint);
+                assert!(
+                    matches!(detail.as_deref(), Some(Divergence::Root { name, .. }) if name == "s"),
+                    "{detail:?}"
+                );
+            }
+            other => panic!("expected a divergence at tolerance 0, got {other:?}"),
+        }
     }
 
     #[test]

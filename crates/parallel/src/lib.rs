@@ -43,6 +43,8 @@ pub use dca_deps::{
     DEFAULT_DYNAMIC_CHUNK,
 };
 
+use dca_analysis::EffectMap;
+use dca_core::{LoopFacts, Obs};
 use dca_interp::{Trap, Value};
 use dca_ir::{LoopRef, Module};
 use std::collections::BTreeSet;
@@ -50,7 +52,7 @@ use std::collections::BTreeSet;
 /// Measures costs and simulates the whole-program speedup of parallelizing
 /// `selection` (outermost loops only are kept; nested selections are
 /// dropped automatically). Reduction clauses found by planning contribute
-/// their combine costs.
+/// their combine costs. The loop-only half of [`speedup_with_extra`].
 ///
 /// # Errors
 ///
@@ -61,37 +63,7 @@ pub fn speedup_for_selection(
     selection: &BTreeSet<LoopRef>,
     cfg: &SimConfig,
 ) -> Result<f64, Trap> {
-    let outer = outermost_only(module, selection);
-    let profile = costs::measure_costs(module, args, &outer)?;
-    // Account reduction-combine costs per loop by adjusting the config.
-    let total = profile.total_steps.max(1) as f64;
-    let mut parallel_time = total;
-    for &lref in &outer {
-        let plan = ParallelPlan::build(module, lref);
-        let loop_cfg = SimConfig {
-            reduction_vars: plan.reductions.len(),
-            ..*cfg
-        };
-        let Some(invs) = profile.per_loop.get(&lref) else {
-            continue;
-        };
-        for inv in invs.iter().filter(|inv| !inv.nested) {
-            let r = simulate_invocation(&inv.iter_costs, &loop_cfg);
-            parallel_time -= r.seq_steps as f64;
-            parallel_time += r.par_steps as f64;
-        }
-    }
-    // Measured profiles always cover the selected loops, so the residual
-    // cannot go negative (see `program_speedup` for the full argument);
-    // an inconsistency is an accounting bug, not a speedup.
-    debug_assert!(
-        parallel_time >= 0.0,
-        "negative simulated parallel time ({parallel_time}) for a measured profile"
-    );
-    if parallel_time <= 0.0 {
-        return Ok(1.0);
-    }
-    Ok(total / parallel_time)
+    Ok(speedup_with_extra(module, args, selection, cfg, 0.0)?.0)
 }
 
 /// Like [`speedup_for_selection`], but additionally models a *full expert
@@ -112,10 +84,11 @@ pub fn speedup_with_extra(
     let outer = outermost_only(module, selection);
     let profile = costs::measure_costs(module, args, &outer)?;
     let total = profile.total_steps.max(1) as f64;
+    let (effects, obs) = (EffectMap::new(module), Obs::disabled());
     let mut selected_seq = 0.0;
     let mut selected_par = 0.0;
     for &lref in &outer {
-        let plan = ParallelPlan::build(module, lref);
+        let plan = ParallelPlan::build(&LoopFacts::build(module, &effects, lref, &obs));
         let loop_cfg = SimConfig {
             reduction_vars: plan.reductions.len(),
             ..*cfg
@@ -129,6 +102,13 @@ pub fn speedup_with_extra(
             selected_par += r.par_steps as f64;
         }
     }
+    // Measured profiles always cover the selected loops, so the residual
+    // cannot go negative (see `program_speedup` for the full argument);
+    // an inconsistency is an accounting bug, not a speedup.
+    debug_assert!(
+        total >= selected_seq,
+        "selected loops ({selected_seq} steps) outweigh the program ({total})"
+    );
     let residual = (total - selected_seq).max(0.0);
     let t_loop = (residual + selected_par).max(1.0);
     let extra = extra.clamp(0.0, 1.0);

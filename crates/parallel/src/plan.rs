@@ -6,8 +6,9 @@
 //! [`ParallelPlan`] captures exactly the clauses such a code generator
 //! would emit for one loop.
 
-use dca_analysis::{EffectMap, Histogram, IteratorSlice, Liveness, ReductionInfo, ScalarReduction};
-use dca_ir::{FuncView, LoopRef, Module, VarId};
+use dca_analysis::{Histogram, ReductionInfo, ScalarReduction};
+use dca_core::LoopFacts;
+use dca_ir::{LoopRef, VarId};
 use std::collections::BTreeSet;
 
 /// The OpenMP-like clauses for one parallelized loop.
@@ -34,14 +35,10 @@ pub struct ParallelPlan {
 }
 
 impl ParallelPlan {
-    /// Builds the plan for `lref`.
-    pub fn build(module: &Module, lref: LoopRef) -> ParallelPlan {
-        let view = FuncView::new(module, lref.func);
-        let live = Liveness::new(&view);
-        let effects = EffectMap::new(module);
-        let l = view.loops.get(lref.loop_id);
-        let slice = IteratorSlice::compute_with(&view, l, &effects);
-        let red = ReductionInfo::compute(&view, &live, l, &slice.slice_vars);
+    /// Builds the plan for the loop `facts` describe.
+    pub fn build(facts: &LoopFacts<'_>) -> ParallelPlan {
+        let (live, l, slice) = (&facts.live, facts.l(), &facts.slice);
+        let red = ReductionInfo::compute(&facts.view, live, l, &slice.slice_vars);
         let carried = live.loop_carried(l);
         let defined = live.loop_defs(l);
         // Private: defined in the loop, not carried, not live out of it.
@@ -60,7 +57,7 @@ impl ParallelPlan {
             .filter(|v| !slice.slice_vars.contains(v) && !reduction_vars.contains(v))
             .collect();
         ParallelPlan {
-            lref,
+            lref: facts.lref,
             tag: l.tag.clone(),
             private,
             control: slice.slice_vars.clone(),
@@ -88,7 +85,7 @@ mod tests {
             .find(|(_, t)| t.as_deref() == Some(tag))
             .expect("tagged loop")
             .0;
-        let plan = ParallelPlan::build(&m, lref);
+        let plan = ParallelPlan::build(&LoopFacts::for_loop(&m, lref, &dca_core::Obs::disabled()));
         (m, plan)
     }
 

@@ -36,7 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dca::parallel::speedup_for_selection(&module, &args, &selection, &SimConfig::paper_host())?;
     println!("\nSimulated 72-core speedup from the top-down step alone: {speedup:.2}x");
 
-    let plan = dca::parallel::ParallelPlan::build(&module, top_down);
+    let facts = dca::core::LoopFacts::for_loop(&module, top_down, &dca::core::Obs::disabled());
+    let plan = dca::parallel::ParallelPlan::build(&facts);
     println!(
         "Parallelization plan: {} private vars, {} control vars, {} reductions",
         plan.private.len(),

@@ -274,9 +274,9 @@ fn simulator_speedup_is_bounded_by_cores_and_work() {
 }
 
 /// The hashed verification tier is a pure optimization: at zero float
-/// tolerance, `DigestMode::Auto` (streamed 128-bit fingerprints, tier 1,
-/// falling back to the structural digest only to explain a mismatch)
-/// must produce a report bit-identical to `DigestMode::Structural` (the
+/// tolerance and at `1e-8`, `DigestMode::Auto` (streamed 128-bit
+/// fingerprints, tier 1, falling back to the structural digests only on
+/// a mismatch) must produce a report bit-identical to `DigestMode::Structural` (the
 /// materializing oracle) — same verdicts including `Violation` payloads,
 /// same trips and permutation counts, same replay-step accounting — for
 /// generated programs whose live-out heaps mix int cells, float cells
@@ -307,15 +307,19 @@ fn hash_digest_equals_structural_digest() {
              return f[1] + (s as float); }}"
         );
         let m = dca::ir::compile(&src).expect("compile");
-        for threads in [1, 2, 4] {
+        // The hashed tier runs at every tolerance: a fingerprint match
+        // settles a replay, a mismatch falls through to the digests.
+        for (threads, tol) in [1, 2, 4].into_iter().flat_map(|t| [(t, 0.0), (t, 1e-8)]) {
             let hashed = Dca::new(DcaConfig {
                 threads,
+                float_tolerance: tol,
                 ..DcaConfig::exact()
             })
             .analyze_module(&m)
             .expect("hashed analysis");
             let structural = Dca::new(DcaConfig {
                 threads,
+                float_tolerance: tol,
                 digest: DigestMode::Structural,
                 ..DcaConfig::exact()
             })
@@ -324,17 +328,17 @@ fn hash_digest_equals_structural_digest() {
             assert_eq!(
                 hashed.len(),
                 structural.len(),
-                "case {case} threads={threads}: loop counts differ"
+                "case {case} threads={threads} tol={tol}: loop counts differ"
             );
             for (h, st) in hashed.iter().zip(structural.iter()) {
                 assert_eq!(
                     h, st,
-                    "case {case} threads={threads}: outcome differs at {}",
+                    "case {case} threads={threads} tol={tol}: outcome differs at {}",
                     h.lref
                 );
                 assert_eq!(
                     h.replay_steps, st.replay_steps,
-                    "case {case} threads={threads}: replay accounting differs at {}",
+                    "case {case} threads={threads} tol={tol}: replay accounting differs at {}",
                     h.lref
                 );
             }
@@ -344,14 +348,14 @@ fn hash_digest_equals_structural_digest() {
                     .expect("fmap")
                     .verdict
                     .is_commutative(),
-                "case {case} threads={threads}: NaN/-0.0 map must stay commutative"
+                "case {case} threads={threads} tol={tol}: NaN/-0.0 map must stay commutative"
             );
             // `s = s * 2 + i` weights each iteration by a distinct power
             // of two, so no permutation preserves it — unlike @rec, which
             // a generated @imap can accidentally leave at a fixpoint.
             assert!(
                 !hashed.by_tag("ncr").expect("ncr").verdict.is_commutative(),
-                "case {case} threads={threads}: order-sensitive reduction must stay refuted"
+                "case {case} threads={threads} tol={tol}: order-sensitive reduction must stay refuted"
             );
         }
     }
