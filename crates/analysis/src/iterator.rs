@@ -11,6 +11,7 @@
 use crate::liveness::Liveness;
 use dca_ir::{BlockId, FuncView, GlobalId, Inst, Loop, MemBase, Operand, VarId};
 use std::collections::{BTreeSet, HashSet};
+use std::ops::Range;
 
 /// The location class of a memory access, at the precision iterator
 /// recognition needs: which pointer variable or global it goes through,
@@ -93,8 +94,13 @@ pub type InstRef = (BlockId, usize);
 /// The iterator/payload separation of one loop.
 #[derive(Debug, Clone)]
 pub struct IteratorSlice {
-    /// Instructions belonging to the iterator slice.
-    pub insts: HashSet<InstRef>,
+    /// The loop's dense instruction table, one row per block of its
+    /// function: `None` outside the loop, else the range of the block's
+    /// instructions in `in_slice`. Replay and recording read it on every
+    /// instruction, so both reads are indexed loads.
+    rows: Vec<Option<Range<usize>>>,
+    /// Per in-loop instruction: whether it belongs to the iterator slice.
+    in_slice: Vec<bool>,
     /// Variables defined by slice instructions.
     pub slice_vars: BTreeSet<VarId>,
     /// Slice-defined variables that payload instructions (or nested calls)
@@ -135,7 +141,8 @@ impl IteratorSlice {
         obs.span_end("analysis.iterator_slice", t);
         obs.count("analysis.slice.runs", 1);
         obs.count("analysis.slice.passes", passes);
-        obs.count("analysis.slice.insts", slice.insts.len() as u64);
+        let slice_insts = slice.in_slice.iter().filter(|&&s| s).count();
+        obs.count("analysis.slice.insts", slice_insts as u64);
         obs.count("analysis.slice.payload_insts", slice.payload_insts as u64);
         slice
     }
@@ -164,7 +171,17 @@ impl IteratorSlice {
         //     this is what captures destructive iterators such as worklist
         //     pops, whose state lives in memory rather than registers
         //     (paper §I-A, Fig. 2).
-        let mut insts: HashSet<InstRef> = HashSet::new();
+        // The dense table: each loop block's instructions get a row, in
+        // block order.
+        let mut rows = vec![None; f.blocks.len()];
+        let mut n = 0;
+        for &b in &l.blocks {
+            let len = f.block(b).insts.len();
+            rows[b.index()] = Some(n..n + len);
+            n += len;
+        }
+        let row = |b: BlockId| rows[b.index()].clone().expect("a loop block has a row");
+        let mut in_slice = vec![false; n];
         let mut loaded_bases: HashSet<MemRoot> = HashSet::new();
         let mut changed = true;
         let mut passes = 0u64;
@@ -173,8 +190,8 @@ impl IteratorSlice {
             changed = false;
             passes += 1;
             for &b in &l.blocks {
-                for (i, inst) in f.block(b).insts.iter().enumerate() {
-                    if insts.contains(&(b, i)) {
+                for (inst, k) in f.block(b).insts.iter().zip(row(b)) {
+                    if in_slice[k] {
                         continue;
                     }
                     let by_def = inst.def().map(|d| needed.contains(&d)).unwrap_or(false);
@@ -183,7 +200,7 @@ impl IteratorSlice {
                         .unwrap_or(false)
                         || call_may_write_loaded(inst, &loaded_bases, effects);
                     if by_def || by_mem {
-                        insts.insert((b, i));
+                        in_slice[k] = true;
                         uses.clear();
                         inst.uses_into(&mut uses);
                         for &u in &uses {
@@ -199,21 +216,25 @@ impl IteratorSlice {
         }
         let mut slice_vars = BTreeSet::new();
         let mut effectful_iterator = false;
-        for &(b, i) in &insts {
-            let inst = &f.block(b).insts[i];
-            if let Some(d) = inst.def() {
-                slice_vars.insert(d);
-            }
-            if inst.has_side_effects() {
-                effectful_iterator = true;
+        for &b in &l.blocks {
+            for (inst, k) in f.block(b).insts.iter().zip(row(b)) {
+                if !in_slice[k] {
+                    continue;
+                }
+                if let Some(d) = inst.def() {
+                    slice_vars.insert(d);
+                }
+                if inst.has_side_effects() {
+                    effectful_iterator = true;
+                }
             }
         }
         // Payload instructions and the slice vars they read.
         let mut iter_vars = BTreeSet::new();
         let mut payload_insts = 0;
         for &b in &l.blocks {
-            for (i, inst) in f.block(b).insts.iter().enumerate() {
-                if insts.contains(&(b, i)) {
+            for (inst, k) in f.block(b).insts.iter().zip(row(b)) {
+                if in_slice[k] {
                     continue;
                 }
                 payload_insts += 1;
@@ -236,7 +257,8 @@ impl IteratorSlice {
         }
         (
             IteratorSlice {
-                insts,
+                rows,
+                in_slice,
                 slice_vars,
                 iter_vars,
                 payload_insts,
@@ -246,9 +268,19 @@ impl IteratorSlice {
         )
     }
 
-    /// True if `r` is part of the iterator slice.
-    pub fn contains(&self, r: InstRef) -> bool {
-        self.insts.contains(&r)
+    /// True if block `b` of the loop's function belongs to the loop.
+    #[inline]
+    pub fn in_loop(&self, b: BlockId) -> bool {
+        matches!(self.rows.get(b.index()), Some(Some(_)))
+    }
+
+    /// True if `r` is part of the iterator slice (false outside the loop).
+    #[inline]
+    pub fn contains(&self, (b, i): InstRef) -> bool {
+        match self.rows.get(b.index()) {
+            Some(Some(row)) => self.in_slice[row.clone()].get(i).copied().unwrap_or(false),
+            _ => false,
+        }
     }
 }
 

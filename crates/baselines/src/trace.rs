@@ -16,15 +16,18 @@ use dca_interp::{Addr, LoopSink, LoopTracker, Machine, ObjId, Outcome, Trap, Val
 use dca_ir::{FuncView, LoopRef, Module};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::num::NonZeroU64;
 
 /// Per-location access state within one active loop invocation.
 #[derive(Debug, Clone, Copy, Default)]
 struct AddrState {
-    last_write_iter: Option<u64>,
-    last_read_iter: Option<u64>,
-    /// Iteration currently tracked by `written_this_iter`.
-    cur_iter: u64,
-    written_this_iter: bool,
+    /// The iterations of the last write and the last read, as
+    /// [`Activation::stamp`]s. Iterations only advance, so the cell was
+    /// written in the current iteration iff its last write is the current
+    /// stamp.
+    last_write_iter: Option<NonZeroU64>,
+    last_read_iter: Option<NonZeroU64>,
     /// Read before any write within some iteration (defeats privatization).
     upward_read: bool,
     raw: bool,
@@ -117,14 +120,47 @@ pub struct Activation {
     /// activation.
     reduction_objs: Vec<ObjId>,
     /// Per-cell state, keyed by [`cell_key`].
-    state: HashMap<u64, AddrState>,
+    state: HashMap<u64, AddrState, BuildHasherDefault<CellHasher>>,
+}
+
+impl Activation {
+    /// The current iteration as a non-zero stamp (the iteration plus
+    /// one), so an optional stamp takes no more room than the stamp.
+    fn stamp(&self) -> NonZeroU64 {
+        NonZeroU64::MIN.saturating_add(self.iter)
+    }
 }
 
 /// An activation's map key for the cell at `addr`: its object in the high
-/// half, its cell in the low half. A plain `u64` hashes inline on the
-/// per-access path.
+/// half, its cell in the low half.
 fn cell_key(addr: Addr) -> u64 {
     u64::from(addr.obj.0) << 32 | u64::from(addr.cell)
+}
+
+/// The shadow map's hasher, run once per heap access and live activation:
+/// one multiply by an odd constant, then the high half folded into the
+/// low half. The map takes its bucket from the low bits and its tag from
+/// the top seven; without the fold, keys that differ only in the object
+/// half would share a bucket. The keys are heap addresses the interpreter
+/// assigns, so no collision-resistant hasher is needed.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the shadow map hashes only `u64` cell keys")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The dependence-profiling [`LoopSink`]; run it under a [`LoopTracker`]
@@ -186,7 +222,7 @@ impl LoopSink for DepTracer {
         Activation {
             iter: 0,
             reduction_objs,
-            state: HashMap::new(),
+            state: HashMap::default(),
         }
     }
 
@@ -222,34 +258,18 @@ impl LoopSink for DepTracer {
 
     fn access(&mut self, live: &mut [Activation], addr: Addr, store: Option<(Value, Value)>) {
         for a in live {
+            let stamp = a.stamp();
             let st = a.state.entry(cell_key(addr)).or_default();
-            if st.cur_iter != a.iter {
-                st.cur_iter = a.iter;
-                st.written_this_iter = false;
-            }
+            let written_now = st.last_write_iter == Some(stamp);
+            let written_earlier = st.last_write_iter.is_some() && !written_now;
             if store.is_some() {
-                if let Some(w) = st.last_write_iter {
-                    if w != a.iter {
-                        st.waw = true;
-                    }
-                }
-                if let Some(r) = st.last_read_iter {
-                    if r != a.iter {
-                        st.war = true;
-                    }
-                }
-                st.last_write_iter = Some(a.iter);
-                st.written_this_iter = true;
+                st.waw |= written_earlier;
+                st.war |= st.last_read_iter.is_some_and(|r| r != stamp);
+                st.last_write_iter = Some(stamp);
             } else {
-                if let Some(w) = st.last_write_iter {
-                    if w != a.iter {
-                        st.raw = true;
-                    }
-                }
-                if !st.written_this_iter {
-                    st.upward_read = true;
-                }
-                st.last_read_iter = Some(a.iter);
+                st.raw |= written_earlier;
+                st.upward_read |= !written_now;
+                st.last_read_iter = Some(stamp);
             }
         }
     }
@@ -392,6 +412,33 @@ mod tests {
         // so nothing is flagged.
         assert!(!d.unprivatizable);
         assert!(!d.cross_raw && !d.cross_waw && !d.cross_war);
+    }
+
+    #[test]
+    fn cell_hasher_spreads_both_key_halves() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<CellHasher>::default();
+        let spread = |keys: Vec<u64>| {
+            let hashes: Vec<u64> = keys.iter().map(|k| build.hash_one(k)).collect();
+            let buckets: HashSet<u64> = hashes.iter().map(|h| h & 0xfff).collect();
+            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            (buckets.len(), tags.len())
+        };
+        let addr = |obj: u32, cell: u32| {
+            cell_key(Addr {
+                obj: ObjId(obj),
+                cell,
+            })
+        };
+        for (name, keys) in [
+            ("object half", (0..4096).map(|o| addr(o, 7)).collect()),
+            ("cell half", (0..4096).map(|c| addr(3, c)).collect()),
+        ] {
+            let (buckets, tags) = spread(keys);
+            assert!(buckets >= 2048, "{name}: {buckets} buckets of 4096 keys");
+            assert!(tags >= 120, "{name}: {tags} of 128 tags");
+        }
     }
 
     #[test]

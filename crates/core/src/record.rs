@@ -35,7 +35,7 @@ use dca_deps::FootprintProbe;
 use dca_interp::{
     Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot, Trap, Value,
 };
-use dca_ir::{BlockId, FuncId, Loop, LoopRef, Module, VarId};
+use dca_ir::{BlockId, FuncId, Loop, LoopRef, VarId};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
@@ -287,9 +287,8 @@ enum Phase {
 /// is recorded at a time.
 struct Watch<'p> {
     rec_vars: Vec<VarId>,
-    /// For each block of the loop's function, whether each instruction is
-    /// payload (`true`) or iterator-slice work; empty outside the loop.
-    payload: Vec<Vec<bool>>,
+    /// The loop's iterator slice: an instruction outside it is payload.
+    slice: &'p IteratorSlice,
     /// Invocations with fewer committed iterations than this are skipped
     /// (there is nothing to permute below two iterations).
     min_trip: usize,
@@ -423,7 +422,7 @@ impl LoopSink for GoldenSink<'_> {
                 continue;
             };
             w.at = (block, idx);
-            if w.pending.is_none() && w.payload[block.index()][idx] {
+            if w.pending.is_none() && !w.slice.contains((block, idx)) {
                 w.pending = Some(w.capture(vars));
             }
         }
@@ -498,7 +497,7 @@ impl LoopSink for GoldenSink<'_> {
                 // An access in a callee takes the side of the calling
                 // instruction: the last one the recorded frame ran.
                 let (block, idx) = w.at;
-                p.set_payload(w.payload[block.index()][idx]);
+                p.set_payload(!w.slice.contains((block, idx)));
             }
             match store {
                 None => p.read(addr.obj.0, addr.cell),
@@ -506,23 +505,6 @@ impl LoopSink for GoldenSink<'_> {
             }
         }
     }
-}
-
-/// For each block of `func`, whether each instruction is payload of `l`
-/// (outside its iterator slice); empty for blocks outside the loop.
-fn payload_table(module: &Module, func: FuncId, l: &Loop, slice: &IteratorSlice) -> Vec<Vec<bool>> {
-    let f = module.func(func);
-    f.block_ids()
-        .map(|b| {
-            if l.blocks.contains(&b) {
-                (0..f.block(b).insts.len())
-                    .map(|idx| !slice.contains((b, idx)))
-                    .collect()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect()
 }
 
 /// Runs the golden execution once and records every requested loop from
@@ -579,7 +561,7 @@ pub fn record_program(
             let keeps = q.invocations.end.saturating_sub(q.invocations.start);
             Watch {
                 rec_vars: q.slice.slice_vars.iter().copied().collect(),
-                payload: payload_table(module, q.func, q.l, q.slice),
+                slice: q.slice,
                 min_trip: q.min_trip,
                 max_trip: q.max_trip,
                 skips_left: q.invocations.start,
@@ -813,7 +795,7 @@ mod tests {
     use super::*;
     use crate::config::DcaConfig;
     use dca_analysis::IteratorSlice;
-    use dca_ir::FuncView;
+    use dca_ir::{FuncView, Module};
     use std::ops::Range;
 
     /// Records invocation `skip` of the loop tagged `tag` in `src`,

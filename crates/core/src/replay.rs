@@ -32,7 +32,6 @@ use crate::record::GoldenRecord;
 use dca_analysis::IteratorSlice;
 use dca_interp::{Hooks, InstAction, Machine, Site, TermAction, Trap, Value};
 use dca_ir::{BlockId, FuncId, Function, Loop, Terminator, VarId};
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// What a replay produced.
@@ -137,7 +136,8 @@ pub struct ReplayController<'a, O = Perm<'a>> {
     func: FuncId,
     func_ir: &'a Function,
     header: BlockId,
-    blocks: &'a BTreeSet<BlockId>,
+    /// The loop's iterator slice; its dense table answers "in the loop?"
+    /// and "in the slice?" on every hooked instruction.
     slice: &'a IteratorSlice,
     golden: &'a GoldenRecord,
     order: O,
@@ -181,7 +181,6 @@ impl<'a, O: IterOrder> ReplayController<'a, O> {
             func,
             func_ir,
             header: l.header,
-            blocks: &l.blocks,
             slice,
             golden,
             order,
@@ -201,7 +200,7 @@ impl<'a, O: IterOrder> ReplayController<'a, O> {
     fn active_at(&self, site: Site, block: BlockId) -> bool {
         site.func == self.func
             && site.depth == self.golden.exit.position.depth
-            && self.blocks.contains(&block)
+            && self.slice.in_loop(block)
     }
 
     /// Binds the recorded values of the order's next iteration (or
@@ -262,7 +261,7 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
                 if site.func == self.func && site.depth == self.golden.exit.position.depth {
                     if block == self.header {
                         self.needs_iter_start = true;
-                    } else if !self.blocks.contains(&block) {
+                    } else if !self.slice.in_loop(block) {
                         // Control left the loop (after the forced exit
                         // jump).
                         self.mode = Mode::Done;
@@ -313,7 +312,7 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
                 // loop, the linearization is complete: start the payload
                 // pass back at the header.
                 match default_target {
-                    Some(t) if self.blocks.contains(&t) => TermAction::Default,
+                    Some(t) if self.slice.in_loop(t) => TermAction::Default,
                     _ => {
                         self.begin_payload();
                         TermAction::Goto(self.header)
@@ -321,10 +320,10 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
                 }
             }
             Mode::Payload => match default_target {
-                Some(t) if self.blocks.contains(&t) => TermAction::Default,
+                Some(t) if self.slice.in_loop(t) => TermAction::Default,
                 _ => TermAction::Goto(in_loop_alternative(
                     &self.func_ir.block(block).term,
-                    self.blocks,
+                    self.slice,
                     self.header,
                 )),
             },
@@ -343,14 +342,14 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
 /// The forced-branch alternative: the terminator's in-loop successor when
 /// the default leaves the loop, or the header (ending the iteration) when
 /// no successor stays inside.
-fn in_loop_alternative(term: &Terminator, blocks: &BTreeSet<BlockId>, header: BlockId) -> BlockId {
+fn in_loop_alternative(term: &Terminator, slice: &IteratorSlice, header: BlockId) -> BlockId {
     match term {
         Terminator::Branch {
             then_bb, else_bb, ..
         } => {
-            if blocks.contains(then_bb) {
+            if slice.in_loop(*then_bb) {
                 *then_bb
-            } else if blocks.contains(else_bb) {
+            } else if slice.in_loop(*else_bb) {
                 *else_bb
             } else {
                 header

@@ -78,7 +78,9 @@ use dca_core::{
     DigestScratch, DigestStats, Divergence, ExitRef, GoldenDigest, GoldenRecord, IterOrder,
     LoopFacts, Obs, RecordError, ReplayController, ReplayEnd, ReplayGovernor,
 };
-use dca_deps::{autotune_chunk, check_decomposable, Conflict, DepVerdict, FootprintProbe};
+use dca_deps::{
+    autotune_chunk, check_decomposable, Conflict, DepVerdict, FootprintProbe, LoopProfile,
+};
 use dca_interp::{Addr, Machine, ObjId, Trap, Value};
 use dca_ir::{BinOp, BlockId, Function, Inst, LoopRef, Module, Operand, VarId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -367,6 +369,7 @@ pub fn execute_loop(
     // The recording stops at the loop exit, so its machine is left
     // standing in the sequential exit state: the oracle.
     let mut oracle = Machine::new(module);
+    let t = obs.span_start();
     let golden = record_golden(
         &mut oracle,
         main,
@@ -382,9 +385,10 @@ pub fn execute_loop(
         None,
         true,
         probe.as_mut(),
-    )
-    .map_err(ExecError::Record)?;
+    );
     let profile = probe.map(FootprintProbe::finish);
+    obs.span_end("exec.record", t);
+    let golden = golden.map_err(ExecError::Record)?;
     debug_assert!(
         profile
             .as_ref()
@@ -459,38 +463,10 @@ pub fn execute_loop(
     if let Some(p) = &profile {
         obs.count("deps.loops_profiled", 1);
         if cfg.deps_precheck {
-            // Structural refusals take precedence over the dependence
-            // verdict: a *payload* access to an object beyond the
-            // loop-entry snapshot means the payload allocates, which the
-            // merge cannot support no matter how the iterations overlap.
-            // Report it with the same message the post-run worker check
-            // uses, so the refusal reason is stable whether or not the
-            // pre-check is armed. Iterator-slice allocations (a
-            // worklist's pushed links) are fine — the pre-pass replays
-            // them identically in every worker. (A truncated profile can
-            // miss accesses; the worker check stays behind this as the
-            // backstop.)
-            let base_heap = master.heap().len() as u32;
-            if p.iters.iter().any(|it| {
-                it.reads.iter().any(|&(obj, _)| obj >= base_heap)
-                    || it.writes.iter().any(|w| w.obj >= base_heap)
-            }) {
-                return Err(ExecError::Unsupported(
-                    "loop allocates heap objects; their identities cannot be merged".into(),
-                ));
-            }
-            let excluded: BTreeSet<u32> = hists.iter().map(|&(o, ..)| o.0).collect();
-            match check_decomposable(p, &excluded) {
-                DepVerdict::Decomposable | DepVerdict::Unknown => {}
-                DepVerdict::Conflicting(report) => {
-                    obs.count("deps.conflicts", report.conflicting_cells);
-                    obs.count("deps.prespawn_refusals", 1);
-                    return Err(ExecError::NotDecomposable {
-                        witness: report.first,
-                        conflicting_cells: report.conflicting_cells,
-                    });
-                }
-            }
+            let t = obs.span_start();
+            let verdict = precheck(p, &master, &hists, obs);
+            obs.span_end("exec.precheck", t);
+            verdict?;
         }
     }
 
@@ -524,11 +500,14 @@ pub fn execute_loop(
 
     let next = AtomicUsize::new(0);
     let workers: Vec<usize> = (0..threads).collect();
+    let t = obs.span_start();
     let harvests = parallel_map(threads, &workers, obs, "exec", |_, &w| {
         run_worker(&ctx, make_source(chunk, w, threads, n, &next))
     })
     .into_iter()
-    .collect::<Result<Vec<Harvest>, ExecError>>()?;
+    .collect::<Result<Vec<Harvest>, ExecError>>();
+    obs.span_end("exec.run", t);
+    let harvests = harvests?;
 
     let iters: u64 = harvests.iter().map(|h| h.iters).sum();
     debug_assert_eq!(
@@ -538,6 +517,114 @@ pub fn execute_loop(
     let steals: u64 = harvests.iter().map(|h| h.grabs.saturating_sub(1)).sum();
 
     // --- Merge, deterministically. ---
+    let t = obs.span_start();
+    let combine_steps = merge(&mut master, &harvests, &reds, &hists, &golden);
+    obs.span_end("exec.merge", t);
+    let combine_steps = combine_steps?;
+
+    // --- Differential validation, against the oracle still standing at
+    // the exit. ---
+    let t = obs.span_start();
+    let mut scratch = DigestScratch::new();
+    let (mut obuf, mut buf) = (Vec::new(), Vec::new());
+    read_roots(&oracle, &roots.vars, &mut obuf);
+    read_roots(&master, &roots.vars, &mut buf);
+    let reference = ExitRef::capture(&oracle, &obuf, DigestMode::Auto, &mut scratch);
+    let check = reference.check(
+        &master,
+        &buf,
+        GoldenDigest::Standing(&oracle, &obuf),
+        cfg.float_tolerance,
+        &roots.names,
+        &mut scratch,
+        &mut DigestStats::default(),
+    );
+    obs.span_end("exec.validate", t);
+    let (Some((seq_fp, _)), Some(par_fp)) = (reference.hash, check.fingerprint) else {
+        unreachable!("the auto digest mode fingerprints both states")
+    };
+    if let Err(detail) = check.result {
+        obs.count("exec.divergences", 1);
+        return Err(ExecError::Diverged {
+            expected: seq_fp,
+            actual: par_fp,
+            detail: Some(Box::new(detail)),
+        });
+    }
+
+    obs.count("exec.invocations", 1);
+    obs.count("exec.iters", iters);
+    obs.count("exec.steals", steals);
+    obs.count("exec.combine_steps", combine_steps);
+
+    Ok(ExecOutcome {
+        lref,
+        tag: l.tag.clone(),
+        threads,
+        trips: n,
+        steals,
+        chunk,
+        combine_steps,
+        validated: true,
+        exact: par_fp == seq_fp,
+        fingerprint: par_fp,
+        oracle_fingerprint: Some(seq_fp),
+    })
+}
+
+/// The pre-spawn decomposability check (DESIGN.md §18) on the golden
+/// invocation's footprint `p`: refuses a loop whose payload allocates or
+/// whose iterations conflict on a heap cell outside the histogram
+/// arrays `hists`. `master` stands at the loop entry.
+fn precheck(
+    p: &LoopProfile,
+    master: &Machine<'_>,
+    hists: &[(ObjId, ReductionOp, Option<BinOp>)],
+    obs: &Obs,
+) -> Result<(), ExecError> {
+    // Structural refusals take precedence over the dependence verdict: a
+    // *payload* access to an object beyond the loop-entry snapshot means
+    // the payload allocates, which the merge cannot support no matter how
+    // the iterations overlap. Report it with the same message the post-run
+    // worker check uses, so the refusal reason is stable whether or not
+    // the pre-check is armed. Iterator-slice allocations (a worklist's
+    // pushed links) are fine — the pre-pass replays them identically in
+    // every worker. (A truncated profile can miss accesses; the worker
+    // check stays behind this as the backstop.)
+    let base_heap = master.heap().len() as u32;
+    if p.iters.iter().any(|it| {
+        it.reads.iter().any(|&(obj, _)| obj >= base_heap)
+            || it.writes.iter().any(|w| w.obj >= base_heap)
+    }) {
+        return Err(ExecError::Unsupported(
+            "loop allocates heap objects; their identities cannot be merged".into(),
+        ));
+    }
+    let excluded: BTreeSet<u32> = hists.iter().map(|&(o, ..)| o.0).collect();
+    match check_decomposable(p, &excluded) {
+        DepVerdict::Decomposable | DepVerdict::Unknown => {}
+        DepVerdict::Conflicting(report) => {
+            obs.count("deps.conflicts", report.conflicting_cells);
+            obs.count("deps.prespawn_refusals", 1);
+            return Err(ExecError::NotDecomposable {
+                witness: report.first,
+                conflicting_cells: report.conflicting_cells,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Merges the workers' harvests onto `master`, which stands at the loop
+/// entry, and closes the loop with the recorded iterator exit values;
+/// returns the combine steps taken.
+fn merge(
+    master: &mut Machine<'_>,
+    harvests: &[Harvest],
+    reds: &[ScalarMerge],
+    hists: &[(ObjId, ReductionOp, Option<BinOp>)],
+    golden: &GoldenRecord,
+) -> Result<u64, ExecError> {
     let hist_map: BTreeMap<u32, (ReductionOp, Option<BinOp>)> =
         hists.iter().map(|&(o, op, bop)| (o.0, (op, bop))).collect();
     let mut combine_steps: u64 = 0;
@@ -549,7 +636,7 @@ pub fn execute_loop(
     // identical in every worker, and doall payload stores, disjoint
     // across workers — overwrites. Cells a worker never wrote are not in
     // its journal and leave the master untouched.
-    for h in &harvests {
+    for h in harvests {
         for &(addr, post) in &h.cells {
             if let Some(&(op, bop)) = hist_map.get(&addr.obj.0) {
                 let merged = combine_value(op, bop, master.read_cell(addr), post)?;
@@ -598,53 +685,7 @@ pub fn execute_loop(
     for &v in &golden.rec_vars {
         master.write_var(v, golden.exit.vars[v.index()]);
     }
-
-    // --- Differential validation, against the oracle still standing at
-    // the exit. ---
-    let mut scratch = DigestScratch::new();
-    let (mut obuf, mut buf) = (Vec::new(), Vec::new());
-    read_roots(&oracle, &roots.vars, &mut obuf);
-    read_roots(&master, &roots.vars, &mut buf);
-    let reference = ExitRef::capture(&oracle, &obuf, DigestMode::Auto, &mut scratch);
-    let check = reference.check(
-        &master,
-        &buf,
-        GoldenDigest::Standing(&oracle, &obuf),
-        cfg.float_tolerance,
-        &roots.names,
-        &mut scratch,
-        &mut DigestStats::default(),
-    );
-    let (Some((seq_fp, _)), Some(par_fp)) = (reference.hash, check.fingerprint) else {
-        unreachable!("the auto digest mode fingerprints both states")
-    };
-    if let Err(detail) = check.result {
-        obs.count("exec.divergences", 1);
-        return Err(ExecError::Diverged {
-            expected: seq_fp,
-            actual: par_fp,
-            detail: Some(Box::new(detail)),
-        });
-    }
-
-    obs.count("exec.invocations", 1);
-    obs.count("exec.iters", iters);
-    obs.count("exec.steals", steals);
-    obs.count("exec.combine_steps", combine_steps);
-
-    Ok(ExecOutcome {
-        lref,
-        tag: l.tag.clone(),
-        threads,
-        trips: n,
-        steals,
-        chunk,
-        combine_steps,
-        validated: true,
-        exact: par_fp == seq_fp,
-        fingerprint: par_fp,
-        oracle_fingerprint: Some(seq_fp),
-    })
+    Ok(combine_steps)
 }
 
 /// How one scalar reduction merges.
@@ -1449,5 +1490,43 @@ mod tests {
                 .unwrap_or_else(|e| panic!("loop {lref} ({tag:?}): {e}"));
             assert!(out.validated, "loop {lref} validated");
         }
+    }
+
+    #[test]
+    fn phase_spans_are_recorded_once_within_the_call() {
+        // The module-doc fixture, with the pre-check armed by default.
+        let m = dca_ir::compile(
+            "fn main() -> int { let s: int = 0; \
+             @l: for (let i: int = 0; i < 64; i = i + 1) { s = s + i * i; } \
+             return s; }",
+        )
+        .expect("compile");
+        let lref = dca_ir::all_loops(&m)[0].0;
+        let cfg = ExecConfig {
+            threads: 2,
+            ..ExecConfig::default()
+        };
+        let obs = Obs::enabled();
+        let t = std::time::Instant::now();
+        let out = execute_loop(&m, &[], lref, &cfg, &obs).expect("execute");
+        let wall = t.elapsed();
+        assert!(out.validated);
+        let rollup = obs.rollup().expect("enabled");
+        let mut total = std::time::Duration::ZERO;
+        for name in [
+            "exec.record",
+            "exec.precheck",
+            "exec.run",
+            "exec.merge",
+            "exec.validate",
+        ] {
+            let span = rollup
+                .spans
+                .get(name)
+                .unwrap_or_else(|| panic!("no {name} span"));
+            assert_eq!(span.count, 1, "{name}");
+            total += span.total;
+        }
+        assert!(total <= wall, "phases {total:?} within the call's {wall:?}");
     }
 }
