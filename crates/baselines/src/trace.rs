@@ -297,6 +297,7 @@ pub fn trace_dependences(
     match machine.run(&mut tracker, max_steps)? {
         Outcome::Finished(_) => Ok(tracker.finish().into_report()),
         Outcome::Paused => Err(TraceError::OutOfSteps(max_steps)),
+        Outcome::Stopped => unreachable!("the dependence tracer never stops a run"),
     }
 }
 

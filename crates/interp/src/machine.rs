@@ -12,13 +12,16 @@
 //!   without touching program code,
 //! * **metered** — every instruction and terminator costs one step, giving
 //!   the per-iteration cost profiles the multicore simulator consumes.
+//!
+//! It runs the module's compiled code (`code.rs`): each frame owns a
+//! window of one shared register stack, its function's variables followed
+//! by the function's constants, and [`Machine::run`] is the one dispatch
+//! loop. Hooks see only the variables of a window.
 
+use crate::code::{const_value, zero_of, Code, FuncCode, Op, PrintItem, Slot, Term, NO_SLOT};
 use crate::hooks::{Hooks, InstAction, Site, TermAction};
 use crate::value::{Addr, ObjId, Value};
-use dca_ir::{
-    BinOp, BlockId, FuncId, Inst, Intrinsic, MemBase, Module, Operand, PrintOp, Terminator, Ty,
-    UnOp, VarId,
-};
+use dca_ir::{BinOp, BlockId, FuncId, Intrinsic, Module, Ty, VarId};
 use std::fmt;
 
 /// A heap object: a vector of value cells (struct fields or array
@@ -115,17 +118,21 @@ pub enum Outcome {
     Finished(Option<Value>),
     /// The step budget was exhausted before completion.
     Paused,
+    /// [`Hooks::stop`] asked for the run to end, after a block entry or
+    /// a return; the next step has not run.
+    Stopped,
 }
 
-/// One call frame.
-#[derive(Debug, Clone, PartialEq)]
+/// One call frame: where it stands, and where its register window starts
+/// in the machine's register stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Frame {
     func: FuncId,
     block: BlockId,
-    inst: usize,
-    vars: Vec<Value>,
-    /// Where the caller wants the return value.
-    ret_dst: Option<VarId>,
+    inst: u32,
+    base: u32,
+    /// The caller's slot for the return value ([`NO_SLOT`] for none).
+    ret_dst: Slot,
 }
 
 /// Execution limits.
@@ -155,10 +162,12 @@ impl Default for Limits {
 pub struct Snapshot {
     heap: Vec<Obj>,
     frames: Vec<Frame>,
+    regs: Vec<Value>,
     output: Vec<OutputItem>,
     steps: u64,
     heap_cells: u64,
     finished: Option<Option<Value>>,
+    entry_pending: bool,
 }
 
 impl Snapshot {
@@ -244,12 +253,13 @@ struct CellUndo {
 /// Heap-cell overwrites are logged individually (old value per cell);
 /// objects allocated after arming need no per-cell log because the heap
 /// is append-only during execution, so truncating back to the armed
-/// length discards them wholesale. Frames are captured by clone at
-/// arming time: [`Hooks`] implementations receive `&mut [Value]` views
-/// of frame variables and may rewrite them without the machine seeing
-/// the store, so per-write frame journaling is impossible — but frames
-/// are small next to the heap, so the O(writes) bound still holds where
-/// it matters. Output is append-only and rewound by watermark.
+/// length discards them wholesale. Frames and their registers are
+/// captured by copy at arming time: [`Hooks`] implementations receive
+/// `&mut [Value]` views of frame variables and may rewrite them without
+/// the machine seeing the store, so per-write register journaling is
+/// impossible — but the register stack is small next to the heap, so the
+/// O(writes) bound still holds where it matters. Output is append-only
+/// and rewound by watermark.
 #[derive(Debug, Clone)]
 struct Journal {
     base_heap_len: usize,
@@ -257,7 +267,9 @@ struct Journal {
     base_output_len: usize,
     base_steps: u64,
     base_finished: Option<Option<Value>>,
+    base_entry_pending: bool,
     base_frames: Vec<Frame>,
+    base_regs: Vec<Value>,
     cells: Vec<CellUndo>,
 }
 
@@ -298,17 +310,32 @@ impl JournalStats {
     }
 }
 
+/// Where a new frame's arguments come from.
+enum Args<'a> {
+    /// Values supplied by the embedder ([`Machine::push_call`]).
+    Values(&'a [Value]),
+    /// Slots of the caller's window at `from` (a call instruction).
+    Slots { from: usize, slots: &'a [Slot] },
+}
+
 /// The interpreter state for one program execution.
 #[derive(Debug, Clone)]
 pub struct Machine<'m> {
     module: &'m Module,
+    code: &'m Code,
     heap: Vec<Obj>,
     frames: Vec<Frame>,
+    /// The register stack: each frame's window, its variables followed by
+    /// its function's constants, in frame order.
+    regs: Vec<Value>,
     output: Vec<OutputItem>,
     steps: u64,
     heap_cells: u64,
     limits: Limits,
     finished: Option<Option<Value>>,
+    /// The entry block of a frame pushed by [`Machine::push_call`] has
+    /// not been reported to [`Hooks::on_block`] yet.
+    entry_pending: bool,
     ops: OpCounts,
     /// Fault injection: allocations remaining before the next [`Machine::alloc`]
     /// traps with [`Trap::OutOfMemory`]. Like [`OpCounts`], this is harness
@@ -322,7 +349,8 @@ pub struct Machine<'m> {
 
 impl<'m> Machine<'m> {
     /// Creates a machine with globals allocated and initialized; no frame
-    /// is live until [`Machine::push_call`].
+    /// is live until [`Machine::push_call`]. The first machine created
+    /// for a module compiles its code, which every later one shares.
     pub fn new(module: &'m Module) -> Self {
         Self::with_limits(module, Limits::default())
     }
@@ -347,13 +375,16 @@ impl<'m> Machine<'m> {
         }
         Machine {
             module,
+            code: Code::of(module),
             heap,
             frames: Vec::new(),
+            regs: Vec::new(),
             output: Vec::new(),
             steps: 0,
             heap_cells,
             limits,
             finished: None,
+            entry_pending: false,
             ops: OpCounts::default(),
             alloc_fault: None,
             journal: None,
@@ -438,9 +469,19 @@ impl<'m> Machine<'m> {
         self.frames.last().map(|f| Position {
             func: f.func,
             block: f.block,
-            inst: f.inst,
+            inst: f.inst as usize,
             depth: self.frames.len() - 1,
         })
+    }
+
+    /// Where the current frame's variables sit in the register stack.
+    fn var_range(&self) -> std::ops::Range<usize> {
+        // invariant: documented API contract — callers only inspect
+        // variables while a frame is live (never reachable from program
+        // input, only from caller misuse).
+        let f = self.frames.last().expect("no live frame");
+        let base = f.base as usize;
+        base..base + self.code.func(f.func).nvars as usize
     }
 
     /// Reads a variable of the *current* frame.
@@ -449,10 +490,7 @@ impl<'m> Machine<'m> {
     ///
     /// Panics if no frame is live.
     pub fn read_var(&self, v: VarId) -> Value {
-        // invariant: documented API contract — callers only inspect
-        // variables while a frame is live (never reachable from program
-        // input, only from caller misuse).
-        self.frames.last().expect("no live frame").vars[v.index()]
+        self.regs[self.var_range()][v.index()]
     }
 
     /// Overwrites a variable of the *current* frame.
@@ -461,8 +499,8 @@ impl<'m> Machine<'m> {
     ///
     /// Panics if no frame is live.
     pub fn write_var(&mut self, v: VarId, value: Value) {
-        // invariant: documented API contract, as for `read_var`.
-        self.frames.last_mut().expect("no live frame").vars[v.index()] = value;
+        let vars = self.var_range();
+        self.regs[vars][v.index()] = value;
     }
 
     /// Reads a memory cell directly (no hook events).
@@ -487,10 +525,12 @@ impl<'m> Machine<'m> {
         Snapshot {
             heap: self.heap.clone(),
             frames: self.frames.clone(),
+            regs: self.regs.clone(),
             output: self.output.clone(),
             steps: self.steps,
             heap_cells: self.heap_cells,
             finished: self.finished,
+            entry_pending: self.entry_pending,
         }
     }
 
@@ -511,7 +551,8 @@ impl<'m> Machine<'m> {
     pub fn restore(&mut self, snap: &Snapshot) {
         self.journal = None;
         self.heap = snap.heap.clone();
-        self.frames = snap.frames.clone();
+        self.frames.clone_from(&snap.frames);
+        self.regs.clone_from(&snap.regs);
         if self.output.len() >= snap.output.len() {
             debug_assert!(
                 output_prefix_eq(&self.output, &snap.output),
@@ -524,15 +565,17 @@ impl<'m> Machine<'m> {
         self.steps = snap.steps;
         self.heap_cells = snap.heap_cells;
         self.finished = snap.finished;
+        self.entry_pending = snap.entry_pending;
     }
 
     /// Arms the write journal: until [`Machine::rollback`], every heap
     /// store logs the cell's prior value (for pre-existing objects) and
     /// the heap/output high-water marks are remembered, so the machine
     /// can be rewound to this exact state in O(writes performed) instead
-    /// of O(total state). Frame variables are captured by clone here —
-    /// hooks may rewrite them through `&mut [Value]` without the machine
-    /// observing the store, so they cannot be journaled per write.
+    /// of O(total state). Frames and their registers are captured by
+    /// copy here — hooks may rewrite variables through `&mut [Value]`
+    /// without the machine observing the store, so they cannot be
+    /// journaled per write.
     ///
     /// # Panics
     ///
@@ -545,7 +588,9 @@ impl<'m> Machine<'m> {
             base_output_len: self.output.len(),
             base_steps: self.steps,
             base_finished: self.finished,
+            base_entry_pending: self.entry_pending,
             base_frames: self.frames.clone(),
+            base_regs: self.regs.clone(),
             cells: Vec::new(),
         });
     }
@@ -605,10 +650,14 @@ impl<'m> Machine<'m> {
         self.journal_stats.objs_discarded += (self.heap.len() - j.base_heap_len) as u64;
         self.heap.truncate(j.base_heap_len);
         self.output.truncate(j.base_output_len);
-        self.frames = j.base_frames;
+        // Copied in, not moved: the register stack keeps the capacity
+        // the run grew it to.
+        self.frames.clone_from(&j.base_frames);
+        self.regs.clone_from(&j.base_regs);
         self.steps = j.base_steps;
         self.heap_cells = j.base_heap_cells;
         self.finished = j.base_finished;
+        self.entry_pending = j.base_entry_pending;
         self.journal_stats.rollbacks += 1;
     }
 
@@ -631,47 +680,65 @@ impl<'m> Machine<'m> {
     /// Pushes a call frame for `func` with the given arguments, making it
     /// the running frame. `main` is typically pushed exactly once.
     ///
+    /// The frame's entry block is reported to [`Hooks::on_block`] by the
+    /// next [`Machine::run`] or [`Machine::step`], before its first step;
+    /// a frame pushed by a call instruction has its entry reported as
+    /// part of the call's step.
+    ///
     /// # Errors
     ///
     /// Traps on stack overflow, if frame-array allocation exhausts the
     /// heap limit, or with [`Trap::ArityMismatch`] when the argument count
     /// does not match the signature.
     pub fn push_call(&mut self, func: FuncId, args: &[Value]) -> Result<(), Trap> {
-        self.push_frame(func, args, None)
+        self.push_frame(func, Args::Values(args), NO_SLOT)?;
+        self.entry_pending = true;
+        Ok(())
     }
 
-    fn push_frame(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        ret_dst: Option<VarId>,
-    ) -> Result<(), Trap> {
+    /// Pushes a frame: a fresh register window from the function's
+    /// template, its arguments bound and its frame arrays allocated. Once
+    /// the register stack has grown to the run's deepest call chain, a
+    /// call allocates nothing but its frame arrays' heap objects.
+    fn push_frame(&mut self, func: FuncId, args: Args<'_>, ret_dst: Slot) -> Result<(), Trap> {
         if self.frames.len() >= self.limits.max_depth {
             return Err(Trap::StackOverflow);
         }
-        let f = self.module.func(func);
-        if args.len() != f.params.len() {
+        let fc = self.code.func(func);
+        let given = match args {
+            Args::Values(v) => v.len(),
+            Args::Slots { slots, .. } => slots.len(),
+        };
+        if given != fc.nparams as usize {
             return Err(Trap::ArityMismatch {
-                expected: f.params.len(),
-                given: args.len(),
+                expected: fc.nparams as usize,
+                given,
             });
         }
-        let mut vars = Vec::with_capacity(f.vars.len());
-        for (i, vi) in f.vars.iter().enumerate() {
-            if i < args.len() {
-                vars.push(args[i]);
-            } else if let Ty::Array(elem, n) = &vi.ty {
-                let obj = self.alloc(vec![zero_of(elem); *n])?;
-                vars.push(Value::Ptr(obj));
-            } else {
-                vars.push(zero_of(&vi.ty));
+        let base = self.regs.len();
+        self.regs.extend_from_slice(&fc.template);
+        match args {
+            Args::Values(v) => self.regs[base..base + v.len()].copy_from_slice(v),
+            Args::Slots { from, slots } => {
+                for (i, &s) in slots.iter().enumerate() {
+                    self.regs[base + i] = self.regs[from + s as usize];
+                }
+            }
+        }
+        for &(slot, zero, n) in &fc.arrays {
+            match self.alloc(vec![zero; n]) {
+                Ok(obj) => self.regs[base + slot as usize] = Value::Ptr(obj),
+                Err(t) => {
+                    self.regs.truncate(base);
+                    return Err(t);
+                }
             }
         }
         self.frames.push(Frame {
             func,
-            block: f.entry(),
+            block: BlockId(0),
             inst: 0,
-            vars,
+            base: base as u32,
             ret_dst,
         });
         self.finished = None;
@@ -696,259 +763,326 @@ impl<'m> Machine<'m> {
         Ok(id)
     }
 
-    /// Runs until the entry frame returns or `max_steps` is exhausted.
+    /// Runs until the entry frame returns, `max_steps` are exhausted, or
+    /// `hooks` ask to stop.
+    ///
+    /// The hooks' [`Hooks::stop`] is polled after each block entry and
+    /// each return, before the next step: a `true` ends the run with
+    /// [`Outcome::Stopped`], and a later `run` continues exactly there.
+    /// A frame pushed by [`Machine::push_call`] has its entry block
+    /// reported first (see there).
     ///
     /// # Errors
     ///
-    /// Propagates the first [`Trap`].
+    /// Propagates the first [`Trap`]; [`Trap::NotRunning`] when no frame
+    /// is live and the machine has not finished.
     pub fn run<H: Hooks>(&mut self, hooks: &mut H, max_steps: u64) -> Result<Outcome, Trap> {
-        let budget_end = self.steps.saturating_add(max_steps);
-        // Fire the block-entry hook for the entry block of a fresh frame.
-        if !self.frames.is_empty() {
-            let depth = self.frames.len() - 1;
-            let steps = self.steps;
-            // invariant: guarded by the `is_empty` check above.
-            let fr = self.frames.last_mut().expect("non-empty");
-            if fr.inst == 0 && steps == 0 {
-                let site = Site {
-                    func: fr.func,
-                    depth,
-                    steps,
-                };
-                hooks.on_block(site, fr.block, &mut fr.vars);
-            }
-        }
-        while self.finished.is_none() {
-            if self.steps >= budget_end {
-                return Ok(Outcome::Paused);
-            }
-            self.step(hooks)?;
-        }
-        // invariant: the while condition above only exits on `Some`.
-        Ok(Outcome::Finished(
-            self.finished.expect("loop exits only when finished"),
-        ))
+        self.exec(hooks, self.steps.saturating_add(max_steps), true)
     }
 
-    /// Executes one instruction or terminator.
+    /// Executes one instruction or terminator: [`Machine::run`] for one
+    /// step, with the same hook events (a pending entry block included)
+    /// and without polling [`Hooks::stop`].
     ///
     /// # Errors
     ///
     /// Returns the first [`Trap`], including [`Trap::NotRunning`] when no
     /// frame is live.
     pub fn step<H: Hooks>(&mut self, hooks: &mut H) -> Result<(), Trap> {
-        let depth = match self.frames.len() {
-            0 => return Err(Trap::NotRunning),
-            n => n - 1,
-        };
-        let fi = depth;
-        let func_id = self.frames[fi].func;
-        let func = self.module.func(func_id);
-        let block = self.frames[fi].block;
-        let idx = self.frames[fi].inst;
-        let site = Site {
-            func: func_id,
-            depth,
-            steps: self.steps,
-        };
-        self.steps += 1;
-        let insts = &func.block(block).insts;
-        if idx < insts.len() {
-            self.frames[fi].inst += 1;
-            let action = hooks.before_inst(site, block, idx, &mut self.frames[fi].vars);
-            if action == InstAction::Run {
-                self.exec_inst(hooks, site, fi, &insts[idx])?;
-            }
-            // The instruction may have pushed a frame (a call); only fire
-            // after_inst once we are back in this frame, which for calls is
-            // handled implicitly because hooks see on_call/on_return.
-            if self.frames.len() == fi + 1 {
-                hooks.after_inst(site, block, idx, &mut self.frames[fi].vars);
-            }
-            // Entering a callee: fire its entry block hook.
-            if self.frames.len() > fi + 1 {
-                let nfi = self.frames.len() - 1;
-                let nsite = Site {
-                    func: self.frames[nfi].func,
-                    depth: nfi,
+        if self.frames.is_empty() {
+            return Err(Trap::NotRunning);
+        }
+        self.exec(hooks, self.steps + 1, false).map(drop)
+    }
+
+    /// The window of the frame at `base` running `fc`: its variables.
+    ///
+    /// The range is always in bounds; the empty fallback only keeps a
+    /// panic path out of the step loop, so that hooks which ignore the
+    /// variables cost nothing to call.
+    #[inline(always)]
+    fn window(&mut self, base: usize, fc: &FuncCode) -> &mut [Value] {
+        let end = base + fc.nvars as usize;
+        debug_assert!(end <= self.regs.len(), "a live frame's window");
+        self.regs.get_mut(base..end).unwrap_or_default()
+    }
+
+    /// The dispatch loop: steps until the machine finishes, the step
+    /// count reaches `budget_end`, a trap, or (when `poll`) the hooks ask
+    /// to stop. A frame's position lives in locals while it runs and is
+    /// written back whenever control leaves it.
+    fn exec<H: Hooks>(
+        &mut self,
+        hooks: &mut H,
+        budget_end: u64,
+        poll: bool,
+    ) -> Result<Outcome, Trap> {
+        let code = self.code;
+        if std::mem::take(&mut self.entry_pending) {
+            if let Some(&fr) = self.frames.last() {
+                let site = Site {
+                    func: fr.func,
+                    depth: self.frames.len() - 1,
                     steps: self.steps,
                 };
-                let nblock = self.frames[nfi].block;
-                hooks.on_block(nsite, nblock, &mut self.frames[nfi].vars);
+                let vars = self.window(fr.base as usize, code.func(fr.func));
+                hooks.on_block(site, fr.block, vars);
+                if poll && hooks.stop() {
+                    return Ok(Outcome::Stopped);
+                }
             }
-            return Ok(());
         }
-        // Terminator.
-        let term = &func.block(block).term;
-        let default_target = match term {
-            Terminator::Jump(t) => Some(*t),
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                // Reachable with a non-bool value when an entry argument
-                // of the wrong type flows into the condition.
-                let c = match eval(&self.frames[fi].vars, cond) {
-                    Value::Bool(c) => c,
-                    _ => return Err(Trap::IllTyped("branch condition")),
+        'frames: loop {
+            if let Some(ret) = self.finished {
+                return Ok(Outcome::Finished(ret));
+            }
+            let depth = match self.frames.len() {
+                0 if self.steps >= budget_end => return Ok(Outcome::Paused),
+                0 => return Err(Trap::NotRunning),
+                n => n - 1,
+            };
+            let fr = self.frames[depth];
+            let func = fr.func;
+            let fc = code.func(func);
+            let base = fr.base as usize;
+            let mut block = fr.block;
+            let mut idx = fr.inst as usize;
+            // Runs this frame until it calls or returns (both continue
+            // `'frames`), or the run ends here.
+            let end: Result<Outcome, Trap> = 'frame: loop {
+                let bc = fc.blocks[block.index()];
+                let ops = &fc.ops[bc.start as usize..bc.end as usize];
+                while idx < ops.len() {
+                    if self.steps >= budget_end {
+                        break 'frame Ok(Outcome::Paused);
+                    }
+                    let site = Site {
+                        func,
+                        depth,
+                        steps: self.steps,
+                    };
+                    self.steps += 1;
+                    let i = idx;
+                    idx += 1;
+                    let action = hooks.before_inst(site, block, i, self.window(base, fc));
+                    if action == InstAction::Run {
+                        if let Op::Call {
+                            dst,
+                            func: callee,
+                            args,
+                        } = ops[i]
+                        {
+                            let top = &mut self.frames[depth];
+                            top.block = block;
+                            top.inst = idx as u32;
+                            let callee = FuncId(callee);
+                            hooks.on_call(site, callee);
+                            let args = Args::Slots {
+                                from: base,
+                                slots: fc.args(args),
+                            };
+                            self.push_frame(callee, args, dst)?;
+                            let site = Site {
+                                func: callee,
+                                depth: depth + 1,
+                                steps: self.steps,
+                            };
+                            let cfc = code.func(callee);
+                            let cbase = self.regs.len() - cfc.template.len();
+                            hooks.on_block(site, BlockId(0), self.window(cbase, cfc));
+                            if poll && hooks.stop() {
+                                return Ok(Outcome::Stopped);
+                            }
+                            continue 'frames;
+                        }
+                        if let Err(t) = self.exec_op(hooks, site, base, fc, ops[i]) {
+                            break 'frame Err(t);
+                        }
+                    }
+                    hooks.after_inst(site, block, i, self.window(base, fc));
+                }
+                // The terminator.
+                if self.steps >= budget_end {
+                    break 'frame Ok(Outcome::Paused);
+                }
+                let site = Site {
+                    func,
+                    depth,
+                    steps: self.steps,
                 };
-                Some(if c { *then_bb } else { *else_bb })
-            }
-            Terminator::Return(_) => None,
-        };
-        let action = hooks.on_term(site, block, default_target, &mut self.frames[fi].vars);
-        let target = match action {
-            TermAction::Goto(b) => Some(b),
-            TermAction::Default => default_target,
-        };
-        match target {
-            Some(t) => {
-                self.frames[fi].block = t;
-                self.frames[fi].inst = 0;
-                hooks.on_block(site, t, &mut self.frames[fi].vars);
-            }
-            None => {
+                self.steps += 1;
+                let default_target = match bc.term {
+                    Term::Jump(t) => Some(t),
+                    Term::Branch {
+                        cond,
+                        then_bb,
+                        else_bb,
+                    } => match self.regs[base + cond as usize] {
+                        Value::Bool(c) => Some(if c { then_bb } else { else_bb }),
+                        // Reachable with a non-bool value when an entry
+                        // argument of the wrong type flows into the
+                        // condition.
+                        _ => break 'frame Err(Trap::IllTyped("branch condition")),
+                    },
+                    Term::Return { .. } => None,
+                };
+                let action = hooks.on_term(site, block, default_target, self.window(base, fc));
+                let target = match action {
+                    TermAction::Goto(b) => Some(b),
+                    TermAction::Default => default_target,
+                };
+                if let Some(t) = target {
+                    block = t;
+                    idx = 0;
+                    hooks.on_block(site, t, self.window(base, fc));
+                    if poll && hooks.stop() {
+                        break 'frame Ok(Outcome::Stopped);
+                    }
+                    continue 'frame;
+                }
                 // Return.
-                let value = match term {
-                    Terminator::Return(Some(op)) => Some(eval(&self.frames[fi].vars, op)),
+                let value = match bc.term {
+                    Term::Return { value } if value != NO_SLOT => {
+                        Some(self.regs[base + value as usize])
+                    }
                     _ => None,
                 };
-                // invariant: `depth` was computed from a non-empty stack
-                // at the top of `step`, and nothing popped since.
-                let frame = self.frames.pop().expect("frame exists");
-                hooks.on_return(
-                    Site {
-                        func: func_id,
-                        depth: self.frames.len(),
-                        steps: self.steps,
-                    },
-                    func_id,
-                );
-                match self.frames.last_mut() {
+                self.frames.pop();
+                self.regs.truncate(base);
+                let site = Site {
+                    func,
+                    depth: self.frames.len(),
+                    steps: self.steps,
+                };
+                hooks.on_return(site, func);
+                match self.frames.last() {
                     None => {
                         self.finished = Some(value);
+                        return Ok(Outcome::Finished(value));
                     }
                     Some(caller) => {
-                        if let Some(dst) = frame.ret_dst {
+                        if fr.ret_dst != NO_SLOT {
                             // invariant: the IR checker rejects binding the
                             // result of a unit-returning call, so a frame
-                            // with `ret_dst` always returns a value.
-                            caller.vars[dst.index()] =
+                            // with a result slot always returns a value.
+                            self.regs[caller.base as usize + fr.ret_dst as usize] =
                                 value.expect("checker: non-unit call has a value");
                         }
                     }
                 }
-            }
+                if poll && hooks.stop() {
+                    return Ok(Outcome::Stopped);
+                }
+                continue 'frames;
+            };
+            let top = &mut self.frames[depth];
+            top.block = block;
+            top.inst = idx as u32;
+            return end;
         }
-        Ok(())
     }
 
-    fn exec_inst<H: Hooks>(
+    /// Executes one instruction other than a call.
+    #[inline(always)]
+    fn exec_op<H: Hooks>(
         &mut self,
         hooks: &mut H,
         site: Site,
-        fi: usize,
-        inst: &Inst,
+        base: usize,
+        fc: &FuncCode,
+        op: Op,
     ) -> Result<(), Trap> {
-        match inst {
-            Inst::Copy { dst, src } => {
-                let v = eval(&self.frames[fi].vars, src);
-                self.frames[fi].vars[dst.index()] = v;
-            }
-            Inst::Un { dst, op, a } => {
-                let av = eval(&self.frames[fi].vars, a);
-                let v = match (op, av) {
-                    (UnOp::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-                    (UnOp::Neg, Value::Float(x)) => Value::Float(-x),
-                    (UnOp::Not, Value::Bool(x)) => Value::Bool(!x),
+        macro_rules! reg {
+            ($s:expr) => {
+                self.regs[base + $s as usize]
+            };
+        }
+        match op {
+            Op::Copy { dst, src } => reg!(dst) = reg!(src),
+            Op::Neg { dst, a } => {
+                reg!(dst) = match reg!(a) {
+                    Value::Int(x) => Value::Int(x.wrapping_neg()),
+                    Value::Float(x) => Value::Float(-x),
                     _ => return Err(Trap::IllTyped("unary operation")),
-                };
-                self.frames[fi].vars[dst.index()] = v;
+                }
             }
-            Inst::Bin { dst, op, a, b } => {
-                let av = eval(&self.frames[fi].vars, a);
-                let bv = eval(&self.frames[fi].vars, b);
-                let v = eval_bin(*op, av, bv)?;
-                self.frames[fi].vars[dst.index()] = v;
+            Op::Not { dst, a } => {
+                reg!(dst) = match reg!(a) {
+                    Value::Bool(x) => Value::Bool(!x),
+                    _ => return Err(Trap::IllTyped("unary operation")),
+                }
             }
-            Inst::Intrin { dst, op, args } => {
-                let a0 = eval(&self.frames[fi].vars, &args[0]);
-                let a1 = args.get(1).map(|a| eval(&self.frames[fi].vars, a));
-                self.frames[fi].vars[dst.index()] = eval_intrin(*op, a0, a1)?;
+            Op::Add { dst, a, b } => reg!(dst) = eval_bin(BinOp::Add, reg!(a), reg!(b))?,
+            Op::Sub { dst, a, b } => reg!(dst) = eval_bin(BinOp::Sub, reg!(a), reg!(b))?,
+            Op::Mul { dst, a, b } => reg!(dst) = eval_bin(BinOp::Mul, reg!(a), reg!(b))?,
+            Op::Lt { dst, a, b } => reg!(dst) = eval_bin(BinOp::Lt, reg!(a), reg!(b))?,
+            Op::Le { dst, a, b } => reg!(dst) = eval_bin(BinOp::Le, reg!(a), reg!(b))?,
+            Op::Gt { dst, a, b } => reg!(dst) = eval_bin(BinOp::Gt, reg!(a), reg!(b))?,
+            Op::Ge { dst, a, b } => reg!(dst) = eval_bin(BinOp::Ge, reg!(a), reg!(b))?,
+            Op::Bin { dst, op, a, b } => reg!(dst) = eval_bin(op, reg!(a), reg!(b))?,
+            Op::Intrin { dst, op, a, b } => {
+                let b = (b != NO_SLOT).then(|| reg!(b));
+                reg!(dst) = eval_intrin(op, reg!(a), b)?;
             }
-            Inst::LoadIndex { dst, base, index } => {
-                let addr = self.index_addr(fi, base, index)?;
-                self.ops.heap_reads += 1;
-                hooks.on_read(site, addr);
-                let v = self.heap[addr.obj.index()].cells[addr.cell as usize];
-                self.frames[fi].vars[dst.index()] = v;
+            Op::LoadIndex {
+                dst,
+                base: p,
+                index,
+            } => {
+                let addr = self.index_addr(ptr_base(reg!(p))?, reg!(index))?;
+                reg!(dst) = self.load(hooks, site, addr);
             }
-            Inst::StoreIndex { base, index, value } => {
-                let addr = self.index_addr(fi, base, index)?;
-                let v = eval(&self.frames[fi].vars, value);
-                self.ops.heap_writes += 1;
-                hooks.on_write(site, addr);
-                hooks.on_store(
+            Op::LoadGlobalIndex { dst, obj, index } => {
+                let addr = self.index_addr(ObjId(obj), reg!(index))?;
+                reg!(dst) = self.load(hooks, site, addr);
+            }
+            Op::StoreIndex {
+                base: p,
+                index,
+                value,
+            } => {
+                let addr = self.index_addr(ptr_base(reg!(p))?, reg!(index))?;
+                self.store(hooks, site, addr, reg!(value));
+            }
+            Op::StoreGlobalIndex { obj, index, value } => {
+                let addr = self.index_addr(ObjId(obj), reg!(index))?;
+                self.store(hooks, site, addr, reg!(value));
+            }
+            Op::LoadField { dst, obj, field } => {
+                let addr = self.field_addr(reg!(obj), field)?;
+                reg!(dst) = self.load(hooks, site, addr);
+            }
+            Op::StoreField { obj, field, value } => {
+                let addr = self.field_addr(reg!(obj), field)?;
+                self.store(hooks, site, addr, reg!(value));
+            }
+            Op::LoadGlobal { dst, obj } => {
+                reg!(dst) = self.load(
+                    hooks,
                     site,
-                    addr,
-                    self.heap[addr.obj.index()].cells[addr.cell as usize],
-                    v,
+                    Addr {
+                        obj: ObjId(obj),
+                        cell: 0,
+                    },
                 );
-                self.journal_cell(addr.obj, addr.cell);
-                self.heap[addr.obj.index()].cells[addr.cell as usize] = v;
             }
-            Inst::LoadField { dst, obj, field } => {
-                let addr = self.field_addr(fi, obj, *field)?;
-                self.ops.heap_reads += 1;
-                hooks.on_read(site, addr);
-                let v = self.heap[addr.obj.index()].cells[addr.cell as usize];
-                self.frames[fi].vars[dst.index()] = v;
-            }
-            Inst::StoreField { obj, field, value } => {
-                let addr = self.field_addr(fi, obj, *field)?;
-                let v = eval(&self.frames[fi].vars, value);
-                self.ops.heap_writes += 1;
-                hooks.on_write(site, addr);
-                hooks.on_store(
+            Op::StoreGlobal { obj, value } => {
+                self.store(
+                    hooks,
                     site,
-                    addr,
-                    self.heap[addr.obj.index()].cells[addr.cell as usize],
-                    v,
+                    Addr {
+                        obj: ObjId(obj),
+                        cell: 0,
+                    },
+                    reg!(value),
                 );
-                self.journal_cell(addr.obj, addr.cell);
-                self.heap[addr.obj.index()].cells[addr.cell as usize] = v;
             }
-            Inst::LoadGlobal { dst, global } => {
-                let addr = Addr {
-                    obj: ObjId(global.0),
-                    cell: 0,
-                };
-                self.ops.heap_reads += 1;
-                hooks.on_read(site, addr);
-                let v = self.heap[addr.obj.index()].cells[0];
-                self.frames[fi].vars[dst.index()] = v;
+            Op::AllocStruct { dst, sid } => {
+                let obj = self.alloc(self.code.structs[sid as usize].clone())?;
+                reg!(dst) = Value::Ptr(obj);
             }
-            Inst::StoreGlobal { global, value } => {
-                let addr = Addr {
-                    obj: ObjId(global.0),
-                    cell: 0,
-                };
-                let v = eval(&self.frames[fi].vars, value);
-                self.ops.heap_writes += 1;
-                hooks.on_write(site, addr);
-                hooks.on_store(site, addr, self.heap[addr.obj.index()].cells[0], v);
-                self.journal_cell(addr.obj, addr.cell);
-                self.heap[addr.obj.index()].cells[0] = v;
-            }
-            Inst::AllocStruct { dst, sid } => {
-                let layout = &self.module.structs[sid.index()];
-                let cells: Vec<Value> = layout.fields.iter().map(|(_, t)| zero_of(t)).collect();
-                let obj = self.alloc(cells)?;
-                self.frames[fi].vars[dst.index()] = Value::Ptr(obj);
-            }
-            Inst::AllocArray { dst, len } => {
-                let n = match eval(&self.frames[fi].vars, len) {
+            Op::AllocArray { dst, len } => {
+                let n = match reg!(len) {
                     Value::Int(n) => n,
                     _ => return Err(Trap::IllTyped("array length")),
                 };
@@ -956,41 +1090,45 @@ impl<'m> Machine<'m> {
                     return Err(Trap::OutOfBounds { len: 0, index: n });
                 }
                 let obj = self.alloc(vec![Value::Int(0); n as usize])?;
-                self.frames[fi].vars[dst.index()] = Value::Ptr(obj);
+                reg!(dst) = Value::Ptr(obj);
             }
-            Inst::Call { dst, func, args } => {
-                let argv: Vec<Value> = args
-                    .iter()
-                    .map(|a| eval(&self.frames[fi].vars, a))
-                    .collect();
-                hooks.on_call(site, *func);
-                self.push_frame(*func, &argv, *dst)?;
-            }
-            Inst::Print { args } => {
-                for a in args {
-                    match a {
-                        PrintOp::Label(s) => self.output.push(OutputItem::Label(s.clone())),
-                        PrintOp::Value(op) => {
-                            let v = eval(&self.frames[fi].vars, op);
-                            self.output.push(OutputItem::Value(v));
-                        }
-                    }
+            Op::Print { items } => {
+                for item in &fc.prints[items as usize] {
+                    self.output.push(match item {
+                        PrintItem::Label(l) => OutputItem::Label(l.clone()),
+                        &PrintItem::Value(s) => OutputItem::Value(reg!(s)),
+                    });
                 }
             }
+            // invariant: the dispatch loop runs calls itself.
+            Op::Call { .. } => unreachable!("calls are dispatched by `exec`"),
         }
         Ok(())
     }
 
-    fn index_addr(&self, fi: usize, base: &MemBase, index: &Operand) -> Result<Addr, Trap> {
-        let obj = match base {
-            MemBase::Global(g) => ObjId(g.0),
-            MemBase::Var(v) => match self.frames[fi].vars[v.index()] {
-                Value::Ptr(o) => o,
-                Value::Null => return Err(Trap::NullDeref),
-                _ => return Err(Trap::IllTyped("index base")),
-            },
-        };
-        let i = match eval(&self.frames[fi].vars, index) {
+    /// A heap read: counted, reported, performed.
+    #[inline(always)]
+    fn load<H: Hooks>(&mut self, hooks: &mut H, site: Site, addr: Addr) -> Value {
+        self.ops.heap_reads += 1;
+        hooks.on_read(site, addr);
+        self.heap[addr.obj.index()].cells[addr.cell as usize]
+    }
+
+    /// A heap store: counted, reported with the old and new values,
+    /// journaled, performed.
+    #[inline(always)]
+    fn store<H: Hooks>(&mut self, hooks: &mut H, site: Site, addr: Addr, v: Value) {
+        self.ops.heap_writes += 1;
+        hooks.on_write(site, addr);
+        let old = self.heap[addr.obj.index()].cells[addr.cell as usize];
+        hooks.on_store(site, addr, old, v);
+        self.journal_cell(addr.obj, addr.cell);
+        self.heap[addr.obj.index()].cells[addr.cell as usize] = v;
+    }
+
+    #[inline(always)]
+    fn index_addr(&self, obj: ObjId, index: Value) -> Result<Addr, Trap> {
+        let i = match index {
             Value::Int(i) => i,
             _ => return Err(Trap::IllTyped("index operand")),
         };
@@ -1004,8 +1142,9 @@ impl<'m> Machine<'m> {
         })
     }
 
-    fn field_addr(&self, fi: usize, obj: &Operand, field: u32) -> Result<Addr, Trap> {
-        let o = match eval(&self.frames[fi].vars, obj) {
+    #[inline(always)]
+    fn field_addr(&self, obj: Value, field: u32) -> Result<Addr, Trap> {
+        let o = match obj {
             Value::Ptr(o) => o,
             Value::Null => return Err(Trap::NullDeref),
             _ => return Err(Trap::IllTyped("field base")),
@@ -1017,6 +1156,16 @@ impl<'m> Machine<'m> {
             obj: o,
             cell: field,
         })
+    }
+}
+
+/// The object an indexed access goes through.
+#[inline(always)]
+fn ptr_base(v: Value) -> Result<ObjId, Trap> {
+    match v {
+        Value::Ptr(o) => Ok(o),
+        Value::Null => Err(Trap::NullDeref),
+        _ => Err(Trap::IllTyped("index base")),
     }
 }
 
@@ -1039,37 +1188,10 @@ fn output_prefix_eq(long: &[OutputItem], prefix: &[OutputItem]) -> bool {
             })
 }
 
-fn zero_of(ty: &Ty) -> Value {
-    match ty {
-        Ty::Int => Value::Int(0),
-        Ty::Float => Value::Float(0.0),
-        Ty::Bool => Value::Bool(false),
-        _ => Value::Null,
-    }
-}
-
-fn const_value(op: &Operand) -> Value {
-    match op {
-        Operand::ConstInt(v) => Value::Int(*v),
-        Operand::ConstFloat(v) => Value::Float(*v),
-        Operand::ConstBool(v) => Value::Bool(*v),
-        Operand::Null => Value::Null,
-        // invariant: the parser only accepts constant global initializers.
-        Operand::Var(_) => unreachable!("global initializers are constants"),
-    }
-}
-
-#[inline]
-fn eval(vars: &[Value], op: &Operand) -> Value {
-    match op {
-        Operand::Var(v) => vars[v.index()],
-        Operand::ConstInt(v) => Value::Int(*v),
-        Operand::ConstFloat(v) => Value::Float(*v),
-        Operand::ConstBool(v) => Value::Bool(*v),
-        Operand::Null => Value::Null,
-    }
-}
-
+/// A binary operation. Inlined: the run loop's ops for the hot
+/// operators pass a constant `op`, so each of them compiles to just its
+/// own int and float cases and the trap.
+#[inline(always)]
 fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, Trap> {
     use BinOp::*;
     Ok(match (op, a, b) {
@@ -1156,7 +1278,7 @@ fn eval_intrin(op: Intrinsic, a: Value, b: Option<Value>) -> Result<Value, Trap>
 mod tests {
     use super::*;
     use crate::hooks::NoHooks;
-    use dca_ir::compile;
+    use dca_ir::{compile, Terminator};
 
     /// The parallel DCA engine runs one [`Machine`] per worker thread,
     /// all restored from one shared [`Snapshot`] of a shared [`Module`].
@@ -1182,7 +1304,7 @@ mod tests {
             .expect("push main");
         match machine.run(&mut NoHooks, u64::MAX).expect("run") {
             Outcome::Finished(v) => (v, machine.output().to_vec()),
-            Outcome::Paused => panic!("unexpected pause"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -1686,6 +1808,72 @@ mod tests {
         assert_eq!(c.reads, 2);
         assert_eq!(c.writes, 2);
         assert!(c.blocks >= 1);
+    }
+
+    /// Logs block entries and returns, and stops the run after each of
+    /// them when `stopping`.
+    struct Blocks {
+        events: Vec<(usize, BlockId, u64)>,
+        stopping: bool,
+    }
+
+    impl Hooks for Blocks {
+        fn on_block(&mut self, site: Site, block: BlockId, _: &mut [Value]) {
+            self.events.push((site.depth, block, site.steps));
+        }
+
+        fn on_return(&mut self, site: Site, _: FuncId) {
+            self.events
+                .push((site.depth, BlockId(u32::MAX), site.steps));
+        }
+
+        fn stop(&self) -> bool {
+            self.stopping
+        }
+    }
+
+    #[test]
+    fn entry_blocks_are_reported_once_under_run_step_and_stops() {
+        let m = compile(
+            "fn f(n: int) -> int { if (n > 1) { return n; } return 0; }\n\
+             fn main() -> int { let s: int = 0; \
+             for (let i: int = 0; i < 3; i = i + 1) { s = s + f(i); } return s; }",
+        )
+        .expect("compile");
+        let drive = |how: u8| {
+            let mut machine = Machine::new(&m);
+            machine
+                .push_call(m.main().expect("main"), &[])
+                .expect("push");
+            let mut hooks = Blocks {
+                events: Vec::new(),
+                stopping: how == 2,
+            };
+            let mut runs = 0;
+            while machine.result().is_none() {
+                match how {
+                    1 => machine.step(&mut hooks).expect("step"),
+                    _ => {
+                        runs += 1;
+                        machine.run(&mut hooks, u64::MAX).expect("run");
+                    }
+                }
+            }
+            (hooks.events, machine.result(), machine.steps(), runs)
+        };
+        let (events, ret, steps, runs) = drive(0);
+        assert_eq!(runs, 1);
+        // The entry block of `main` is reported first, at step 0.
+        assert_eq!(events[0], (0, BlockId(0), 0));
+        assert_eq!(ret, Some(Some(Value::Int(2))));
+        let (stepped, ret1, steps1, _) = drive(1);
+        assert_eq!((&events, ret, steps), (&stepped, ret1, steps1));
+        // Stopping after every block entry and return splits the run
+        // without adding or losing an event: each run but the last ends
+        // right after one event, the last when `main` returns.
+        let (stopped, ret2, steps2, runs2) = drive(2);
+        assert_eq!((&events, ret, steps), (&stopped, ret2, steps2));
+        assert_eq!(runs2, events.len());
     }
 
     #[test]

@@ -60,6 +60,14 @@ pub trait LoopSink {
     /// (`store == Some((old, new))`) while `live` activations (outermost
     /// first) were on the stack.
     fn access(&mut self, live: &mut [Self::Act], addr: Addr, store: Option<(Value, Value)>) {}
+
+    /// Whether the run should stop before its next step, so that the
+    /// caller can act on the machine where it stands ([`Hooks::stop`]).
+    /// Polled after block entries and returns, the points where `enter`,
+    /// `iterate` and `exit` are called.
+    fn stop(&self) -> bool {
+        false
+    }
 }
 
 /// Per-function loop tables, built once per tracker.
@@ -179,8 +187,8 @@ impl<S: LoopSink> LoopTracker<S> {
         }
     }
 
-    /// The sink, for a driver that steps the machine itself and reads
-    /// the sink's state between steps.
+    /// The sink, for a caller that reads the sink's state between runs
+    /// (after the sink stopped one, see [`LoopSink::stop`]).
     pub fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
     }
@@ -212,18 +220,14 @@ impl<S: LoopSink> LoopTracker<S> {
             self.sink.exit(lref, act, Some(steps));
         }
     }
-}
 
-impl<S: LoopSink> Hooks for LoopTracker<S> {
-    fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
+    /// A block entry that exits or enters tracked loops: exits the
+    /// frame's activations the block is outside of, enters the loops it
+    /// is newly inside, and reports a header re-arrival.
+    fn cross(&mut self, site: Site, block: BlockId, vars: &[Value]) {
         let table = &self.tables[site.func.index()];
-        if table.chains.is_empty() {
-            // No activation is live in a frame without tracked loops, nor
-            // deeper: those exited when their frames returned.
-            return;
-        }
-        let base = self.frame_base(site.depth);
         let chain = table.chain(block);
+        let base = self.frame_base(site.depth);
         // How much of this frame's live stack is still a prefix of the
         // block's chain; everything above it has been exited.
         let matched = self.live[base..]
@@ -251,7 +255,41 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
             self.sink.iterate(act, site.steps, vars);
         }
     }
+}
 
+impl<S: LoopSink> Hooks for LoopTracker<S> {
+    // Inlined into the run loop with the common cases decided here; the
+    // rest is `cross`.
+    #[inline(always)]
+    fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
+        let table = &self.tables[site.func.index()];
+        if table.chains.is_empty() {
+            // No activation is live in a frame without tracked loops, nor
+            // deeper: those exited when their frames returned.
+            return;
+        }
+        let chain = table.chain(block);
+        // Within its loops, a frame's live activations are the chain of
+        // the innermost one: when that is also the block's innermost
+        // tracked loop, nothing enters or exits, and at its header an
+        // iteration begins.
+        let top = self.live.last().filter(|&&(d, _)| d == site.depth);
+        match (top, chain.last()) {
+            (Some(&(_, l)), Some(&inner)) if l.func == site.func && l.loop_id == inner => {
+                if table.header[inner.index()] == block {
+                    let act = self.acts.last_mut().expect("a live activation");
+                    self.sink.iterate(act, site.steps, vars);
+                }
+            }
+            // Outside tracked loops, with none live in this frame.
+            (None, None) => {}
+            _ => self.cross(site, block, vars),
+        }
+    }
+
+    // The per-instruction and per-access hooks are inlined into the run
+    // loop: a call per step would cost more than their work.
+    #[inline(always)]
     fn before_inst(
         &mut self,
         site: Site,
@@ -262,9 +300,13 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
         // While an activation is live, code runs in its frame or in the
         // deeper frames of its callees. The live stack is sorted by depth,
         // so this frame's activations are its top run at `site.depth`.
+        // (`get_mut` has no panic path, so for a sink without `inst` all
+        // of this compiles away.)
         if self.live.last().is_some_and(|&(d, _)| d == site.depth) {
             let base = self.frame_base(site.depth);
-            self.sink.inst(&mut self.acts[base..], block, idx, vars);
+            if let Some(frame) = self.acts.get_mut(base..) {
+                self.sink.inst(frame, block, idx, vars);
+            }
         }
         InstAction::Run
     }
@@ -276,12 +318,18 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
         self.close_down_to(keep, site.steps);
     }
 
+    #[inline(always)]
     fn on_read(&mut self, _site: Site, addr: Addr) {
         self.sink.access(&mut self.acts, addr, None);
     }
 
+    #[inline(always)]
     fn on_store(&mut self, _site: Site, addr: Addr, old: Value, new: Value) {
         self.sink.access(&mut self.acts, addr, Some((old, new)));
+    }
+
+    fn stop(&self) -> bool {
+        self.sink.stop()
     }
 }
 
@@ -669,6 +717,66 @@ mod tests {
         let (old, new): (Vec<Value>, Vec<Value>) = e.stores.into_iter().unzip();
         assert_eq!((old, new), (ints(&[0, 0, 1]), ints(&[0, 1, 3])));
         assert_eq!(e.reads, 3);
+    }
+
+    #[test]
+    fn run_and_single_steps_report_the_same_events() {
+        /// Every sink event, in order.
+        struct Log(Vec<String>);
+
+        impl LoopSink for Log {
+            type Act = LoopRef;
+
+            fn enter(&mut self, l: LoopRef, steps: u64, nested: bool, vars: &[Value]) -> LoopRef {
+                self.0.push(format!("enter {l} {steps} {nested} {vars:?}"));
+                l
+            }
+
+            fn iterate(&mut self, l: &mut LoopRef, steps: u64, vars: &[Value]) {
+                self.0.push(format!("iterate {l} {steps} {vars:?}"));
+            }
+
+            fn inst(&mut self, frame: &mut [LoopRef], block: BlockId, idx: usize, _: &[Value]) {
+                self.0.push(format!("inst {frame:?} {block} {idx}"));
+            }
+
+            fn exit(&mut self, l: LoopRef, _: LoopRef, steps: Option<u64>) {
+                self.0.push(format!("exit {l} {steps:?}"));
+            }
+
+            fn access(&mut self, live: &mut [LoopRef], addr: Addr, store: Option<(Value, Value)>) {
+                self.0.push(format!("access {live:?} {addr} {store:?}"));
+            }
+        }
+
+        let module = compile(
+            "fn h(k: int) -> int { let z: int = k * 7; return z; }\n\
+             fn rec(n: int, a: *int) -> int { let s: int = h(n); \
+               @r: for (let i: int = 0; i < 2; i = i + 1) { \
+                 a[i] = a[i] + s; if (n > 0) { s = s + rec(n - 1, a); } } return s; }\n\
+             fn main() -> int { let a: *int = new [int; 4]; let t: int = 0; \
+               @m: for (let j: int = 0; j < 3; j = j + 1) { t = t + rec(1, a); } \
+               return t + a[0]; }",
+        )
+        .expect("compile");
+        let log = |single_steps: bool| {
+            let mut machine = Machine::new(&module);
+            machine
+                .push_call(module.main().expect("main"), &[])
+                .expect("push");
+            let mut tracker = LoopTracker::new(&module, Log(Vec::new()));
+            if single_steps {
+                while machine.result().is_none() {
+                    machine.step(&mut tracker).expect("step");
+                }
+            } else {
+                machine.run(&mut tracker, u64::MAX).expect("run");
+            }
+            (tracker.finish().0, machine.result())
+        };
+        let (run, ret) = log(false);
+        assert!(run.len() > 100, "{} events", run.len());
+        assert_eq!((run, ret), log(true));
     }
 
     #[test]

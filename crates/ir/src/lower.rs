@@ -42,11 +42,7 @@ pub fn lower(prog: &CheckedProgram) -> Result<Module, Error> {
     for f in &prog.ast.functions {
         funcs.push(FnLower::new(prog, &global_ids, &func_ids, f).run()?);
     }
-    Ok(Module {
-        structs: prog.structs.clone(),
-        globals,
-        funcs,
-    })
+    Ok(Module::new(prog.structs.clone(), globals, funcs))
 }
 
 fn const_operand(e: &Expr) -> Result<Operand, Error> {

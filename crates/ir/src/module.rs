@@ -10,7 +10,9 @@
 //! straightforward.
 
 use dca_lang::sema::{StructInfo, Ty};
+use std::any::Any;
 use std::fmt;
+use std::sync::OnceLock;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -618,9 +620,65 @@ pub struct Module {
     pub globals: Vec<GlobalInfo>,
     /// Functions, indexed by [`FuncId`].
     pub funcs: Vec<Function>,
+    derived: Derived,
+}
+
+/// One value derived from a module on first use and kept beside it for
+/// the module's lifetime: the interpreter's compiled code. It is not part
+/// of the module's meaning, so a clone starts empty and equality ignores
+/// it. A module must not be mutated once the value has been derived.
+#[derive(Default)]
+struct Derived(OnceLock<Box<dyn Any + Send + Sync>>);
+
+impl Clone for Derived {
+    fn clone(&self) -> Self {
+        Derived::default()
+    }
+}
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Derived {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = if self.0.get().is_some() {
+            "derived"
+        } else {
+            "empty"
+        };
+        f.write_str(state)
+    }
 }
 
 impl Module {
+    /// Assembles a module; nothing is derived from it yet.
+    pub fn new(structs: Vec<StructInfo>, globals: Vec<GlobalInfo>, funcs: Vec<Function>) -> Self {
+        Module {
+            structs,
+            globals,
+            funcs,
+            derived: Derived::default(),
+        }
+    }
+
+    /// The value derived from this module by `init`, built on the first
+    /// call and shared by every later one. One module holds one derived
+    /// value, of one type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value of another type was derived first.
+    pub fn derived<T: Any + Send + Sync>(&self, init: impl FnOnce(&Module) -> T) -> &T {
+        self.derived
+            .0
+            .get_or_init(|| Box::new(init(self)))
+            .downcast_ref()
+            .expect("a module derives one value type")
+    }
+
     /// Finds a function by name.
     pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
         self.funcs

@@ -392,7 +392,7 @@ pub fn execute_loop(
     debug_assert!(
         profile
             .as_ref()
-            .is_none_or(|p| p.iters.len() == golden.iters.len()),
+            .is_none_or(|p| p.len() == golden.iters.len()),
         "profile iterations must align with the golden record"
     );
     let n = golden.iters.len();
@@ -592,7 +592,7 @@ fn precheck(
     // every worker. (A truncated profile can miss accesses; the worker
     // check stays behind this as the backstop.)
     let base_heap = master.heap().len() as u32;
-    if p.iters.iter().any(|it| {
+    if p.iters().any(|it| {
         it.reads.iter().any(|&(obj, _)| obj >= base_heap)
             || it.writes.iter().any(|w| w.obj >= base_heap)
     }) {
