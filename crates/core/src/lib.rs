@@ -48,19 +48,17 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod fault;
-pub mod journal;
 pub mod outcome;
 pub mod parallel;
 pub mod perm;
 pub mod record;
 pub mod replay;
 pub mod report;
+mod store;
 
-pub use cache::{CacheDecision, CacheStats, CachedVerdict, KeyBuilder, VerdictCache};
 pub use config::{DcaConfig, DigestMode, ObsOptions, PermutationSet, VerifyScope, WallLimits};
 pub use dca_deps::{
     autotune_chunk, check_decomposable, Conflict, ConflictKind, DepReport, DepVerdict,
@@ -69,7 +67,6 @@ pub use dca_deps::{
 pub use dca_obs::{Obs, ObsRollup, SpanStat};
 pub use engine::{digest_roots, read_roots, Dca, DcaError, DigestRoots, LoopFacts};
 pub use fault::{catch_contained, FaultKind, FaultPlan, FaultSpecError};
-pub use journal::{JournalEntry, RunJournal, RunJournalStats};
 pub use outcome::{
     canon_f64_bits, float_close, hash_live_state, DigestScratch, DigestStats, Divergence,
     ExitCheck, ExitRef, GoldenDigest, ProgramOutcome, StateDigest,
@@ -81,3 +78,4 @@ pub use record::{
 };
 pub use replay::{run_replay, IterOrder, Perm, ReplayController, ReplayEnd, ReplayGovernor};
 pub use report::{DcaReport, LoopResult, LoopVerdict, SkipReason, Violation};
+pub use store::{CacheStats, RunJournalStats};

@@ -149,14 +149,14 @@ pub struct LoopResult {
     /// [`crate::Dca::test_loop`]. Purely informational; varies run to run.
     pub wall: Duration,
     /// True when this verdict was served from the persistent verdict
-    /// cache ([`crate::cache`]) instead of being recomputed. Provenance
+    /// cache (DESIGN.md §15) instead of being recomputed. Provenance
     /// metadata like [`wall`]: not part of the outcome, so equality
     /// ignores it.
     ///
     /// [`wall`]: LoopResult::wall
     pub cached: bool,
     /// True when this verdict was replayed from the write-ahead run
-    /// journal ([`crate::journal`]) of an earlier, interrupted run
+    /// journal (DESIGN.md §16) of an earlier, interrupted run
     /// instead of being recomputed. Provenance metadata like
     /// [`cached`]: not part of the outcome, so equality ignores it.
     ///
@@ -200,12 +200,12 @@ pub struct DcaReport {
     /// cache path was configured (via [`crate::DcaConfig::cache`] or
     /// `DCA_CACHE`), even if the engine had to bypass it. `None` when no
     /// cache was configured.
-    pub cache: Option<crate::cache::CacheStats>,
+    pub cache: Option<crate::CacheStats>,
     /// Run-journal statistics for this analysis — `Some` whenever a
     /// journal path was configured (via [`crate::DcaConfig::journal`] or
     /// `DCA_JOURNAL`), even if the engine had to bypass it. `None` when
     /// no journal was configured.
-    pub journal: Option<crate::journal::RunJournalStats>,
+    pub journal: Option<crate::RunJournalStats>,
 }
 
 impl DcaReport {
