@@ -10,13 +10,15 @@ use dca_ir::{BlockId, FuncView, Loop, VarId};
 use dca_obs::Obs;
 use std::collections::BTreeSet;
 
-/// Per-block live-in/live-out sets for one function.
+/// Per-block live-in/live-out sets for one function, kept as bit rows:
+/// one row of `words` words per block, bit `v` for variable `v`.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: Vec<BTreeSet<VarId>>,
-    live_out: Vec<BTreeSet<VarId>>,
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
     /// Variables defined (written) by each block.
-    defs: Vec<BTreeSet<VarId>>,
+    defs: Vec<u64>,
 }
 
 impl Liveness {
@@ -37,38 +39,46 @@ impl Liveness {
     }
 
     /// The dataflow computation; returns the result and the number of
-    /// fixpoint passes it took.
+    /// fixpoint passes it took. The sets are bit rows while it iterates,
+    /// one row of `words` words per block, and become sets at the end.
     fn compute(view: &FuncView<'_>) -> (Self, u64) {
         let f = view.func;
         let n = f.blocks.len();
+        let words = f.vars.len().div_ceil(64).max(1);
+        let row = |b: BlockId| b.index() * words..(b.index() + 1) * words;
+        let set = |rows: &mut [u64], b: BlockId, v: VarId| {
+            rows[b.index() * words + v.index() / 64] |= 1 << (v.index() % 64);
+        };
+        let has = |rows: &[u64], b: BlockId, v: VarId| {
+            rows[b.index() * words + v.index() / 64] & (1 << (v.index() % 64)) != 0
+        };
         // Per-block gen (upward-exposed uses) and kill (defs).
-        let mut gen = vec![BTreeSet::new(); n];
-        let mut kill = vec![BTreeSet::new(); n];
+        let mut gen = vec![0u64; n * words];
+        let mut kill = vec![0u64; n * words];
+        let mut uses = Vec::new();
         for b in f.block_ids() {
             let blk = f.block(b);
-            let g = &mut gen[b.index()];
-            let k = &mut kill[b.index()];
-            let mut uses = Vec::new();
             for inst in &blk.insts {
                 uses.clear();
                 inst.uses_into(&mut uses);
                 for &u in &uses {
-                    if !k.contains(&u) {
-                        g.insert(u);
+                    if !has(&kill, b, u) {
+                        set(&mut gen, b, u);
                     }
                 }
                 if let Some(d) = inst.def() {
-                    k.insert(d);
+                    set(&mut kill, b, d);
                 }
             }
             for u in blk.term.uses() {
-                if !k.contains(&u) {
-                    g.insert(u);
+                if !has(&kill, b, u) {
+                    set(&mut gen, b, u);
                 }
             }
         }
-        let mut live_in = vec![BTreeSet::new(); n];
-        let mut live_out = vec![BTreeSet::new(); n];
+        let mut live_in = vec![0u64; n * words];
+        let mut live_out = vec![0u64; n * words];
+        let (mut out, mut inn) = (vec![0u64; words], vec![0u64; words]);
         // Iterate to fixpoint, visiting blocks in reverse RPO for speed.
         let order: Vec<BlockId> = view.cfg.reverse_postorder().iter().rev().copied().collect();
         let mut changed = true;
@@ -77,25 +87,26 @@ impl Liveness {
             changed = false;
             passes += 1;
             for &b in &order {
-                let mut out = BTreeSet::new();
+                out.fill(0);
                 for &s in view.cfg.succs(b) {
-                    out.extend(live_in[s.index()].iter().copied());
-                }
-                let mut inn = gen[b.index()].clone();
-                for &v in &out {
-                    if !kill[b.index()].contains(&v) {
-                        inn.insert(v);
+                    for (o, i) in out.iter_mut().zip(&live_in[row(s)]) {
+                        *o |= i;
                     }
                 }
-                if out != live_out[b.index()] || inn != live_in[b.index()] {
-                    live_out[b.index()] = out;
-                    live_in[b.index()] = inn;
+                for (k, i) in inn.iter_mut().enumerate() {
+                    let w = b.index() * words + k;
+                    *i = gen[w] | (out[k] & !kill[w]);
+                }
+                if out[..] != live_out[row(b)] || inn[..] != live_in[row(b)] {
+                    live_out[row(b)].copy_from_slice(&out);
+                    live_in[row(b)].copy_from_slice(&inn);
                     changed = true;
                 }
             }
         }
         (
             Liveness {
+                words,
                 live_in,
                 live_out,
                 defs: kill,
@@ -104,56 +115,78 @@ impl Liveness {
         )
     }
 
+    /// Block `b`'s row of `rows`.
+    fn row<'a>(&self, rows: &'a [u64], b: BlockId) -> &'a [u64] {
+        &rows[b.index() * self.words..(b.index() + 1) * self.words]
+    }
+
+    /// The variables of a bit row.
+    fn vars(row: &[u64]) -> BTreeSet<VarId> {
+        let mut set = BTreeSet::new();
+        for (k, &w) in row.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                set.insert(VarId((k * 64) as u32 + w.trailing_zeros()));
+                w &= w - 1;
+            }
+        }
+        set
+    }
+
+    /// The variables defined by any block of `l`, as a bit row.
+    fn loop_def_row(&self, l: &Loop) -> Vec<u64> {
+        let mut row = vec![0; self.words];
+        for &b in &l.blocks {
+            for (d, s) in row.iter_mut().zip(self.row(&self.defs, b)) {
+                *d |= s;
+            }
+        }
+        row
+    }
+
     /// Variables live on entry to `b`.
-    pub fn live_in(&self, b: BlockId) -> &BTreeSet<VarId> {
-        &self.live_in[b.index()]
+    pub fn live_in(&self, b: BlockId) -> BTreeSet<VarId> {
+        Self::vars(self.row(&self.live_in, b))
     }
 
     /// Variables live on exit from `b`.
-    pub fn live_out(&self, b: BlockId) -> &BTreeSet<VarId> {
-        &self.live_out[b.index()]
+    pub fn live_out(&self, b: BlockId) -> BTreeSet<VarId> {
+        Self::vars(self.row(&self.live_out, b))
     }
 
     /// Variables defined (written) somewhere in `b`.
-    pub fn defs(&self, b: BlockId) -> &BTreeSet<VarId> {
-        &self.defs[b.index()]
+    pub fn defs(&self, b: BlockId) -> BTreeSet<VarId> {
+        Self::vars(self.row(&self.defs, b))
     }
 
     /// Variables **defined inside** `l` that are live on entry to any block
     /// the loop exits to — the loop's *live-out variables* in the paper's
     /// sense: values produced by the loop and consumed later.
     pub fn loop_live_outs(&self, l: &Loop) -> BTreeSet<VarId> {
-        let defined = self.loop_defs(l);
-        let mut out = BTreeSet::new();
+        let mut live = vec![0; self.words];
         for t in l.exit_targets() {
-            for &v in self.live_in(t) {
-                if defined.contains(&v) {
-                    out.insert(v);
-                }
+            for (d, s) in live.iter_mut().zip(self.row(&self.live_in, t)) {
+                *d |= s;
             }
         }
-        out
+        let defined = self.loop_def_row(l);
+        let out: Vec<u64> = live.iter().zip(&defined).map(|(a, b)| a & b).collect();
+        Self::vars(&out)
     }
 
     /// All variables defined by any block of `l`.
     pub fn loop_defs(&self, l: &Loop) -> BTreeSet<VarId> {
-        let mut defined = BTreeSet::new();
-        for &b in &l.blocks {
-            defined.extend(self.defs(b).iter().copied());
-        }
-        defined
+        Self::vars(&self.loop_def_row(l))
     }
 
     /// Loop-carried scalars: variables defined inside `l` that are live on
     /// entry to its header — their value flows around the back edge, so the
     /// parallelizer must treat them as inductions, reductions, or reject.
     pub fn loop_carried(&self, l: &Loop) -> BTreeSet<VarId> {
-        let defined = self.loop_defs(l);
-        self.live_in(l.header)
-            .iter()
-            .copied()
-            .filter(|v| defined.contains(v))
-            .collect()
+        let defined = self.loop_def_row(l);
+        let live = self.row(&self.live_in, l.header);
+        let carried: Vec<u64> = live.iter().zip(&defined).map(|(a, b)| a & b).collect();
+        Self::vars(&carried)
     }
 }
 
@@ -291,7 +324,7 @@ mod tests {
             for &succ in view.cfg.succs(b) {
                 out.extend(live.live_in(succ).iter().copied());
             }
-            assert_eq!(&out, live.live_out(b), "live_out mismatch at {b}");
+            assert_eq!(out, live.live_out(b), "live_out mismatch at {b}");
         }
     }
 

@@ -12,11 +12,12 @@
 //! loop-carried scalars (induction variables, reductions).
 
 use dca_analysis::ArrayKey;
+use dca_core::{cell_key, CellHasher};
 use dca_interp::{Addr, LoopSink, LoopTracker, Machine, ObjId, Outcome, Trap, Value};
 use dca_ir::{FuncView, LoopRef, Module};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::num::NonZeroU64;
 
 /// Per-location access state within one active loop invocation.
@@ -131,38 +132,6 @@ impl Activation {
     }
 }
 
-/// An activation's map key for the cell at `addr`: its object in the high
-/// half, its cell in the low half.
-fn cell_key(addr: Addr) -> u64 {
-    u64::from(addr.obj.0) << 32 | u64::from(addr.cell)
-}
-
-/// The shadow map's hasher, run once per heap access and live activation:
-/// one multiply by an odd constant, then the high half folded into the
-/// low half. The map takes its bucket from the low bits and its tag from
-/// the top seven; without the fold, keys that differ only in the object
-/// half would share a bucket. The keys are heap addresses the interpreter
-/// assigns, so no collision-resistant hasher is needed.
-#[derive(Default)]
-struct CellHasher(u64);
-
-impl Hasher for CellHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the shadow map hashes only `u64` cell keys")
-    }
-
-    #[inline]
-    fn write_u64(&mut self, key: u64) {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The dependence-profiling [`LoopSink`]; run it under a [`LoopTracker`]
 /// that tracks every loop (as [`trace_dependences`] does).
 pub struct DepTracer {
@@ -259,7 +228,7 @@ impl LoopSink for DepTracer {
     fn access(&mut self, live: &mut [Activation], addr: Addr, store: Option<(Value, Value)>) {
         for a in live {
             let stamp = a.stamp();
-            let st = a.state.entry(cell_key(addr)).or_default();
+            let st = a.state.entry(cell_key(addr.obj.0, addr.cell)).or_default();
             let written_now = st.last_write_iter == Some(stamp);
             let written_earlier = st.last_write_iter.is_some() && !written_now;
             if store.is_some() {
@@ -294,7 +263,7 @@ pub fn trace_dependences(
     let mut machine = Machine::new(module);
     machine.push_call(module.main().expect("module has `main`"), args)?;
     let mut tracker = LoopTracker::new(module, DepTracer::new(module));
-    match machine.run(&mut tracker, max_steps)? {
+    match tracker.run(&mut machine, max_steps)? {
         Outcome::Finished(_) => Ok(tracker.finish().into_report()),
         Outcome::Paused => Err(TraceError::OutOfSteps(max_steps)),
         Outcome::Stopped => unreachable!("the dependence tracer never stops a run"),
@@ -413,33 +382,6 @@ mod tests {
         // so nothing is flagged.
         assert!(!d.unprivatizable);
         assert!(!d.cross_raw && !d.cross_waw && !d.cross_war);
-    }
-
-    #[test]
-    fn cell_hasher_spreads_both_key_halves() {
-        use std::collections::HashSet;
-        use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<CellHasher>::default();
-        let spread = |keys: Vec<u64>| {
-            let hashes: Vec<u64> = keys.iter().map(|k| build.hash_one(k)).collect();
-            let buckets: HashSet<u64> = hashes.iter().map(|h| h & 0xfff).collect();
-            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
-            (buckets.len(), tags.len())
-        };
-        let addr = |obj: u32, cell: u32| {
-            cell_key(Addr {
-                obj: ObjId(obj),
-                cell,
-            })
-        };
-        for (name, keys) in [
-            ("object half", (0..4096).map(|o| addr(o, 7)).collect()),
-            ("cell half", (0..4096).map(|c| addr(3, c)).collect()),
-        ] {
-            let (buckets, tags) = spread(keys);
-            assert!(buckets >= 2048, "{name}: {buckets} buckets of 4096 keys");
-            assert!(tags >= 120, "{name}: {tags} of 128 tags");
-        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! * **Disarmed = zero cost** — the unprofiled paths must not be slower
 //!   than the profiled ones (1.25x headroom for scheduler noise).
-//! * **Armed ≤ 1.3x** — the probe (an event-log push per heap access
-//!   plus a commit-time sort-and-scan per iteration) must keep profiled
-//!   recording within 1.3x of plain recording, and the end-to-end
-//!   pre-checked execution within 1.3x of an unchecked one.
+//! * **Armed ≤ 1.3x** — the probe (a per-cell fold per heap access
+//!   plus, per iteration, a sort of the cells it touched) must keep
+//!   profiled recording within 1.3x of plain recording, and the
+//!   end-to-end pre-checked execution within 1.3x of an unchecked one.
 //!
 //! Gates compare each benchmark's *fastest* sample (see [`min_of`]).
 

@@ -1406,7 +1406,7 @@ pub struct DigestRoots {
 pub fn digest_roots(view: &FuncView<'_>, live: &Liveness, l: &Loop) -> DigestRoots {
     let mut vars: std::collections::BTreeSet<VarId> = live.loop_live_outs(l).into_iter().collect();
     for t in l.exit_targets() {
-        vars.extend(live.live_in(t).iter().copied());
+        vars.extend(live.live_in(t));
     }
     let vars: Vec<VarId> = vars.into_iter().collect();
     let names = vars

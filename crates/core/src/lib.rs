@@ -61,8 +61,8 @@ mod store;
 
 pub use config::{DcaConfig, DigestMode, ObsOptions, PermutationSet, VerifyScope, WallLimits};
 pub use dca_deps::{
-    autotune_chunk, check_decomposable, Conflict, ConflictKind, DepReport, DepVerdict,
-    FootprintProbe, IterFootprint, LoopProfile,
+    autotune_chunk, cell_key, check_decomposable, CellHasher, Conflict, ConflictKind, DepReport,
+    DepVerdict, FootprintProbe, IterFootprint, LoopProfile,
 };
 pub use dca_obs::{Obs, ObsRollup, SpanStat};
 pub use engine::{digest_roots, read_roots, Dca, DcaError, DigestRoots, LoopFacts};

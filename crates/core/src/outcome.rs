@@ -416,7 +416,7 @@ fn enc(canon: &mut HashMap<ObjId, u32>, order: &mut Vec<ObjId>, v: &Value) -> (u
 /// chunks and returns the rest. `#[inline(never)]` is load-bearing: a
 /// call-free body lets the register allocator keep every lane, the tag
 /// lane, and the cursor in registers — inlined next to the generic
-/// chunk path (whose [`canon_ref`] call clobbers caller-saved
+/// chunk path (whose [`visit_ref`] call clobbers caller-saved
 /// registers) the lanes get spilled to the stack instead. The
 /// entry/exit lane transfer is amortized over the whole run.
 #[inline(never)]

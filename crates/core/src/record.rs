@@ -33,10 +33,11 @@ use crate::replay::GOVERN_GRANULE;
 use dca_analysis::IteratorSlice;
 use dca_deps::FootprintProbe;
 use dca_interp::{
-    Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot, Trap, Value,
+    Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot, TrackedSteps,
+    Trap, Value,
 };
-use dca_ir::{BlockId, FuncId, Loop, LoopRef, VarId};
-use std::collections::{BTreeSet, HashMap};
+use dca_ir::{BlockId, FuncId, Function, Loop, LoopRef, VarId};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -270,6 +271,9 @@ pub struct ProgramRecording {
     /// The most heap cells the run's golden snapshots held at once. A kept
     /// record holds its snapshot to the end of the run.
     pub snapshot_cells_peak: u64,
+    /// The run's steps, split by whether a requested loop was live: the
+    /// idle ones ran without the recorder's hooks.
+    pub steps: TrackedSteps,
 }
 
 /// Where a watched loop stands in the run.
@@ -289,6 +293,9 @@ struct Watch<'p> {
     rec_vars: Vec<VarId>,
     /// The loop's iterator slice: an instruction outside it is payload.
     slice: &'p IteratorSlice,
+    /// Per block of the function, the index of its first payload
+    /// instruction: `u32::MAX` for an all-slice block, 0 outside the loop.
+    first_payload: Vec<u32>,
     /// Invocations with fewer committed iterations than this are skipped
     /// (there is nothing to permute below two iterations).
     min_trip: usize,
@@ -333,6 +340,38 @@ impl Watch<'_> {
         self.rec_vars.iter().map(|v| vars[v.index()]).collect()
     }
 
+    /// The index of `block`'s first payload instruction (past its end if
+    /// it has none).
+    #[inline(always)]
+    fn first_payload(&self, block: BlockId) -> usize {
+        self.first_payload
+            .get(block.index())
+            .map_or(0, |&i| i as usize)
+    }
+
+    /// Hands an access to the probe, on the side of the last instruction
+    /// the recorded frame ran: an access in a callee takes the side of
+    /// the calling instruction. Out of line, so that the run loop's
+    /// access sites stay small for unprofiled recordings.
+    #[inline(never)]
+    fn profile(&mut self, addr: Addr, store: Option<(Value, Value)>) {
+        let Some(p) = self.probe.as_deref_mut() else {
+            return;
+        };
+        p.set_payload(!self.slice.contains(self.at));
+        match store {
+            None => p.read(addr.obj.0, addr.cell),
+            Some((old, new)) => p.store(addr.obj.0, addr.cell, old, new),
+        }
+    }
+
+    /// Freezes the in-flight iteration's values.
+    #[cold]
+    #[inline(never)]
+    fn freeze(&mut self, vars: &[Value]) {
+        self.pending = Some(self.capture(vars));
+    }
+
     /// Commits one iteration that ended at step `steps`.
     fn commit(&mut self, tuple: Vec<Value>, steps: u64) {
         self.iters.push(tuple);
@@ -340,6 +379,22 @@ impl Watch<'_> {
             p.commit_iter(steps);
         }
     }
+}
+
+/// Each block's first payload instruction: the index of its first
+/// instruction outside `slice`, `u32::MAX` for an all-slice block of `l`,
+/// and 0 for a block outside `l`, where every instruction is payload.
+fn first_payloads(f: &Function, l: &Loop, slice: &IteratorSlice) -> Vec<u32> {
+    f.block_ids()
+        .map(|b| {
+            if !l.contains(b) {
+                return 0;
+            }
+            (0..f.block(b).insts.len())
+                .find(|&i| !slice.contains((b, i)))
+                .map_or(u32::MAX, |i| i as u32)
+        })
+        .collect()
 }
 
 /// What `record_program` must do for one watched loop where the run stopped;
@@ -365,8 +420,6 @@ struct GoldenSink<'p> {
     watches: Vec<Watch<'p>>,
     /// The watch of each watched loop.
     by_loop: HashMap<LoopRef, usize>,
-    /// Some watch has a probe, which sees every access.
-    probed: bool,
     /// Requests to `record_program`: while there are any, the sink stops
     /// the run, and `record_program` acts on them with the machine where
     /// it stands.
@@ -375,6 +428,7 @@ struct GoldenSink<'p> {
 
 impl<'p> GoldenSink<'p> {
     /// The watch recording activation `act`, while it records.
+    #[inline(always)]
     fn recording(&mut self, act: Option<usize>) -> Option<&mut Watch<'p>> {
         act.map(|r| &mut self.watches[r])
             .filter(|w| w.phase == Phase::Recording)
@@ -416,9 +470,10 @@ impl LoopSink for GoldenSink<'_> {
         }
     }
 
-    // Runs on every instruction of the recorded frames; inlined into the
-    // run loop, a recording is ~8% faster.
-    #[inline]
+    // Runs on every instruction of the recorded frames, inlined into the
+    // run loop: a call per step would cost more than the work, and the
+    // rare freeze is out of line.
+    #[inline(always)]
     fn inst(&mut self, frame: &mut [Option<usize>], block: BlockId, idx: usize, vars: &[Value]) {
         // Every recorded activation of the frame runs this instruction,
         // an outer loop's included while an inner one is live.
@@ -427,8 +482,11 @@ impl LoopSink for GoldenSink<'_> {
                 continue;
             };
             w.at = (block, idx);
-            if w.pending.is_none() && !w.slice.contains((block, idx)) {
-                w.pending = Some(w.capture(vars));
+            // A block runs from its first instruction on, so the first
+            // payload instruction of an iteration is one of its blocks'
+            // first payload instructions.
+            if w.pending.is_none() && idx >= w.first_payload(block) {
+                w.freeze(vars);
             }
         }
     }
@@ -482,35 +540,21 @@ impl LoopSink for GoldenSink<'_> {
         }
     }
 
-    // Runs on every heap access of the run; inlined into the tracker's
-    // read and store hooks, a probed recording is ~8% faster.
-    #[inline]
+    // Runs on every heap access while an activation is live, inlined
+    // into the tracker's read and store hooks; the probe's share is out
+    // of line. Each recorded activation's probe sees the access, and no
+    // other probe: a probe is only ever fed while its watch records.
+    #[inline(always)]
     fn access(&mut self, live: &mut [Option<usize>], addr: Addr, store: Option<(Value, Value)>) {
-        if store.is_some() {
-            for &mut act in live {
-                if let Some(w) = self.recording(act) {
-                    if addr.obj.index() < w.base_heap {
-                        w.writes.push(addr);
-                    }
-                }
-            }
-        }
-        if !self.probed {
-            return;
-        }
-        for w in &mut self.watches {
-            let Some(p) = w.probe.as_deref_mut() else {
+        for &mut act in live {
+            let Some(w) = self.recording(act) else {
                 continue;
             };
-            if w.phase == Phase::Recording {
-                // An access in a callee takes the side of the calling
-                // instruction: the last one the recorded frame ran.
-                let (block, idx) = w.at;
-                p.set_payload(!w.slice.contains((block, idx)));
+            if store.is_some() && addr.obj.index() < w.base_heap {
+                w.writes.push(addr);
             }
-            match store {
-                None => p.read(addr.obj.0, addr.cell),
-                Some((old, new)) => p.store(addr.obj.0, addr.cell, old, new),
+            if w.probe.is_some() {
+                w.profile(addr, store);
             }
         }
     }
@@ -521,11 +565,12 @@ impl LoopSink for GoldenSink<'_> {
 /// invocations. The interpreter is deterministic, so each loop's records
 /// are the ones a run recording that loop alone would give.
 ///
-/// The machine is stepped under one [`LoopTracker`] watching every
-/// requested loop, with an optional wall-clock deadline and an optional
-/// [`CancelToken`], both checked cooperatively every [`GOVERN_GRANULE`]
-/// steps. `None` for both keeps the recording loop free of clock reads
-/// and atomic loads. Each recorded activation keeps its own entry
+/// The machine is driven by one [`LoopTracker`] watching every requested
+/// loop ([`LoopTracker::run`]: the stretches where none of them is live
+/// run without the recorder's hooks), with an optional wall-clock
+/// deadline and an optional [`CancelToken`], both checked cooperatively
+/// every [`GOVERN_GRANULE`] steps, idle stretches included. `None` for
+/// both keeps the recording loop free of clock reads and atomic loads. Each recorded activation keeps its own entry
 /// snapshot and its own write set, the stored cells of objects that
 /// existed at its entry, from which its [`ExitState`] is built at the
 /// exit; nested tested loops and loops of different functions are
@@ -557,6 +602,7 @@ pub fn record_program(
     on_exit: &mut dyn FnMut(usize, &Machine<'_>),
 ) -> ProgramRecording {
     let module = machine.module();
+    let loops: Vec<(FuncId, &Loop)> = requests.iter().map(|q| (q.func, q.l)).collect();
     let mut by_loop = HashMap::new();
     let watches: Vec<Watch<'_>> = requests
         .into_iter()
@@ -571,6 +617,7 @@ pub fn record_program(
             Watch {
                 rec_vars: q.slice.slice_vars.iter().copied().collect(),
                 slice: q.slice,
+                first_payload: first_payloads(module.func(q.func), q.l, q.slice),
                 min_trip: q.min_trip,
                 max_trip: q.max_trip,
                 skips_left: q.invocations.start,
@@ -596,13 +643,11 @@ pub fn record_program(
         .collect();
     let idle = watches.iter().all(|w| w.phase == Phase::Done);
     let sink = GoldenSink {
-        probed: watches.iter().any(|w| w.probe.is_some()),
         watches,
         events: Vec::new(),
         by_loop,
     };
-    let selection: BTreeSet<LoopRef> = sink.by_loop.keys().copied().collect();
-    let mut tracker = LoopTracker::watching(module, &selection, sink);
+    let mut tracker = LoopTracker::over(module, &loops, sink);
     let mut live_cells = 0u64;
     let mut peak = 0u64;
     let end: Result<Option<Value>, RecordError> = 'run: {
@@ -641,7 +686,7 @@ pub fn record_program(
                 }
                 end = end.min(now - n % GOVERN_GRANULE + GOVERN_GRANULE);
             }
-            match machine.run(&mut tracker, end - now) {
+            match tracker.run(machine, end - now) {
                 Ok(_) => {}
                 Err(Trap::NotRunning) => break 'run Ok(machine.result().unwrap_or(None)),
                 Err(t) => break 'run Err(RecordError::Trapped(t)),
@@ -702,6 +747,7 @@ pub fn record_program(
     let program_end = end
         .as_ref()
         .map(|&ret| (ProgramOutcome::capture(machine, ret), machine.steps()));
+    let steps = tracker.steps();
     let loops = tracker
         .finish()
         .watches
@@ -733,6 +779,7 @@ pub fn record_program(
     ProgramRecording {
         loops,
         snapshot_cells_peak: peak,
+        steps,
     }
 }
 

@@ -38,7 +38,9 @@ mod overlap;
 mod profile;
 
 pub use autotune::{autotune_chunk, DEFAULT_DYNAMIC_CHUNK, GRAB_OVERHEAD_STEPS};
-pub use overlap::{check_decomposable, Conflict, ConflictKind, DepReport, DepVerdict};
+pub use overlap::{
+    cell_key, check_decomposable, CellHasher, Conflict, ConflictKind, DepReport, DepVerdict,
+};
 pub use profile::{
     canon_f64_bits, canonical_bits, CellWrite, FootprintProbe, IterFootprint, LoopProfile,
     DEFAULT_FOOTPRINT_CAP,

@@ -23,15 +23,54 @@
 //!   guard for that corner.)
 //!
 //! Silent writes (the iteration's net effect leaves the cell's canonical
-//! bits unchanged, see [`CellWrite::is_silent`]) participate in no
-//! hazard. Iterator-slice accesses are checked separately: the pre-pass
-//! replays slice effects identically in every worker *before* any
-//! payload runs, so a payload access overlapping a slice-*changed* cell
-//! (or a slice read of a payload-changed cell) observes a different
-//! interleaving than the sequential run did.
+//! bits unchanged, see [`CellWrite::is_silent`](crate::CellWrite::is_silent))
+//! participate in no hazard. Iterator-slice accesses are checked
+//! separately: the pre-pass replays slice effects identically in every
+//! worker *before* any payload runs, so a payload access overlapping a
+//! slice-*changed* cell (or a slice read of a payload-changed cell)
+//! observes a different interleaving than the sequential run did.
 
 use crate::profile::LoopProfile;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The overlap scan's cell maps, keyed by [`cell_key`]. The scan's
+/// result does not depend on their order.
+type CellMap<V> = HashMap<u64, V, BuildHasherDefault<CellHasher>>;
+
+/// A heap cell as one map key: its object in the high half, its cell in
+/// the low half.
+#[must_use]
+#[inline]
+pub fn cell_key(obj: u32, cell: u32) -> u64 {
+    (u64::from(obj) << 32) | u64::from(cell)
+}
+
+/// The hasher for [`cell_key`] maps, run once per lookup: one multiply
+/// by an odd constant, then the high half folded into the low half. A
+/// map takes its bucket from the low bits, so without the fold keys that
+/// differ only in their object would share a bucket. The keys are heap
+/// addresses the interpreter assigns, so no collision-resistant hasher
+/// is needed.
+#[derive(Default)]
+pub struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("cell maps hash only `u64` cell keys")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// What kind of cross-iteration hazard a [`Conflict`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,28 +164,28 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
     // every worker before payload starts, so slice/payload overlaps are
     // hazardous regardless of iteration order. Map each cell to the
     // first slice iteration touching it (for the witness).
-    let mut slice_changed: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-    let mut slice_read: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+    let mut slice_changed: CellMap<usize> = CellMap::default();
+    let mut slice_read: CellMap<usize> = CellMap::default();
     for (k, it) in profile.iters().enumerate() {
         for w in it.slice_writes {
             if !w.is_silent() && !excluded_objs.contains(&w.obj) {
-                slice_changed.entry((w.obj, w.cell)).or_insert(k);
+                slice_changed.entry(cell_key(w.obj, w.cell)).or_insert(k);
             }
         }
         for &(obj, cell) in it.slice_reads {
             if !excluded_objs.contains(&obj) {
-                slice_read.entry((obj, cell)).or_insert(k);
+                slice_read.entry(cell_key(obj, cell)).or_insert(k);
             }
         }
     }
 
-    let mut cells: BTreeMap<(u32, u32), CellState> = BTreeMap::new();
+    let mut cells: CellMap<CellState> = CellMap::default();
     let mut first: Option<Conflict> = None;
     let mut conflicting_cells: u64 = 0;
-    let mut flagged: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let mut flagged: HashSet<u64, BuildHasherDefault<CellHasher>> = HashSet::default();
 
-    let mut record = |flagged: &mut BTreeSet<(u32, u32)>, c: Conflict| {
-        if flagged.insert((c.obj, c.cell)) {
+    let mut record = |flagged: &mut HashSet<_, _>, c: Conflict| {
+        if flagged.insert(cell_key(c.obj, c.cell)) {
             conflicting_cells += 1;
         }
         if first.is_none() {
@@ -160,7 +199,7 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
                 continue;
             }
             // Flow from an earlier payload writer.
-            if let Some(st) = cells.get(&(obj, cell)) {
+            if let Some(st) = cells.get(&cell_key(obj, cell)) {
                 if let Some((a, _)) = st.changed {
                     if a != b {
                         record(
@@ -179,7 +218,7 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
             // Flow from the replicated slice pre-pass (any iteration:
             // sequentially the read sees only slice effects of earlier
             // iterations, in parallel it sees all of them).
-            if let Some(&a) = slice_changed.get(&(obj, cell)) {
+            if let Some(&a) = slice_changed.get(&cell_key(obj, cell)) {
                 record(
                     &mut flagged,
                     Conflict {
@@ -196,14 +235,14 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
             if excluded_objs.contains(&w.obj) {
                 continue;
             }
-            let st = cells.entry((w.obj, w.cell)).or_default();
+            let st = cells.entry(cell_key(w.obj, w.cell)).or_default();
             match st.changed {
                 None => {
                     if !w.is_silent() {
                         st.changed = Some((b, w.last_new));
                         // A changing payload write to a cell the slice
                         // also touches races the replicated pre-pass.
-                        if let Some(&a) = slice_changed.get(&(w.obj, w.cell)) {
+                        if let Some(&a) = slice_changed.get(&cell_key(w.obj, w.cell)) {
                             record(
                                 &mut flagged,
                                 Conflict {
@@ -214,7 +253,7 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
                                     kind: ConflictKind::WriteWrite,
                                 },
                             );
-                        } else if let Some(&a) = slice_read.get(&(w.obj, w.cell)) {
+                        } else if let Some(&a) = slice_read.get(&cell_key(w.obj, w.cell)) {
                             record(
                                 &mut flagged,
                                 Conflict {
@@ -248,7 +287,8 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{CellWrite, FootprintProbe, IterFootprint};
+    use crate::profile::event_log::{probed, ProbeCall::*};
+    use crate::profile::{CellWrite, IterFootprint, DEFAULT_FOOTPRINT_CAP};
     use dca_interp::Value;
 
     fn write(obj: u32, cell: u32, old: i64, new: i64) -> CellWrite {
@@ -262,6 +302,28 @@ mod tests {
 
     fn profile(iters: Vec<IterFootprint<'_>>) -> LoopProfile {
         LoopProfile::from_iters(iters)
+    }
+
+    #[test]
+    fn cell_hasher_spreads_both_key_halves() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<CellHasher>::default();
+        let spread = |keys: Vec<u64>| {
+            let hashes: Vec<u64> = keys.iter().map(|k| build.hash_one(k)).collect();
+            let buckets: HashSet<u64> = hashes.iter().map(|h| h & 0xfff).collect();
+            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            (buckets.len(), tags.len())
+        };
+        let addr = cell_key;
+        for (name, keys) in [
+            ("object half", (0..4096).map(|o| addr(o, 7)).collect()),
+            ("cell half", (0..4096).map(|c| addr(3, c)).collect()),
+        ] {
+            let (buckets, tags) = spread(keys);
+            assert!(buckets >= 2048, "{name}: {buckets} buckets of 4096 keys");
+            assert!(tags >= 120, "{name}: {tags} of 128 tags");
+        }
     }
 
     #[test]
@@ -384,17 +446,18 @@ mod tests {
         // The EP idiom: every iteration fills a shared scratch buffer,
         // then consumes it. The probe drops the locally-satisfied reads,
         // so only the (safe) overwrites remain.
-        let mut p = FootprintProbe::new();
-        p.begin_invocation(0);
+        let mut calls = vec![Begin(0)];
         for k in 0..3 {
-            p.set_payload(true);
-            p.store(2, 0, Value::Int(k), Value::Int(k + 1));
-            p.store(2, 1, Value::Int(10 * k), Value::Int(10 * (k + 1)));
-            p.read(2, 0);
-            p.read(2, 1);
-            p.commit_iter(u64::try_from(k).unwrap() * 10 + 10);
+            calls.extend([
+                Payload(true),
+                Store(2, 0, Value::Int(k), Value::Int(k + 1)),
+                Store(2, 1, Value::Int(10 * k), Value::Int(10 * (k + 1))),
+                Read(2, 0),
+                Read(2, 1),
+                Commit(u64::try_from(k).unwrap() * 10 + 10),
+            ]);
         }
-        let prof = p.finish();
+        let prof = probed(DEFAULT_FOOTPRINT_CAP, &calls);
         assert!(prof.iters().all(|it| it.reads.is_empty()));
         assert_eq!(
             check_decomposable(&prof, &BTreeSet::new()),
@@ -406,16 +469,19 @@ mod tests {
     fn upward_exposed_read_still_conflicts_after_overwrite() {
         // Iteration 1 reads before writing: the read is upward-exposed
         // and must flag flow from iteration 0's change.
-        let mut p = FootprintProbe::new();
-        p.begin_invocation(0);
-        p.set_payload(true);
-        p.store(1, 0, Value::Int(0), Value::Int(5));
-        p.commit_iter(10);
-        p.set_payload(true);
-        p.read(1, 0);
-        p.store(1, 0, Value::Int(5), Value::Int(6));
-        p.commit_iter(20);
-        let prof = p.finish();
+        let prof = probed(
+            DEFAULT_FOOTPRINT_CAP,
+            &[
+                Begin(0),
+                Payload(true),
+                Store(1, 0, Value::Int(0), Value::Int(5)),
+                Commit(10),
+                Payload(true),
+                Read(1, 0),
+                Store(1, 0, Value::Int(5), Value::Int(6)),
+                Commit(20),
+            ],
+        );
         match check_decomposable(&prof, &BTreeSet::new()) {
             DepVerdict::Conflicting(r) => {
                 assert_eq!(r.first.kind, ConflictKind::Flow);
@@ -491,12 +557,7 @@ mod tests {
 
     #[test]
     fn truncated_profile_is_unknown() {
-        let mut p = FootprintProbe::with_cap(0);
-        p.begin_invocation(0);
-        p.set_payload(true);
-        p.read(0, 0);
-        p.commit_iter(1);
-        let prof = p.finish();
+        let prof = probed(0, &[Begin(0), Payload(true), Read(0, 0), Commit(1)]);
         assert!(prof.truncated);
         assert_eq!(
             check_decomposable(&prof, &BTreeSet::new()),

@@ -13,6 +13,12 @@ pub const DEFAULT_FOOTPRINT_CAP: usize = 1 << 22;
 /// A heap cell key: `(object id, cell index)`.
 type Cell = (u32, u32);
 
+/// A cell as one integer, ordered as its [`Cell`].
+#[inline]
+fn key(obj: u32, cell: u32) -> u64 {
+    (u64::from(obj) << 32) | u64::from(cell)
+}
+
 /// The single quiet-NaN payload every NaN canonicalizes to.
 const CANON_QNAN_BITS: u64 = 0x7ff8_0000_0000_0000;
 
@@ -213,22 +219,123 @@ impl LoopProfile {
     }
 }
 
-/// In-flight accumulation for the current (uncommitted) iteration: a raw
-/// event log, sealed into sorted footprint sets at commit. The hook path
-/// runs once per heap access of the golden run, so it must be a plain
-/// `Vec` push; all dedup, net-write collapsing and upward-exposure
-/// filtering happens once per iteration by sort-and-scan.
-#[derive(Default)]
-struct CurIter {
-    /// Next event sequence number (orders reads against stores).
-    seq: u32,
-    /// `(cell, seq, payload?)` per heap read.
-    reads: Vec<(Cell, u32, bool)>,
-    /// `(cell, seq, payload?, old, new)` per heap store. The values stay
-    /// raw here; only each cell's net endpoints are canonicalized, at
-    /// commit.
-    stores: Vec<(Cell, u32, bool, Value, Value)>,
+/// The iteration stored to the cell from payload instructions.
+const PAY_STORED: u32 = 1;
+/// The iteration stored to the cell from iterator-slice instructions.
+const SLICE_STORED: u32 = 2;
+/// A payload read came before the iteration's first store to the cell.
+const READ: u32 = 4;
+/// A slice read came before the iteration's first slice store to it.
+const SLICE_READ: u32 = 8;
+
+/// One heap cell's accesses in the current iteration, folded as they
+/// arrive: what the cell's entries in the iteration's footprint will be.
+#[derive(Debug, Clone, Copy)]
+struct CellFold {
+    /// The cell, `obj << 32 | cell`.
+    key: u64,
+    /// The cell's slot in the index.
+    slot: u32,
+    /// `PAY_STORED`, `SLICE_STORED`, `READ` and `SLICE_READ` bits.
+    flags: u32,
+    /// With `PAY_STORED`: the index in the probe's `nets` of the first
+    /// payload store's old value and the last one's new value.
+    pay: u32,
+    /// The same for iterator-slice stores, with `SLICE_STORED`.
+    slice: u32,
 }
+
+/// The current iteration's cell folds, in first-touch order, with an
+/// open-addressing index by cell. A slot holds a place in `folds` and is
+/// taken only while the fold there points back at it, so clearing the
+/// folds frees every slot.
+///
+/// [`EMPTY`] marks a slot no fold ever took.
+struct CellFolds {
+    folds: Vec<CellFold>,
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a key's home slot is the top bits of its
+    /// Fibonacci hash.
+    shift: u32,
+}
+
+impl Default for CellFolds {
+    fn default() -> Self {
+        CellFolds {
+            folds: Vec::new(),
+            slots: vec![EMPTY; 64],
+            shift: 64 - 6,
+        }
+    }
+}
+
+impl CellFolds {
+    /// The fold of `key`, new if the iteration has not touched it yet.
+    #[inline(always)]
+    fn get(&mut self, key: u64) -> &mut CellFold {
+        let mut i = self.home(key);
+        while let Some(at) = self.taken(i) {
+            if self.folds[at].key == key {
+                return &mut self.folds[at];
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        // Kept at most half full.
+        if 2 * (self.folds.len() + 1) > self.slots.len() {
+            self.grow();
+            i = self.home(key);
+            while self.taken(i).is_some() {
+                i = (i + 1) & (self.slots.len() - 1);
+            }
+        }
+        self.slots[i] = self.folds.len() as u32;
+        self.folds.push(CellFold {
+            key,
+            slot: i as u32,
+            flags: 0,
+            pay: 0,
+            slice: 0,
+        });
+        let last = self.folds.len() - 1;
+        &mut self.folds[last]
+    }
+
+    /// `key`'s home slot: the top bits of its Fibonacci hash.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The place of the fold that holds slot `i`, if one does.
+    #[inline]
+    fn taken(&self, i: usize) -> Option<usize> {
+        let at = self.slots[i] as usize;
+        self.folds
+            .get(at)
+            .filter(|f| f.slot as usize == i)
+            .map(|_| at)
+    }
+
+    /// Doubles the index and re-adds the folds.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; 2 * self.slots.len()];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for at in 0..self.folds.len() {
+            let mut i = self.home(self.folds[at].key);
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = at as u32;
+            self.folds[at].slot = i as u32;
+        }
+    }
+}
+
+/// An index slot no fold ever took.
+const EMPTY: u32 = u32::MAX;
 
 /// Accumulates a [`LoopProfile`] while the golden recorder drives the
 /// interpreter. The recorder composition calls [`FootprintProbe::read`] /
@@ -238,6 +345,12 @@ struct CurIter {
 /// [`FootprintProbe::begin_invocation`], [`FootprintProbe::commit_iter`],
 /// [`FootprintProbe::abort_invocation`] and
 /// [`FootprintProbe::drop_partial`].
+///
+/// Each access is folded into its cell's state for the current iteration
+/// as it arrives (DESIGN.md §18): a store collapses into the side's first
+/// old and last new value, and a read is kept, once, exactly when it is
+/// upward-exposed. A commit then sorts only the iteration's distinct
+/// cells.
 pub struct FootprintProbe {
     active: bool,
     payload: bool,
@@ -246,9 +359,10 @@ pub struct FootprintProbe {
     /// cap is hit, so the per-access hot path gates on one branch.
     events_left: usize,
     iter_start_steps: u64,
-    cur: CurIter,
-    /// Commit-time scratch: per-cell first-write kill points.
-    kills: Vec<(Cell, u32, u32)>,
+    /// The current iteration's cells.
+    folds: CellFolds,
+    /// The net stores the folds index: `(first old, last new)`.
+    nets: Vec<(Value, Value)>,
     /// The committed iterations.
     profile: LoopProfile,
 }
@@ -276,8 +390,8 @@ impl FootprintProbe {
             cap,
             events_left: 0,
             iter_start_steps: 0,
-            cur: CurIter::default(),
-            kills: Vec::new(),
+            folds: CellFolds::default(),
+            nets: Vec::new(),
             profile: LoopProfile::default(),
         }
     }
@@ -288,60 +402,40 @@ impl FootprintProbe {
         self.payload = false;
         self.events_left = self.cap;
         self.iter_start_steps = steps;
-        self.cur = CurIter::default();
+        self.clear();
     }
 
     /// The recorder discarded the in-flight invocation (too short, or a
     /// skipped eligible one): forget everything accumulated so far.
     pub fn abort_invocation(&mut self) {
-        self.active = false;
-        self.events_left = 0;
-        self.cur = CurIter::default();
+        self.drop_partial();
         self.profile = LoopProfile::default();
     }
 
     /// An iteration boundary: seal the current accumulation as one
     /// committed iteration ending at step count `steps`.
     pub fn commit_iter(&mut self, steps: u64) {
-        // The event buffers are drained, not replaced: their capacity
-        // (and the kill scratch vector's) is reused across iterations, and
-        // the sets are appended to the profile's arrays, so the steady
-        // state allocates nothing per iteration.
-        let cur = &mut self.cur;
-        cur.seq = 0;
+        // The sets are appended to the profile's arrays and the fold list
+        // keeps its capacity, so the steady state allocates nothing per
+        // iteration. Sorting the folds in place unlinks their index slots,
+        // which the clear below frees anyway.
+        let folds = &mut self.folds.folds;
+        folds.sort_unstable_by_key(|f| f.key);
         let prof = &mut self.profile;
-
-        // Collapse stores: per cell, per side, the first store's old value
-        // and the last store's new value are the net effect. Alongside,
-        // record each cell's first-write sequence numbers — the kill
-        // points for upward-exposure filtering below.
-        cur.stores
-            .sort_unstable_by_key(|&(cell, seq, ..)| (cell, seq));
-        // `(cell, first store seq of any side, first slice-store seq)`.
-        let kills = &mut self.kills;
-        kills.clear();
-        let mut i = 0;
-        while i < cur.stores.len() {
-            let cell = cur.stores[i].0;
-            let first_seq = cur.stores[i].1;
-            let mut first_slice_seq = u32::MAX;
-            let mut pay: Option<(Value, Value)> = None;
-            let mut sli: Option<(Value, Value)> = None;
-            while i < cur.stores.len() && cur.stores[i].0 == cell {
-                let (_, seq, payload, old, new) = cur.stores[i];
-                let side = if payload { &mut pay } else { &mut sli };
-                match side {
-                    Some((_, last)) => *last = new,
-                    None => *side = Some((old, new)),
-                }
-                if !payload {
-                    first_slice_seq = first_slice_seq.min(seq);
-                }
-                i += 1;
+        for f in folds.iter() {
+            let cell = ((f.key >> 32) as u32, f.key as u32);
+            if f.flags & READ != 0 {
+                prof.reads.push(cell);
             }
-            kills.push((cell, first_seq, first_slice_seq));
-            for (net, out) in [(pay, &mut prof.writes), (sli, &mut prof.slice_writes)] {
-                if let Some((first_old, last_new)) = net {
+            if f.flags & SLICE_READ != 0 {
+                prof.slice_reads.push(cell);
+            }
+            for (bit, net, out) in [
+                (PAY_STORED, f.pay, &mut prof.writes),
+                (SLICE_STORED, f.slice, &mut prof.slice_writes),
+            ] {
+                if f.flags & bit != 0 {
+                    let (first_old, last_new) = self.nets[net as usize];
                     out.push(CellWrite {
                         obj: cell.0,
                         cell: cell.1,
@@ -351,36 +445,8 @@ impl FootprintProbe {
                 }
             }
         }
-
-        // Upward-exposure: a payload read survives only when it precedes
-        // the iteration's first write (either side) to the cell; a slice
-        // read only when it precedes the first *slice* write. Sorting by
-        // `(cell, seq)` makes the earliest read of each cell the first
-        // seen, so a `last()` check dedups each side.
-        cur.reads
-            .sort_unstable_by_key(|&(cell, seq, _)| (cell, seq));
-        let starts = (prof.reads.len(), prof.slice_reads.len());
-        for &(cell, seq, payload) in &cur.reads {
-            let kill = kills
-                .binary_search_by_key(&cell, |&(c, ..)| c)
-                .ok()
-                .map(|k| if payload { kills[k].1 } else { kills[k].2 });
-            if kill.is_some_and(|k| seq > k) {
-                continue;
-            }
-            let (out, start) = if payload {
-                (&mut prof.reads, starts.0)
-            } else {
-                (&mut prof.slice_reads, starts.1)
-            };
-            if out[start..].last() != Some(&cell) {
-                out.push(cell);
-            }
-        }
-
         prof.seal(steps.saturating_sub(self.iter_start_steps));
-        cur.reads.clear();
-        cur.stores.clear();
+        self.clear();
         self.iter_start_steps = steps;
     }
 
@@ -390,7 +456,13 @@ impl FootprintProbe {
     pub fn drop_partial(&mut self) {
         self.active = false;
         self.events_left = 0;
-        self.cur = CurIter::default();
+        self.clear();
+    }
+
+    /// Forgets the current iteration's cells.
+    fn clear(&mut self) {
+        self.folds.folds.clear();
+        self.nets.clear();
     }
 
     /// Whether subsequent accesses attribute to payload (`true`) or to
@@ -402,8 +474,7 @@ impl FootprintProbe {
     /// A heap cell was read. Reads the current iteration already wrote
     /// (payload reads after any same-iteration write, slice reads after a
     /// same-iteration slice write) are satisfied locally — the worker
-    /// replays the iteration in program order — and are dropped when the
-    /// iteration commits.
+    /// replays the iteration in program order — and join no set.
     #[inline]
     pub fn read(&mut self, obj: u32, cell: u32) {
         if self.events_left == 0 {
@@ -411,9 +482,16 @@ impl FootprintProbe {
             return;
         }
         self.events_left -= 1;
-        let seq = self.cur.seq;
-        self.cur.seq += 1;
-        self.cur.reads.push(((obj, cell), seq, self.payload));
+        let f = self.folds.get(key(obj, cell));
+        // Exposed before any store of either side, or of the slice side.
+        let (bit, hidden_by) = if self.payload {
+            (READ, PAY_STORED | SLICE_STORED)
+        } else {
+            (SLICE_READ, SLICE_STORED)
+        };
+        if f.flags & hidden_by == 0 {
+            f.flags |= bit;
+        }
     }
 
     /// A heap cell was stored to; `old`/`new` are the cell's value before
@@ -425,11 +503,19 @@ impl FootprintProbe {
             return;
         }
         self.events_left -= 1;
-        let seq = self.cur.seq;
-        self.cur.seq += 1;
-        self.cur
-            .stores
-            .push(((obj, cell), seq, self.payload, old, new));
+        let f = self.folds.get(key(obj, cell));
+        let (bit, net) = if self.payload {
+            (PAY_STORED, &mut f.pay)
+        } else {
+            (SLICE_STORED, &mut f.slice)
+        };
+        if f.flags & bit == 0 {
+            f.flags |= bit;
+            *net = self.nets.len() as u32;
+            self.nets.push((old, new));
+        } else {
+            self.nets[*net as usize].1 = new;
+        }
     }
 
     /// Seals the probe into the finished profile.
@@ -450,6 +536,9 @@ impl FootprintProbe {
         }
     }
 }
+
+#[cfg(test)]
+pub(crate) mod event_log;
 
 #[cfg(test)]
 mod tests {
@@ -476,26 +565,36 @@ mod tests {
         );
     }
 
+    use event_log::{probed, ProbeCall};
+    use ProbeCall::{Abort, Begin, Commit, DropPartial, Payload, Read, Store};
+
+    fn int(x: i64) -> Value {
+        Value::Int(x)
+    }
+
     #[test]
     fn probe_collapses_stores_and_attributes_slice() {
-        let mut p = FootprintProbe::new();
-        p.begin_invocation(100);
-        p.set_payload(true);
-        p.read(1, 0);
-        p.read(1, 0);
-        p.store(1, 2, Value::Int(0), Value::Int(5));
-        p.store(1, 2, Value::Int(5), Value::Int(9));
-        p.set_payload(false);
-        p.read(3, 0);
-        p.store(3, 1, Value::Int(7), Value::Int(8));
-        p.commit_iter(150);
-        let prof = p.finish();
+        let prof = probed(
+            DEFAULT_FOOTPRINT_CAP,
+            &[
+                Begin(100),
+                Payload(true),
+                Read(1, 0),
+                Read(1, 0),
+                Store(1, 2, int(0), int(5)),
+                Store(1, 2, int(5), int(9)),
+                Payload(false),
+                Read(3, 0),
+                Store(3, 1, int(7), int(8)),
+                Commit(150),
+            ],
+        );
         assert_eq!(prof.len(), 1);
         let it = prof.iter(0);
         assert_eq!(it.reads, [(1, 0)]);
         assert_eq!(it.writes.len(), 1);
-        assert_eq!(it.writes[0].first_old, canonical_bits(Value::Int(0)));
-        assert_eq!(it.writes[0].last_new, canonical_bits(Value::Int(9)));
+        assert_eq!(it.writes[0].first_old, canonical_bits(int(0)));
+        assert_eq!(it.writes[0].last_new, canonical_bits(int(9)));
         assert_eq!(it.slice_reads, [(3, 0)]);
         assert_eq!(it.slice_writes.len(), 1);
         assert_eq!(it.steps, 50);
@@ -503,35 +602,148 @@ mod tests {
 
     #[test]
     fn silent_write_detected_from_endpoints() {
-        let mut p = FootprintProbe::new();
-        p.begin_invocation(0);
-        p.set_payload(true);
         // 3 -> 7 -> 3: the net effect is silent.
-        p.store(0, 0, Value::Int(3), Value::Int(7));
-        p.store(0, 0, Value::Int(7), Value::Int(3));
-        p.commit_iter(10);
-        let prof = p.finish();
+        let prof = probed(
+            DEFAULT_FOOTPRINT_CAP,
+            &[
+                Begin(0),
+                Payload(true),
+                Store(0, 0, int(3), int(7)),
+                Store(0, 0, int(7), int(3)),
+                Commit(10),
+            ],
+        );
         assert!(prof.iter(0).writes[0].is_silent());
     }
 
     #[test]
     fn abort_discards_everything_cap_marks_truncated() {
-        let mut p = FootprintProbe::with_cap(2);
-        p.begin_invocation(0);
-        p.set_payload(true);
-        p.read(0, 0);
-        p.commit_iter(1);
-        p.abort_invocation();
-        p.begin_invocation(5);
-        p.set_payload(true);
-        p.read(0, 1);
-        p.read(0, 2);
-        p.read(0, 3); // over cap
-        p.commit_iter(9);
-        let prof = p.finish();
+        let prof = probed(
+            2,
+            &[
+                Begin(0),
+                Payload(true),
+                Read(0, 0),
+                Commit(1),
+                Abort,
+                Begin(5),
+                Payload(true),
+                Read(0, 1),
+                Read(0, 2),
+                Read(0, 3), // over cap
+                Commit(9),
+            ],
+        );
         assert_eq!(prof.len(), 1, "aborted invocation left no trace");
         assert_eq!(prof.iter(0).reads.len(), 2);
         assert!(prof.truncated);
         assert_eq!(prof.iter_steps(), vec![4], "steps survive truncation");
+    }
+
+    #[test]
+    fn reads_are_kept_only_before_the_first_store_of_their_side() {
+        let prof = probed(
+            DEFAULT_FOOTPRINT_CAP,
+            &[
+                Begin(0),
+                // A payload store hides later payload reads but not slice
+                // reads; a slice store hides both.
+                Payload(true),
+                Store(1, 0, int(0), int(1)),
+                Read(1, 0),
+                Payload(false),
+                Read(1, 0),
+                Store(1, 1, int(0), int(1)),
+                Read(1, 1),
+                Payload(true),
+                Read(1, 1),
+                // A read before the store is kept, once.
+                Read(1, 2),
+                Read(1, 2),
+                Store(1, 2, int(4), int(4)),
+                Commit(10),
+                // The next iteration starts clean.
+                Read(1, 0),
+                Commit(20),
+            ],
+        );
+        let it = prof.iter(0);
+        assert_eq!(it.reads, [(1, 2)]);
+        assert_eq!(it.slice_reads, [(1, 0)]);
+        assert_eq!((it.writes.len(), it.slice_writes.len()), (2, 1));
+        assert_eq!(prof.iter(1).reads, [(1, 0)]);
+    }
+
+    /// Iterations touching thousands of cells, in scattered order, grow
+    /// the fold's index several times.
+    #[test]
+    fn fold_equals_the_event_log_on_wide_iterations() {
+        let mut calls = vec![Begin(0), Payload(true)];
+        for k in 0..3u32 {
+            for i in 0..5000u32 {
+                let (obj, cell) = (i.wrapping_mul(2_654_435_761) % 97, i % 61);
+                calls.push(match (i + k) % 3 {
+                    0 => Read(obj, cell),
+                    1 => Store(obj, cell, int(i64::from(i)), int(i64::from(k))),
+                    _ => Payload(i % 2 == 0),
+                });
+            }
+            calls.push(Commit(u64::from(k + 1) * 100));
+        }
+        let prof = probed(DEFAULT_FOOTPRINT_CAP, &calls);
+        let it = prof.iter(0);
+        assert!(it.reads.len() + it.writes.len() > 1000);
+    }
+
+    /// Random call streams over a few cells, with partials dropped,
+    /// invocations aborted and restarted, and every cap from nothing to
+    /// the whole stream: the fold and the log agree, truncation included.
+    #[test]
+    fn fold_equals_the_event_log_on_random_streams() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let values = [
+            int(0),
+            int(1),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Null,
+        ];
+        for _ in 0..300 {
+            let mut calls = vec![Begin(0)];
+            let mut steps = 0;
+            let mut events = 0;
+            for _ in 0..next(60) {
+                steps += 1 + next(5);
+                let (obj, cell) = (next(3) as u32, next(4) as u32);
+                let call = match next(24) {
+                    0..=2 => Payload(next(2) == 0),
+                    3..=9 => Read(obj, cell),
+                    10..=18 => Store(
+                        obj,
+                        cell,
+                        values[next(5) as usize],
+                        values[next(5) as usize],
+                    ),
+                    19..=21 => Commit(steps),
+                    22 => DropPartial,
+                    _ => Abort,
+                };
+                events += u64::from(matches!(call, Read(..) | Store(..)));
+                calls.push(call);
+                if matches!(call, DropPartial | Abort) {
+                    calls.push(Begin(steps));
+                }
+            }
+            calls.push(Commit(steps + 1));
+            for cap in 0..=events as usize + 1 {
+                probed(cap, &calls);
+            }
+        }
     }
 }

@@ -36,7 +36,7 @@ pub use hooks::{Hooks, InstAction, NoHooks, Site, TermAction};
 pub use machine::{
     JournalStats, Limits, Machine, Obj, OpCounts, Outcome, OutputItem, Position, Snapshot, Trap,
 };
-pub use profile::{LoopSink, LoopTracker};
+pub use profile::{LoopSink, LoopTracker, TrackedSteps};
 pub use value::{Addr, ObjId, Value};
 
 use dca_ir::Module;

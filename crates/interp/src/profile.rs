@@ -15,14 +15,20 @@
 //! and each depth is its own activation.
 
 use crate::hooks::{Hooks, InstAction, Site};
+use crate::machine::{Machine, Outcome, Trap};
 use crate::value::{Addr, Value};
-use dca_ir::{BlockId, FuncId, FuncView, LoopId, LoopRef, Module};
+use dca_ir::{BlockId, FuncId, FuncView, Loop, LoopId, LoopRef, Module};
 use std::collections::BTreeSet;
 
 /// A consumer of the loop events a [`LoopTracker`] derives from a run.
 ///
 /// Events arrive in execution order. Activations nest: the tracker exits
 /// them innermost first, so a sink may treat them as a stack.
+///
+/// A sink does nothing without a live activation: an [`LoopSink::access`]
+/// with none live has no effect, and only the sink's own events turn
+/// [`LoopSink::stop`] on. [`LoopTracker::run`] relies on this contract to
+/// run the stretches with no live activation without the sink.
 #[allow(unused_variables)]
 pub trait LoopSink {
     /// What the sink keeps for each live activation.
@@ -76,46 +82,39 @@ struct FuncTable {
     /// For each block, the tracked loops containing it (outermost first)
     /// as a `(start, len)` range of `chains`.
     block_chain: Vec<(u32, u32)>,
-    /// The tracked ancestor chains of the function's loops, concatenated.
+    /// The blocks' chains, concatenated.
     chains: Vec<LoopId>,
-    /// Header block of each loop.
+    /// Header block of each tracked loop, by loop index.
     header: Vec<BlockId>,
 }
 
 impl FuncTable {
-    fn build(view: &FuncView<'_>, tracked: &dyn Fn(LoopId) -> bool) -> Self {
-        let loops = &view.loops;
-        // Nearest tracked loop at or above `cur` in the nest.
-        let nearest = |mut cur: Option<LoopId>| {
-            while let Some(l) = cur {
-                if tracked(l) {
-                    return Some(l);
-                }
-                cur = loops.get(l).parent;
+    /// The table of a function of `nblocks` blocks that tracks `loops`,
+    /// loops of its forest.
+    fn build<'l>(nblocks: usize, loops: impl IntoIterator<Item = &'l Loop>) -> Self {
+        let mut loops: Vec<&Loop> = loops.into_iter().collect();
+        // Of two loops containing one block, one nests in the other and is
+        // deeper: by depth, each block's loops come outermost first.
+        loops.sort_by_key(|l| l.depth);
+        let mut per_block = vec![Vec::new(); nblocks];
+        let mut header = Vec::new();
+        for l in &loops {
+            for &b in &l.blocks {
+                per_block[b.index()].push(l.id);
             }
-            None
-        };
-        let mut chains = Vec::new();
-        let mut span = vec![(0, 0); loops.len()];
-        let mut header = vec![BlockId(0); loops.len()];
-        for l in loops.iter() {
+            if header.len() <= l.id.index() {
+                header.resize(l.id.index() + 1, BlockId(0));
+            }
             header[l.id.index()] = l.header;
-            if !tracked(l.id) {
-                continue;
-            }
-            let start = chains.len();
-            let mut cur = Some(l.id);
-            while let Some(t) = nearest(cur) {
-                chains.push(t);
-                cur = loops.get(t).parent;
-            }
-            chains[start..].reverse();
-            span[l.id.index()] = (start as u32, (chains.len() - start) as u32);
         }
-        let block_chain = view
-            .func
-            .block_ids()
-            .map(|b| nearest(loops.innermost(b)).map_or((0, 0), |l| span[l.index()]))
+        let mut chains = Vec::new();
+        let block_chain = per_block
+            .into_iter()
+            .map(|chain| {
+                let start = chains.len() as u32;
+                chains.extend(chain);
+                (start, chains.len() as u32 - start)
+            })
             .collect();
         FuncTable {
             block_chain,
@@ -132,6 +131,14 @@ impl FuncTable {
             None => &[],
         }
     }
+
+    /// Whether `block` is in a tracked loop.
+    #[inline(always)]
+    fn tracks(&self, block: BlockId) -> bool {
+        self.block_chain
+            .get(block.index())
+            .is_some_and(|&(_, len)| len > 0)
+    }
 }
 
 /// The loop-tracking [`Hooks`] implementation: follows loop activations
@@ -142,6 +149,10 @@ impl FuncTable {
 /// an iteration on every later header arrival, and exits when control
 /// reaches a block of its frame outside the loop or the frame returns.
 /// Memory accesses are forwarded with every live activation.
+///
+/// [`LoopTracker::run`] drives a machine with it: while no activation is
+/// live, the run goes on under a hook that looks at block entries only,
+/// so untracked stretches of a program cost about what a plain run does.
 pub struct LoopTracker<S: LoopSink> {
     tables: Vec<FuncTable>,
     /// Live activations, outermost first: (frame depth, loop). Sorted by
@@ -149,7 +160,47 @@ pub struct LoopTracker<S: LoopSink> {
     live: Vec<(usize, LoopRef)>,
     /// The sink's state for each entry of `live`.
     acts: Vec<S::Act>,
+    /// Index in `live` of the innermost frame's first activation.
+    top_base: usize,
+    /// That frame's depth plus one, 0 with no activation live: the
+    /// per-instruction and per-return checks read one field.
+    top: usize,
+    /// Set while [`LoopTracker::run`] runs the machine under the tracker:
+    /// the run then stops once no activation is live, to go on idle.
+    driven: bool,
+    steps: TrackedSteps,
     sink: S,
+}
+
+/// The steps [`LoopTracker::run`] ran, by whether an activation was live.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrackedSteps {
+    /// Steps run with no activation live, under the block-entry hook.
+    pub idle: u64,
+    /// Steps run with an activation live, under the tracker's hooks.
+    pub tracked: u64,
+}
+
+/// The hooks of an idle stretch, while no activation is live: a block
+/// entry into a tracked loop is handed to the tracker, which enters it,
+/// and ends the stretch.
+struct Idle<'t, S: LoopSink> {
+    tracker: &'t mut LoopTracker<S>,
+    entered: bool,
+}
+
+impl<S: LoopSink> Hooks for Idle<'_, S> {
+    #[inline(always)]
+    fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {
+        if self.tracker.tables[site.func.index()].tracks(block) {
+            self.tracker.cross(site, block, vars);
+            self.entered = true;
+        }
+    }
+
+    fn stop(&self) -> bool {
+        self.entered
+    }
 }
 
 impl<S: LoopSink> LoopTracker<S> {
@@ -165,6 +216,24 @@ impl<S: LoopSink> LoopTracker<S> {
         Self::build(module, Some(selection), sink)
     }
 
+    /// Tracks `loops`, each a loop of the function it is paired with, as
+    /// [`LoopTracker::watching`] tracks the same selection: for a caller
+    /// that already holds the loops. No function is viewed, so the sink's
+    /// [`LoopSink::prepare`] is not called.
+    pub fn over(module: &Module, loops: &[(FuncId, &Loop)], sink: S) -> Self {
+        let tables = (0..module.funcs.len())
+            .map(|i| {
+                let func = FuncId(i as u32);
+                let mut mine = loops.iter().filter(|&&(f, _)| f == func).peekable();
+                if mine.peek().is_none() {
+                    return FuncTable::default();
+                }
+                FuncTable::build(module.func(func).blocks.len(), mine.map(|&(_, l)| l))
+            })
+            .collect();
+        Self::with_tables(tables, sink)
+    }
+
     fn build(module: &Module, selection: Option<&BTreeSet<LoopRef>>, mut sink: S) -> Self {
         let tables = (0..module.funcs.len())
             .map(|i| {
@@ -174,17 +243,77 @@ impl<S: LoopSink> LoopTracker<S> {
                 }
                 let view = FuncView::new(module, func);
                 sink.prepare(&view);
-                FuncTable::build(&view, &|loop_id| {
-                    selection.is_none_or(|s| s.contains(&LoopRef { func, loop_id }))
-                })
+                let tracked = |l: &&Loop| {
+                    selection.is_none_or(|s| {
+                        s.contains(&LoopRef {
+                            func,
+                            loop_id: l.id,
+                        })
+                    })
+                };
+                FuncTable::build(view.func.blocks.len(), view.loops.iter().filter(tracked))
             })
             .collect();
+        Self::with_tables(tables, sink)
+    }
+
+    fn with_tables(tables: Vec<FuncTable>, sink: S) -> Self {
         LoopTracker {
             tables,
             live: Vec::new(),
             acts: Vec::new(),
+            top_base: 0,
+            top: 0,
+            driven: false,
+            steps: TrackedSteps::default(),
             sink,
         }
+    }
+
+    /// Runs `machine` under the tracker for at most `max_steps` steps, as
+    /// [`Machine::run`] runs it under the tracker's [`Hooks`], with the
+    /// same events, step count and result. It differs in cost only:
+    /// stretches with no live activation run under a hook that looks up
+    /// each block entry in one table and does nothing else. A sink that
+    /// asks to stop ([`LoopSink::stop`]) ends the run with
+    /// [`Outcome::Stopped`], and a later `run` continues there.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the machine's first [`Trap`].
+    pub fn run(&mut self, machine: &mut Machine<'_>, max_steps: u64) -> Result<Outcome, Trap> {
+        let end = machine.steps().saturating_add(max_steps);
+        loop {
+            let start = machine.steps();
+            let left = end - start;
+            let out = if self.live.is_empty() {
+                let out = machine.run(
+                    &mut Idle {
+                        tracker: self,
+                        entered: false,
+                    },
+                    left,
+                );
+                self.steps.idle += machine.steps() - start;
+                out
+            } else {
+                self.driven = true;
+                let out = machine.run(self, left);
+                self.driven = false;
+                self.steps.tracked += machine.steps() - start;
+                out
+            };
+            match out? {
+                // The run changed sides: go on under the other hooks.
+                Outcome::Stopped if !self.sink.stop() => {}
+                out => return Ok(out),
+            }
+        }
+    }
+
+    /// The steps [`LoopTracker::run`] has run so far.
+    pub fn steps(&self) -> TrackedSteps {
+        self.steps
     }
 
     /// The sink, for a caller that reads the sink's state between runs
@@ -212,18 +341,25 @@ impl<S: LoopSink> LoopTracker<S> {
     }
 
     /// Exits live activations (innermost first) until `keep` remain.
+    #[inline(never)]
     fn close_down_to(&mut self, keep: usize, steps: u64) {
+        if self.live.len() <= keep {
+            return;
+        }
         while self.live.len() > keep {
             let (Some((_, lref)), Some(act)) = (self.live.pop(), self.acts.pop()) else {
                 unreachable!("`live` and `acts` have equal lengths");
             };
             self.sink.exit(lref, act, Some(steps));
         }
+        self.top_base = self.live.last().map_or(0, |&(d, _)| self.frame_base(d));
+        self.top = self.live.last().map_or(0, |&(d, _)| d + 1);
     }
 
     /// A block entry that exits or enters tracked loops: exits the
     /// frame's activations the block is outside of, enters the loops it
     /// is newly inside, and reports a header re-arrival.
+    #[inline(never)]
     fn cross(&mut self, site: Site, block: BlockId, vars: &[Value]) {
         let table = &self.tables[site.func.index()];
         let chain = table.chain(block);
@@ -248,6 +384,8 @@ impl<S: LoopSink> LoopTracker<S> {
             self.acts
                 .push(self.sink.enter(lref, site.steps, nested, vars));
             self.live.push((site.depth, lref));
+            self.top_base = base;
+            self.top = site.depth + 1;
         }
         // Header re-arrival of the innermost live loop: a new iteration.
         if header_arrival {
@@ -299,23 +437,24 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
     ) -> InstAction {
         // While an activation is live, code runs in its frame or in the
         // deeper frames of its callees. The live stack is sorted by depth,
-        // so this frame's activations are its top run at `site.depth`.
-        // (`get_mut` has no panic path, so for a sink without `inst` all
-        // of this compiles away.)
-        if self.live.last().is_some_and(|&(d, _)| d == site.depth) {
-            let base = self.frame_base(site.depth);
-            if let Some(frame) = self.acts.get_mut(base..) {
+        // so this frame's activations are its top run at `site.depth`,
+        // from `top_base` on. (`get_mut` has no panic path, so for a sink
+        // without `inst` all of this compiles away.)
+        if self.top == site.depth + 1 {
+            if let Some(frame) = self.acts.get_mut(self.top_base..) {
                 self.sink.inst(frame, block, idx, vars);
             }
         }
         InstAction::Run
     }
 
+    #[inline(always)]
     fn on_return(&mut self, site: Site, _func: FuncId) {
         // `site.depth` is the returning frame's: its loops, and anything
         // deeper, have exited.
-        let keep = self.frame_base(site.depth);
-        self.close_down_to(keep, site.steps);
+        if self.top > site.depth {
+            self.close_down_to(self.frame_base(site.depth), site.steps);
+        }
     }
 
     #[inline(always)]
@@ -329,7 +468,7 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
     }
 
     fn stop(&self) -> bool {
-        self.sink.stop()
+        self.sink.stop() || (self.driven && self.top == 0)
     }
 }
 
@@ -424,7 +563,7 @@ mod tests {
                 LoopTracker::watching(&module, &selection, StatsSink::default())
             }
         };
-        machine.run(&mut tracker, max_steps).expect("run");
+        tracker.run(&mut machine, max_steps).expect("run");
         Run {
             stats: tracker.finish().loops,
             total_steps: machine.steps(),
@@ -640,7 +779,7 @@ mod tests {
             .push_call(module.main().expect("main"), &[])
             .expect("push");
         let mut tracker = LoopTracker::watching(&module, &selection, sink);
-        machine.run(&mut tracker, u64::MAX).expect("run");
+        tracker.run(&mut machine, u64::MAX).expect("run");
         tracker.finish()
     }
 
@@ -745,7 +884,10 @@ mod tests {
             }
 
             fn access(&mut self, live: &mut [LoopRef], addr: Addr, store: Option<(Value, Value)>) {
-                self.0.push(format!("access {live:?} {addr} {store:?}"));
+                // Nothing without a live activation, as the contract asks.
+                if !live.is_empty() {
+                    self.0.push(format!("access {live:?} {addr} {store:?}"));
+                }
             }
         }
 
@@ -759,24 +901,105 @@ mod tests {
                return t + a[0]; }",
         )
         .expect("compile");
-        let log = |single_steps: bool| {
+        /// How the machine is run under the tracker.
+        #[derive(Clone, Copy)]
+        enum Drive {
+            /// `Machine::run` with the tracker's hooks throughout.
+            Hooks,
+            /// `Machine::step` with the tracker's hooks throughout.
+            Steps,
+            /// `LoopTracker::run`, idle stretches hook-free, with this
+            /// budget per call.
+            Tracker(u64),
+        }
+        let log = |watch: Option<&BTreeSet<LoopRef>>, drive: Drive| {
             let mut machine = Machine::new(&module);
             machine
                 .push_call(module.main().expect("main"), &[])
                 .expect("push");
-            let mut tracker = LoopTracker::new(&module, Log(Vec::new()));
-            if single_steps {
-                while machine.result().is_none() {
-                    machine.step(&mut tracker).expect("step");
+            let sink = Log(Vec::new());
+            let mut tracker = match watch {
+                None => LoopTracker::new(&module, sink),
+                Some(w) => LoopTracker::watching(&module, w, sink),
+            };
+            match drive {
+                Drive::Hooks => drop(machine.run(&mut tracker, u64::MAX).expect("run")),
+                Drive::Steps => {
+                    while machine.result().is_none() {
+                        machine.step(&mut tracker).expect("step");
+                    }
                 }
-            } else {
-                machine.run(&mut tracker, u64::MAX).expect("run");
+                Drive::Tracker(budget) => {
+                    while machine.result().is_none() {
+                        tracker.run(&mut machine, budget).expect("run");
+                    }
+                    let steps = tracker.steps();
+                    assert_eq!(steps.idle + steps.tracked, machine.steps());
+                    assert!(steps.idle > 0 && steps.tracked > 0, "{steps:?}");
+                }
             }
             (tracker.finish().0, machine.result())
         };
-        let (run, ret) = log(false);
-        assert!(run.len() > 100, "{} events", run.len());
-        assert_eq!((run, ret), log(true));
+        let rec_only = BTreeSet::from([loop_by_tag(&module, "r")]);
+        for watch in [None, Some(&rec_only)] {
+            let (run, ret) = log(watch, Drive::Hooks);
+            assert!(run.len() > 100, "{} events", run.len());
+            for drive in [Drive::Steps, Drive::Tracker(u64::MAX), Drive::Tracker(7)] {
+                assert_eq!((&run, ret), (&log(watch, drive).0, ret));
+            }
+        }
+    }
+
+    #[test]
+    fn tracker_runs_idle_stretches_without_the_sink() {
+        /// Counts the accesses the sink sees with no activation live.
+        #[derive(Default)]
+        struct Unlive(u64, u64);
+
+        impl LoopSink for Unlive {
+            type Act = ();
+
+            fn enter(&mut self, _: LoopRef, _: u64, _: bool, _: &[Value]) {}
+
+            fn exit(&mut self, _: LoopRef, _: (), _: Option<u64>) {}
+
+            fn access(&mut self, live: &mut [()], _: Addr, _: Option<(Value, Value)>) {
+                if live.is_empty() {
+                    self.0 += 1;
+                } else {
+                    self.1 += 1;
+                }
+            }
+        }
+
+        // Stores before, between and after the watched invocations, one
+        // of them passed over by its zero trip count.
+        let src = "fn fill(a: *int, n: int) { \
+             @w: for (let i: int = 0; i < n; i = i + 1) { a[i] = i; } }\n\
+             fn main() -> int { let a: *int = new [int; 8]; \
+               for (let j: int = 0; j < 8; j = j + 1) { a[j] = 1; } \
+               fill(a, 0); a[0] = 5; fill(a, 3); a[7] = a[0]; return a[7]; }";
+        let module = compile(src).expect("compile");
+        let watch = BTreeSet::from([loop_by_tag(&module, "w")]);
+        let mut machine = Machine::new(&module);
+        machine
+            .push_call(module.main().expect("main"), &[])
+            .expect("push");
+        let mut hooked = LoopTracker::watching(&module, &watch, Unlive::default());
+        machine.run(&mut hooked, u64::MAX).expect("run");
+        let hooked = hooked.finish();
+        assert!(hooked.0 > 0, "the direct run reports unlive accesses");
+        let mut machine = Machine::new(&module);
+        machine
+            .push_call(module.main().expect("main"), &[])
+            .expect("push");
+        let mut tracker = LoopTracker::watching(&module, &watch, Unlive::default());
+        tracker.run(&mut machine, u64::MAX).expect("run");
+        let steps = tracker.steps();
+        let driven = tracker.finish();
+        assert_eq!((driven.0, driven.1), (0, hooked.1));
+        assert_eq!(steps.idle + steps.tracked, machine.steps());
+        assert!(steps.idle > steps.tracked, "{steps:?}");
     }
 
     #[test]

@@ -217,27 +217,22 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("unknown escape at byte {}", *pos - 1)),
                 }
             }
-            c => {
-                // Multi-byte UTF-8 sequences pass through unchanged.
-                let ch_len = utf8_len(c);
-                let chunk = b
-                    .get(*pos..*pos + ch_len)
-                    .ok_or("truncated UTF-8 sequence")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8".to_string())?);
-                *pos += ch_len;
+            _ => {
+                // An escape-free run is copied whole, up to the next quote
+                // or backslash: a document parsed from a `str` splits into
+                // such runs at character boundaries.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| matches!(c, b'"' | b'\\'))
+                    .map_or(b.len(), |n| *pos + n);
+                let run =
+                    std::str::from_utf8(&b[*pos..end]).map_err(|_| "invalid UTF-8".to_string())?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
     Err("unterminated string".to_string())
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -342,6 +337,45 @@ mod tests {
         assert_eq!(obj["d"].as_bool(), Some(true));
         assert_eq!(obj["c"].as_bool(), None);
         assert_eq!(arr[0].as_bool(), None);
+    }
+
+    #[test]
+    fn strings_keep_escapes_and_multi_byte_text() {
+        let text = r#"["plain", "q\"\\\/\n\t\r\b\f!", "\u0041\u00e9\u263a\ud800", "héllo ✓ 𝄞", "a\nb ✓\u0021c", ""]"#;
+        let v = parse_json(text).expect("parse");
+        let strs: Vec<&str> = v
+            .as_array()
+            .expect("array")
+            .iter()
+            .map(|s| s.as_str().expect("string"))
+            .collect();
+        assert_eq!(
+            strs,
+            [
+                "plain",
+                "q\"\\/\n\t\r\u{8}\u{c}!",
+                "Aé☺\u{fffd}",
+                "héllo ✓ 𝄞",
+                "a\nb ✓!c",
+                ""
+            ]
+        );
+        assert_eq!(parse_json(&v.to_string()).expect("reparse"), v);
+    }
+
+    #[test]
+    fn string_errors_are_unchanged() {
+        for (text, err) in [
+            (r#""open"#, "unterminated string"),
+            (r#""ab\"#, "unterminated escape"),
+            (r#""ab\q""#, "unknown escape at byte 4"),
+            (r#""\u12"#, "truncated \\u escape"),
+            (r#""\u123é""#, "truncated \\u escape"),
+            (r#""\uzzzz""#, "bad \\u escape"),
+            (r#""✓"#, "unterminated string"),
+        ] {
+            assert_eq!(parse_json(text), Err(err.to_string()), "{text}");
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn run_watching<S: LoopSink>(
     let mut machine = Machine::new(module);
     machine.push_call(module.main().expect("module has `main`"), args)?;
     let mut tracker = LoopTracker::watching(module, selection, sink);
-    machine.run(&mut tracker, u64::MAX)?;
+    tracker.run(&mut machine, u64::MAX)?;
     Ok((tracker.finish(), machine.steps()))
 }
 
@@ -259,7 +259,7 @@ mod tests {
             .push_call(m.main().expect("main"), &[])
             .expect("push");
         let mut tracker = LoopTracker::watching(&m, &BTreeSet::from([l]), CostProfiler::default());
-        machine.run(&mut tracker, 200).expect("run");
+        tracker.run(&mut machine, 200).expect("run");
         let invs = &tracker.finish().per_loop[&l];
         assert_eq!(invs.len(), 2);
         assert!(

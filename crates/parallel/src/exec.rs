@@ -10,11 +10,14 @@
 //!
 //! The execution model reuses the dynamic stage's machinery end to end:
 //!
-//! 1. [`dca_core::record_golden`] captures the loop's first invocation —
-//!    the entry snapshot, the linearized iterator values and the exit
-//!    state — exactly as the analysis did, stopping at the loop exit:
-//!    nothing here reads the golden run's program outcome, and the
-//!    recording machine is kept, standing in the exit state. When the
+//! 1. [`dca_core::record_program`], asked for the loop's first
+//!    invocation, captures it — the entry snapshot, the linearized
+//!    iterator values and the exit state — exactly as the analysis did,
+//!    stopping at the loop exit: nothing here reads the golden run's
+//!    program outcome, and the recording machine is kept, standing in
+//!    the exit state. The run's steps before the loop is entered go
+//!    without the recorder's hooks; the `exec.record_idle_steps` and
+//!    `exec.record_tracked_steps` counters split them. When the
 //!    decomposability pre-check or chunk autotuning wants it, a
 //!    [`dca_deps::FootprintProbe`] rides in the same run and returns the
 //!    per-iteration footprint profile.
@@ -74,9 +77,9 @@ use crate::plan::ParallelPlan;
 use crate::sim::Schedule;
 use dca_analysis::{ArrayKey, ReductionOp};
 use dca_core::{
-    parallel_map, read_roots, record_golden, run_replay, DcaConfig, DcaReport, DigestMode,
+    parallel_map, read_roots, record_program, run_replay, DcaConfig, DcaReport, DigestMode,
     DigestScratch, DigestStats, Divergence, ExitRef, GoldenDigest, GoldenRecord, IterOrder,
-    LoopFacts, Obs, RecordError, ReplayController, ReplayEnd, ReplayGovernor,
+    LoopFacts, Obs, RecordError, RecordRequest, ReplayController, ReplayEnd, ReplayGovernor,
 };
 use dca_deps::{
     autotune_chunk, check_decomposable, Conflict, DepVerdict, FootprintProbe, LoopProfile,
@@ -370,25 +373,37 @@ pub fn execute_loop(
     // standing in the sequential exit state: the oracle.
     let mut oracle = Machine::new(module);
     let t = obs.span_start();
-    let golden = record_golden(
+    let request = RecordRequest {
+        func: lref.func,
+        l,
+        slice,
+        invocations: 0..1,
+        min_trip: 0,
+        max_trip: cfg.max_trip,
+        probe: probe.as_mut(),
+    };
+    let run = record_program(
         &mut oracle,
         main,
         args,
-        lref.func,
-        l,
-        slice,
-        0,
-        0,
-        cfg.max_trip,
+        vec![request],
         cfg.max_steps,
         None,
         None,
         true,
-        probe.as_mut(),
+        &mut |_, _| {},
     );
     let profile = probe.map(FootprintProbe::finish);
     obs.span_end("exec.record", t);
-    let golden = golden.map_err(ExecError::Record)?;
+    obs.count("exec.record_idle_steps", run.steps.idle);
+    obs.count("exec.record_tracked_steps", run.steps.tracked);
+    let golden = run
+        .loops
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("one result for the one requested invocation")
+        .map_err(ExecError::Record)?;
     debug_assert!(
         profile
             .as_ref()

@@ -36,6 +36,9 @@ fn prespawn_refusals_match_the_validator_exactly() {
     let dca = Dca::new(DcaConfig::fast());
     let mut refused_prespawn = BTreeSet::new();
     let (mut validated, mut structural) = (0usize, 0usize);
+    // The executor's golden runs: steps with no tested activation live
+    // (run without the recorder's hooks) and steps with one live.
+    let mut record_steps = (0u64, 0u64);
     for p in dca::suite::all_programs() {
         let m = p.module();
         let args = p.targs();
@@ -56,6 +59,9 @@ fn prespawn_refusals_match_the_validator_exactly() {
             let obs = Obs::enabled();
             let with = execute_loop(&m, &args, r.lref, &cfg(true), &obs);
             let without = execute_loop(&m, &args, r.lref, &cfg(false), &Obs::disabled());
+            let rollup = obs.rollup().expect("rollup");
+            record_steps.0 += rollup.counter("exec.record_idle_steps");
+            record_steps.1 += rollup.counter("exec.record_tracked_steps");
 
             match with {
                 Err(ExecError::NotDecomposable {
@@ -130,6 +136,7 @@ fn prespawn_refusals_match_the_validator_exactly() {
     );
     assert_eq!(validated, 171, "validated-loop count drifted");
     assert_eq!(structural, 23, "structural-refusal count drifted");
+    assert_eq!(record_steps, (2_053_320, 661_570), "recording work drifted");
 }
 
 /// Loop families for the agreement property. The decomposable three are
