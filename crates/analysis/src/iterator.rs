@@ -101,6 +101,11 @@ pub struct IteratorSlice {
     rows: Vec<Option<Range<usize>>>,
     /// Per in-loop instruction: whether it belongs to the iterator slice.
     in_slice: Vec<bool>,
+    /// The same, as bit words: each loop block's instructions in words of
+    /// 64, block `b`'s words at `word_at[b]..word_at[b + 1]`. Replay plans
+    /// each block from them ([`IteratorSlice::slice_bits`]).
+    words: Vec<u64>,
+    word_at: Vec<u32>,
     /// Variables defined by slice instructions.
     pub slice_vars: BTreeSet<VarId>,
     /// Slice-defined variables that payload instructions (or nested calls)
@@ -255,10 +260,22 @@ impl IteratorSlice {
                 }
             }
         }
+        let mut words = Vec::new();
+        let mut word_at = vec![0];
+        for row in &rows {
+            if let Some(row) = row {
+                words.extend(in_slice[row.clone()].chunks(64).map(|chunk| {
+                    (chunk.iter().enumerate()).fold(0u64, |w, (k, &s)| w | u64::from(s) << k)
+                }));
+            }
+            word_at.push(words.len() as u32);
+        }
         (
             IteratorSlice {
                 rows,
                 in_slice,
+                words,
+                word_at,
                 slice_vars,
                 iter_vars,
                 payload_insts,
@@ -272,6 +289,24 @@ impl IteratorSlice {
     #[inline]
     pub fn in_loop(&self, b: BlockId) -> bool {
         matches!(self.rows.get(b.index()), Some(Some(_)))
+    }
+
+    /// The slice bits of the `w`-th 64-instruction window of block `b`:
+    /// bit `k` is set when instruction `64 * w + k` is in the slice. Zero
+    /// outside the loop and past the block's end.
+    #[inline]
+    pub fn slice_bits(&self, b: BlockId, w: usize) -> u64 {
+        let (Some(&start), Some(&end)) =
+            (self.word_at.get(b.index()), self.word_at.get(b.index() + 1))
+        else {
+            return 0;
+        };
+        let at = start as usize + w;
+        if at < end as usize {
+            self.words[at]
+        } else {
+            0
+        }
     }
 
     /// True if `r` is part of the iterator slice (false outside the loop).

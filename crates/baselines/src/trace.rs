@@ -12,28 +12,36 @@
 //! loop-carried scalars (induction variables, reductions).
 
 use dca_analysis::ArrayKey;
-use dca_core::{cell_key, CellHasher};
-use dca_interp::{Addr, LoopSink, LoopTracker, Machine, ObjId, Outcome, Trap, Value};
+use dca_core::cell_key;
+use dca_interp::{AccessAt, Addr, LoopSink, LoopTracker, Machine, ObjId, Outcome, Trap, Value};
 use dca_ir::{FuncView, LoopRef, Module};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
-use std::num::NonZeroU64;
 
-/// Per-location access state within one active loop invocation.
+#[cfg(test)]
+mod reference;
+
+/// A cell's entry in the tracer's shadow table: when it was last written
+/// and last read, in the tracer's clock, and its sticky facts for the
+/// live activations.
+///
+/// The facts are bits by live level (bit `k` for the `k`-th live
+/// activation, outermost first), for the first 64 levels; deeper levels
+/// keep theirs in [`DepTracer::deep`]. A level's bit holds only while the
+/// cell has been touched since the level's entry: a level entered after
+/// the cell's last touch is a new activation, and its bits are cleared
+/// at its first touch of the cell.
 #[derive(Debug, Clone, Copy, Default)]
-struct AddrState {
-    /// The iterations of the last write and the last read, as
-    /// [`Activation::stamp`]s. Iterations only advance, so the cell was
-    /// written in the current iteration iff its last write is the current
-    /// stamp.
-    last_write_iter: Option<NonZeroU64>,
-    last_read_iter: Option<NonZeroU64>,
-    /// Read before any write within some iteration (defeats privatization).
-    upward_read: bool,
-    raw: bool,
-    waw: bool,
-    war: bool,
+struct Shadow {
+    /// The clock at the last write and the last read; 0 for never.
+    write: u64,
+    read: u64,
+    /// Bit `k`: the `k`-th level read the cell before writing it in some
+    /// iteration (an upward-exposed read, which defeats privatization).
+    upward: u64,
+    /// Bit `k`: the `k`-th level wrote the cell after an earlier
+    /// iteration accessed it (a WAW or WAR conflict).
+    conflict: u64,
 }
 
 /// Aggregated dependence facts for one loop (over all invocations).
@@ -112,34 +120,57 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// One live loop activation's dependence state.
+/// One live loop activation's dependence state: where it stands in the
+/// tracer's clock, and its facts so far. Its per-cell state lives in the
+/// tracer's shadow table.
 #[derive(Debug)]
 pub struct Activation {
+    /// The clock at the activation's entry and at its current
+    /// iteration's start. Activations nest in time: a deeper one is
+    /// entered during its outer one's current iteration.
+    entry: u64,
+    iter_start: u64,
     /// Iterations started after the first.
     iter: u64,
     /// Heap objects registered as reduction (histogram) targets for this
     /// activation.
     reduction_objs: Vec<ObjId>,
-    /// Per-cell state, keyed by [`cell_key`].
-    state: HashMap<u64, AddrState, BuildHasherDefault<CellHasher>>,
+    /// The facts, folded into the loop's [`LoopDeps`] at the exit
+    /// (`observed` is set there).
+    deps: LoopDeps,
 }
 
 impl Activation {
-    /// The current iteration as a non-zero stamp (the iteration plus
-    /// one), so an optional stamp takes no more room than the stamp.
-    fn stamp(&self) -> NonZeroU64 {
-        NonZeroU64::MIN.saturating_add(self.iter)
+    fn is_reduction(&self, obj: ObjId) -> bool {
+        self.reduction_objs.contains(&obj)
     }
 }
 
 /// The dependence-profiling [`LoopSink`]; run it under a [`LoopTracker`]
 /// that tracks every loop (as [`trace_dependences`] does).
+///
+/// One shadow table, indexed by each cell's object and index, holds each
+/// cell's last write and read times on a clock that ticks at every
+/// activation entry and iteration start. An access looks its cell up once, then decides for
+/// each live activation with compares against the activation's entry
+/// and iteration-start times: a time at or past the iteration start is
+/// this iteration's, one between the entry and the iteration start an
+/// earlier iteration's, and one before the entry is not the activation's.
 pub struct DepTracer {
     effects: dca_analysis::EffectMap,
     /// Per function, per loop: the statically recognized histogram
     /// (array reduction) targets, resolved to objects at loop entry.
     histograms: Vec<Vec<Vec<ArrayKey>>>,
-    report: TraceReport,
+    clock: u64,
+    /// The shadow table, by object and cell index.
+    shadow: Vec<Vec<Shadow>>,
+    /// The sticky bits of live levels past the 64th, by cell and group of
+    /// 64 levels: `(upward, conflict)`.
+    deep: HashMap<(u64, usize), (u64, u64)>,
+    /// Per function, per loop: the facts of its exited activations.
+    deps: Vec<Vec<LoopDeps>>,
+    /// The clock at the last access with an activation live.
+    last_access: u64,
 }
 
 impl DepTracer {
@@ -150,13 +181,38 @@ impl DepTracer {
         DepTracer {
             effects: dca_analysis::EffectMap::new(module),
             histograms: vec![Vec::new(); module.funcs.len()],
-            report: TraceReport::default(),
+            clock: 0,
+            shadow: Vec::new(),
+            deep: HashMap::new(),
+            deps: vec![Vec::new(); module.funcs.len()],
+            last_access: 0,
         }
     }
 
     /// Consumes the tracer, producing the report.
     pub fn into_report(self) -> TraceReport {
-        self.report
+        let deps = (self.deps.into_iter().enumerate())
+            .flat_map(|(f, loops)| {
+                loops.into_iter().enumerate().map(move |(l, d)| {
+                    let lref = LoopRef {
+                        func: dca_ir::FuncId(f as u32),
+                        loop_id: dca_ir::LoopId(l as u32),
+                    };
+                    (lref, d)
+                })
+            })
+            .filter(|(_, d)| *d != LoopDeps::default())
+            .collect();
+        TraceReport {
+            deps,
+            unfinished: false,
+        }
+    }
+
+    /// Advances the clock: a new activation or iteration begins.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 }
 
@@ -165,6 +221,7 @@ impl LoopSink for DepTracer {
 
     fn prepare(&mut self, view: &FuncView<'_>) {
         let live = dca_analysis::Liveness::new(view);
+        self.deps[view.id.index()] = vec![LoopDeps::default(); view.loops.len()];
         self.histograms[view.id.index()] = view
             .loops
             .iter()
@@ -188,58 +245,146 @@ impl LoopSink for DepTracer {
                 },
             })
             .collect();
+        let now = self.tick();
         Activation {
+            entry: now,
+            iter_start: now,
             iter: 0,
             reduction_objs,
-            state: HashMap::default(),
+            deps: LoopDeps::default(),
         }
     }
 
     fn iterate(&mut self, act: &mut Activation, _: u64, _: &[Value]) {
         act.iter += 1;
+        act.iter_start = self.tick();
     }
 
     fn exit(&mut self, lref: LoopRef, a: Activation, _: Option<u64>) {
-        let e = self.report.deps.entry(lref).or_default();
-        for (&key, st) in &a.state {
-            let reduction = a.reduction_objs.contains(&ObjId((key >> 32) as u32));
-            if st.raw {
-                e.cross_raw = true;
-                if !reduction {
-                    e.raw_outside_reductions = true;
-                }
-            }
-            if st.waw {
-                e.cross_waw = true;
-            }
-            if st.war {
-                e.cross_war = true;
-            }
-            if (st.waw || st.war) && st.upward_read && !reduction {
-                e.unprivatizable = true;
-            }
-        }
+        let e = &mut self.deps[lref.func.index()][lref.loop_id.index()];
+        let d = a.deps;
+        e.cross_raw |= d.cross_raw;
+        e.cross_waw |= d.cross_waw;
+        e.cross_war |= d.cross_war;
+        e.raw_outside_reductions |= d.raw_outside_reductions;
+        e.unprivatizable |= d.unprivatizable;
         // "Observed" means the loop actually iterated (or at least touched
         // memory); a header evaluation that immediately exits is not an
-        // exercised loop.
-        e.observed |= a.iter > 0 || !a.state.is_empty();
+        // exercised loop. Every access while the activation was live came
+        // at or after its entry.
+        e.observed |= a.iter > 0 || self.last_access >= a.entry;
     }
 
-    fn access(&mut self, live: &mut [Activation], addr: Addr, store: Option<(Value, Value)>) {
-        for a in live {
-            let stamp = a.stamp();
-            let st = a.state.entry(cell_key(addr.obj.0, addr.cell)).or_default();
-            let written_now = st.last_write_iter == Some(stamp);
-            let written_earlier = st.last_write_iter.is_some() && !written_now;
-            if store.is_some() {
-                st.waw |= written_earlier;
-                st.war |= st.last_read_iter.is_some_and(|r| r != stamp);
-                st.last_write_iter = Some(stamp);
-            } else {
-                st.raw |= written_earlier;
-                st.upward_read |= !written_now;
-                st.last_read_iter = Some(stamp);
+    fn access(
+        &mut self,
+        live: &mut [Activation],
+        _: AccessAt,
+        addr: Addr,
+        store: Option<(Value, Value)>,
+    ) {
+        if live.is_empty() {
+            return;
+        }
+        let key = cell_key(addr.obj.0, addr.cell);
+        let now = self.clock;
+        let (obj, idx) = (addr.obj.index(), addr.cell as usize);
+        if self.shadow.len() <= obj {
+            self.shadow.resize_with(obj + 1, Vec::new);
+        }
+        let row = &mut self.shadow[obj];
+        if row.len() <= idx {
+            row.resize(idx + 1, Shadow::default());
+        }
+        let cell = &mut row[idx];
+        let (write, read) = (cell.write, cell.read);
+        self.last_access = now;
+        // Written in the innermost activation's current iteration, so in
+        // every live one's: a read finds this iteration's value, and a
+        // store conflicts with no earlier iteration unless one read it.
+        // Every live activation has touched the cell since its entry, so
+        // the sticky bits are current and stay as they are.
+        let inner = live.last().map_or(0, |a| a.iter_start);
+        if write >= inner
+            && (store.is_none() || read >= inner || read < live.first().map_or(0, |a| a.entry))
+        {
+            match store {
+                Some(_) => cell.write = now,
+                None => cell.read = now,
             }
+            return;
+        }
+        let touched = write.max(read);
+        // Read again, unwritten since before every live activation began,
+        // by all of them since their entries: every live level has its
+        // upward-exposed read of the cell already.
+        let levels = live.len();
+        if store.is_none()
+            && levels <= 64
+            && write < live[0].entry
+            && touched >= live[levels - 1].entry
+            && cell.upward == u64::MAX >> (64 - levels)
+        {
+            cell.read = now;
+            return;
+        }
+        let mut bits = (cell.upward, cell.conflict);
+        for (k, a) in live.iter_mut().enumerate() {
+            let bit = 1u64 << (k % 64);
+            if k % 64 == 0 && k > 0 {
+                // The next group of 64 levels: the previous group's bits
+                // go back to their home.
+                match k / 64 {
+                    1 => (cell.upward, cell.conflict) = bits,
+                    g => drop(self.deep.insert((key, g - 1), bits)),
+                }
+                bits = self.deep.get(&(key, k / 64)).copied().unwrap_or_default();
+            }
+            // An activation entered after the cell's last touch knows
+            // nothing of it yet.
+            if a.entry > touched {
+                bits.0 &= !bit;
+                bits.1 &= !bit;
+            }
+            let written_now = write >= a.iter_start;
+            let written_earlier = write >= a.entry && !written_now;
+            let sticky = match store {
+                Some(_) => {
+                    let read_earlier = read >= a.entry && read < a.iter_start;
+                    a.deps.cross_waw |= written_earlier;
+                    a.deps.cross_war |= read_earlier;
+                    if !(written_earlier || read_earlier) {
+                        continue;
+                    }
+                    bits.1 |= bit;
+                    bits.0
+                }
+                None => {
+                    if written_earlier {
+                        a.deps.cross_raw = true;
+                        if !a.deps.raw_outside_reductions && !a.is_reduction(addr.obj) {
+                            a.deps.raw_outside_reductions = true;
+                        }
+                    }
+                    if written_now {
+                        continue;
+                    }
+                    bits.0 |= bit;
+                    bits.1
+                }
+            };
+            // Upward-exposed read and conflict on one cell: privatization
+            // cannot remove the conflict.
+            if sticky & bit != 0 && !a.deps.unprivatizable && !a.is_reduction(addr.obj) {
+                a.deps.unprivatizable = true;
+            }
+        }
+        match live.len().saturating_sub(1) / 64 {
+            0 => (cell.upward, cell.conflict) = bits,
+            g => drop(self.deep.insert((key, g), bits)),
+        }
+        match store {
+            Some(_) => cell.write = now,
+            None => cell.read = now,
         }
     }
 }
@@ -283,6 +428,69 @@ mod tests {
             }
         }
         panic!("no loop tagged @{tag}");
+    }
+
+    /// Every loop's facts from the shadow table and from the reference
+    /// tracer's per-activation maps.
+    fn both(src: &str, args: &[Value]) -> Vec<(LoopRef, LoopDeps, LoopDeps)> {
+        let m = dca_ir::compile(src).expect("compile");
+        let report = trace_dependences(&m, args, 50_000_000).expect("trace");
+        let reference = reference::reference_deps(&m, args, 50_000_000).expect("reference");
+        dca_ir::all_loops(&m)
+            .into_iter()
+            .map(|(l, _)| {
+                (
+                    l,
+                    report.deps(l),
+                    reference.get(&l).copied().unwrap_or_default(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shadow_table_equals_the_reference_past_64_live_levels() {
+        // `@r` is live at every depth of a 150-deep recursion: levels past
+        // the 64th keep their facts beside the table. Each level reads
+        // `g[1]` before writing it (upward-exposed) and rewrites `g[0]`
+        // and its own `h` cell in every iteration.
+        let src = "let g: [int; 4];\n\
+             let h: [int; 200];\n\
+             fn rec(n: int) -> int { let s: int = 0; \
+               @r: for (let i: int = 0; i < 2; i = i + 1) { \
+                 s = s + g[1]; g[1] = s; g[0] = i; h[n] = h[n] + i; \
+                 if (n > 0 && i == 1) { s = s + rec(n - 1); } } \
+               return s; }\n\
+             fn main(d: int) -> int { let t: int = 0; \
+               @top: for (let k: int = 0; k < 2; k = k + 1) { t = t + rec(d); } \
+               return t; }";
+        for d in [3, 70, 150] {
+            for (l, got, want) in both(src, &[Value::Int(d)]) {
+                assert_eq!(got, want, "{l} at depth {d}");
+                assert!(got.observed);
+            }
+        }
+    }
+
+    #[test]
+    fn shadow_table_equals_the_reference_on_nests() {
+        let srcs = [
+            "fn main() { let a: [int; 8]; let t: [int; 4]; \
+             @o: for (let i: int = 0; i < 6; i = i + 1) { \
+               @w: for (let k: int = 0; k < 4; k = k + 1) { t[k] = i + k; } \
+               @r: for (let k: int = 0; k < 4; k = k + 1) { a[i] = a[i] + t[k]; } \
+               a[(i + 1) % 8] = a[i]; } }",
+            "let g: [int; 3];\n\
+             fn f(x: int) -> int { g[x % 3] = g[(x + 1) % 3] + x; return g[0]; }\n\
+             fn main() { let s: int = 0; \
+             @l: for (let i: int = 0; i < 9; i = i + 1) { \
+               if (i % 2 == 0) { s = s + f(i); } else { g[2] = s; } } }",
+        ];
+        for src in srcs {
+            for (l, got, want) in both(src, &[]) {
+                assert_eq!(got, want, "{l}");
+            }
+        }
     }
 
     #[test]

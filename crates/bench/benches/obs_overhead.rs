@@ -60,23 +60,16 @@ fn main() {
         })
     });
 
+    // The analysis arms the gates compare, measured side by side: each
+    // is warmed by one untimed analysis, then their samples alternate,
+    // so no arm pays alone for a cold process or a slow stretch of the
+    // host (see `Harness::bench_interleaved`).
     let m = fixture();
     let off = Dca::new(DcaConfig::fast());
-    // One untimed analysis first: `obs/analyze_disabled` is the first
-    // timed analysis of the process, and every gate below compares
-    // against it, so it must not pay for cold caches and a cold heap.
-    black_box(off.analyze_module(&m).expect("analyze"));
-    h.bench_function("obs/analyze_disabled", |b| {
-        b.iter(|| black_box(off.analyze_module(&m).expect("analyze")))
-    });
     let on = Dca::new(DcaConfig {
         obs: ObsOptions::metrics(),
         ..DcaConfig::fast()
     });
-    h.bench_function("obs/analyze_metrics", |b| {
-        b.iter(|| black_box(on.analyze_module(&m).expect("analyze")))
-    });
-
     // Governor armed with a deadline far beyond the run: every
     // cooperative check executes, none fires.
     let governed = Dca::new(DcaConfig {
@@ -86,20 +79,12 @@ fn main() {
         },
         ..DcaConfig::fast()
     });
-    h.bench_function("robust/analyze_governed", |b| {
-        b.iter(|| black_box(governed.analyze_module(&m).expect("analyze")))
-    });
-
     // Fault plan armed at a loop ordinal that does not exist: positional
     // targeting is evaluated for every replay, nothing injects.
     let armed = Dca::new(DcaConfig {
         fault: Some(FaultPlan::parse("panic@replay:0,loop:99").expect("valid spec")),
         ..DcaConfig::fast()
     });
-    h.bench_function("robust/analyze_fault_armed_idle", |b| {
-        b.iter(|| black_box(armed.analyze_module(&m).expect("analyze")))
-    });
-
     // Cancel token installed but never tripped: every cooperative check
     // in the interpreter granules and at stage boundaries executes (an
     // atomic load), none fires.
@@ -107,10 +92,6 @@ fn main() {
         cancel: Some(CancelToken::new()),
         ..DcaConfig::fast()
     });
-    h.bench_function("robust/analyze_cancel_armed_idle", |b| {
-        b.iter(|| black_box(cancel_armed.analyze_module(&m).expect("analyze")))
-    });
-
     // Run journal actually recording (the file is removed each iteration
     // so every run is a cold, fully-written one) — the comparison
     // baseline proving the journal-disabled path adds nothing.
@@ -121,12 +102,22 @@ fn main() {
         journal: Some(jpath.clone()),
         ..DcaConfig::fast()
     });
-    h.bench_function("robust/analyze_journaled_cold", |b| {
-        b.iter(|| {
+    let run = |dca: &Dca| {
+        black_box(dca.analyze_module(&m).expect("analyze"));
+    };
+    h.bench_interleaved(&mut [
+        ("obs/analyze_disabled", &mut || run(&off)),
+        ("obs/analyze_metrics", &mut || run(&on)),
+        ("robust/analyze_governed", &mut || run(&governed)),
+        ("robust/analyze_fault_armed_idle", &mut || run(&armed)),
+        ("robust/analyze_cancel_armed_idle", &mut || {
+            run(&cancel_armed)
+        }),
+        ("robust/analyze_journaled_cold", &mut || {
             std::fs::remove_file(&jpath).ok();
-            black_box(journaled.analyze_module(&m).expect("analyze"))
-        })
-    });
+            run(&journaled);
+        }),
+    ]);
     std::fs::remove_dir_all(&jdir).ok();
 
     // Write journal (DESIGN.md §13): a write-heavy replay with the

@@ -155,6 +155,51 @@ impl Harness {
             max: per_iter[per_iter.len() - 1],
             iters,
         };
+        self.record(sample);
+    }
+
+    /// Registers and runs several benchmarks side by side, for gates that
+    /// compare them: each arm is called once untimed and calibrated, then
+    /// their samples are taken in turn, round after round (three times
+    /// the usual count), so that a cold start or a drift in the host's
+    /// speed lands on every arm alike instead of on whichever ran first.
+    pub fn bench_interleaved(&mut self, arms: &mut [(&str, &mut dyn FnMut())]) {
+        let filter = self.filter.clone();
+        let mut arms: Vec<_> = arms
+            .iter_mut()
+            .filter(|(name, _)| filter.as_deref().is_none_or(|f| name.contains(f)))
+            .map(|(name, f)| {
+                f();
+                let start = Instant::now();
+                f();
+                let once = start.elapsed().max(Duration::from_nanos(1));
+                let iters = (TARGET_SAMPLE.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+                (*name, f, iters, Vec::new())
+            })
+            .collect();
+        for _ in 0..self.sample_size * 3 {
+            for (_, f, iters, per_iter) in &mut arms {
+                let start = Instant::now();
+                for _ in 0..*iters {
+                    f();
+                }
+                per_iter.push(start.elapsed() / u32::try_from(*iters).unwrap_or(u32::MAX));
+            }
+        }
+        for (name, _, iters, mut per_iter) in arms {
+            per_iter.sort_unstable();
+            self.record(Sample {
+                name: name.to_string(),
+                median: per_iter[per_iter.len() / 2],
+                min: per_iter[0],
+                max: per_iter[per_iter.len() - 1],
+                iters,
+            });
+        }
+    }
+
+    /// Prints one benchmark's line and keeps its sample.
+    fn record(&mut self, sample: Sample) {
         println!(
             "{:<44} {:>12} (min {:>12}, max {:>12}, {} iters/sample)",
             sample.name,

@@ -1129,9 +1129,11 @@ impl Dca {
             });
             // Program-end suffix elision: stop at the loop exit first, and
             // if the replay left the loop in the golden run's exit state,
-            // the rest of its run would repeat the golden suffix step for
-            // step — count those steps instead of interpreting them. An
-            // injected fault may act in the suffix, so it always runs.
+            // bit for bit or up to a renaming of the objects the loop
+            // allocated, the rest of its run would repeat the golden
+            // suffix step for step — count those steps instead of
+            // interpreting them. An injected fault may act in the suffix,
+            // so it always runs.
             let elide = !stop_at_exit && injected.is_none();
             let mut end = run_replay(
                 &mut w.machine,
@@ -1145,7 +1147,8 @@ impl Dca {
             let mut suffix = None;
             if elide && end == ReplayEnd::LoopExited {
                 let t_cmp = t_start();
-                let same = golden.exit_matches(&w.machine, &roots.vars);
+                let same = golden.exit_matches(&w.machine, &roots.vars)
+                    || golden.exit_matches_renamed(&w.machine, &roots.vars);
                 verify += t_since(t_cmp);
                 if same {
                     suffix = Some(golden.suffix_steps());

@@ -33,8 +33,8 @@ use crate::replay::GOVERN_GRANULE;
 use dca_analysis::IteratorSlice;
 use dca_deps::FootprintProbe;
 use dca_interp::{
-    Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot, TrackedSteps,
-    Trap, Value,
+    AccessAt, Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot,
+    TrackedSteps, Trap, Value,
 };
 use dca_ir::{BlockId, FuncId, Function, Loop, LoopRef, VarId};
 use std::collections::HashMap;
@@ -62,6 +62,9 @@ pub struct GoldenRecord {
     /// Total steps of the golden run (up to the loop exit for a
     /// recording stopped there).
     pub total_steps: u64,
+    /// Heap cells allocated at the end of the golden run (at the loop
+    /// exit for a recording stopped there).
+    pub end_heap_cells: u64,
     /// The machine state the tested invocation exited in.
     pub exit: ExitState,
 }
@@ -174,19 +177,9 @@ impl GoldenRecord {
     #[must_use]
     pub fn exit_matches(&self, machine: &Machine<'_>, roots: &[VarId]) -> bool {
         let x = &self.exit;
-        if !machine.journal_armed()
-            || machine.position() != Some(x.position)
+        if !self.same_position_and_output(machine)
             || machine.heap().len() != x.heap_len
             || machine.heap_cells() != x.heap_cells
-        {
-            return false;
-        }
-        let out = machine.output();
-        if out.len() != x.output_start + x.output.len()
-            || !out[x.output_start..]
-                .iter()
-                .zip(&x.output)
-                .all(|(a, b)| raw_eq_output(a, b))
         {
             return false;
         }
@@ -205,9 +198,8 @@ impl GoldenRecord {
         }
         // Cells only the replay wrote must hold their loop-entry values,
         // as they do in the golden run.
-        let golden_wrote = |a: Addr| x.cells.binary_search_by_key(&a, |&(c, _)| c).is_ok();
         if !machine.journal_writes().all(|(a, _)| {
-            golden_wrote(a) || raw_eq(machine.read_cell(a), self.snapshot.read_cell(a))
+            self.golden_wrote(a) || raw_eq(machine.read_cell(a), self.snapshot.read_cell(a))
         }) {
             return false;
         }
@@ -216,6 +208,127 @@ impl GoldenRecord {
             let cells = machine.obj_cells(ObjId((base + i) as u32));
             cells.len() == o.cells.len() && cells.iter().zip(&o.cells).all(|(a, b)| raw_eq(*a, *b))
         })
+    }
+
+    /// [`GoldenRecord::exit_matches`] up to a renaming of the objects the
+    /// invocations allocated: true when `machine`'s state at the loop
+    /// exit is the golden exit state under a bijection between the
+    /// objects each run allocated in the loop and can still reach. The
+    /// rest of the run then repeats the golden suffix step for step on
+    /// renamed objects: a program can compare pointers only for equality,
+    /// which a bijection keeps, and cannot print them.
+    ///
+    /// Objects that existed at the loop entry map to themselves. Globals
+    /// and caller frames hold only such objects, as nothing ran in the
+    /// callers, so they need no walk: the walk starts from the running
+    /// frame's `roots` and the cells of older objects either run wrote,
+    /// which must then agree up to the renaming, and pairs each allocated
+    /// object it reaches with the other run's, cell by cell. Allocated
+    /// objects neither run can reach are garbage and may differ.
+    ///
+    /// Refused when `main`'s golden result is a pointer (the replay's
+    /// would name its own object), and when the replay's heap plus the
+    /// golden suffix's allocations would pass the machine's heap limit,
+    /// where the suffix could trap in the replay alone. Costs
+    /// O(cells written + reachable allocated cells + roots).
+    #[must_use]
+    pub fn exit_matches_renamed(&self, machine: &Machine<'_>, roots: &[VarId]) -> bool {
+        let x = &self.exit;
+        let suffix_cells = self.end_heap_cells - x.heap_cells;
+        if !self.same_position_and_output(machine)
+            || matches!(self.outcome.ret, Some(Value::Ptr(_)))
+            || machine.heap_cells().saturating_add(suffix_cells) > machine.limits().max_heap_cells
+        {
+            return false;
+        }
+        let base = x.heap_len - x.new_objs.len();
+        let mut walk = Renaming {
+            base,
+            golden: vec![u32::MAX; x.new_objs.len()],
+            replay: vec![u32::MAX; machine.heap().len().saturating_sub(base)],
+            pending: Vec::new(),
+        };
+        let agree = roots
+            .iter()
+            .all(|&v| walk.pair(x.vars[v.index()], machine.read_var(v)))
+            && x.cells
+                .iter()
+                .all(|&(a, v)| walk.pair(v, machine.read_cell(a)))
+            && machine.journal_writes().all(|(a, _)| {
+                a.obj.index() >= base
+                    || self.golden_wrote(a)
+                    || walk.pair(self.snapshot.read_cell(a), machine.read_cell(a))
+            });
+        if !agree {
+            return false;
+        }
+        while let Some((g, r)) = walk.pending.pop() {
+            let golden = &x.new_objs[g as usize - base].cells;
+            let replay = machine.obj_cells(ObjId(r));
+            if golden.len() != replay.len()
+                || !golden.iter().zip(replay).all(|(&a, &b)| walk.pair(a, b))
+            {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The checks both exit comparisons start with: an armed journal,
+    /// the exit position, and the same output, bit for bit.
+    fn same_position_and_output(&self, machine: &Machine<'_>) -> bool {
+        let x = &self.exit;
+        let out = machine.output();
+        machine.journal_armed()
+            && machine.position() == Some(x.position)
+            && out.len() == x.output_start + x.output.len()
+            && out[x.output_start..]
+                .iter()
+                .zip(&x.output)
+                .all(|(a, b)| raw_eq_output(a, b))
+    }
+
+    /// Whether the golden invocation stored to `a`.
+    fn golden_wrote(&self, a: Addr) -> bool {
+        self.exit
+            .cells
+            .binary_search_by_key(&a, |&(c, _)| c)
+            .is_ok()
+    }
+}
+
+/// The object pairing of [`GoldenRecord::exit_matches_renamed`]'s walk.
+struct Renaming {
+    /// Objects below this index existed at the loop entry in both runs.
+    base: usize,
+    /// For each object the golden invocation allocated, the replay object
+    /// paired with it (`u32::MAX` for none yet); `replay` the reverse.
+    golden: Vec<u32>,
+    replay: Vec<u32>,
+    /// Newly paired objects whose cells are still to compare.
+    pending: Vec<(u32, u32)>,
+}
+
+impl Renaming {
+    /// Whether golden value `g` and replay value `r` agree up to the
+    /// pairing, which a first meeting of two allocated objects extends.
+    fn pair(&mut self, g: Value, r: Value) -> bool {
+        let (Value::Ptr(a), Value::Ptr(b)) = (g, r) else {
+            return raw_eq(g, r);
+        };
+        if a.index() < self.base || b.index() < self.base {
+            return a == b;
+        }
+        let (ga, rb) = (a.index() - self.base, b.index() - self.base);
+        match (self.golden[ga], self.replay[rb]) {
+            (u32::MAX, u32::MAX) => {
+                self.golden[ga] = b.0;
+                self.replay[rb] = a.0;
+                self.pending.push((a.0, b.0));
+                true
+            }
+            (paired, back) => paired == b.0 && back == a.0,
+        }
     }
 }
 
@@ -307,9 +420,9 @@ struct Watch<'p> {
     keeps_left: u32,
     probe: Option<&'p mut FootprintProbe>,
     phase: Phase,
-    /// The last instruction the recorded activation's frame ran; an
-    /// access takes its side.
-    at: (BlockId, usize),
+    /// The last call the recorded activation's frame made: an access in a
+    /// callee takes its side.
+    call_at: (BlockId, usize),
     /// The iterator values of the in-flight iteration, frozen at its first
     /// payload instruction (the point Fig. 4(c)'s `rt_iterator_linearize`
     /// placement corresponds to): by then a `for` iterator still holds its
@@ -349,16 +462,15 @@ impl Watch<'_> {
             .map_or(0, |&i| i as usize)
     }
 
-    /// Hands an access to the probe, on the side of the last instruction
-    /// the recorded frame ran: an access in a callee takes the side of
-    /// the calling instruction. Out of line, so that the run loop's
-    /// access sites stay small for unprofiled recordings.
+    /// Hands an access by instruction `at` to the probe, on that
+    /// instruction's side. Out of line, so that the run loop's access
+    /// sites stay small for unprofiled recordings.
     #[inline(never)]
-    fn profile(&mut self, addr: Addr, store: Option<(Value, Value)>) {
+    fn profile(&mut self, at: (BlockId, usize), addr: Addr, store: Option<(Value, Value)>) {
         let Some(p) = self.probe.as_deref_mut() else {
             return;
         };
-        p.set_payload(!self.slice.contains(self.at));
+        p.set_payload(!self.slice.contains(at));
         match store {
             None => p.read(addr.obj.0, addr.cell),
             Some((old, new)) => p.store(addr.obj.0, addr.cell, old, new),
@@ -470,23 +582,38 @@ impl LoopSink for GoldenSink<'_> {
         }
     }
 
-    // Runs on every instruction of the recorded frames, inlined into the
-    // run loop: a call per step would cost more than the work, and the
-    // rare freeze is out of line.
-    #[inline(always)]
+    // Each iteration's values freeze at its first payload instruction:
+    // a block runs from its first instruction on, so that is one of its
+    // blocks' first payload instructions, and the machine reports it.
+    // Every recorded activation of the frame runs it, an outer loop's
+    // included while an inner one is live.
+    fn plan(&self, frame: &[Option<usize>], block: BlockId, from: usize) -> Option<usize> {
+        frame
+            .iter()
+            .filter_map(|&act| {
+                let w = &self.watches[act?];
+                let first = w.first_payload(block);
+                (w.phase == Phase::Recording && w.pending.is_none() && first != u32::MAX as usize)
+                    .then(|| first.max(from))
+            })
+            .min()
+    }
+
     fn inst(&mut self, frame: &mut [Option<usize>], block: BlockId, idx: usize, vars: &[Value]) {
-        // Every recorded activation of the frame runs this instruction,
-        // an outer loop's included while an inner one is live.
         for &mut act in frame {
             let Some(w) = self.recording(act) else {
                 continue;
             };
-            w.at = (block, idx);
-            // A block runs from its first instruction on, so the first
-            // payload instruction of an iteration is one of its blocks'
-            // first payload instructions.
             if w.pending.is_none() && idx >= w.first_payload(block) {
                 w.freeze(vars);
+            }
+        }
+    }
+
+    fn call(&mut self, frame: &mut [Option<usize>], block: BlockId, idx: usize) {
+        for &mut act in frame {
+            if let Some(w) = self.recording(act) {
+                w.call_at = (block, idx);
             }
         }
     }
@@ -545,8 +672,14 @@ impl LoopSink for GoldenSink<'_> {
     // of line. Each recorded activation's probe sees the access, and no
     // other probe: a probe is only ever fed while its watch records.
     #[inline(always)]
-    fn access(&mut self, live: &mut [Option<usize>], addr: Addr, store: Option<(Value, Value)>) {
-        for &mut act in live {
+    fn access(
+        &mut self,
+        live: &mut [Option<usize>],
+        at: AccessAt,
+        addr: Addr,
+        store: Option<(Value, Value)>,
+    ) {
+        for (k, &mut act) in live.iter_mut().enumerate() {
             let Some(w) = self.recording(act) else {
                 continue;
             };
@@ -554,7 +687,13 @@ impl LoopSink for GoldenSink<'_> {
                 w.writes.push(addr);
             }
             if w.probe.is_some() {
-                w.profile(addr, store);
+                // An access in a callee takes the side of the call.
+                let pos = if k >= at.frame {
+                    (at.block, at.idx)
+                } else {
+                    w.call_at
+                };
+                w.profile(pos, addr, store);
             }
         }
     }
@@ -628,7 +767,7 @@ pub fn record_program(
                 } else {
                     Phase::Waiting
                 },
-                at: (q.l.header, 0),
+                call_at: (q.l.header, 0),
                 pending: None,
                 iters: Vec::new(),
                 base_heap: 0,
@@ -730,6 +869,7 @@ pub fn record_program(
                                 ret: None,
                             },
                             total_steps: machine.steps(),
+                            end_heap_cells: machine.heap_cells(),
                             exit,
                         });
                     }
@@ -744,9 +884,13 @@ pub fn record_program(
             }
         }
     };
-    let program_end = end
-        .as_ref()
-        .map(|&ret| (ProgramOutcome::capture(machine, ret), machine.steps()));
+    let program_end = end.as_ref().map(|&ret| {
+        (
+            ProgramOutcome::capture(machine, ret),
+            machine.steps(),
+            machine.heap_cells(),
+        )
+    });
     let steps = tracker.steps();
     let loops = tracker
         .finish()
@@ -757,9 +901,10 @@ pub fn record_program(
             for mut g in w.kept {
                 if !stop_at_exit {
                     match &program_end {
-                        Ok((outcome, steps)) => {
+                        Ok((outcome, steps, cells)) => {
                             g.outcome = outcome.clone();
                             g.total_steps = *steps;
+                            g.end_heap_cells = *cells;
                         }
                         Err(e) => {
                             out.push(Err((*e).clone()));

@@ -26,13 +26,24 @@
 //! 3. **Exit** — the golden exit values are restored to the iterator
 //!    variables and control jumps to the golden exit target; the rest of
 //!    the program runs untouched.
+//!
+//! The controller decides per block, not per instruction: at each entry
+//! to a block of the loop in the loop's frame it plans the block
+//! ([`Hooks::plan`]) — the slice's instructions skipped in the payload
+//! pass, the others in the pre-pass, all of them while exiting — and has
+//! the machine report the header's first instruction when an iteration
+//! is to be bound there. Callee frames and the rest of the program run
+//! with no plan, at the cost of a plain run.
 
 use crate::parallel::CancelToken;
 use crate::record::GoldenRecord;
 use dca_analysis::IteratorSlice;
-use dca_interp::{Hooks, InstAction, Machine, Site, TermAction, Trap, Value};
+use dca_interp::{Hooks, Machine, Plan, Site, TermAction, Trap, Value};
 use dca_ir::{BlockId, FuncId, Function, Loop, Terminator, VarId};
 use std::time::Instant;
+
+#[cfg(test)]
+mod reference;
 
 /// What a replay produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -275,30 +286,37 @@ impl<O: IterOrder> Hooks for ReplayController<'_, O> {
         }
     }
 
-    // Runs on every instruction of a replay: inlined into the run loop,
-    // a replay step is ~25% cheaper.
+    // Asked at every block entry of a replay: inlined into the run loop,
+    // so that blocks outside the loop's frame cost a compare or two.
     #[inline(always)]
-    fn before_inst(
-        &mut self,
-        site: Site,
-        block: BlockId,
-        idx: usize,
-        vars: &mut [Value],
-    ) -> InstAction {
+    fn plan(&self, site: Site, block: BlockId, from: usize) -> Plan {
         if matches!(self.mode, Mode::Done) || !self.active_at(site, block) {
-            return InstAction::Run;
+            return Plan::RUN;
         }
-        self.start_pending_iter(block, vars);
         // The pre-pass runs iterator instructions only (linearization);
         // the payload pass runs everything else, the iterator having
         // already run.
-        let in_slice = self.slice.contains((block, idx));
-        match self.mode {
-            Mode::PrePass if in_slice => InstAction::Run,
-            Mode::Payload if !in_slice => InstAction::Run,
-            Mode::Done => InstAction::Run,
-            _ => InstAction::Skip,
+        let slice = self.slice.slice_bits(block, from / 64);
+        let skip = match self.mode {
+            Mode::PrePass => !slice,
+            Mode::Payload => slice,
+            _ => u64::MAX,
+        };
+        let plan = Plan {
+            skip,
+            notify: Plan::NO_INST,
+        };
+        // The next iteration is bound before the header's first
+        // instruction (or at its terminator, if it has none).
+        if self.mode == Mode::Payload && self.needs_iter_start && block == self.header {
+            plan.notifying(from)
+        } else {
+            plan
         }
+    }
+
+    fn inst(&mut self, _: Site, block: BlockId, _: usize, vars: &mut [Value]) {
+        self.start_pending_iter(block, vars);
     }
 
     fn on_term(
@@ -670,6 +688,67 @@ mod tests {
         match end {
             ReplayEnd::Finished(ret) => assert_ne!(ret, golden.ret),
             other => panic!("unexpected end: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn planned_replay_leaves_the_reference_machine() {
+        use reference::{run_reference, ReferenceController};
+        // A pointer-chasing map with a callee in the payload, at every
+        // budget from one step up: skipped runs, bindings and pauses
+        // land where the per-instruction controller put them.
+        // The walk's body is one block of over 64 payload instructions
+        // with the iterator's advance last, so plans span two windows.
+        let long: String = (0..40).map(|k| format!("t = t * 3 + {k}; ")).collect();
+        let src = format!(
+            "struct N {{ v: int, next: *N }}\n\
+             fn bump(n: *N, k: int) {{ n.v = n.v * 2 + k; }}\n\
+             fn main() -> int {{ let head: *N = null; let t: int = 0; \
+             for (let i: int = 0; i < 6; i = i + 1) {{ \
+               let n: *N = new N; n.v = i; n.next = head; head = n; }} \
+             let p: *N = head; let j: int = 0; \
+             @walk: while (p != null) {{ bump(p, j); {long}j = j + 1; p = p.next; }} \
+             return head.v + j + t; }}"
+        );
+        let m = dca_ir::compile(&src).expect("compile");
+        let main = m.main().expect("main");
+        let view = FuncView::new(&m, main);
+        let l = view.loops.by_tag("walk").expect("tagged loop").clone();
+        assert!(l
+            .blocks
+            .iter()
+            .any(|&b| m.func(main).block(b).insts.len() > 64));
+        let slice = IteratorSlice::compute(&view, &l);
+        let mut machine = Machine::new(&m);
+        let golden = record_golden(
+            &mut machine,
+            main,
+            &[],
+            main,
+            &l,
+            &slice,
+            0,
+            0,
+            DcaConfig::DEFAULT_MAX_TRIP,
+            DcaConfig::TEST_STEP_BUDGET,
+            None,
+            None,
+            false,
+            None,
+        )
+        .expect("golden");
+        let perm: Vec<usize> = (0..golden.iters.len()).rev().collect();
+        let gov = ReplayGovernor::default();
+        for budget in (1..400).chain([DcaConfig::TEST_STEP_BUDGET]) {
+            machine.restore(&golden.snapshot);
+            let mut ctl = ReplayController::new(main, m.func(main), &l, &slice, &golden, &perm);
+            let planned = run_replay(&mut machine, &mut ctl, false, budget, gov);
+            let planned = (planned, machine.snapshot());
+            machine.restore(&golden.snapshot);
+            let order = Perm { perm: &perm, k: 0 };
+            let mut ctl = ReferenceController::new(main, m.func(main), &l, &slice, &golden, order);
+            let end = run_reference(&mut machine, &mut ctl, false, budget, gov);
+            assert!(planned == (end, machine.snapshot()), "budget {budget}");
         }
     }
 

@@ -251,17 +251,29 @@ impl CachedVerdict {
     /// verdict's canonical JSON — so any single-field mutation that
     /// survives JSON parsing is still rejected.
     fn absorb(&self, fp: &mut Fingerprint, verdict_text: &str) {
-        match &self.tag {
-            Some(t) => {
-                fp.push(1);
-                fp.push_str(t);
-            }
-            None => fp.push(0),
+        let counts = [
+            self.trips as u64,
+            self.permutations_tested as u64,
+            self.replay_steps,
+        ];
+        absorb_fields(fp, self.tag.as_deref(), verdict_text, counts);
+    }
+}
+
+/// [`CachedVerdict::absorb`] over the fields as they stand in a record:
+/// the tag, the verdict's canonical text, and the trips, permutations
+/// and replay steps.
+fn absorb_fields(fp: &mut Fingerprint, tag: Option<&str>, verdict_text: &str, counts: [u64; 3]) {
+    match tag {
+        Some(t) => {
+            fp.push(1);
+            fp.push_str(t);
         }
-        fp.push_str(verdict_text);
-        fp.push(self.trips as u64);
-        fp.push(self.permutations_tested as u64);
-        fp.push(self.replay_steps);
+        None => fp.push(0),
+    }
+    fp.push_str(verdict_text);
+    for n in counts {
+        fp.push(n);
     }
 }
 

@@ -48,16 +48,16 @@
 //! verdict-perturbing fault injection or wall deadlines bypass the cache
 //! wholesale for the same reason.
 
-use super::{absorb_key, encode_verdict, write_atomic, CachedVerdict, VERDICTS};
+use super::{absorb_fields, absorb_key, write_atomic, CachedVerdict, VERDICTS};
 use crate::config::{DcaConfig, DigestMode, PermutationSet, VerifyScope};
 use crate::fault::FaultPlan;
-use crate::report::LoopVerdict;
 use dca_interp::Value;
 use dca_ir::{canonical_loop_body, canonical_module, FuncView, Module};
 use dca_obs::{parse_json, Json};
 use dca_rng::Fingerprint;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Schema identifier of the on-disk format. Bumping it orphans every
 /// existing file (they load as a schema mismatch → bypass), so bump only
@@ -203,13 +203,34 @@ pub(super) fn loop_keys(config: &DcaConfig, args: &[Value], module: &Module) -> 
 #[derive(Debug, Default)]
 pub(super) struct VerdictCache {
     path: PathBuf,
-    entries: BTreeMap<u128, CachedVerdict>,
+    entries: BTreeMap<u128, Entry>,
     /// File-level damage: consult nothing, store nothing.
     bypassed: bool,
     /// Integrity faults observed while loading.
     load_faults: u64,
     /// Entries added this run (subset of `entries`' keys).
     added: u64,
+}
+
+/// One cache entry: its canonical line, encoded once — when it is stored,
+/// or when its check is verified on load — and written as is by every
+/// save; and its record, decoded from the line when first served.
+#[derive(Debug, Default)]
+struct Entry {
+    line: String,
+    record: OnceLock<Option<CachedVerdict>>,
+}
+
+impl Entry {
+    fn new(line: String, v: Option<CachedVerdict>) -> Self {
+        Entry {
+            line,
+            record: match v {
+                Some(v) => OnceLock::from(Some(v)),
+                None => OnceLock::new(),
+            },
+        }
+    }
 }
 
 impl VerdictCache {
@@ -274,16 +295,27 @@ impl VerdictCache {
         if self.bypassed {
             return None;
         }
-        self.entries.get(&key)
+        let e = self.entries.get(&key)?;
+        e.record
+            .get_or_init(|| {
+                let json = parse_json(&e.line).ok()?;
+                decode_entry(&json).map(|(_, v)| v)
+            })
+            .as_ref()
     }
 
     /// Stores a verdict under `key` if it is cacheable (see the module
     /// docs) and not already present. Returns whether it was stored.
     pub(super) fn store(&mut self, key: u128, v: CachedVerdict) -> bool {
-        if self.bypassed || self.entries.contains_key(&key) || !cacheable(&v.verdict) {
+        if self.bypassed || self.entries.contains_key(&key) {
             return false;
         }
-        self.entries.insert(key, v);
+        // Only a cacheable verdict encodes.
+        let Some(line) = encode_entry(key, &v) else {
+            return false;
+        };
+        self.entries
+            .insert(key, Entry::new(line.to_string(), Some(v)));
         self.added += 1;
         true
     }
@@ -304,32 +336,39 @@ impl VerdictCache {
         doc.push_str(SCHEMA);
         doc.push_str("\", \"tool\": \"dca ");
         doc.push_str(env!("CARGO_PKG_VERSION"));
-        doc.push_str("\", \"entries\": [");
-        for (i, (key, v)) in self.entries.iter().enumerate() {
+        doc.push_str(ENTRIES_OPEN);
+        for (i, e) in self.entries.values().enumerate() {
             if i > 0 {
                 doc.push(',');
             }
             doc.push_str("\n  ");
-            doc.push_str(
-                &encode_entry(*key, v)
-                    .expect("stored entries are cacheable by construction")
-                    .to_string(),
-            );
+            doc.push_str(&e.line);
         }
-        doc.push_str("\n]}\n");
+        doc.push_str(ENTRIES_CLOSE);
         write_atomic(&self.path, &doc, fault)
     }
 }
 
-/// True when the verdict is a pure function of the cache key.
-fn cacheable(v: &LoopVerdict) -> bool {
-    encode_verdict(v).is_some()
-}
+/// The text between a saved document's tool name and its first entry,
+/// and after its last.
+const ENTRIES_OPEN: &str = "\", \"entries\": [";
+const ENTRIES_CLOSE: &str = "\n]}\n";
 
 /// Parses a whole cache document. `Err(())` means file-level damage
 /// (bypass); `Ok` carries the surviving entries plus the count of
 /// dropped (checksum- or shape-rejected) ones.
-fn parse_file(text: &str) -> Result<(BTreeMap<u128, CachedVerdict>, u64), ()> {
+///
+/// A document laid out as [`VerdictCache::save`] writes it is read line
+/// by line: each entry line whose fields are in canonical form and whose
+/// check holds is kept as it stands, with no JSON tree built. Any other
+/// document goes through the JSON parser, and each surviving entry's
+/// line is re-encoded.
+fn parse_file(text: &str) -> Result<(BTreeMap<u128, Entry>, u64), ()> {
+    parse_saved(text).map_or_else(|| parse_tree(text), Ok)
+}
+
+/// [`parse_file`] through the JSON parser.
+fn parse_tree(text: &str) -> Result<(BTreeMap<u128, Entry>, u64), ()> {
     let doc = parse_json(text).map_err(|_| ())?;
     let obj = doc.as_object().ok_or(())?;
     if obj.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
@@ -339,14 +378,99 @@ fn parse_file(text: &str) -> Result<(BTreeMap<u128, CachedVerdict>, u64), ()> {
     let mut out = BTreeMap::new();
     let mut dropped = 0u64;
     for e in list {
-        match decode_entry(e) {
-            Some((key, v)) => {
-                out.insert(key, v);
+        match decode_entry(e).and_then(|(key, v)| Some((key, encode_entry(key, &v)?, v))) {
+            Some((key, line, v)) => {
+                out.insert(key, Entry::new(line.to_string(), Some(v)));
             }
             None => dropped += 1,
         }
     }
     Ok((out, dropped))
+}
+
+/// [`parse_file`]'s line reader, for a document in the saved layout;
+/// `None` sends the document to the JSON parser.
+fn parse_saved(text: &str) -> Option<(BTreeMap<u128, Entry>, u64)> {
+    let rest = text.strip_prefix("{\"schema\": \"")?.strip_prefix(SCHEMA)?;
+    let rest = rest.strip_prefix("\", \"tool\": \"")?;
+    let (tool, rest) = rest.split_once('"')?;
+    if tool.contains('\\') {
+        return None;
+    }
+    let body = rest
+        .strip_prefix(", \"entries\": [")?
+        .strip_suffix(ENTRIES_CLOSE)?;
+    let mut out = BTreeMap::new();
+    let mut dropped = 0u64;
+    let mut lines = body.split(",\n  ").peekable();
+    // The first entry follows the header's newline.
+    let first = lines.next()?.strip_prefix("\n  ")?;
+    for line in std::iter::once(first).chain(lines) {
+        if let Some(key) = saved_entry(line) {
+            out.insert(key, Entry::new(line.to_string(), None));
+            continue;
+        }
+        // Not canonical, or its check fails: decide as the JSON parser
+        // would, unless the line is not JSON on its own.
+        let json = parse_json(line).ok()?;
+        match decode_entry(&json).and_then(|(key, v)| Some((key, encode_entry(key, &v)?, v))) {
+            Some((key, line, v)) => {
+                out.insert(key, Entry::new(line.to_string(), Some(v)));
+            }
+            None => dropped += 1,
+        }
+    }
+    Some((out, dropped))
+}
+
+/// The key of an entry line in canonical form whose check holds, read
+/// without a JSON tree: the fields in the encoder's order and spelling,
+/// the verdict's text taken as its canonical text, which the check
+/// covers. `None` for any other line.
+fn saved_entry(line: &str) -> Option<u128> {
+    let (check, s) = hex(line.strip_prefix("{\"check\": \"")?)?;
+    let (key, s) = hex(s.strip_prefix("\", \"key\": \"")?)?;
+    let (perms, s) = num(s.strip_prefix("\", \"perms\": ")?)?;
+    let (steps, s) = num(s.strip_prefix(", \"replay_steps\": ")?)?;
+    let s = s.strip_prefix(", \"tag\": ")?;
+    let (tag, s) = match s.strip_prefix("null") {
+        Some(s) => (None, s),
+        None => {
+            let (t, s) = s.strip_prefix('"')?.split_once('"')?;
+            // Escapes and control characters take the JSON parser.
+            if t.contains(|c: char| c == '\\' || c.is_control()) {
+                return None;
+            }
+            (Some(t), s)
+        }
+    };
+    let (trips, s) = num(s.strip_prefix(", \"trips\": ")?)?;
+    let verdict = s.strip_prefix(", \"verdict\": ")?.strip_suffix('}')?;
+    let mut fp = Fingerprint::new();
+    absorb_key(&mut fp, key);
+    absorb_fields(&mut fp, tag, verdict, [trips, perms, steps]);
+    (fp.digest() == check).then_some(key)
+}
+
+/// A key or check as the encoder writes it, 32 lowercase hex digits,
+/// and the text after it.
+fn hex(s: &str) -> Option<(u128, &str)> {
+    let (h, rest) = s.split_at_checked(32)?;
+    let canonical = h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    Some((
+        u128::from_str_radix(h, 16).ok().filter(|_| canonical)?,
+        rest,
+    ))
+}
+
+/// A count as the encoder writes it, a JSON number in canonical digits
+/// (exact below 2^53), and the text after it.
+fn num(s: &str) -> Option<(u64, &str)> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    let (digits, rest) = s.split_at(end);
+    let n: u64 = digits.parse().ok()?;
+    let canonical = n < 1 << 53 && (digits == "0" || !digits.starts_with('0'));
+    canonical.then_some((n, rest))
 }
 
 /// The per-entry checksum: the key, then the shared field step.
@@ -368,6 +492,12 @@ fn decode_entry(e: &Json) -> Option<(u128, CachedVerdict)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::LoopVerdict;
+
+    /// True when the verdict is a pure function of the cache key.
+    fn cacheable(v: &LoopVerdict) -> bool {
+        super::super::encode_verdict(v).is_some()
+    }
     use crate::fault::FaultKind;
     use crate::outcome::Divergence;
     use crate::report::{SkipReason, Violation};
@@ -500,6 +630,46 @@ mod tests {
             assert_eq!(back.get(i as u128), Some(&cached(v)), "expected a hit");
         }
         assert_eq!(back.get(999), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn saved_files_load_line_by_line_as_the_json_parser_loads_them() {
+        let dir = tmpdir("lines");
+        let path = dir.join("cache.json");
+        let mut vc = VerdictCache::open(&path);
+        for (i, v) in sample_verdicts().into_iter().enumerate() {
+            vc.store(0x5EED_0000 + i as u128, cached(v));
+        }
+        vc.save(None).expect("save");
+        let text = std::fs::read_to_string(&path).expect("read");
+        // The untouched file, one field tampered with, one entry's spacing
+        // changed and one tag spelled with an escape.
+        let tampered = text.replacen("\"trips\": 4", "\"trips\": 5", 1);
+        let spaced = text.replacen("\"perms\": ", "\"perms\":  ", 1);
+        let escaped = text.replacen("\"tag\": \"t\"", "\"tag\": \"\\u0074\"", 1);
+        assert_ne!(tampered, text);
+        assert_ne!(spaced, text);
+        assert_ne!(escaped, text);
+        for doc in [&text, &tampered, &spaced, &escaped] {
+            let (lines, dropped) = parse_saved(doc).expect("the saved layout");
+            let (tree, tree_dropped) = parse_tree(doc).expect("valid JSON");
+            assert_eq!(dropped, tree_dropped);
+            let line_view: Vec<_> = lines.iter().map(|(k, e)| (k, &e.line)).collect();
+            let tree_view: Vec<_> = tree.iter().map(|(k, e)| (k, &e.line)).collect();
+            assert_eq!(line_view, tree_view);
+        }
+        assert_eq!(parse_saved(&tampered).expect("layout").1, 1);
+        // Every line read as it stands is the canonical one, so a save
+        // rewrites the file byte for byte.
+        let mut back = VerdictCache::open(&path);
+        assert!(back.entries.values().all(|e| e.record.get().is_none()));
+        back.added = 1;
+        back.save(None).expect("save");
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), text);
+        for key in vc.entries.keys() {
+            assert_eq!(back.get(*key), vc.get(*key));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

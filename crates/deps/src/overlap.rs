@@ -179,7 +179,13 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
         }
     }
 
-    let mut cells: CellMap<CellState> = CellMap::default();
+    // One entry per written cell at most: sized once, never rehashed.
+    let written = profile.iters().map(|it| it.writes.len()).sum();
+    let mut cells: CellMap<CellState> =
+        CellMap::with_capacity_and_hasher(written, Default::default());
+    // Most iterators touch no heap cell: then no access needs the slice
+    // maps.
+    let slice_free = slice_changed.is_empty() && slice_read.is_empty();
     let mut first: Option<Conflict> = None;
     let mut conflicting_cells: u64 = 0;
     let mut flagged: HashSet<u64, BuildHasherDefault<CellHasher>> = HashSet::default();
@@ -218,6 +224,9 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
             // Flow from the replicated slice pre-pass (any iteration:
             // sequentially the read sees only slice effects of earlier
             // iterations, in parallel it sees all of them).
+            if slice_free {
+                continue;
+            }
             if let Some(&a) = slice_changed.get(&cell_key(obj, cell)) {
                 record(
                     &mut flagged,
@@ -242,6 +251,9 @@ pub fn check_decomposable(profile: &LoopProfile, excluded_objs: &BTreeSet<u32>) 
                         st.changed = Some((b, w.last_new));
                         // A changing payload write to a cell the slice
                         // also touches races the replicated pre-pass.
+                        if slice_free {
+                            continue;
+                        }
                         if let Some(&a) = slice_changed.get(&cell_key(w.obj, w.cell)) {
                             record(
                                 &mut flagged,

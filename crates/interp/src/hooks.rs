@@ -9,6 +9,13 @@
 //! `Hooks` implementation, and so is the [`LoopTracker`] behind golden
 //! recording and coverage, cost and dependence profiling.
 //!
+//! Instructions have no per-instruction event. At each block entry the
+//! machine asks the hooks for the block's [`Plan`]: which of its
+//! instructions to skip, and at most one instruction to be told about
+//! before it runs. The machine then runs the block with no callback
+//! between instructions, so a hook that plans nothing costs what a plain
+//! run does.
+//!
 //! [`LoopTracker`]: crate::profile::LoopTracker
 
 use crate::value::{Addr, Value};
@@ -23,15 +30,52 @@ pub struct Site {
     pub depth: usize,
     /// Instruction steps executed so far.
     pub steps: u64,
+    /// The executing block.
+    pub block: BlockId,
+    /// The executing instruction's index in `block`: the block's length
+    /// at its terminator, 0 at its entry.
+    pub inst: u32,
 }
 
-/// What to do with the instruction about to execute.
+/// How the machine runs the instructions of one 64-instruction window
+/// of a block ([`Hooks::plan`]): window `w` holds instructions
+/// `64 * w .. 64 * w + 64`, so a block of up to 64 instructions has one.
+///
+/// A skipped instruction has no effect but still counts as a step. The
+/// machine charges a run of skipped instructions in one addition when
+/// the step budget covers all of it, and one by one up to the budget
+/// otherwise, so step counts and pauses land where single steps put them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstAction {
-    /// Execute normally.
-    Run,
-    /// Skip it entirely (no effects, destination unchanged).
-    Skip,
+pub struct Plan {
+    /// Bit `k` set: skip instruction `64 * w + k` of the window.
+    pub skip: u64,
+    /// The instruction of the window to report to [`Hooks::inst`] before
+    /// it runs or is skipped; [`Plan::NO_INST`] for none.
+    pub notify: u32,
+}
+
+impl Plan {
+    /// No instruction to report.
+    pub const NO_INST: u32 = u32::MAX;
+    /// Run every instruction and report none.
+    pub const RUN: Plan = Plan {
+        skip: 0,
+        notify: Plan::NO_INST,
+    };
+    /// Skip every instruction and report none.
+    pub const SKIP: Plan = Plan {
+        skip: u64::MAX,
+        notify: Plan::NO_INST,
+    };
+
+    /// This plan, reporting instruction `idx` as well.
+    #[must_use]
+    pub fn notifying(self, idx: usize) -> Plan {
+        Plan {
+            notify: u32::try_from(idx).unwrap_or(Plan::NO_INST),
+            ..self
+        }
+    }
 }
 
 /// What to do at a terminator.
@@ -53,20 +97,22 @@ pub trait Hooks {
     /// Control enters `block` (before its first instruction).
     fn on_block(&mut self, site: Site, block: BlockId, vars: &mut [Value]) {}
 
-    /// About to execute instruction `idx` of `block`. Return
-    /// [`InstAction::Skip`] to suppress it.
-    fn before_inst(
-        &mut self,
-        site: Site,
-        block: BlockId,
-        idx: usize,
-        vars: &mut [Value],
-    ) -> InstAction {
-        InstAction::Run
+    /// The plan for the window of `block` that holds instruction `from`,
+    /// where the frame's execution stands. Asked after each block entry,
+    /// when a frame resumes mid-block (after a call returns, or in a
+    /// later run), at each window boundary, and again after each
+    /// [`Hooks::inst`]. A plan is a query: it may change only after the
+    /// hooks' own events changed their state. Instructions before `from`
+    /// have run; bits and a reported instruction before it are ignored.
+    #[inline(always)]
+    fn plan(&self, site: Site, block: BlockId, from: usize) -> Plan {
+        Plan::RUN
     }
 
-    /// Instruction `idx` of `block` just executed.
-    fn after_inst(&mut self, site: Site, block: BlockId, idx: usize, vars: &mut [Value]) {}
+    /// Instruction `idx` of `block`, the one the plan reports, is about
+    /// to run or be skipped. The machine asks for the plan again
+    /// afterwards; it reports `idx` at most once in a row.
+    fn inst(&mut self, site: Site, block: BlockId, idx: usize, vars: &mut [Value]) {}
 
     /// About to leave `block`. `default_target` is the successor the machine
     /// chose (`None` for a `Return`). Return [`TermAction::Goto`] to
@@ -94,7 +140,7 @@ pub trait Hooks {
     /// for them.
     fn on_store(&mut self, site: Site, addr: Addr, old: Value, new: Value) {}
 
-    /// A call to `callee` is about to push a frame.
+    /// The call at `site` to `callee` is about to push a frame.
     fn on_call(&mut self, site: Site, callee: FuncId) {}
 
     /// The frame of `func` just returned (to depth `site.depth`).
@@ -133,11 +179,14 @@ mod tests {
             func: FuncId(0),
             depth: 0,
             steps: 0,
+            block: BlockId(0),
+            inst: 0,
         };
-        assert_eq!(h.before_inst(site, BlockId(0), 0, &mut []), InstAction::Run);
+        assert_eq!(h.plan(site, BlockId(0), 0), Plan::RUN);
         assert_eq!(
             h.on_term(site, BlockId(0), None, &mut []),
             TermAction::Default
         );
+        assert_eq!(Plan::SKIP.notifying(3).notify, 3);
     }
 }

@@ -32,11 +32,11 @@ pub mod machine;
 pub mod profile;
 pub mod value;
 
-pub use hooks::{Hooks, InstAction, NoHooks, Site, TermAction};
+pub use hooks::{Hooks, NoHooks, Plan, Site, TermAction};
 pub use machine::{
     JournalStats, Limits, Machine, Obj, OpCounts, Outcome, OutputItem, Position, Snapshot, Trap,
 };
-pub use profile::{LoopSink, LoopTracker, TrackedSteps};
+pub use profile::{AccessAt, LoopSink, LoopTracker, TrackedSteps};
 pub use value::{Addr, ObjId, Value};
 
 use dca_ir::Module;

@@ -19,7 +19,7 @@
 //! loop. Hooks see only the variables of a window.
 
 use crate::code::{const_value, zero_of, Code, FuncCode, Op, PrintItem, Slot, Term, NO_SLOT};
-use crate::hooks::{Hooks, InstAction, Site, TermAction};
+use crate::hooks::{Hooks, Plan, Site, TermAction};
 use crate::value::{Addr, ObjId, Value};
 use dca_ir::{BinOp, BlockId, FuncId, Intrinsic, Module, Ty, VarId};
 use std::fmt;
@@ -453,6 +453,11 @@ impl<'m> Machine<'m> {
         self.heap_cells
     }
 
+    /// The machine's execution limits.
+    pub fn limits(&self) -> Limits {
+        self.limits
+    }
+
     /// Monotonic heap-operation counters for this machine's lifetime.
     /// Not rewound by [`Machine::restore`] — see [`OpCounts`].
     pub fn op_counts(&self) -> OpCounts {
@@ -769,6 +774,8 @@ impl<'m> Machine<'m> {
     /// The hooks' [`Hooks::stop`] is polled after each block entry and
     /// each return, before the next step: a `true` ends the run with
     /// [`Outcome::Stopped`], and a later `run` continues exactly there.
+    /// Each block's instructions run under the [`Hooks::plan`] the hooks
+    /// give for it, with no call between instructions.
     /// A frame pushed by [`Machine::push_call`] has its entry block
     /// reported first (see there).
     ///
@@ -824,6 +831,8 @@ impl<'m> Machine<'m> {
                     func: fr.func,
                     depth: self.frames.len() - 1,
                     steps: self.steps,
+                    block: fr.block,
+                    inst: 0,
                 };
                 let vars = self.window(fr.base as usize, code.func(fr.func));
                 hooks.on_block(site, fr.block, vars);
@@ -852,54 +861,118 @@ impl<'m> Machine<'m> {
             let end: Result<Outcome, Trap> = 'frame: loop {
                 let bc = fc.blocks[block.index()];
                 let ops = &fc.ops[bc.start as usize..bc.end as usize];
+                // The block's instructions, one 64-instruction window at a
+                // time, each window under the plan the hooks give for it.
                 while idx < ops.len() {
-                    if self.steps >= budget_end {
-                        break 'frame Ok(Outcome::Paused);
-                    }
                     let site = Site {
                         func,
                         depth,
                         steps: self.steps,
+                        block,
+                        inst: idx as u32,
                     };
-                    self.steps += 1;
-                    let i = idx;
-                    idx += 1;
-                    let action = hooks.before_inst(site, block, i, self.window(base, fc));
-                    if action == InstAction::Run {
-                        if let Op::Call {
-                            dst,
-                            func: callee,
-                            args,
-                        } = ops[i]
-                        {
-                            let top = &mut self.frames[depth];
-                            top.block = block;
-                            top.inst = idx as u32;
-                            let callee = FuncId(callee);
-                            hooks.on_call(site, callee);
-                            let args = Args::Slots {
-                                from: base,
-                                slots: fc.args(args),
-                            };
-                            self.push_frame(callee, args, dst)?;
-                            let site = Site {
-                                func: callee,
-                                depth: depth + 1,
-                                steps: self.steps,
-                            };
-                            let cfc = code.func(callee);
-                            let cbase = self.regs.len() - cfc.template.len();
-                            hooks.on_block(site, BlockId(0), self.window(cbase, cfc));
-                            if poll && hooks.stop() {
-                                return Ok(Outcome::Stopped);
+                    let mut plan = hooks.plan(site, block, idx);
+                    let wbase = idx & !63;
+                    let wend = ops.len().min(wbase + 64);
+                    while idx < wend {
+                        // The next instruction the plan acts on: the
+                        // reported one or the first skipped one.
+                        let notify = plan.notify as usize;
+                        let ahead = plan.skip >> (idx - wbase);
+                        let mut stop = match ahead {
+                            0 => wend,
+                            _ => wend.min(idx + ahead.trailing_zeros() as usize),
+                        };
+                        if (idx..stop).contains(&notify) {
+                            stop = notify;
+                        }
+                        while idx < stop {
+                            if self.steps >= budget_end {
+                                break 'frame Ok(Outcome::Paused);
                             }
-                            continue 'frames;
+                            let site = Site {
+                                func,
+                                depth,
+                                steps: self.steps,
+                                block,
+                                inst: idx as u32,
+                            };
+                            self.steps += 1;
+                            let i = idx;
+                            idx += 1;
+                            if let Op::Call {
+                                dst,
+                                func: callee,
+                                args,
+                            } = ops[i]
+                            {
+                                let top = &mut self.frames[depth];
+                                top.block = block;
+                                top.inst = idx as u32;
+                                let callee = FuncId(callee);
+                                hooks.on_call(site, callee);
+                                let args = Args::Slots {
+                                    from: base,
+                                    slots: fc.args(args),
+                                };
+                                self.push_frame(callee, args, dst)?;
+                                let site = Site {
+                                    func: callee,
+                                    depth: depth + 1,
+                                    steps: self.steps,
+                                    block: BlockId(0),
+                                    inst: 0,
+                                };
+                                let cfc = code.func(callee);
+                                let cbase = self.regs.len() - cfc.template.len();
+                                hooks.on_block(site, BlockId(0), self.window(cbase, cfc));
+                                if poll && hooks.stop() {
+                                    return Ok(Outcome::Stopped);
+                                }
+                                continue 'frames;
+                            }
+                            if let Err(t) = self.exec_op(hooks, site, base, fc, ops[i]) {
+                                break 'frame Err(t);
+                            }
                         }
-                        if let Err(t) = self.exec_op(hooks, site, base, fc, ops[i]) {
-                            break 'frame Err(t);
+                        if idx == wend {
+                            break;
                         }
+                        if self.steps >= budget_end {
+                            break 'frame Ok(Outcome::Paused);
+                        }
+                        let site = Site {
+                            func,
+                            depth,
+                            steps: self.steps,
+                            block,
+                            inst: idx as u32,
+                        };
+                        if idx == notify {
+                            hooks.inst(site, block, idx, self.window(base, fc));
+                            plan = hooks.plan(site, block, idx);
+                            if plan.notify as usize == idx {
+                                plan.notify = Plan::NO_INST;
+                            }
+                            continue;
+                        }
+                        // A run of skipped instructions, up to the
+                        // reported one: charged whole when the budget
+                        // covers it, else up to the budget.
+                        let mut run_end = wend.min(idx + (!ahead).trailing_zeros() as usize);
+                        if (idx..run_end).contains(&notify) {
+                            run_end = notify;
+                        }
+                        let n = (run_end - idx) as u64;
+                        let room = budget_end - self.steps;
+                        if n > room {
+                            self.steps += room;
+                            idx += room as usize;
+                            break 'frame Ok(Outcome::Paused);
+                        }
+                        self.steps += n;
+                        idx = run_end;
                     }
-                    hooks.after_inst(site, block, i, self.window(base, fc));
                 }
                 // The terminator.
                 if self.steps >= budget_end {
@@ -909,6 +982,8 @@ impl<'m> Machine<'m> {
                     func,
                     depth,
                     steps: self.steps,
+                    block,
+                    inst: ops.len() as u32,
                 };
                 self.steps += 1;
                 let default_target = match bc.term {
@@ -934,6 +1009,11 @@ impl<'m> Machine<'m> {
                 if let Some(t) = target {
                     block = t;
                     idx = 0;
+                    let site = Site {
+                        block: t,
+                        inst: 0,
+                        ..site
+                    };
                     hooks.on_block(site, t, self.window(base, fc));
                     if poll && hooks.stop() {
                         break 'frame Ok(Outcome::Stopped);
@@ -950,9 +1030,9 @@ impl<'m> Machine<'m> {
                 self.frames.pop();
                 self.regs.truncate(base);
                 let site = Site {
-                    func,
                     depth: self.frames.len(),
                     steps: self.steps,
+                    ..site
                 };
                 hooks.on_return(site, func);
                 match self.frames.last() {
@@ -1881,15 +1961,8 @@ mod tests {
         // Skip every instruction.
         struct Skipper;
         impl Hooks for Skipper {
-            fn before_inst(
-                &mut self,
-                site: Site,
-                block: BlockId,
-                idx: usize,
-                _: &mut [Value],
-            ) -> InstAction {
-                let _ = (site, block, idx);
-                InstAction::Skip
+            fn plan(&self, _: Site, _: BlockId, _: usize) -> Plan {
+                Plan::SKIP
             }
         }
         let m = compile("fn main() -> int { let x: int = 5; return x; }").expect("compile");
@@ -1900,6 +1973,76 @@ mod tests {
         let out = machine.run(&mut Skipper, u64::MAX).expect("run");
         // With the `x = 5` copy skipped, x keeps its zero initialization.
         assert_eq!(out, Outcome::Finished(Some(Value::Int(0))));
+    }
+
+    #[test]
+    fn planned_blocks_match_single_steps_under_any_budget() {
+        /// Skips every third instruction of a block and every instruction
+        /// of each fifth block entry, reports each block's second
+        /// instruction, and logs the reports with their steps.
+        #[derive(Default)]
+        struct Planner {
+            entries: u64,
+            seen: Vec<(BlockId, usize, u64)>,
+        }
+        impl Hooks for Planner {
+            fn on_block(&mut self, _: Site, _: BlockId, _: &mut [Value]) {
+                self.entries += 1;
+            }
+            fn plan(&self, _: Site, _: BlockId, from: usize) -> Plan {
+                if self.entries.is_multiple_of(5) {
+                    return Plan::SKIP;
+                }
+                let mask = (0..64).step_by(3).fold(0u64, |m, k| m | 1 << k);
+                let plan = Plan {
+                    skip: mask,
+                    notify: Plan::NO_INST,
+                };
+                if from <= 1 {
+                    plan.notifying(1)
+                } else {
+                    plan
+                }
+            }
+            fn inst(&mut self, site: Site, block: BlockId, idx: usize, _: &mut [Value]) {
+                self.seen.push((block, idx, site.steps));
+            }
+        }
+        // `g` is one block of over 64 instructions: two plan windows.
+        let long: String = (0..40).map(|k| format!("y = y * 3 + {k}; ")).collect();
+        let m = compile(&format!(
+            "fn f(n: int) -> int {{ let a: int = n * 2; let b: int = a + 1; return a * b; }}\n\
+             fn g(x: int) -> int {{ let y: int = x; {long}return y; }}\n\
+             fn main() -> int {{ let s: int = 0; \
+             for (let i: int = 0; i < 6; i = i + 1) {{ \
+               let t: int = i + 1; let u: int = t * t; s = s + u + f(i) + g(i); }} return s; }}"
+        ))
+        .expect("compile");
+        let drive = |budget: u64| {
+            let mut machine = Machine::new(&m);
+            machine
+                .push_call(m.main().expect("main"), &[])
+                .expect("push");
+            let mut h = Planner::default();
+            let mut runs = 0;
+            while machine.result().is_none() {
+                runs += 1;
+                match budget {
+                    0 => machine.step(&mut h).expect("step"),
+                    b => drop(machine.run(&mut h, b).expect("run")),
+                }
+            }
+            (h.seen, machine.result(), machine.steps(), runs)
+        };
+        let (seen, ret, steps, _) = drive(u64::MAX);
+        assert!(!seen.is_empty());
+        for budget in [0, 1, 2, 7, 64, 65] {
+            let (s, r, n, runs) = drive(budget);
+            assert_eq!((&s, r, n), (&seen, ret, steps), "budget {budget}");
+            if budget > 0 {
+                assert_eq!(runs as u64, steps.div_ceil(budget), "budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! iteration, and when it exits. [`LoopTracker`] is the one [`Hooks`]
 //! implementation that derives them; each consumer is a [`LoopSink`] that
 //! keeps its own per-activation state and its own rules. Sinks that need
-//! more also see the instructions run in each activation's own frame and
-//! each memory access, a store with its old and new values.
+//! more also have one planned instruction per block of an activation's
+//! own frame reported, its calls, and each memory access with where it
+//! ran, a store with its old and new values.
 //!
 //! An *activation* is one invocation of a loop in one call frame: a loop
 //! of a recursive function can be live at several frame depths at once,
 //! and each depth is its own activation.
 
-use crate::hooks::{Hooks, InstAction, Site};
+use crate::hooks::{Hooks, Plan, Site};
 use crate::machine::{Machine, Outcome, Trap};
 use crate::value::{Addr, Value};
 use dca_ir::{BlockId, FuncId, FuncView, Loop, LoopId, LoopRef, Module};
@@ -49,13 +50,27 @@ pub trait LoopSink {
     /// runs). `vars` are the activation's frame variables.
     fn iterate(&mut self, act: &mut Self::Act, steps: u64, vars: &[Value]) {}
 
-    /// Instruction `idx` of `block` is about to run in the frame of the
-    /// innermost live activation. `frame` holds every live activation of
-    /// that frame, outermost first (a nest of loops of one function, so
-    /// `block` is one of each one's loop blocks). Instructions of callees,
-    /// including deeper activations' frames, are not reported to the
-    /// activations of a caller's frame.
+    /// The instruction of `block` at or after `from` that the sink wants
+    /// reported to [`LoopSink::inst`], in the frame of the innermost live
+    /// activation; `frame` holds that frame's live activations, outermost
+    /// first. Asked whenever the machine plans a window of one of the
+    /// frame's blocks ([`Hooks::plan`]), so it must depend only on the
+    /// sink's state.
+    fn plan(&self, frame: &[Self::Act], block: BlockId, from: usize) -> Option<usize> {
+        None
+    }
+
+    /// Instruction `idx` of `block`, the one [`LoopSink::plan`] asked for,
+    /// is about to run in the frame of the innermost live activation.
+    /// `frame` holds every live activation of that frame, outermost first
+    /// (a nest of loops of one function, so `block` is one of each one's
+    /// loop blocks). Callees' instructions, including deeper activations'
+    /// frames, are not reported to the activations of a caller's frame.
     fn inst(&mut self, frame: &mut [Self::Act], block: BlockId, idx: usize, vars: &[Value]) {}
+
+    /// Instruction `idx` of `block` in the frame of the innermost live
+    /// activation calls a function; `frame` as for [`LoopSink::inst`].
+    fn call(&mut self, frame: &mut [Self::Act], block: BlockId, idx: usize) {}
 
     /// The activation of `lref` ended at step `steps`: control left the
     /// loop's blocks, or its frame returned. `None` means the run ended
@@ -64,8 +79,15 @@ pub trait LoopSink {
 
     /// A memory cell was read (`store == None`) or overwritten
     /// (`store == Some((old, new))`) while `live` activations (outermost
-    /// first) were on the stack.
-    fn access(&mut self, live: &mut [Self::Act], addr: Addr, store: Option<(Value, Value)>) {}
+    /// first) were on the stack, by the instruction `at` names.
+    fn access(
+        &mut self,
+        live: &mut [Self::Act],
+        at: AccessAt,
+        addr: Addr,
+        store: Option<(Value, Value)>,
+    ) {
+    }
 
     /// Whether the run should stop before its next step, so that the
     /// caller can act on the machine where it stands ([`Hooks::stop`]).
@@ -74,6 +96,20 @@ pub trait LoopSink {
     fn stop(&self) -> bool {
         false
     }
+}
+
+/// Where a heap access ran, relative to the live activations
+/// ([`LoopSink::access`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessAt {
+    /// Index in the live activations of the first one whose frame made
+    /// the access: the live count when the access ran in a frame with no
+    /// live activation, a callee of the innermost one.
+    pub frame: usize,
+    /// The accessing instruction's block.
+    pub block: BlockId,
+    /// The accessing instruction's index in `block`.
+    pub idx: usize,
 }
 
 /// Per-function loop tables, built once per tracker.
@@ -340,6 +376,20 @@ impl<S: LoopSink> LoopTracker<S> {
             .map_or(0, |i| i + 1)
     }
 
+    /// Where an access at `site` ran, relative to the live activations.
+    #[inline(always)]
+    fn access_at(&self, site: Site) -> AccessAt {
+        AccessAt {
+            frame: if self.top == site.depth + 1 {
+                self.top_base
+            } else {
+                self.acts.len()
+            },
+            block: site.block,
+            idx: site.inst as usize,
+        }
+    }
+
     /// Exits live activations (innermost first) until `keep` remain.
     #[inline(never)]
     fn close_down_to(&mut self, keep: usize, steps: u64) {
@@ -425,27 +475,42 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
         }
     }
 
-    // The per-instruction and per-access hooks are inlined into the run
-    // loop: a call per step would cost more than their work.
+    // The planning and per-access hooks are inlined into the run loop:
+    // a call per block or access would cost more than their work.
     #[inline(always)]
-    fn before_inst(
-        &mut self,
-        site: Site,
-        block: BlockId,
-        idx: usize,
-        vars: &mut [Value],
-    ) -> InstAction {
+    fn plan(&self, site: Site, block: BlockId, from: usize) -> Plan {
         // While an activation is live, code runs in its frame or in the
         // deeper frames of its callees. The live stack is sorted by depth,
         // so this frame's activations are its top run at `site.depth`,
-        // from `top_base` on. (`get_mut` has no panic path, so for a sink
-        // without `inst` all of this compiles away.)
+        // from `top_base` on. (`get` has no panic path, so for a sink
+        // without `plan` all of this compiles away.)
+        if self.top == site.depth + 1 {
+            if let Some(idx) = self
+                .acts
+                .get(self.top_base..)
+                .and_then(|frame| self.sink.plan(frame, block, from))
+            {
+                return Plan::RUN.notifying(idx);
+            }
+        }
+        Plan::RUN
+    }
+
+    fn inst(&mut self, site: Site, block: BlockId, idx: usize, vars: &mut [Value]) {
         if self.top == site.depth + 1 {
             if let Some(frame) = self.acts.get_mut(self.top_base..) {
                 self.sink.inst(frame, block, idx, vars);
             }
         }
-        InstAction::Run
+    }
+
+    #[inline(always)]
+    fn on_call(&mut self, site: Site, _callee: FuncId) {
+        if self.top == site.depth + 1 {
+            if let Some(frame) = self.acts.get_mut(self.top_base..) {
+                self.sink.call(frame, site.block, site.inst as usize);
+            }
+        }
     }
 
     #[inline(always)]
@@ -458,13 +523,15 @@ impl<S: LoopSink> Hooks for LoopTracker<S> {
     }
 
     #[inline(always)]
-    fn on_read(&mut self, _site: Site, addr: Addr) {
-        self.sink.access(&mut self.acts, addr, None);
+    fn on_read(&mut self, site: Site, addr: Addr) {
+        let at = self.access_at(site);
+        self.sink.access(&mut self.acts, at, addr, None);
     }
 
     #[inline(always)]
-    fn on_store(&mut self, _site: Site, addr: Addr, old: Value, new: Value) {
-        self.sink.access(&mut self.acts, addr, Some((old, new)));
+    fn on_store(&mut self, site: Site, addr: Addr, old: Value, new: Value) {
+        let at = self.access_at(site);
+        self.sink.access(&mut self.acts, at, addr, Some((old, new)));
     }
 
     fn stop(&self) -> bool {
@@ -524,7 +591,13 @@ mod tests {
             }
         }
 
-        fn access(&mut self, live: &mut [Self::Act], _: Addr, _: Option<(Value, Value)>) {
+        fn access(
+            &mut self,
+            live: &mut [Self::Act],
+            _: AccessAt,
+            _: Addr,
+            _: Option<(Value, Value)>,
+        ) {
             for &mut (lref, _) in live {
                 self.loops.entry(lref).or_default().accesses += 1;
             }
@@ -731,6 +804,11 @@ mod tests {
             self.arrivals.push(vars[self.var.index()]);
         }
 
+        // The first instruction of each block.
+        fn plan(&self, _: &[Value], _: BlockId, _: usize) -> Option<usize> {
+            Some(0)
+        }
+
         fn inst(&mut self, frame: &mut [Value], _: BlockId, _: usize, vars: &[Value]) {
             for act in frame {
                 self.insts += 1;
@@ -742,7 +820,7 @@ mod tests {
 
         fn exit(&mut self, _: LoopRef, _: Value, _: Option<u64>) {}
 
-        fn access(&mut self, _: &mut [Value], _: Addr, store: Option<(Value, Value)>) {
+        fn access(&mut self, _: &mut [Value], _: AccessAt, _: Addr, store: Option<(Value, Value)>) {
             match store {
                 Some(s) => self.stores.push(s),
                 None => self.reads += 1,
@@ -810,6 +888,10 @@ mod tests {
                 lref
             }
 
+            fn plan(&self, _: &[LoopRef], _: BlockId, _: usize) -> Option<usize> {
+                Some(0)
+            }
+
             fn inst(&mut self, frame: &mut [LoopRef], block: BlockId, _: usize, _: &[Value]) {
                 for &mut l in frame {
                     self.0.push((l, block));
@@ -875,6 +957,12 @@ mod tests {
                 self.0.push(format!("iterate {l} {steps} {vars:?}"));
             }
 
+            // Each block's second instruction, so that a stop or a call
+            // between a block's entry and it still reports it once.
+            fn plan(&self, _: &[LoopRef], _: BlockId, _: usize) -> Option<usize> {
+                Some(1)
+            }
+
             fn inst(&mut self, frame: &mut [LoopRef], block: BlockId, idx: usize, _: &[Value]) {
                 self.0.push(format!("inst {frame:?} {block} {idx}"));
             }
@@ -883,10 +971,21 @@ mod tests {
                 self.0.push(format!("exit {l} {steps:?}"));
             }
 
-            fn access(&mut self, live: &mut [LoopRef], addr: Addr, store: Option<(Value, Value)>) {
+            fn call(&mut self, frame: &mut [LoopRef], block: BlockId, idx: usize) {
+                self.0.push(format!("call {frame:?} {block} {idx}"));
+            }
+
+            fn access(
+                &mut self,
+                live: &mut [LoopRef],
+                at: AccessAt,
+                addr: Addr,
+                store: Option<(Value, Value)>,
+            ) {
                 // Nothing without a live activation, as the contract asks.
                 if !live.is_empty() {
-                    self.0.push(format!("access {live:?} {addr} {store:?}"));
+                    self.0
+                        .push(format!("access {live:?} {at:?} {addr} {store:?}"));
                 }
             }
         }
@@ -963,7 +1062,7 @@ mod tests {
 
             fn exit(&mut self, _: LoopRef, _: (), _: Option<u64>) {}
 
-            fn access(&mut self, live: &mut [()], _: Addr, _: Option<(Value, Value)>) {
+            fn access(&mut self, live: &mut [()], _: AccessAt, _: Addr, _: Option<(Value, Value)>) {
                 if live.is_empty() {
                     self.0 += 1;
                 } else {

@@ -6,8 +6,8 @@
 //! reference (`crates/deps/src/profile/event_log.rs`). Here a sink of its
 //! own follows the executor's recording rules — the first invocation,
 //! iterations that end at header re-arrivals, each access on the side of
-//! the recorded frame's last instruction — and logs the probe calls they
-//! make. The recorder's probe must give the profile the log gives: for
+//! its instruction in the recorded frame, or of the call there that led
+//! to it — and logs the probe calls they make. The recorder's probe must give the profile the log gives: for
 //! every suite loop the static stage admits, for the generated
 //! archetypes, and at access caps small enough to truncate.
 
@@ -18,8 +18,8 @@ mod event_log;
 
 use dca::analysis::{exclusion, EffectMap, IteratorSlice};
 use dca::core::{record_golden, DcaConfig};
-use dca::interp::{Addr, LoopSink, LoopTracker, Machine, Value};
-use dca::ir::{BlockId, FuncView, Loop, LoopRef, Module};
+use dca::interp::{AccessAt, Addr, LoopSink, LoopTracker, Machine, Value};
+use dca::ir::{BlockId, FuncView, Function, Loop, LoopRef, Module};
 use dca_deps::{
     canonical_bits, CellWrite, FootprintProbe, IterFootprint, LoopProfile, DEFAULT_FOOTPRINT_CAP,
 };
@@ -38,11 +38,12 @@ enum Phase {
 /// Logs the probe calls the executor's recording of one loop's first
 /// invocation makes. An activation's state is whether it is recorded.
 struct Tape<'a> {
+    func: &'a Function,
     slice: &'a IteratorSlice,
     max_trip: usize,
     phase: Phase,
-    /// The last instruction the recorded frame ran.
-    at: (BlockId, usize),
+    /// The last call the recorded frame made.
+    call_at: (BlockId, usize),
     /// Whether the in-flight iteration ran a payload instruction.
     payload_ran: bool,
     iters: usize,
@@ -72,10 +73,24 @@ impl LoopSink for Tape<'_> {
         }
     }
 
-    fn inst(&mut self, frame: &mut [bool], block: BlockId, idx: usize, _: &[Value]) {
+    // The in-flight iteration's first payload instruction in the recorded
+    // frame.
+    fn plan(&self, frame: &[bool], block: BlockId, from: usize) -> Option<usize> {
+        if self.phase != Phase::Recording || self.payload_ran || !frame.contains(&true) {
+            return None;
+        }
+        (from..self.func.block(block).insts.len()).find(|&i| !self.slice.contains((block, i)))
+    }
+
+    fn inst(&mut self, frame: &mut [bool], _: BlockId, _: usize, _: &[Value]) {
         if self.phase == Phase::Recording && frame.contains(&true) {
-            self.at = (block, idx);
-            self.payload_ran |= !self.slice.contains((block, idx));
+            self.payload_ran = true;
+        }
+    }
+
+    fn call(&mut self, frame: &mut [bool], block: BlockId, idx: usize) {
+        if self.phase == Phase::Recording && frame.contains(&true) {
+            self.call_at = (block, idx);
         }
     }
 
@@ -89,12 +104,26 @@ impl LoopSink for Tape<'_> {
         }
     }
 
-    fn access(&mut self, live: &mut [bool], addr: Addr, store: Option<(Value, Value)>) {
-        if self.phase != Phase::Recording || !live.contains(&true) {
+    fn access(
+        &mut self,
+        live: &mut [bool],
+        at: AccessAt,
+        addr: Addr,
+        store: Option<(Value, Value)>,
+    ) {
+        let Some(k) = live.iter().position(|&recorded| recorded) else {
+            return;
+        };
+        if self.phase != Phase::Recording {
             return;
         }
+        let inst = if k >= at.frame {
+            (at.block, at.idx)
+        } else {
+            self.call_at
+        };
         self.calls
-            .push(ProbeCall::Payload(!self.slice.contains(self.at)));
+            .push(ProbeCall::Payload(!self.slice.contains(inst)));
         self.calls.push(match store {
             None => ProbeCall::Read(addr.obj.0, addr.cell),
             Some((old, new)) => ProbeCall::Store(addr.obj.0, addr.cell, old, new),
@@ -124,10 +153,11 @@ fn check(
         loop_id: l.id,
     };
     let tape = Tape {
+        func: view.func,
         slice,
         max_trip: cfg.max_trip,
         phase: Phase::Waiting,
-        at: (l.header, 0),
+        call_at: (l.header, 0),
         payload_ran: false,
         iters: 0,
         calls: Vec::new(),
