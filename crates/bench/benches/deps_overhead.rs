@@ -16,7 +16,10 @@
 //!   profiled recording within 1.3x of plain recording, and the
 //!   end-to-end pre-checked execution within 1.3x of an unchecked one.
 //!
-//! Gates compare each benchmark's *fastest* sample (see [`min_of`]).
+//! Gates compare each benchmark's *fastest* sample (see [`min_of`]), and
+//! the two arms of each gate are measured interleaved. Every gate is
+//! evaluated and each failure printed, then the process exits non-zero
+//! when any failed.
 
 use dca_analysis::{EffectMap, IteratorSlice};
 use dca_bench::harness::Harness;
@@ -74,105 +77,114 @@ fn main() {
     let effects = EffectMap::new(&m);
     let slice = IteratorSlice::compute_with(&view, &l, &effects);
 
-    h.bench_function("deps/record_plain", |b| {
-        b.iter(|| {
-            let mut rec = Machine::new(&m);
-            let g = record_golden(
-                &mut rec,
-                main_fn,
-                &[],
-                lref.func,
-                &l,
-                &slice,
-                0,
-                0,
-                cfg.max_trip,
-                cfg.max_steps,
-                None,
-                None,
-                false,
-                None,
-            )
-            .expect("record");
-            black_box(g.iters.len())
-        })
-    });
-    h.bench_function("deps/record_profiled", |b| {
-        b.iter(|| {
-            let mut rec = Machine::new(&m);
+    // Each pair of arms a gate compares is measured side by side: every
+    // arm is warmed by one untimed run, then their samples alternate, so
+    // no arm pays alone for a cold process or a slow stretch of the host
+    // (see `Harness::bench_interleaved`).
+    let record = |probe: Option<&mut FootprintProbe>| {
+        let mut rec = Machine::new(&m);
+        let g = record_golden(
+            &mut rec,
+            main_fn,
+            &[],
+            lref.func,
+            &l,
+            &slice,
+            0,
+            0,
+            cfg.max_trip,
+            cfg.max_steps,
+            None,
+            None,
+            false,
+            probe,
+        )
+        .expect("record");
+        black_box(g.iters.len())
+    };
+    h.bench_interleaved(&mut [
+        ("deps/record_plain", &mut || {
+            record(None);
+        }),
+        ("deps/record_profiled", &mut || {
             let mut probe = FootprintProbe::new();
-            let g = record_golden(
-                &mut rec,
-                main_fn,
-                &[],
-                lref.func,
-                &l,
-                &slice,
-                0,
-                0,
-                cfg.max_trip,
-                cfg.max_steps,
-                None,
-                None,
-                false,
-                Some(&mut probe),
-            )
-            .expect("record");
-            let p = probe.finish();
-            assert_eq!(p.len(), g.iters.len(), "full profile expected");
-            black_box(g.iters.len())
-        })
-    });
+            let n = record(Some(&mut probe));
+            assert_eq!(probe.finish().len(), n, "full profile expected");
+        }),
+    ]);
 
     let obs = Obs::disabled();
-    for (name, precheck) in [("deps/exec_disarmed", false), ("deps/exec_armed", true)] {
-        let ecfg = ExecConfig {
-            threads: 2,
-            deps_precheck: precheck,
-            ..ExecConfig::from_dca(&cfg)
-        };
-        h.bench_function(name, |b| {
-            b.iter(|| {
-                let out = execute_loop(&m, &[], lref, &ecfg, &obs).expect("execute");
-                assert!(out.validated, "fixture must validate");
-                out.fingerprint
-            })
-        });
-    }
+    let ecfg = |precheck: bool| ExecConfig {
+        threads: 2,
+        deps_precheck: precheck,
+        ..ExecConfig::from_dca(&cfg)
+    };
+    let (disarmed_cfg, armed_cfg) = (ecfg(false), ecfg(true));
+    let execute = |ecfg: &ExecConfig| {
+        let out = execute_loop(&m, &[], lref, ecfg, &obs).expect("execute");
+        assert!(out.validated, "fixture must validate");
+        black_box(out.fingerprint);
+    };
+    h.bench_interleaved(&mut [
+        ("deps/exec_disarmed", &mut || execute(&disarmed_cfg)),
+        ("deps/exec_armed", &mut || execute(&armed_cfg)),
+    ]);
 
     h.finish();
+
+    // Every gate is evaluated, so one failing gate cannot hide another.
+    let mut failures: Vec<String> = Vec::new();
+    let mut check = |gate: u32, ok: bool, msg: String| {
+        if !ok {
+            failures.push(format!("gate {gate} failed: {msg}"));
+        }
+    };
 
     // Gate 1: the plain recording path must pay nothing for the probe's
     // existence — it has no hooks at all, so it can only be slower than
     // the profiled path through a regression.
     let plain = min_of(&h, "deps/record_plain");
     let profiled = min_of(&h, "deps/record_profiled");
-    assert!(
+    check(
+        1,
         plain.as_secs_f64() <= profiled.as_secs_f64() * 1.25,
-        "plain recording ({plain:?}) slower than profiled ({profiled:?}) — \
-         the disarmed path is no longer free"
+        format!(
+            "plain recording ({plain:?}) slower than profiled ({profiled:?}) — \
+             the disarmed path is no longer free"
+        ),
     );
     // Gate 2: the armed probe must stay within its 1.3x budget on a
     // heap-access-heavy loop.
-    assert!(
+    check(
+        2,
         profiled.as_secs_f64() <= plain.as_secs_f64() * 1.3,
-        "profiled recording ({profiled:?}) exceeds 1.3x plain ({plain:?}) — \
-         the footprint probe got expensive"
+        format!(
+            "profiled recording ({profiled:?}) exceeds 1.3x plain ({plain:?}) — \
+             the footprint probe got expensive"
+        ),
     );
 
     // Gates 3 and 4: same two claims end to end through `execute_loop`,
     // where the armed run also pays for the overlap sweep itself.
     let disarmed = min_of(&h, "deps/exec_disarmed");
     let armed = min_of(&h, "deps/exec_armed");
-    assert!(
+    check(
+        3,
         disarmed.as_secs_f64() <= armed.as_secs_f64() * 1.25,
-        "pre-check-disabled execution ({disarmed:?}) slower than enabled ({armed:?})"
+        format!("pre-check-disabled execution ({disarmed:?}) slower than enabled ({armed:?})"),
     );
-    assert!(
+    check(
+        4,
         armed.as_secs_f64() <= disarmed.as_secs_f64() * 1.3,
-        "pre-checked execution ({armed:?}) exceeds 1.3x unchecked ({disarmed:?})"
+        format!("pre-checked execution ({armed:?}) exceeds 1.3x unchecked ({disarmed:?})"),
     );
 
+    for f in &failures {
+        eprintln!("{f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
     println!(
         "deps overhead gates passed: record {plain:?} (plain) vs {profiled:?} (profiled), \
          execute {disarmed:?} (disarmed) vs {armed:?} (armed)"

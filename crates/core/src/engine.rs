@@ -507,6 +507,8 @@ impl Dca {
             RecordError::BudgetExhausted => SkipReason::GoldenBudget,
             RecordError::DeadlineExpired => SkipReason::Deadline,
             RecordError::Cancelled => SkipReason::Cancelled,
+            // invariant: the engine's requests never set `stop_at_fresh`.
+            RecordError::FreshAccess(_) => unreachable!("the engine records to the exit"),
         };
         Some(LoopVerdict::Skipped(reason))
     }
@@ -882,6 +884,7 @@ impl Dca {
                 min_trip: 2,
                 max_trip: self.config.max_trip,
                 probe: None,
+                stop_at_fresh: false,
             })
             .collect();
         let mut machine = self.new_machine(module);

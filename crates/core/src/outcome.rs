@@ -962,9 +962,9 @@ mod tests {
             // Roots: the `a` head pointer. Find it via the heap: the object
             // whose v == 1.
             let head = machine
-                .heap()
-                .iter()
-                .position(|o| o.cells.first() == Some(&Value::Int(1)))
+                .heap_tail(0)
+                .objs()
+                .position(|o| o.first() == Some(&Value::Int(1)))
                 .expect("node a");
             StateDigest::capture(&machine, &[Value::Ptr(ObjId(head as u32))])
         };
@@ -993,9 +993,9 @@ mod tests {
                 .expect("push");
             machine.run(&mut NoHooks, u64::MAX).expect("run");
             let a = machine
-                .heap()
-                .iter()
-                .position(|o| o.cells.first() == Some(&Value::Int(1)))
+                .heap_tail(0)
+                .objs()
+                .position(|o| o.first() == Some(&Value::Int(1)))
                 .expect("node a");
             StateDigest::capture(&machine, &[Value::Ptr(ObjId(a as u32))])
         };
@@ -1039,9 +1039,9 @@ mod tests {
                 .expect("push");
             machine.run(&mut NoHooks, u64::MAX).expect("run");
             let head = machine
-                .heap()
-                .iter()
-                .position(|o| o.cells.first() == Some(&Value::Int(1)))
+                .heap_tail(0)
+                .objs()
+                .position(|o| o.first() == Some(&Value::Int(1)))
                 .expect("node a");
             let roots = [Value::Ptr(ObjId(head as u32))];
             let (hash, cells) = hash_live_state(&machine, &roots, scratch);
@@ -1216,7 +1216,7 @@ mod tests {
             .push_call(m.main().expect("main"), &[])
             .expect("push");
         machine.run(&mut NoHooks, u64::MAX).expect("run");
-        let node = ObjId(machine.heap().len() as u32 - 1);
+        let node = ObjId(machine.heap_len() as u32 - 1);
         let d1 = StateDigest::capture(&machine, &[Value::Ptr(node)]);
         let d2 = StateDigest::capture(&machine, &[Value::Int(5)]);
         assert!(!d1.matches(&d2, 1e-8));

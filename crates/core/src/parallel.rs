@@ -245,12 +245,13 @@ where
 /// stop may or may not be filled — workers that had already claimed them
 /// finish them — and callers must ignore them.
 ///
-/// When `obs` has a trace sink, each worker of the multi-threaded path
-/// emits one `worker` event tagged with `pool` on exit (see DESIGN.md
-/// §11), and a `stop_observed` event when it abandons a claim because
-/// the claim is past the current stop index — the scheduling-dependent
-/// race the deterministic fold hides. With tracing off the workers never
-/// read the clock.
+/// On the multi-threaded path worker 0 runs on the calling thread and
+/// the others on scoped threads. When `obs` has a trace sink, each worker
+/// of that path emits one `worker` event tagged with `pool` on exit (see
+/// DESIGN.md §11), and a `stop_observed` event when it abandons a claim
+/// because the claim is past the current stop index — the
+/// scheduling-dependent race the deterministic fold hides. With tracing
+/// off the workers never read the clock.
 ///
 /// Each worker carries **worker-local state**: `init()` runs once per
 /// worker (once total on the sequential path) and the resulting value is
@@ -297,51 +298,53 @@ where
         return slots;
     }
     let next = AtomicUsize::new(0);
-    let (next, init, f) = (&next, &init, &f);
+    let work = |w: usize| {
+        let mut stats = WorkerStats::begin(obs);
+        let mut state = init();
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            // `stop.current()` only decreases and claims only
+            // increase, so once a claim is past the stop every
+            // later claim is too: breaking is safe, and an
+            // index below the final stop is never skipped.
+            if i >= items.len() {
+                break;
+            }
+            let cur = stop.current();
+            if i > cur {
+                if obs.has_trace() {
+                    obs.trace_event(
+                        "stop_observed",
+                        &[
+                            ("pool", TraceVal::Str(pool)),
+                            ("worker", TraceVal::U64(w as u64)),
+                            ("claim", TraceVal::U64(i as u64)),
+                            ("stop", TraceVal::U64(cur as u64)),
+                        ],
+                    );
+                }
+                break;
+            }
+            let t = stats.item_start();
+            local.push((i, f(&mut state, i, &items[i])));
+            stats.item_end(t);
+        }
+        stats.finish(obs, pool, w);
+        local
+    };
+    // Worker 0 runs on the calling thread, which would otherwise only
+    // wait for the others.
+    let work = &work;
     let buckets: Vec<Vec<(usize, R)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut stats = WorkerStats::begin(obs);
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        // `stop.current()` only decreases and claims only
-                        // increase, so once a claim is past the stop every
-                        // later claim is too: breaking is safe, and an
-                        // index below the final stop is never skipped.
-                        if i >= items.len() {
-                            break;
-                        }
-                        let cur = stop.current();
-                        if i > cur {
-                            if obs.has_trace() {
-                                obs.trace_event(
-                                    "stop_observed",
-                                    &[
-                                        ("pool", TraceVal::Str(pool)),
-                                        ("worker", TraceVal::U64(w as u64)),
-                                        ("claim", TraceVal::U64(i as u64)),
-                                        ("stop", TraceVal::U64(cur as u64)),
-                                    ],
-                                );
-                            }
-                            break;
-                        }
-                        let t = stats.item_start();
-                        local.push((i, f(&mut state, i, &items[i])));
-                        stats.item_end(t);
-                    }
-                    stats.finish(obs, pool, w);
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        let mut buckets = vec![work(0)];
+        buckets.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        buckets
     });
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     for (i, r) in buckets.into_iter().flatten() {

@@ -33,7 +33,7 @@ use crate::replay::GOVERN_GRANULE;
 use dca_analysis::IteratorSlice;
 use dca_deps::FootprintProbe;
 use dca_interp::{
-    AccessAt, Addr, LoopSink, LoopTracker, Machine, Obj, ObjId, OutputItem, Position, Snapshot,
+    AccessAt, Addr, Heap, LoopSink, LoopTracker, Machine, ObjId, OutputItem, Position, Snapshot,
     TrackedSteps, Trap, Value,
 };
 use dca_ir::{BlockId, FuncId, Function, Loop, LoopRef, VarId};
@@ -73,7 +73,9 @@ pub struct GoldenRecord {
 /// what a program-end replay is compared against to skip the rest of
 /// the program ([`GoldenRecord::exit_matches`]). Its size follows the
 /// invocation's work — cells written, objects allocated — not the size
-/// of the heap.
+/// of the heap. A record stopped at the loop exit (`stop_at_exit`) is
+/// never compared so: its consumers read only `position` and `vars`, and
+/// it keeps no written cells and no new objects.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExitState {
     /// Where control stood: the first instruction of the exit target
@@ -83,9 +85,13 @@ pub struct ExitState {
     /// Every cell of a pre-existing object the invocation wrote, with
     /// its value at the exit; sorted by address, one entry per cell.
     pub cells: Vec<(Addr, Value)>,
-    /// The objects allocated during the invocation, in allocation order;
-    /// they occupy the last `new_objs.len()` heap slots.
-    pub new_objs: Vec<Obj>,
+    /// The objects allocated during the invocation, in allocation order
+    /// and numbered from 0, as one flat copy; they occupy the last
+    /// `new_objs.len()` heap slots.
+    pub new_objs: Heap,
+    /// Whether `cells` and `new_objs` were kept: false for a record
+    /// stopped at the loop exit, which never matches.
+    pub heap_kept: bool,
     /// Heap objects at the exit.
     pub heap_len: usize,
     /// Heap cells allocated at the exit.
@@ -103,12 +109,14 @@ pub struct ExitState {
 impl ExitState {
     /// Captures the exit state of a machine whose invocation started when
     /// the heap held `base_heap` objects and the output `base_output`
-    /// items, and stored to the cells `writes` of those objects.
+    /// items, and stored to the cells `writes` of those objects. Only
+    /// with `heap` are the written cells and the new objects kept.
     fn capture(
         machine: &Machine<'_>,
         base_heap: usize,
         base_output: usize,
         mut writes: Vec<Addr>,
+        heap: bool,
     ) -> ExitState {
         writes.sort_unstable();
         writes.dedup();
@@ -121,8 +129,13 @@ impl ExitState {
         ExitState {
             position,
             cells,
-            new_objs: machine.heap()[base_heap..].to_vec(),
-            heap_len: machine.heap().len(),
+            new_objs: if heap {
+                machine.heap_tail(base_heap)
+            } else {
+                Heap::default()
+            },
+            heap_kept: heap,
+            heap_len: machine.heap_len(),
             heap_cells: machine.heap_cells(),
             output_start: base_output,
             output: machine.output()[base_output..].to_vec(),
@@ -173,12 +186,14 @@ impl GoldenRecord {
     /// O(cells written + objects allocated + roots) — the cells either
     /// run wrote, not the heap. Caller frames need no check: nothing
     /// runs in them while the loop does. A machine without an armed
-    /// journal never matches, since its write-set is unknown.
+    /// journal never matches, since its write-set is unknown, and
+    /// neither does any machine against a record stopped at the loop
+    /// exit, which keeps no exit heap.
     #[must_use]
     pub fn exit_matches(&self, machine: &Machine<'_>, roots: &[VarId]) -> bool {
         let x = &self.exit;
         if !self.same_position_and_output(machine)
-            || machine.heap().len() != x.heap_len
+            || machine.heap_len() != x.heap_len
             || machine.heap_cells() != x.heap_cells
         {
             return false;
@@ -204,9 +219,9 @@ impl GoldenRecord {
             return false;
         }
         let base = x.heap_len - x.new_objs.len();
-        x.new_objs.iter().enumerate().all(|(i, o)| {
+        x.new_objs.objs().enumerate().all(|(i, golden)| {
             let cells = machine.obj_cells(ObjId((base + i) as u32));
-            cells.len() == o.cells.len() && cells.iter().zip(&o.cells).all(|(a, b)| raw_eq(*a, *b))
+            cells.len() == golden.len() && cells.iter().zip(golden).all(|(a, b)| raw_eq(*a, *b))
         })
     }
 
@@ -245,7 +260,7 @@ impl GoldenRecord {
         let mut walk = Renaming {
             base,
             golden: vec![u32::MAX; x.new_objs.len()],
-            replay: vec![u32::MAX; machine.heap().len().saturating_sub(base)],
+            replay: vec![u32::MAX; machine.heap_len().saturating_sub(base)],
             pending: Vec::new(),
         };
         let agree = roots
@@ -263,7 +278,7 @@ impl GoldenRecord {
             return false;
         }
         while let Some((g, r)) = walk.pending.pop() {
-            let golden = &x.new_objs[g as usize - base].cells;
+            let golden = x.new_objs.obj(ObjId(g - base as u32));
             let replay = machine.obj_cells(ObjId(r));
             if golden.len() != replay.len()
                 || !golden.iter().zip(replay).all(|(&a, &b)| walk.pair(a, b))
@@ -274,12 +289,14 @@ impl GoldenRecord {
         true
     }
 
-    /// The checks both exit comparisons start with: an armed journal,
-    /// the exit position, and the same output, bit for bit.
+    /// The checks both exit comparisons start with: a kept exit heap, an
+    /// armed journal, the exit position, and the same output, bit for
+    /// bit.
     fn same_position_and_output(&self, machine: &Machine<'_>) -> bool {
         let x = &self.exit;
         let out = machine.output();
-        machine.journal_armed()
+        x.heap_kept
+            && machine.journal_armed()
             && machine.position() == Some(x.position)
             && out.len() == x.output_start + x.output.len()
             && out[x.output_start..]
@@ -348,6 +365,10 @@ pub enum RecordError {
     DeadlineExpired,
     /// The run's [`CancelToken`] was tripped during the golden run.
     Cancelled,
+    /// The invocation's payload touched an object allocated since its
+    /// entry ([`RecordRequest::stop_at_fresh`]), and the recording
+    /// stopped there. Carries the invocation's entry snapshot.
+    FreshAccess(Arc<Snapshot>),
 }
 
 /// One loop for [`record_program`] to record.
@@ -370,6 +391,13 @@ pub struct RecordRequest<'a> {
     /// A footprint probe for a one-invocation request (see
     /// [`record_golden`]).
     pub probe: Option<&'a mut FootprintProbe>,
+    /// Stop at the invocation's first payload access to an object
+    /// allocated since its entry that joins the probe's footprint (as
+    /// an upward-exposed read or a write), failing the loop with
+    /// [`RecordError::FreshAccess`]. For a request with a probe, of its
+    /// loop's first invocation with `min_trip` 0: the parallel executor's
+    /// pre-check refuses such a loop whatever the rest of the run does.
+    pub stop_at_fresh: bool,
 }
 
 /// One request's results: one per requested invocation, in invocation
@@ -419,6 +447,8 @@ struct Watch<'p> {
     /// Invocations still to keep.
     keeps_left: u32,
     probe: Option<&'p mut FootprintProbe>,
+    /// See [`RecordRequest::stop_at_fresh`].
+    stop_at_fresh: bool,
     phase: Phase,
     /// The last call the recorded activation's frame made: an access in a
     /// callee takes its side.
@@ -431,8 +461,12 @@ struct Watch<'p> {
     pending: Option<Vec<Value>>,
     iters: Vec<Vec<Value>>,
     /// Heap objects at the recorded activation's entry, set by the driver
-    /// with the snapshot: only cells of older objects join `writes`.
+    /// with the snapshot: younger objects are fresh.
     base_heap: usize,
+    /// Stores to objects below this index join `writes`: `base_heap`
+    /// when the exit state is kept for comparison, 0 for a record that
+    /// stops at the loop exit.
+    writes_below: usize,
     /// The cells of pre-existing objects the recorded activation stored
     /// to, once per store.
     writes: Vec<Addr>,
@@ -463,18 +497,24 @@ impl Watch<'_> {
     }
 
     /// Hands an access by instruction `at` to the probe, on that
-    /// instruction's side. Out of line, so that the run loop's access
-    /// sites stay small for unprofiled recordings.
+    /// instruction's side; true when it decides a `stop_at_fresh` watch.
+    /// Out of line, so that the run loop's access sites stay small for
+    /// unprofiled recordings.
     #[inline(never)]
-    fn profile(&mut self, at: (BlockId, usize), addr: Addr, store: Option<(Value, Value)>) {
+    fn profile(&mut self, at: (BlockId, usize), addr: Addr, store: Option<(Value, Value)>) -> bool {
         let Some(p) = self.probe.as_deref_mut() else {
-            return;
+            return false;
         };
-        p.set_payload(!self.slice.contains(at));
+        let payload = !self.slice.contains(at);
+        p.set_payload(payload);
         match store {
             None => p.read(addr.obj.0, addr.cell),
             Some((old, new)) => p.store(addr.obj.0, addr.cell, old, new),
         }
+        self.stop_at_fresh
+            && payload
+            && addr.obj.index() >= self.base_heap
+            && p.payload_touched(addr.obj.0, addr.cell)
     }
 
     /// Freezes the in-flight iteration's values.
@@ -523,6 +563,9 @@ enum Event {
         iters: Vec<Vec<Value>>,
         writes: Vec<Addr>,
     },
+    /// The recorded activation's payload touched a fresh object under
+    /// `stop_at_fresh`: fail the loop with its snapshot.
+    Fresh,
 }
 
 /// The golden-recording [`LoopSink`]: picks, among each watched loop's
@@ -680,10 +723,14 @@ impl LoopSink for GoldenSink<'_> {
         store: Option<(Value, Value)>,
     ) {
         for (k, &mut act) in live.iter_mut().enumerate() {
-            let Some(w) = self.recording(act) else {
+            let Some(r) = act else {
                 continue;
             };
-            if store.is_some() && addr.obj.index() < w.base_heap {
+            let w = &mut self.watches[r];
+            if w.phase != Phase::Recording {
+                continue;
+            }
+            if store.is_some() && addr.obj.index() < w.writes_below {
                 w.writes.push(addr);
             }
             if w.probe.is_some() {
@@ -693,7 +740,10 @@ impl LoopSink for GoldenSink<'_> {
                 } else {
                     w.call_at
                 };
-                w.profile(pos, addr, store);
+                if w.profile(pos, addr, store) {
+                    w.phase = Phase::Done;
+                    self.events.push((r, Event::Fresh));
+                }
             }
         }
     }
@@ -718,16 +768,19 @@ impl LoopSink for GoldenSink<'_> {
 /// With `stop_at_exit` each record ends at its invocation's exit instead
 /// of the program's (mirroring [`crate::replay::run_replay`]'s
 /// `stop_at_loop_exit`): its `outcome` and `total_steps` describe the run
-/// up to that exit, and the run stops once every request has finished, so
-/// the machine stands at the last kept exit. `on_exit(request, machine)`
-/// is called at every kept exit with the machine standing there.
+/// up to that exit, its [`ExitState`] keeps no heap, and the run stops
+/// once every request has finished, so the machine stands at the last
+/// kept exit. `on_exit(request, machine)` is called at every kept exit
+/// with the machine standing there.
 ///
 /// Failures follow the runs each loop would get alone. A trap or an
 /// exhausted step budget, a deadline or a cancel fails every loop that has
 /// not finished; under the program-end scope no loop finishes before the
 /// program does. [`RecordError::TripLimit`] fails only its own loop, and
 /// a loop whose invocations never all run is
-/// [`RecordError::NotExercised`].
+/// [`RecordError::NotExercised`]. A request with `stop_at_fresh` fails
+/// with [`RecordError::FreshAccess`] at its deciding access, before any
+/// later failure.
 #[allow(clippy::too_many_arguments)]
 pub fn record_program(
     machine: &mut Machine<'_>,
@@ -752,6 +805,10 @@ pub fn record_program(
                 loop_id: q.l.id,
             };
             assert!(by_loop.insert(lref, r).is_none(), "one request per loop");
+            debug_assert!(
+                !q.stop_at_fresh || q.probe.is_some(),
+                "stop_at_fresh reads the probe"
+            );
             let keeps = q.invocations.end.saturating_sub(q.invocations.start);
             Watch {
                 rec_vars: q.slice.slice_vars.iter().copied().collect(),
@@ -762,6 +819,7 @@ pub fn record_program(
                 skips_left: q.invocations.start,
                 keeps_left: keeps,
                 probe: q.probe,
+                stop_at_fresh: q.stop_at_fresh,
                 phase: if keeps == 0 {
                     Phase::Done
                 } else {
@@ -771,6 +829,7 @@ pub fn record_program(
                 pending: None,
                 iters: Vec::new(),
                 base_heap: 0,
+                writes_below: 0,
                 writes: Vec::new(),
                 wanted: keeps as usize,
                 snapshot: None,
@@ -842,7 +901,8 @@ pub fn record_program(
                         live_cells += cells;
                         peak = peak.max(live_cells);
                         w.snapshot = Some((machine.snapshot(), cells));
-                        w.base_heap = machine.heap().len();
+                        w.base_heap = machine.heap_len();
+                        w.writes_below = if stop_at_exit { 0 } else { w.base_heap };
                         w.base_output = machine.output().len();
                     }
                     Event::Discard => {
@@ -850,9 +910,21 @@ pub fn record_program(
                             live_cells -= cells;
                         }
                     }
+                    Event::Fresh => {
+                        let (snapshot, cells) =
+                            w.snapshot.take().expect("a refused activation entered");
+                        live_cells -= cells;
+                        w.failure = Some(RecordError::FreshAccess(Arc::new(snapshot)));
+                    }
                     Event::Keep { iters, writes } => {
                         let (snapshot, _) = w.snapshot.take().expect("a kept activation entered");
-                        let exit = ExitState::capture(machine, w.base_heap, w.base_output, writes);
+                        let exit = ExitState::capture(
+                            machine,
+                            w.base_heap,
+                            w.base_output,
+                            writes,
+                            !stop_at_exit,
+                        );
                         on_exit(r, machine);
                         w.kept.push(GoldenRecord {
                             snapshot: Arc::new(snapshot),
@@ -976,6 +1048,7 @@ pub fn record_golden(
         min_trip,
         max_trip,
         probe,
+        stop_at_fresh: false,
     };
     let run = record_program(
         machine,
@@ -1288,6 +1361,7 @@ mod tests {
                 min_trip: 2,
                 max_trip,
                 probe: None,
+                stop_at_fresh: false,
             })
             .collect();
         record_program(

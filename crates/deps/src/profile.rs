@@ -273,13 +273,10 @@ impl CellFolds {
     /// The fold of `key`, new if the iteration has not touched it yet.
     #[inline(always)]
     fn get(&mut self, key: u64) -> &mut CellFold {
-        let mut i = self.home(key);
-        while let Some(at) = self.taken(i) {
-            if self.folds[at].key == key {
-                return &mut self.folds[at];
-            }
-            i = (i + 1) & (self.slots.len() - 1);
-        }
+        let mut i = match self.lookup(key) {
+            Ok(at) => return &mut self.folds[at],
+            Err(free) => free,
+        };
         // Kept at most half full.
         if 2 * (self.folds.len() + 1) > self.slots.len() {
             self.grow();
@@ -298,6 +295,25 @@ impl CellFolds {
         });
         let last = self.folds.len() - 1;
         &mut self.folds[last]
+    }
+
+    /// The fold of `key`, if the iteration touched it.
+    fn find(&self, key: u64) -> Option<&CellFold> {
+        self.lookup(key).ok().map(|at| &self.folds[at])
+    }
+
+    /// The place of `key`'s fold, or else the free slot its probe
+    /// sequence reached.
+    #[inline(always)]
+    fn lookup(&self, key: u64) -> Result<usize, usize> {
+        let mut i = self.home(key);
+        while let Some(at) = self.taken(i) {
+            if self.folds[at].key == key {
+                return Ok(at);
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        Err(i)
     }
 
     /// `key`'s home slot: the top bits of its Fibonacci hash.
@@ -516,6 +532,16 @@ impl FootprintProbe {
         } else {
             self.nets[*net as usize].1 = new;
         }
+    }
+
+    /// Whether the current iteration's footprint holds the cell as an
+    /// upward-exposed payload read or a payload write: the cell is then
+    /// in the iteration's `reads` or `writes` once it commits.
+    #[must_use]
+    pub fn payload_touched(&self, obj: u32, cell: u32) -> bool {
+        self.folds
+            .find(key(obj, cell))
+            .is_some_and(|f| f.flags & (READ | PAY_STORED) != 0)
     }
 
     /// Seals the probe into the finished profile.

@@ -27,14 +27,16 @@
 #![warn(missing_docs)]
 
 mod code;
+pub mod heap;
 pub mod hooks;
 pub mod machine;
 pub mod profile;
 pub mod value;
 
+pub use heap::Heap;
 pub use hooks::{Hooks, NoHooks, Plan, Site, TermAction};
 pub use machine::{
-    JournalStats, Limits, Machine, Obj, OpCounts, Outcome, OutputItem, Position, Snapshot, Trap,
+    JournalStats, Limits, Machine, OpCounts, Outcome, OutputItem, Position, Snapshot, Trap,
 };
 pub use profile::{AccessAt, LoopSink, LoopTracker, TrackedSteps};
 pub use value::{Addr, ObjId, Value};

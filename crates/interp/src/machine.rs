@@ -19,18 +19,11 @@
 //! loop. Hooks see only the variables of a window.
 
 use crate::code::{const_value, zero_of, Code, FuncCode, Op, PrintItem, Slot, Term, NO_SLOT};
+use crate::heap::Heap;
 use crate::hooks::{Hooks, Plan, Site, TermAction};
 use crate::value::{Addr, ObjId, Value};
 use dca_ir::{BinOp, BlockId, FuncId, Intrinsic, Module, Ty, VarId};
 use std::fmt;
-
-/// A heap object: a vector of value cells (struct fields or array
-/// elements).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Obj {
-    /// The cells.
-    pub cells: Vec<Value>,
-}
 
 /// One entry of the program's observable output stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,7 +133,8 @@ struct Frame {
 pub struct Limits {
     /// Maximum call-stack depth.
     pub max_depth: usize,
-    /// Maximum total heap cells.
+    /// Maximum total heap cells. The heap's cell offsets are 32-bit, so
+    /// a heap never holds more than `u32::MAX` cells whatever the limit.
     pub max_heap_cells: u64,
 }
 
@@ -157,10 +151,12 @@ impl Default for Limits {
 ///
 /// `PartialEq` compares full state field-wise (floats by IEEE equality),
 /// which differential tests use to assert two restore paths converge on
-/// identical machines.
+/// identical machines. The heap is one arena ([`Heap`]), so taking,
+/// cloning and dropping a snapshot costs a few buffer copies or frees,
+/// not one per object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    heap: Vec<Obj>,
+    heap: Heap,
     frames: Vec<Frame>,
     regs: Vec<Value>,
     output: Vec<OutputItem>,
@@ -177,7 +173,12 @@ impl Snapshot {
     ///
     /// Panics if `addr` does not name a cell of the captured heap.
     pub fn read_cell(&self, addr: Addr) -> Value {
-        self.heap[addr.obj.index()].cells[addr.cell as usize]
+        self.heap.get(addr)
+    }
+
+    /// Heap cells allocated in the captured state: what a restore copies.
+    pub fn heap_cells(&self) -> u64 {
+        self.heap_cells
     }
 }
 
@@ -241,8 +242,7 @@ impl OpCounts {
 /// Undo record for one journaled heap-cell overwrite.
 #[derive(Debug, Clone, Copy)]
 struct CellUndo {
-    obj: ObjId,
-    cell: u32,
+    addr: Addr,
     old: Value,
 }
 
@@ -252,8 +252,8 @@ struct CellUndo {
 ///
 /// Heap-cell overwrites are logged individually (old value per cell);
 /// objects allocated after arming need no per-cell log because the heap
-/// is append-only during execution, so truncating back to the armed
-/// length discards them wholesale. Frames and their registers are
+/// is append-only during execution, so truncating the arena back to the
+/// armed length discards them wholesale. Frames and their registers are
 /// captured by copy at arming time: [`Hooks`] implementations receive
 /// `&mut [Value]` views of frame variables and may rewrite them without
 /// the machine seeing the store, so per-write register journaling is
@@ -323,7 +323,7 @@ enum Args<'a> {
 pub struct Machine<'m> {
     module: &'m Module,
     code: &'m Code,
-    heap: Vec<Obj>,
+    heap: Heap,
     frames: Vec<Frame>,
     /// The register stack: each frame's window, its variables followed by
     /// its function's constants, in frame order.
@@ -357,22 +357,14 @@ impl<'m> Machine<'m> {
 
     /// Creates a machine with explicit execution limits.
     pub fn with_limits(module: &'m Module, limits: Limits) -> Self {
-        let mut heap = Vec::with_capacity(module.globals.len());
-        let mut heap_cells = 0u64;
+        let mut heap = Heap::default();
         for g in &module.globals {
-            let cells = match &g.ty {
-                Ty::Array(elem, n) => vec![zero_of(elem); *n],
-                ty => {
-                    let mut v = zero_of(ty);
-                    if let Some(init) = &g.init {
-                        v = const_value(init);
-                    }
-                    vec![v]
-                }
+            match &g.ty {
+                Ty::Array(elem, n) => heap.push_filled(zero_of(elem), *n),
+                ty => heap.push_filled(g.init.as_ref().map_or(zero_of(ty), const_value), 1),
             };
-            heap_cells += cells.len() as u64;
-            heap.push(Obj { cells });
         }
+        let heap_cells = heap.cell_count() as u64;
         Machine {
             module,
             code: Code::of(module),
@@ -411,9 +403,10 @@ impl<'m> Machine<'m> {
         self.module
     }
 
-    /// Heap objects (globals first).
-    pub fn heap(&self) -> &[Obj] {
-        &self.heap
+    /// Number of heap objects (globals first); the next allocation gets
+    /// this id.
+    pub fn heap_len(&self) -> usize {
+        self.heap.len()
     }
 
     /// The cells of one heap object — the accessor the streaming
@@ -423,11 +416,17 @@ impl<'m> Machine<'m> {
     ///
     /// Panics if `o` does not name a live heap object.
     pub fn obj_cells(&self, o: ObjId) -> &[Value] {
-        &self.heap[o.index()].cells
+        self.heap.obj(o)
     }
 
-    /// Number of global heap objects (they occupy the first slots of
-    /// [`Machine::heap`], in declaration order).
+    /// A copy of the heap objects from the `from`th on, renumbered from
+    /// 0 ([`Heap::tail`]).
+    pub fn heap_tail(&self, from: usize) -> Heap {
+        self.heap.tail(from)
+    }
+
+    /// Number of global heap objects (they occupy the first heap slots,
+    /// in declaration order).
     pub fn globals_len(&self) -> usize {
         self.module.globals.len()
     }
@@ -510,7 +509,7 @@ impl<'m> Machine<'m> {
 
     /// Reads a memory cell directly (no hook events).
     pub fn read_cell(&self, addr: Addr) -> Value {
-        self.heap[addr.obj.index()].cells[addr.cell as usize]
+        self.heap.get(addr)
     }
 
     /// Overwrites a memory cell directly — no hook events, no journal
@@ -522,10 +521,11 @@ impl<'m> Machine<'m> {
     ///
     /// Panics if `addr` does not name a live cell.
     pub fn poke_cell(&mut self, addr: Addr, value: Value) {
-        self.heap[addr.obj.index()].cells[addr.cell as usize] = value;
+        self.heap.set(addr, value);
     }
 
-    /// Captures a restorable copy of the full machine state.
+    /// Captures a restorable copy of the full machine state: a copy of
+    /// each of the machine's buffers.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             heap: self.heap.clone(),
@@ -553,9 +553,12 @@ impl<'m> Machine<'m> {
     /// diverged from the snapshot's (only possible by interleaving
     /// restores from unrelated snapshots) is unsupported and
     /// debug-checked.
+    ///
+    /// The heap and the register stack are copied into the buffers the
+    /// machine already has.
     pub fn restore(&mut self, snap: &Snapshot) {
         self.journal = None;
-        self.heap = snap.heap.clone();
+        self.heap.clone_from(&snap.heap);
         self.frames.clone_from(&snap.frames);
         self.regs.clone_from(&snap.regs);
         if self.output.len() >= snap.output.len() {
@@ -614,17 +617,9 @@ impl<'m> Machine<'m> {
     /// addresses, and the worker's contribution is the machine's current
     /// value at each of them.
     pub fn journal_writes(&self) -> impl Iterator<Item = (Addr, Value)> + '_ {
-        self.journal.iter().flat_map(|j| {
-            j.cells.iter().map(|u| {
-                (
-                    Addr {
-                        obj: u.obj,
-                        cell: u.cell,
-                    },
-                    u.old,
-                )
-            })
-        })
+        self.journal
+            .iter()
+            .flat_map(|j| j.cells.iter().map(|u| (u.addr, u.old)))
     }
 
     /// Monotonic journal counters for this machine's lifetime. Not
@@ -638,8 +633,8 @@ impl<'m> Machine<'m> {
     /// and disarms the journal. Undo records are replayed newest-first,
     /// so a cell overwritten several times ends on its original value;
     /// objects allocated since arming are discarded by truncating the
-    /// (append-only) heap. Safe after any exit from the journaled region
-    /// — clean finish, trap mid-write, budget pause, or a panic caught
+    /// (append-only) heap arena. Safe after any exit from the journaled
+    /// region — clean finish, trap mid-write, budget pause, or a panic caught
     /// by the engine's containment layer, in which case the *next* user
     /// of the machine rolls the armed journal back.
     ///
@@ -649,7 +644,7 @@ impl<'m> Machine<'m> {
     pub fn rollback(&mut self) {
         let j = self.journal.take().expect("rollback without armed journal");
         for u in j.cells.iter().rev() {
-            self.heap[u.obj.index()].cells[u.cell as usize] = u.old;
+            self.heap.set(u.addr, u.old);
         }
         self.journal_stats.cells_undone += j.cells.len() as u64;
         self.journal_stats.objs_discarded += (self.heap.len() - j.base_heap_len) as u64;
@@ -670,13 +665,12 @@ impl<'m> Machine<'m> {
     /// a journal is armed and the object predates it (younger objects
     /// are discarded wholesale by rollback truncation).
     #[inline]
-    fn journal_cell(&mut self, obj: ObjId, cell: u32) {
+    fn journal_cell(&mut self, addr: Addr) {
         if let Some(j) = &mut self.journal {
-            if obj.index() < j.base_heap_len {
+            if addr.obj.index() < j.base_heap_len {
                 j.cells.push(CellUndo {
-                    obj,
-                    cell,
-                    old: self.heap[obj.index()].cells[cell as usize],
+                    addr,
+                    old: self.heap.get(addr),
                 });
             }
         }
@@ -731,7 +725,7 @@ impl<'m> Machine<'m> {
             }
         }
         for &(slot, zero, n) in &fc.arrays {
-            match self.alloc(vec![zero; n]) {
+            match self.alloc(Fill::Value(zero, n)) {
                 Ok(obj) => self.regs[base + slot as usize] = Value::Ptr(obj),
                 Err(t) => {
                     self.regs.truncate(base);
@@ -750,22 +744,30 @@ impl<'m> Machine<'m> {
         Ok(())
     }
 
-    fn alloc(&mut self, cells: Vec<Value>) -> Result<ObjId, Trap> {
+    /// Allocates one object at the end of the heap arena.
+    fn alloc(&mut self, fill: Fill<'_>) -> Result<ObjId, Trap> {
         if let Some(left) = &mut self.alloc_fault {
             if *left == 0 {
                 return Err(Trap::OutOfMemory);
             }
             *left -= 1;
         }
+        let n = match fill {
+            Fill::Value(_, n) => n,
+            Fill::Copy(cells) => cells.len(),
+        };
         self.ops.heap_allocs += 1;
-        self.ops.heap_cells_allocated += cells.len() as u64;
-        self.heap_cells += cells.len() as u64;
-        if self.heap_cells > self.limits.max_heap_cells {
+        self.ops.heap_cells_allocated += n as u64;
+        self.heap_cells += n as u64;
+        if self.heap_cells > self.limits.max_heap_cells
+            || (self.heap.cell_count() + n) as u64 > Heap::MAX_CELLS
+        {
             return Err(Trap::OutOfMemory);
         }
-        let id = ObjId(self.heap.len() as u32);
-        self.heap.push(Obj { cells });
-        Ok(id)
+        Ok(match fill {
+            Fill::Value(v, n) => self.heap.push_filled(v, n),
+            Fill::Copy(cells) => self.heap.push_copy(cells),
+        })
     }
 
     /// Runs until the entry frame returns, `max_steps` are exhausted, or
@@ -1158,7 +1160,7 @@ impl<'m> Machine<'m> {
                 );
             }
             Op::AllocStruct { dst, sid } => {
-                let obj = self.alloc(self.code.structs[sid as usize].clone())?;
+                let obj = self.alloc(Fill::Copy(&self.code.structs[sid as usize]))?;
                 reg!(dst) = Value::Ptr(obj);
             }
             Op::AllocArray { dst, len } => {
@@ -1169,7 +1171,7 @@ impl<'m> Machine<'m> {
                 if n < 0 {
                     return Err(Trap::OutOfBounds { len: 0, index: n });
                 }
-                let obj = self.alloc(vec![Value::Int(0); n as usize])?;
+                let obj = self.alloc(Fill::Value(Value::Int(0), n as usize))?;
                 reg!(dst) = Value::Ptr(obj);
             }
             Op::Print { items } => {
@@ -1191,7 +1193,7 @@ impl<'m> Machine<'m> {
     fn load<H: Hooks>(&mut self, hooks: &mut H, site: Site, addr: Addr) -> Value {
         self.ops.heap_reads += 1;
         hooks.on_read(site, addr);
-        self.heap[addr.obj.index()].cells[addr.cell as usize]
+        self.heap.get(addr)
     }
 
     /// A heap store: counted, reported with the old and new values,
@@ -1200,10 +1202,10 @@ impl<'m> Machine<'m> {
     fn store<H: Hooks>(&mut self, hooks: &mut H, site: Site, addr: Addr, v: Value) {
         self.ops.heap_writes += 1;
         hooks.on_write(site, addr);
-        let old = self.heap[addr.obj.index()].cells[addr.cell as usize];
+        let old = self.heap.get(addr);
         hooks.on_store(site, addr, old, v);
-        self.journal_cell(addr.obj, addr.cell);
-        self.heap[addr.obj.index()].cells[addr.cell as usize] = v;
+        self.journal_cell(addr);
+        self.heap.set(addr, v);
     }
 
     #[inline(always)]
@@ -1212,7 +1214,7 @@ impl<'m> Machine<'m> {
             Value::Int(i) => i,
             _ => return Err(Trap::IllTyped("index operand")),
         };
-        let len = self.heap[obj.index()].cells.len();
+        let len = self.heap.obj_len(obj);
         if i < 0 || i as usize >= len {
             return Err(Trap::OutOfBounds { len, index: i });
         }
@@ -1231,12 +1233,20 @@ impl<'m> Machine<'m> {
         };
         // invariant: the checker bounds field indices by the struct layout,
         // and every pointer to a struct of that type has that many cells.
-        debug_assert!((field as usize) < self.heap[o.index()].cells.len());
+        debug_assert!((field as usize) < self.heap.obj_len(o));
         Ok(Addr {
             obj: o,
             cell: field,
         })
     }
+}
+
+/// What a new object's cells start as.
+enum Fill<'a> {
+    /// `n` copies of one value.
+    Value(Value, usize),
+    /// A copy of a template.
+    Copy(&'a [Value]),
 }
 
 /// The object an indexed access goes through.
@@ -1835,6 +1845,98 @@ mod tests {
         assert_eq!(machine.snapshot(), snap);
         // The discarded journal contributed no rollback stats.
         assert_eq!(machine.journal_stats().rollbacks, 0);
+    }
+
+    /// Structs, heap arrays, a global array and a callee's frame arrays,
+    /// all allocated and written on every pass of the loop.
+    const HEAP_MIX: &str = "struct N { v: int, next: *N }\n\
+         let g: [int; 3];\n\
+         fn leaf(k: int) -> int { let t: [int; 4]; t[k % 4] = k; return t[k % 4] + 1; }\n\
+         fn main() -> int {\n\
+           let head: *N = null; let s: int = 0;\n\
+           for (let i: int = 0; i < 12; i = i + 1) {\n\
+             let n: *N = new N; n.v = leaf(i); n.next = head; head = n;\n\
+             let a: *int = new [int; 5]; a[i % 5] = i; g[i % 3] = g[i % 3] + a[i % 5];\n\
+           }\n\
+           let p: *N = head;\n\
+           while (p != null) { s = s + p.v; p = p.next; }\n\
+           return s + g[0] + g[1] + g[2];\n\
+         }";
+
+    #[test]
+    fn arena_snapshot_restore_and_rollback_return_to_the_snapshot() {
+        let m = compile(HEAP_MIX).expect("compile");
+        let main = m.main().expect("main");
+        let mut machine = Machine::new(&m);
+        machine.push_call(main, &[]).expect("push");
+        machine.run(&mut NoHooks, 60).expect("run partway");
+        let snap = machine.snapshot();
+        let objs = machine.heap_len();
+        assert!(objs > 3, "the loop allocated before the snapshot");
+
+        // A journaled run allocates structs, arrays and frame arrays;
+        // rollback truncates the arena back to the snapshot.
+        machine.begin_journal();
+        let r1 = machine.run(&mut NoHooks, u64::MAX).expect("run");
+        let end = machine.snapshot();
+        assert!(machine.heap_len() > objs);
+        machine.rollback();
+        assert_eq!(machine.snapshot(), snap);
+        assert_eq!(machine.heap_len(), objs);
+
+        // Restore after a full run, and onto a fresh machine.
+        let r2 = machine.run(&mut NoHooks, u64::MAX).expect("rerun");
+        assert_eq!(r1, r2);
+        assert_eq!(machine.snapshot(), end);
+        machine.restore(&snap);
+        assert_eq!(machine.snapshot(), snap);
+        let mut fresh = Machine::new(&m);
+        fresh.restore(&snap);
+        assert_eq!(fresh.snapshot(), snap);
+        assert_eq!(fresh.run(&mut NoHooks, u64::MAX).expect("run"), r1);
+        assert_eq!(fresh.snapshot(), end);
+
+        // Every object reads back through the arena as it was written.
+        let tail = fresh.heap_tail(objs);
+        assert_eq!(tail.len(), fresh.heap_len() - objs);
+        for (i, cells) in tail.objs().enumerate() {
+            assert_eq!(cells, fresh.obj_cells(ObjId((objs + i) as u32)));
+        }
+        assert_eq!(
+            tail.cell_count(),
+            tail.objs().map(<[Value]>::len).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn heap_limit_traps_at_the_same_allocation_after_rollback_and_restore() {
+        let m = compile(HEAP_MIX).expect("compile");
+        let main = m.main().expect("main");
+        let limits = Limits {
+            max_heap_cells: 40,
+            ..Limits::default()
+        };
+        let trap_at = |machine: &mut Machine<'_>| {
+            let allocs = machine.op_counts().heap_allocs;
+            let t = machine.run(&mut NoHooks, u64::MAX);
+            (t, machine.steps(), machine.op_counts().heap_allocs - allocs)
+        };
+        let mut straight = Machine::with_limits(&m, limits);
+        straight.push_call(main, &[]).expect("push");
+        straight.run(&mut NoHooks, 40).expect("run partway");
+        let snap = straight.snapshot();
+        let first = trap_at(&mut straight);
+        assert_eq!(first.0, Err(Trap::OutOfMemory));
+
+        let mut machine = Machine::with_limits(&m, limits);
+        machine.restore(&snap);
+        machine.begin_journal();
+        assert_eq!(trap_at(&mut machine), first);
+        machine.rollback();
+        assert_eq!(machine.snapshot(), snap);
+        assert_eq!(trap_at(&mut machine), first);
+        machine.restore(&snap);
+        assert_eq!(trap_at(&mut machine), first);
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //!    `exec.record_tracked_steps` counters split them. When the
 //!    decomposability pre-check or chunk autotuning wants it, a
 //!    [`dca_deps::FootprintProbe`] rides in the same run and returns the
-//!    per-iteration footprint profile.
+//!    per-iteration footprint profile. With the pre-check armed, the
+//!    recording of a loop whose payload touches an object the loop
+//!    allocated ends at that access: such a loop is refused, after the
+//!    entry-state reduction and histogram checks, without recording the
+//!    rest (`exec.refused_in_record`).
 //! 2. Each worker restores the snapshot into its own [`Machine`] and
 //!    drives the analysis's replay controller
 //!    ([`dca_core::ReplayController`]) with a worker-share iteration
@@ -90,6 +94,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Why a loop whose payload touches objects it allocated is refused,
+/// whether the pre-check or a worker finds it.
+const ALLOCATES: &str = "loop allocates heap objects; their identities cannot be merged";
 
 /// Resolves an [`ExecConfig::threads`] request to a concrete worker
 /// count: `0` means the `DCA_EXEC_THREADS` environment variable if it is
@@ -370,7 +379,9 @@ pub fn execute_loop(
     let want_profile = cfg.deps_precheck || cfg.schedule == Schedule::Auto;
     let mut probe = want_profile.then(FootprintProbe::new);
     // The recording stops at the loop exit, so its machine is left
-    // standing in the sequential exit state: the oracle.
+    // standing in the sequential exit state: the oracle. Under the
+    // pre-check it stops sooner, at the payload's first access to an
+    // object the invocation allocated, which decides the refusal.
     let mut oracle = Machine::new(module);
     let t = obs.span_start();
     let request = RecordRequest {
@@ -381,6 +392,7 @@ pub fn execute_loop(
         min_trip: 0,
         max_trip: cfg.max_trip,
         probe: probe.as_mut(),
+        stop_at_fresh: cfg.deps_precheck,
     };
     let run = record_program(
         &mut oracle,
@@ -397,25 +409,36 @@ pub fn execute_loop(
     obs.span_end("exec.record", t);
     obs.count("exec.record_idle_steps", run.steps.idle);
     obs.count("exec.record_tracked_steps", run.steps.tracked);
-    let golden = run
+    let record = run
         .loops
         .into_iter()
         .flatten()
         .next()
-        .expect("one result for the one requested invocation")
-        .map_err(ExecError::Record)?;
+        .expect("one result for the one requested invocation");
+    // A loop refused at its deciding access still gets the entry-state
+    // checks below, so it is refused for the reason a whole recording
+    // would give.
+    let (snapshot, golden) = match record {
+        Ok(golden) => (Arc::clone(&golden.snapshot), Some(golden)),
+        Err(RecordError::FreshAccess(snapshot)) => {
+            obs.count("exec.refused_in_record", 1);
+            (snapshot, None)
+        }
+        Err(e) => return Err(ExecError::Record(e)),
+    };
     debug_assert!(
-        profile
+        golden
             .as_ref()
-            .is_none_or(|p| p.len() == golden.iters.len()),
+            .is_none_or(|g| profile.as_ref().is_none_or(|p| p.len() == g.iters.len())),
         "profile iterations must align with the golden record"
     );
-    let n = golden.iters.len();
 
     // The master machine the harvests merge onto; also used to resolve
     // pre-loop state (reduction seeds, histogram base objects).
     let mut master = Machine::new(module);
-    master.restore(&golden.snapshot);
+    master.restore(&snapshot);
+    // The entry snapshot and the master's restore.
+    obs.count("exec.heap_cells_copied", 2 * snapshot.heap_cells());
 
     let mut reds: Vec<ScalarMerge> = Vec::with_capacity(plan.reductions.len());
     for sr in &plan.reductions {
@@ -469,6 +492,10 @@ pub fn execute_loop(
         }
         hists.push((obj, h.op, bop));
     }
+    let Some(golden) = golden else {
+        return Err(ExecError::Unsupported(ALLOCATES.into()));
+    };
+    let n = golden.iters.len();
 
     // --- Pre-spawn decomposability check (DESIGN.md §18). ---
     // Cells of recognized histogram arrays are exempt: the merge combines
@@ -515,6 +542,11 @@ pub fn execute_loop(
 
     let next = AtomicUsize::new(0);
     let workers: Vec<usize> = (0..threads).collect();
+    // Each worker restores the entry snapshot.
+    obs.count(
+        "exec.heap_cells_copied",
+        threads as u64 * snapshot.heap_cells(),
+    );
     let t = obs.span_start();
     let harvests = parallel_map(threads, &workers, obs, "exec", |_, &w| {
         run_worker(&ctx, make_source(chunk, w, threads, n, &next))
@@ -606,14 +638,12 @@ fn precheck(
     // pushed links) are fine — the pre-pass replays them identically in
     // every worker. (A truncated profile can miss accesses; the worker
     // check stays behind this as the backstop.)
-    let base_heap = master.heap().len() as u32;
+    let base_heap = master.heap_len() as u32;
     if p.iters().any(|it| {
         it.reads.iter().any(|&(obj, _)| obj >= base_heap)
             || it.writes.iter().any(|w| w.obj >= base_heap)
     }) {
-        return Err(ExecError::Unsupported(
-            "loop allocates heap objects; their identities cannot be merged".into(),
-        ));
+        return Err(ExecError::Unsupported(ALLOCATES.into()));
     }
     let excluded: BTreeSet<u32> = hists.iter().map(|&(o, ..)| o.0).collect();
     match check_decomposable(p, &excluded) {
@@ -861,7 +891,7 @@ fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, Ex
     let f = ctx.facts;
     let mut machine = Machine::new(f.view.module);
     machine.restore(&ctx.golden.snapshot);
-    let base_heap = machine.heap().len();
+    let base_heap = machine.heap_len();
     let base_out = machine.output().len();
 
     // Seed histogram cells with the identity *before* arming the
@@ -908,10 +938,8 @@ fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, Ex
         }
     }
 
-    if machine.heap().len() > base_heap {
-        return Err(ExecError::Unsupported(
-            "loop allocates heap objects; their identities cannot be merged".into(),
-        ));
+    if machine.heap_len() > base_heap {
+        return Err(ExecError::Unsupported(ALLOCATES.into()));
     }
     if machine.output().len() > base_out {
         return Err(ExecError::Unsupported(
@@ -919,19 +947,12 @@ fn run_worker(ctx: &WorkerCtx<'_>, source: IterSource<'_>) -> Result<Harvest, Ex
         ));
     }
 
-    let touched: BTreeSet<(u32, u32)> = machine
-        .journal_writes()
-        .map(|(addr, _old)| (addr.obj.0, addr.cell))
-        .collect();
+    let mut touched: Vec<Addr> = machine.journal_writes().map(|(addr, _old)| addr).collect();
+    touched.sort_unstable();
+    touched.dedup();
     let cells = touched
         .into_iter()
-        .map(|(obj, cell)| {
-            let addr = Addr {
-                obj: ObjId(obj),
-                cell,
-            };
-            (addr, machine.read_cell(addr))
-        })
+        .map(|addr| (addr, machine.read_cell(addr)))
         .collect();
 
     let share = ctl.into_order();
@@ -1481,6 +1502,78 @@ mod tests {
              (expected 78158dbf964465bf8414382e288d609a, got a760273b22b671b717f3d7f4009be195): \
              object #0 cell 0: golden 0, permuted 3"
         );
+    }
+
+    /// Iteration 0's payload stores to an array it just allocated; with
+    /// `trap`, iteration 20 then stores out of bounds.
+    fn fresh_src(trap: bool) -> String {
+        let fault = if trap {
+            "if (i == 20) { g[i] = 1; }"
+        } else {
+            ""
+        };
+        format!(
+            "let g: [int; 4];\n\
+             fn main() -> int {{ let s: int = 0; \
+             @l: for (let i: int = 0; i < 40; i = i + 1) {{ \
+               let p: *int = new [int; 2]; p[0] = i; s = s + p[0]; {fault} }} \
+             return s; }}"
+        )
+    }
+
+    /// Executes loop `l` of `src`; the result and the tracked steps its
+    /// recording took.
+    fn exec_counting(src: &str, cfg: &ExecConfig) -> (Result<ExecOutcome, ExecError>, u64, u64) {
+        let m = dca_ir::compile(src).expect("compile");
+        let lref = dca_ir::all_loops(&m)[0].0;
+        let obs = Obs::enabled();
+        let res = execute_loop(&m, &[], lref, cfg, &obs);
+        let rollup = obs.rollup().expect("enabled");
+        (
+            res,
+            rollup.counter("exec.record_tracked_steps"),
+            rollup.counter("exec.refused_in_record"),
+        )
+    }
+
+    #[test]
+    fn allocating_loop_is_refused_at_its_deciding_access() {
+        let cfg = |precheck: bool, max_trip: usize| ExecConfig {
+            threads: 2,
+            deps_precheck: precheck,
+            max_trip,
+            ..ExecConfig::default()
+        };
+        // A whole recording, for the steps one iteration takes.
+        let (whole, whole_steps, _) = exec_counting(&fresh_src(false), &cfg(false, 1000));
+        assert_eq!(
+            whole.err().map(|e| e.to_string()),
+            Some(format!("unsupported: {ALLOCATES}")),
+            "the workers refuse the loop after running it"
+        );
+        for (trap, max_trip) in [(false, 10), (true, 1000)] {
+            let src = fresh_src(trap);
+            let (on, steps, refused) = exec_counting(&src, &cfg(true, max_trip));
+            assert_eq!(
+                on.err().map(|e| e.to_string()),
+                Some(format!("unsupported: {ALLOCATES}")),
+                "trap {trap}"
+            );
+            assert_eq!(refused, 1, "trap {trap}");
+            // The recording ended inside iteration 0.
+            assert!(
+                steps > 0 && steps * 40 < whole_steps,
+                "trap {trap}: {steps} of {whole_steps} tracked steps"
+            );
+            // Without the pre-check the recording's own failure stands.
+            let (off, _, refused) = exec_counting(&src, &cfg(false, max_trip));
+            assert_eq!(refused, 0);
+            match off {
+                Err(ExecError::Record(RecordError::TripLimit)) if !trap => {}
+                Err(ExecError::Record(RecordError::Trapped(Trap::OutOfBounds { .. }))) if trap => {}
+                other => panic!("trap {trap}: expected the recording error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

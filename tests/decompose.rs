@@ -39,6 +39,9 @@ fn prespawn_refusals_match_the_validator_exactly() {
     // The executor's golden runs: steps with no tested activation live
     // (run without the recorder's hooks) and steps with one live.
     let mut record_steps = (0u64, 0u64);
+    // Recordings stopped at the access that decides an allocation
+    // refusal, and heap cells copied by snapshots and restores.
+    let (mut refused_in_record, mut heap_cells_copied) = (0u64, 0u64);
     for p in dca::suite::all_programs() {
         let m = p.module();
         let args = p.targs();
@@ -62,6 +65,8 @@ fn prespawn_refusals_match_the_validator_exactly() {
             let rollup = obs.rollup().expect("rollup");
             record_steps.0 += rollup.counter("exec.record_idle_steps");
             record_steps.1 += rollup.counter("exec.record_tracked_steps");
+            refused_in_record += rollup.counter("exec.refused_in_record");
+            heap_cells_copied += rollup.counter("exec.heap_cells_copied");
 
             match with {
                 Err(ExecError::NotDecomposable {
@@ -136,7 +141,12 @@ fn prespawn_refusals_match_the_validator_exactly() {
     );
     assert_eq!(validated, 171, "validated-loop count drifted");
     assert_eq!(structural, 23, "structural-refusal count drifted");
-    assert_eq!(record_steps, (2_053_320, 661_570), "recording work drifted");
+    assert_eq!(record_steps, (2_053_320, 332_514), "recording work drifted");
+    assert_eq!(
+        (refused_in_record, heap_cells_copied),
+        (11, 2_027_230),
+        "executor work drifted"
+    );
 }
 
 /// Loop families for the agreement property. The decomposable three are

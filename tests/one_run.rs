@@ -45,6 +45,7 @@ fn check(name: &str, m: &Module, args: &[Value], stop_at_exit: bool) -> usize {
             min_trip: 2,
             max_trip: cfg.max_trip,
             probe: None,
+            stop_at_fresh: false,
         })
         .collect();
     let run = record_program(

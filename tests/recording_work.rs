@@ -48,6 +48,7 @@ fn record(
         min_trip,
         max_trip: cfg.max_trip,
         probe: None,
+        stop_at_fresh: false,
     };
     let run = record_program(
         &mut Machine::new(m),
@@ -182,6 +183,7 @@ fn record_gap(
             min_trip: 2,
             max_trip: cfg.max_trip,
             probe: None,
+            stop_at_fresh: false,
         })
         .collect();
     let mut machine = Machine::new(&m);

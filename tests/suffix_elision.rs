@@ -176,9 +176,10 @@ struct ExitMisses {
 /// invocation, stopping at its exit), replays it in identity order to the
 /// loop exit, and checks that the replay restores the iterator's exit
 /// values. Compares the replay with the recording machine at the exit
-/// twice: the golden exit state bit for bit, and the live-root
-/// fingerprint the executor validates with. Loops whose recording fails
-/// are skipped, as the executor refuses them too.
+/// twice: the golden exit state bit for bit (which only a recording of
+/// the whole program keeps), and the live-root fingerprint the executor
+/// validates with. Loops whose recording fails are skipped, as the
+/// executor refuses them too.
 fn identity_exit_misses(name: &str, m: &Module, args: &[Value], out: &mut ExitMisses) {
     let cfg = DcaConfig::fast();
     let main = m.main().expect("main");
@@ -243,7 +244,24 @@ fn identity_exit_misses(name: &str, m: &Module, args: &[Value], out: &mut ExitMi
         if fingerprint(&machine, &roots.vars) != golden_fp {
             out.live_roots.push(loop_name.clone());
         }
-        if !golden.exit_matches(&machine, &roots.vars) {
+        let whole = record_golden(
+            &mut Machine::new(m),
+            main,
+            args,
+            lref.func,
+            l,
+            &slice,
+            0,
+            0,
+            cfg.max_trip,
+            cfg.max_steps,
+            None,
+            None,
+            false,
+            None,
+        )
+        .expect("the rest of the program runs");
+        if !whole.exit_matches(&machine, &roots.vars) {
             out.state.push(loop_name);
         }
     }
