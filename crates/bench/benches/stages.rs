@@ -1,5 +1,5 @@
-//! Benches for the individual DCA pipeline stages (paper Fig. 3): static
-//! analyses, golden recording, and permuted replay.
+//! Benches for the individual DCA pipeline stages (paper Fig. 3): the
+//! frontend, static analyses, golden recording, and permuted replay.
 
 use dca_analysis::{EffectMap, IteratorSlice, Liveness};
 use dca_bench::harness::Harness;
@@ -13,6 +13,36 @@ fn fixture() -> (dca_ir::Module, dca_ir::LoopRef, Vec<dca_interp::Value>) {
     let m = p.module();
     let l = p.loop_by_tag(&m, "blocks").expect("blocks loop");
     (m, l, p.targs())
+}
+
+/// The frontend over the whole suite, one arm per stage, each fed the
+/// previous stage's output for all 24 programs. `frontend/sema` clones
+/// the parsed programs it checks, since checking consumes them.
+fn bench_frontend(h: &mut Harness) {
+    let sources: Vec<&str> = dca_suite::all_programs().iter().map(|p| p.source).collect();
+    let lex = |s: &&'static str| dca_lang::lex(s).expect("suite program lexes");
+    h.bench_function("frontend/lex", |b| {
+        b.iter(|| sources.iter().map(lex).collect::<Vec<_>>())
+    });
+    let tokens: Vec<_> = sources.iter().map(lex).collect();
+    let parse = |t: &Vec<_>| dca_lang::parse(t).expect("suite program parses");
+    h.bench_function("frontend/parse", |b| {
+        b.iter(|| tokens.iter().map(parse).collect::<Vec<_>>())
+    });
+    let asts: Vec<_> = tokens.iter().map(parse).collect();
+    let check = |a: &dca_lang::Program| dca_lang::check(a.clone()).expect("suite program checks");
+    h.bench_function("frontend/sema", |b| {
+        b.iter(|| asts.iter().map(check).collect::<Vec<_>>())
+    });
+    let checked: Vec<_> = asts.iter().map(check).collect();
+    let lower = |c: &dca_lang::CheckedProgram| dca_ir::lower(c).expect("suite program lowers");
+    h.bench_function("frontend/lower", |b| {
+        b.iter(|| checked.iter().map(lower).collect::<Vec<_>>())
+    });
+    let modules: Vec<_> = checked.iter().map(lower).collect();
+    h.bench_function("frontend/all_loops", |b| {
+        b.iter(|| modules.iter().map(dca_ir::all_loops).collect::<Vec<_>>())
+    });
 }
 
 fn bench_static_stage(h: &mut Harness) {
@@ -105,6 +135,7 @@ fn bench_dynamic_stage(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::new().sample_size(20);
+    bench_frontend(&mut h);
     bench_static_stage(&mut h);
     bench_dynamic_stage(&mut h);
     h.finish();

@@ -2,70 +2,92 @@
 
 use crate::module::{BlockId, Function};
 
-/// Precomputed CFG edge information for one function.
+/// Marks an unreachable block in [`Cfg::rpo_index`]'s table.
+const UNREACHED: u32 = u32::MAX;
+
+/// Precomputed CFG edge information for one function, in flat arrays:
+/// each direction's edges sit back to back in one buffer, a block's edges
+/// in one run of it.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    /// Successors of block `b`: `succs[succ_at[b]..succ_at[b + 1]]`.
+    succs: Vec<BlockId>,
+    succ_at: Vec<u32>,
+    /// Predecessors of block `b`, likewise, each run in ascending order
+    /// of the edges' sources.
+    preds: Vec<BlockId>,
+    pred_at: Vec<u32>,
     /// Blocks in reverse postorder from the entry.
     rpo: Vec<BlockId>,
-    /// Position of each block in `rpo` (`usize::MAX` if unreachable).
-    rpo_index: Vec<usize>,
+    /// Position of each block in `rpo` ([`UNREACHED`] if unreachable).
+    rpo_index: Vec<u32>,
 }
 
 impl Cfg {
     /// Builds the CFG for a function.
     pub fn new(f: &Function) -> Self {
         let n = f.blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for b in f.block_ids() {
-            for s in f.block(b).term.successors() {
-                succs[b.index()].push(s);
-                preds[s.index()].push(b);
+        let mut succs = Vec::with_capacity(2 * n);
+        let mut succ_at = Vec::with_capacity(n + 1);
+        let mut pred_at = vec![0u32; n + 1];
+        succ_at.push(0);
+        for b in &f.blocks {
+            for s in b.term.successors() {
+                succs.push(s);
+                pred_at[s.index() + 1] += 1;
+            }
+            succ_at.push(succs.len() as u32);
+        }
+        for i in 0..n {
+            pred_at[i + 1] += pred_at[i];
+        }
+        let mut fill = pred_at.clone();
+        let mut preds = vec![BlockId(0); succs.len()];
+        for b in 0..n {
+            for &s in &succs[succ_at[b] as usize..succ_at[b + 1] as usize] {
+                preds[fill[s.index()] as usize] = BlockId(b as u32);
+                fill[s.index()] += 1;
             }
         }
-        // Iterative postorder DFS.
-        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-        let mut post = Vec::with_capacity(n);
-        let mut stack: Vec<(BlockId, usize)> = vec![(f.entry(), 0)];
-        state[f.entry().index()] = 1;
+        let mut cfg = Cfg {
+            succs,
+            succ_at,
+            preds,
+            pred_at,
+            rpo: Vec::with_capacity(n),
+            rpo_index: vec![UNREACHED; n],
+        };
+        // Iterative postorder DFS; `rpo_index` marks blocks seen.
+        let mut stack: Vec<(BlockId, u32)> = vec![(f.entry(), 0)];
+        cfg.rpo_index[f.entry().index()] = 0;
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let ss = &succs[b.index()];
-            if *next < ss.len() {
-                let s = ss[*next];
+            let ss = cfg.succs(b);
+            if let Some(&s) = ss.get(*next as usize) {
                 *next += 1;
-                if state[s.index()] == 0 {
-                    state[s.index()] = 1;
+                if cfg.rpo_index[s.index()] == UNREACHED {
+                    cfg.rpo_index[s.index()] = 0;
                     stack.push((s, 0));
                 }
             } else {
-                state[b.index()] = 2;
-                post.push(b);
+                cfg.rpo.push(b);
                 stack.pop();
             }
         }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, b) in rpo.iter().enumerate() {
-            rpo_index[b.index()] = i;
+        cfg.rpo.reverse();
+        for (i, b) in cfg.rpo.iter().enumerate() {
+            cfg.rpo_index[b.index()] = i as u32;
         }
-        Cfg {
-            preds,
-            succs,
-            rpo,
-            rpo_index,
-        }
+        cfg
     }
 
     /// Predecessors of a block.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        &self.preds[self.pred_at[b.index()] as usize..self.pred_at[b.index() + 1] as usize]
     }
 
     /// Successors of a block.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        &self.succs[self.succ_at[b.index()] as usize..self.succ_at[b.index() + 1] as usize]
     }
 
     /// Blocks in reverse postorder from the entry.
@@ -76,17 +98,7 @@ impl Cfg {
     /// Position of `b` in reverse postorder (`None` if unreachable).
     pub fn rpo_index(&self, b: BlockId) -> Option<usize> {
         let i = self.rpo_index[b.index()];
-        (i != usize::MAX).then_some(i)
-    }
-
-    /// Number of blocks in the underlying function.
-    pub fn len(&self) -> usize {
-        self.preds.len()
-    }
-
-    /// True if the function has no blocks (never happens for lowered code).
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        (i != UNREACHED).then_some(i as usize)
     }
 }
 

@@ -3,42 +3,59 @@
 use crate::cfg::Cfg;
 use crate::module::{BlockId, Function};
 
+/// Marks an unreachable block.
+const NONE: u32 = u32::MAX;
+
 /// The dominator tree of a function's CFG.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each block (`idom[entry] == entry`).
-    idom: Vec<Option<BlockId>>,
+    /// Immediate dominator of each block (`idom[entry] == entry`,
+    /// [`NONE`] for unreachable blocks).
+    idom: Vec<u32>,
 }
 
 impl DomTree {
-    /// Computes dominators for `f` using its CFG.
+    /// Computes dominators for `f` using its CFG. The fixpoint runs over
+    /// reverse-postorder positions, so comparing two blocks' places is
+    /// comparing two numbers.
     pub fn new(f: &Function, cfg: &Cfg) -> Self {
         let n = f.blocks.len();
-        let entry = f.entry();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[entry.index()] = Some(entry);
         let rpo = cfg.reverse_postorder();
+        let order: Vec<u32> = (0..n as u32)
+            .map(|b| cfg.rpo_index(BlockId(b)).map_or(NONE, |i| i as u32))
+            .collect();
+        // Immediate dominators by position; position 0 is the entry.
+        let mut doms = vec![NONE; rpo.len()];
+        if !rpo.is_empty() {
+            doms[0] = 0;
+        }
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
+            for (i, &b) in rpo.iter().enumerate().skip(1) {
                 // First processed predecessor.
-                let mut new_idom: Option<BlockId> = None;
+                let mut new_idom = NONE;
                 for &p in cfg.preds(b) {
-                    if idom[p.index()].is_none() {
+                    let p = order[p.index()];
+                    if p == NONE || doms[p as usize] == NONE {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cfg, cur, p),
-                    });
+                    new_idom = if new_idom == NONE {
+                        p
+                    } else {
+                        intersect(&doms, new_idom, p)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
-                    }
+                if new_idom != NONE && doms[i] != new_idom {
+                    doms[i] = new_idom;
+                    changed = true;
                 }
+            }
+        }
+        let mut idom = vec![NONE; n];
+        for (i, &b) in rpo.iter().enumerate() {
+            if doms[i] != NONE {
+                idom[b.index()] = rpo[doms[i] as usize].0;
             }
         }
         DomTree { idom }
@@ -47,32 +64,33 @@ impl DomTree {
     /// Immediate dominator of `b`; the entry's idom is itself. `None` for
     /// unreachable blocks.
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()]
+        let d = self.idom[b.index()];
+        (d != NONE).then_some(BlockId(d))
     }
 
     /// True if `a` dominates `b` (reflexively).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
+        let mut cur = b.0;
         loop {
-            if cur == a {
+            if cur == a.0 {
                 return true;
             }
-            match self.idom[cur.index()] {
-                Some(i) if i != cur => cur = i,
+            match self.idom[cur as usize] {
+                i if i != cur && i != NONE => cur = i,
                 _ => return false,
             }
         }
     }
 }
 
-fn intersect(idom: &[Option<BlockId>], cfg: &Cfg, mut a: BlockId, mut b: BlockId) -> BlockId {
-    let pos = |x: BlockId| cfg.rpo_index(x).expect("reachable block in intersect");
+/// The nearest common dominator of two reverse-postorder positions.
+fn intersect(doms: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while pos(a) > pos(b) {
-            a = idom[a.index()].expect("processed block has idom");
+        while a > b {
+            a = doms[a as usize];
         }
-        while pos(b) > pos(a) {
-            b = idom[b.index()].expect("processed block has idom");
+        while b > a {
+            b = doms[b as usize];
         }
     }
     a

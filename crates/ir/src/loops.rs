@@ -9,7 +9,6 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::module::{BlockId, Function};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Identifies a loop within one function's [`LoopForest`].
@@ -29,6 +28,65 @@ impl fmt::Display for LoopId {
     }
 }
 
+/// A set of blocks of one function: a bit per block for membership, and
+/// the members in ascending order, which it dereferences to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockSet {
+    bits: Vec<u64>,
+    members: Vec<BlockId>,
+}
+
+impl BlockSet {
+    /// The empty set over a function of `blocks` blocks.
+    fn new(blocks: usize) -> Self {
+        BlockSet {
+            bits: vec![0; blocks.div_ceil(64)],
+            members: Vec::new(),
+        }
+    }
+
+    /// Adds `b`; true if it was not there. Members stay in insertion
+    /// order until the caller sorts them.
+    fn insert(&mut self, b: BlockId) -> bool {
+        let (word, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
+        let fresh = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        if fresh {
+            self.members.push(b);
+        }
+        fresh
+    }
+
+    /// True if `b` is in the set.
+    pub fn contains(&self, b: &BlockId) -> bool {
+        self.bits
+            .get(b.index() / 64)
+            .is_some_and(|w| w & (1 << (b.index() % 64)) != 0)
+    }
+
+    /// True if every member of `self` is in `other`.
+    fn is_subset(&self, other: &BlockSet) -> bool {
+        self.bits.iter().zip(&other.bits).all(|(a, b)| a & !b == 0)
+    }
+}
+
+impl std::ops::Deref for BlockSet {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.members
+    }
+}
+
+impl<'a> IntoIterator for &'a BlockSet {
+    type Item = &'a BlockId;
+    type IntoIter = std::slice::Iter<'a, BlockId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.members.iter()
+    }
+}
+
 /// One natural loop.
 #[derive(Debug, Clone)]
 pub struct Loop {
@@ -37,7 +95,7 @@ pub struct Loop {
     /// The header block (target of the back edges).
     pub header: BlockId,
     /// All blocks in the loop, including the header.
-    pub blocks: BTreeSet<BlockId>,
+    pub blocks: BlockSet,
     /// Sources of back edges into the header.
     pub latches: Vec<BlockId>,
     /// Edges `(from, to)` leaving the loop (`from` inside, `to` outside).
@@ -78,26 +136,29 @@ pub struct LoopForest {
 impl LoopForest {
     /// Detects the loops of `f`.
     pub fn new(f: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
-        // Group back edges by header.
-        let mut back_edges: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let n = f.blocks.len();
+        // Back edges as (header, latch), latches ascending. A dominator
+        // comes first in reverse postorder, so only an edge that does not
+        // go forward in it can be one.
+        let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new();
         for b in f.block_ids() {
-            if cfg.rpo_index(b).is_none() {
+            let Some(at) = cfg.rpo_index(b) else {
                 continue;
-            }
+            };
             for &s in cfg.succs(b) {
-                if dom.dominates(s, b) {
-                    back_edges.entry(s).or_default().push(b);
+                if cfg.rpo_index(s).is_some_and(|to| to <= at) && dom.dominates(s, b) {
+                    back_edges.push((s, b));
                 }
             }
         }
-        let mut headers: Vec<BlockId> = back_edges.keys().copied().collect();
-        headers.sort_unstable();
-        let mut loops = Vec::new();
-        for header in headers {
-            let latches = back_edges.remove(&header).expect("header has latches");
-            let mut blocks: BTreeSet<BlockId> = BTreeSet::new();
+        back_edges.sort_by_key(|&(header, _)| header);
+        let mut loops: Vec<Loop> = Vec::new();
+        let mut stack: Vec<BlockId> = Vec::new();
+        for edges in back_edges.chunk_by(|a, b| a.0 == b.0) {
+            let header = edges[0].0;
+            let latches: Vec<BlockId> = edges.iter().map(|&(_, latch)| latch).collect();
+            let mut blocks = BlockSet::new(n);
             blocks.insert(header);
-            let mut stack: Vec<BlockId> = Vec::new();
             for &latch in &latches {
                 if blocks.insert(latch) {
                     stack.push(latch);
@@ -110,6 +171,7 @@ impl LoopForest {
                     }
                 }
             }
+            blocks.members.sort_unstable();
             let mut exit_edges = Vec::new();
             for &b in &blocks {
                 for &s in cfg.succs(b) {
@@ -118,9 +180,8 @@ impl LoopForest {
                     }
                 }
             }
-            let id = LoopId(loops.len() as u32);
             loops.push(Loop {
-                id,
+                id: LoopId(loops.len() as u32),
                 header,
                 blocks,
                 latches,
@@ -134,35 +195,25 @@ impl LoopForest {
         // Nesting: parent = smallest strictly containing loop. Natural loops
         // either nest or are disjoint (given reducible control flow, which
         // our lowering guarantees).
-        let n = loops.len();
-        for i in 0..n {
+        let count = loops.len();
+        for i in 0..count {
             let mut best: Option<usize> = None;
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let contains = loops[j].blocks.len() > loops[i].blocks.len()
-                    && loops[i].blocks.iter().all(|b| loops[j].blocks.contains(b));
-                if contains {
-                    best = match best {
-                        None => Some(j),
-                        Some(k) if loops[j].blocks.len() < loops[k].blocks.len() => Some(j),
-                        keep => keep,
-                    };
+            for j in 0..count {
+                let (inner, outer) = (&loops[i].blocks, &loops[j].blocks);
+                if outer.len() > inner.len()
+                    && inner.is_subset(outer)
+                    && best.is_none_or(|k| outer.len() < loops[k].blocks.len())
+                {
+                    best = Some(j);
                 }
             }
             if let Some(j) = best {
                 loops[i].parent = Some(LoopId(j as u32));
-            }
-        }
-        for i in 0..n {
-            if let Some(p) = loops[i].parent {
-                let id = loops[i].id;
-                loops[p.index()].children.push(id);
+                loops[j].children.push(LoopId(i as u32));
             }
         }
         // Depths by walking parents.
-        for i in 0..n {
+        for i in 0..count {
             let mut d = 0;
             let mut cur = loops[i].parent;
             while let Some(p) = cur {
@@ -172,7 +223,7 @@ impl LoopForest {
             loops[i].depth = d;
         }
         // Innermost loop per block: the containing loop with max depth.
-        let mut innermost: Vec<Option<LoopId>> = vec![None; f.blocks.len()];
+        let mut innermost: Vec<Option<LoopId>> = vec![None; n];
         for l in &loops {
             for &b in &l.blocks {
                 innermost[b.index()] = match innermost[b.index()] {
@@ -208,11 +259,6 @@ impl LoopForest {
     /// The innermost loop containing block `b`, if any.
     pub fn innermost(&self, b: BlockId) -> Option<LoopId> {
         self.innermost[b.index()]
-    }
-
-    /// Top-level loops (no parent), outermost first.
-    pub fn top_level(&self) -> impl Iterator<Item = &Loop> {
-        self.loops.iter().filter(|l| l.parent.is_none())
     }
 
     /// The loop whose header carries source tag `tag`.
@@ -279,7 +325,7 @@ mod tests {
         let a = lf.by_tag("a").expect("a");
         let b = lf.by_tag("b").expect("b");
         assert!(a.parent.is_none() && b.parent.is_none());
-        assert!(a.blocks.is_disjoint(&b.blocks));
+        assert!(a.blocks.iter().all(|x| !b.blocks.contains(x)));
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! `||` become control flow; `for`/`while` loops become the canonical
 //! header/body/latch shape whose back edge targets the condition block, so
 //! natural-loop detection recovers exactly the source loops. Source loop
-//! tags (`@name:`) are recorded against the header block.
+//! tags (`@name:`) are recorded against the header block. Names resolve
+//! through tables indexed by the AST's symbols.
 
 use crate::module::*;
-use dca_lang::ast::{self, Expr, ExprKind, PrintArg, Stmt, StmtKind};
-use dca_lang::sema::{CheckedProgram, Ty};
+use dca_lang::ast::{self, ExprId, ExprKind, PrintArg, Program, Stmt, StmtKind, Sym};
+use dca_lang::sema::{CheckedProgram, Scopes, Ty};
 use dca_lang::{Error, ErrorKind};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Lowers a checked program to an IR [`Module`].
 ///
@@ -20,38 +22,32 @@ use std::collections::HashMap;
 /// non-constant global initializers).
 pub fn lower(prog: &CheckedProgram) -> Result<Module, Error> {
     let mut globals = Vec::new();
-    let mut global_ids = HashMap::new();
-    for (i, g) in prog.ast.globals.iter().enumerate() {
-        let init = match &g.init {
+    for g in &prog.ast.globals {
+        let init = match g.init {
             None => None,
-            Some(e) => Some(const_operand(e)?),
+            Some(e) => Some(const_operand(&prog.ast, e)?),
         };
-        let ty = resolve(prog, &g.ty);
-        global_ids.insert(g.name.clone(), GlobalId(i as u32));
         globals.push(GlobalInfo {
-            name: g.name.clone(),
-            ty,
+            name: prog.ast.name(g.name).to_owned(),
+            ty: resolve(prog, &g.ty),
             init,
         });
     }
-    let mut func_ids = HashMap::new();
-    for (i, f) in prog.ast.functions.iter().enumerate() {
-        func_ids.insert(f.name.clone(), FuncId(i as u32));
-    }
     let mut funcs = Vec::new();
-    for f in &prog.ast.functions {
-        funcs.push(FnLower::new(prog, &global_ids, &func_ids, f).run()?);
+    for (f, sig) in prog.ast.functions.iter().zip(&prog.fn_sigs) {
+        funcs.push(FnLower::new(prog, f).run(sig)?);
     }
     Ok(Module::new(prog.structs.clone(), globals, funcs))
 }
 
-fn const_operand(e: &Expr) -> Result<Operand, Error> {
+fn const_operand(ast: &Program, id: ExprId) -> Result<Operand, Error> {
+    let e = ast.expr(id);
     match &e.kind {
         ExprKind::IntLit(v) => Ok(Operand::ConstInt(*v)),
         ExprKind::FloatLit(v) => Ok(Operand::ConstFloat(*v)),
         ExprKind::BoolLit(v) => Ok(Operand::ConstBool(*v)),
         ExprKind::NullLit => Ok(Operand::Null),
-        ExprKind::Unary(ast::UnOp::Neg, inner) => match const_operand(inner)? {
+        ExprKind::Unary(ast::UnOp::Neg, inner) => match const_operand(ast, *inner)? {
             Operand::ConstInt(v) => Ok(Operand::ConstInt(-v)),
             Operand::ConstFloat(v) => Ok(Operand::ConstFloat(-v)),
             _ => Err(Error::new(
@@ -69,22 +65,9 @@ fn const_operand(e: &Expr) -> Result<Operand, Error> {
 }
 
 fn resolve(prog: &CheckedProgram, t: &ast::TyAst) -> Ty {
-    // Mirrors the checker's resolution; all names were validated there.
-    match t {
-        ast::TyAst::Int => Ty::Int,
-        ast::TyAst::Float => Ty::Float,
-        ast::TyAst::Bool => Ty::Bool,
-        ast::TyAst::Ptr(inner) => Ty::Ptr(Box::new(resolve(prog, inner))),
-        ast::TyAst::Array(elem, n) => Ty::Array(Box::new(resolve(prog, elem)), *n),
-        ast::TyAst::Named(name) => {
-            let i = prog
-                .structs
-                .iter()
-                .position(|s| s.name == *name)
-                .expect("checker resolved struct names");
-            Ty::Struct(i)
-        }
-    }
+    let names = &prog.ast.names;
+    let ty = prog.items.resolve(t, Default::default(), names);
+    ty.expect("checker resolved every type")
 }
 
 /// Where `break` and `continue` jump inside the innermost loop.
@@ -95,11 +78,9 @@ struct LoopCtx {
 
 struct FnLower<'a> {
     prog: &'a CheckedProgram,
-    global_ids: &'a HashMap<String, GlobalId>,
-    func_ids: &'a HashMap<String, FuncId>,
     src: &'a ast::FnDef,
     vars: Vec<VarInfo>,
-    scopes: Vec<HashMap<String, VarId>>,
+    scopes: Scopes<VarId>,
     blocks: Vec<(Vec<Inst>, Option<Terminator>)>,
     cur: BlockId,
     loops: Vec<LoopCtx>,
@@ -108,19 +89,14 @@ struct FnLower<'a> {
 }
 
 impl<'a> FnLower<'a> {
-    fn new(
-        prog: &'a CheckedProgram,
-        global_ids: &'a HashMap<String, GlobalId>,
-        func_ids: &'a HashMap<String, FuncId>,
-        src: &'a ast::FnDef,
-    ) -> Self {
+    fn new(prog: &'a CheckedProgram, src: &'a ast::FnDef) -> Self {
+        let mut scopes = Scopes::new(prog.ast.names.len());
+        scopes.push();
         FnLower {
             prog,
-            global_ids,
-            func_ids,
             src,
             vars: Vec::new(),
-            scopes: vec![HashMap::new()],
+            scopes,
             blocks: vec![(Vec::new(), None)],
             cur: BlockId(0),
             loops: Vec::new(),
@@ -129,20 +105,15 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn run(mut self) -> Result<Function, Error> {
+    fn run(mut self, sig: &dca_lang::sema::FnSig) -> Result<Function, Error> {
         let mut params = Vec::new();
-        for (pname, pty) in &self.src.params {
-            let ty = resolve(self.prog, pty);
-            let v = self.new_var(pname.clone(), ty, false);
-            params.push(v);
+        for (&(pname, _), ty) in self.src.params.iter().zip(&sig.params) {
+            params.push(self.named_var(pname, ty.clone()));
         }
         for s in &self.src.body {
             self.stmt(s)?;
         }
-        let ret = match &self.src.ret {
-            None => Ty::Unit,
-            Some(t) => resolve(self.prog, t),
-        };
+        let ret = sig.ret.clone();
         // Implicit return with a zero value if control falls off the end.
         if self.blocks[self.cur.index()].1.is_none() {
             let value = match &ret {
@@ -155,7 +126,7 @@ impl<'a> FnLower<'a> {
             self.term(Terminator::Return(value));
         }
         let mut f = Function {
-            name: self.src.name.clone(),
+            name: self.prog.ast.name(self.src.name).to_owned(),
             params,
             ret,
             vars: self.vars,
@@ -178,19 +149,27 @@ impl<'a> FnLower<'a> {
     fn new_var(&mut self, name: String, ty: Ty, is_temp: bool) -> VarId {
         let id = VarId(self.vars.len() as u32);
         self.vars.push(VarInfo { name, ty, is_temp });
-        if !is_temp {
-            self.scopes
-                .last_mut()
-                .expect("scope stack never empty")
-                .insert(self.vars[id.index()].name.clone(), id);
-        }
         id
     }
 
+    /// A source variable, bound in the innermost scope.
+    fn named_var(&mut self, name: Sym, ty: Ty) -> VarId {
+        let id = self.new_var(self.prog.ast.name(name).to_owned(), ty, false);
+        self.scopes.bind(name, id);
+        id
+    }
+
+    /// A temporary of `e`'s type.
+    fn temp_of(&mut self, e: ExprId) -> VarId {
+        self.temp(self.expr_ty(e).clone())
+    }
+
     fn temp(&mut self, ty: Ty) -> VarId {
-        let n = self.temp_count;
+        // Sized for any `u32`, so that writing the number does not grow it.
+        let mut name = String::with_capacity(11);
+        let _ = write!(name, "t{}", self.temp_count);
         self.temp_count += 1;
-        self.new_var(format!("t{n}"), ty, true)
+        self.new_var(name, ty, true)
     }
 
     fn emit(&mut self, inst: Inst) {
@@ -216,23 +195,43 @@ impl<'a> FnLower<'a> {
         self.cur = b;
     }
 
-    fn lookup(&self, name: &str) -> Option<VarId> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Some(*v);
-            }
+    fn tag(&mut self, header: BlockId, tag: &Option<Sym>) {
+        if let Some(t) = *tag {
+            self.loop_tags
+                .insert(header, self.prog.ast.name(t).to_owned());
         }
-        None
     }
 
-    fn expr_ty(&self, e: &Expr) -> &Ty {
-        self.prog.types.ty(e.id)
+    fn lookup(&self, name: Sym) -> Option<VarId> {
+        self.scopes.get(name).copied()
+    }
+
+    fn global(&self, name: Sym) -> GlobalId {
+        let g = self.prog.items.globals[name.index()];
+        GlobalId(g.expect("checker resolved global names") as u32)
+    }
+
+    fn func(&self, name: Sym) -> FuncId {
+        let f = self.prog.items.funcs[name.index()];
+        FuncId(f.expect("checker resolved function names") as u32)
+    }
+
+    /// The intrinsic a called name stands for, if it is a builtin.
+    fn intrinsic(&self, name: Sym) -> Option<Intrinsic> {
+        let builtin = name.index() < dca_lang::sema::BUILTINS.len();
+        builtin.then(|| {
+            Intrinsic::from_name(self.prog.ast.name(name)).expect("builtins are intrinsics")
+        })
+    }
+
+    fn expr_ty(&self, e: ExprId) -> &Ty {
+        self.prog.types.ty(e)
     }
 
     // ---- statements ---------------------------------------------------------
 
     fn block_stmts(&mut self, body: &[Stmt]) -> Result<(), Error> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         for s in body {
             self.stmt(s)?;
         }
@@ -245,10 +244,10 @@ impl<'a> FnLower<'a> {
             StmtKind::Let { name, ty, init } => {
                 let ty = resolve(self.prog, ty);
                 let init_op = match init {
-                    Some(e) => Some(self.expr(e)?),
+                    Some(e) => Some(self.expr(*e)?),
                     None => None,
                 };
-                let v = self.new_var(name.clone(), ty.clone(), false);
+                let v = self.named_var(*name, ty.clone());
                 let op = init_op.unwrap_or(match &ty {
                     Ty::Int => Operand::ConstInt(0),
                     Ty::Float => Operand::ConstFloat(0.0),
@@ -261,11 +260,11 @@ impl<'a> FnLower<'a> {
                 Ok(())
             }
             StmtKind::Assign { target, value } => {
-                let v = self.expr(value)?;
-                self.assign(target, v)
+                let v = self.expr(*value)?;
+                self.assign(*target, v)
             }
             StmtKind::Expr(e) => {
-                self.expr_discard(e)?;
+                self.expr(*e)?;
                 Ok(())
             }
             StmtKind::If {
@@ -273,7 +272,7 @@ impl<'a> FnLower<'a> {
                 then_body,
                 else_body,
             } => {
-                let c = self.expr(cond)?;
+                let c = self.expr(*cond)?;
                 let then_bb = self.new_block();
                 let else_bb = self.new_block();
                 let join = self.new_block();
@@ -291,32 +290,7 @@ impl<'a> FnLower<'a> {
                 self.switch_to(join);
                 Ok(())
             }
-            StmtKind::While { tag, cond, body } => {
-                let header = self.new_block();
-                let exit = self.new_block();
-                if let Some(t) = tag {
-                    self.loop_tags.insert(header, t.clone());
-                }
-                self.term(Terminator::Jump(header));
-                self.switch_to(header);
-                let c = self.expr(cond)?;
-                let body_bb = self.new_block();
-                self.term(Terminator::Branch {
-                    cond: c,
-                    then_bb: body_bb,
-                    else_bb: exit,
-                });
-                self.switch_to(body_bb);
-                self.loops.push(LoopCtx {
-                    continue_to: header,
-                    break_to: exit,
-                });
-                self.block_stmts(body)?;
-                self.loops.pop();
-                self.term(Terminator::Jump(header));
-                self.switch_to(exit);
-                Ok(())
-            }
+            StmtKind::While { tag, cond, body } => self.loop_stmt(tag, *cond, None, body),
             StmtKind::For {
                 tag,
                 init,
@@ -324,68 +298,30 @@ impl<'a> FnLower<'a> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push();
                 self.stmt(init)?;
-                let header = self.new_block();
-                let exit = self.new_block();
-                if let Some(t) = tag {
-                    self.loop_tags.insert(header, t.clone());
-                }
-                self.term(Terminator::Jump(header));
-                self.switch_to(header);
-                let c = self.expr(cond)?;
-                let body_bb = self.new_block();
-                let step_bb = self.new_block();
-                self.term(Terminator::Branch {
-                    cond: c,
-                    then_bb: body_bb,
-                    else_bb: exit,
-                });
-                self.switch_to(body_bb);
-                self.loops.push(LoopCtx {
-                    continue_to: step_bb,
-                    break_to: exit,
-                });
-                self.block_stmts(body)?;
-                self.loops.pop();
-                self.term(Terminator::Jump(step_bb));
-                self.switch_to(step_bb);
-                self.stmt(step)?;
-                self.term(Terminator::Jump(header));
+                self.loop_stmt(tag, *cond, Some(step), body)?;
                 self.scopes.pop();
-                self.switch_to(exit);
                 Ok(())
             }
-            StmtKind::Break => {
-                let target = self
+            StmtKind::Break | StmtKind::Continue => {
+                let ctx = self
                     .loops
                     .last()
-                    .expect("checker verified break is inside a loop")
-                    .break_to;
-                self.term(Terminator::Jump(target));
-                let dead = self.new_block();
-                self.switch_to(dead);
-                Ok(())
-            }
-            StmtKind::Continue => {
-                let target = self
-                    .loops
-                    .last()
-                    .expect("checker verified continue is inside a loop")
-                    .continue_to;
-                self.term(Terminator::Jump(target));
-                let dead = self.new_block();
-                self.switch_to(dead);
+                    .expect("checker verified break/continue is inside a loop");
+                let target = match s.kind {
+                    StmtKind::Break => ctx.break_to,
+                    _ => ctx.continue_to,
+                };
+                self.end_block(Terminator::Jump(target));
                 Ok(())
             }
             StmtKind::Return(value) => {
                 let op = match value {
-                    Some(e) => Some(self.expr(e)?),
+                    Some(e) => Some(self.expr(*e)?),
                     None => None,
                 };
-                self.term(Terminator::Return(op));
-                let dead = self.new_block();
-                self.switch_to(dead);
+                self.end_block(Terminator::Return(op));
                 Ok(())
             }
             StmtKind::Print(args) => {
@@ -394,7 +330,7 @@ impl<'a> FnLower<'a> {
                     match a {
                         PrintArg::Label(s) => ops.push(PrintOp::Label(s.clone())),
                         PrintArg::Value(e) => {
-                            let v = self.expr(e)?;
+                            let v = self.expr(*e)?;
                             ops.push(PrintOp::Value(v));
                         }
                     }
@@ -406,20 +342,71 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn assign(&mut self, target: &Expr, value: Operand) -> Result<(), Error> {
-        match &target.kind {
+    /// Ends the current block with `t`; code after it lands in a fresh
+    /// block that nothing reaches.
+    fn end_block(&mut self, t: Terminator) {
+        self.term(t);
+        let dead = self.new_block();
+        self.switch_to(dead);
+    }
+
+    /// A loop: the header evaluates `cond`, the body runs, then `step`
+    /// (if any) in a block of its own, which `continue` targets, and the
+    /// back edge returns to the header.
+    fn loop_stmt(
+        &mut self,
+        tag: &Option<Sym>,
+        cond: ExprId,
+        step: Option<&Stmt>,
+        body: &[Stmt],
+    ) -> Result<(), Error> {
+        let header = self.new_block();
+        let exit = self.new_block();
+        self.tag(header, tag);
+        self.term(Terminator::Jump(header));
+        self.switch_to(header);
+        let c = self.expr(cond)?;
+        let body_bb = self.new_block();
+        let continue_to = match step {
+            Some(_) => self.new_block(),
+            None => header,
+        };
+        self.term(Terminator::Branch {
+            cond: c,
+            then_bb: body_bb,
+            else_bb: exit,
+        });
+        self.switch_to(body_bb);
+        self.loops.push(LoopCtx {
+            continue_to,
+            break_to: exit,
+        });
+        self.block_stmts(body)?;
+        self.loops.pop();
+        self.term(Terminator::Jump(continue_to));
+        if let Some(step) = step {
+            self.switch_to(continue_to);
+            self.stmt(step)?;
+            self.term(Terminator::Jump(header));
+        }
+        self.switch_to(exit);
+        Ok(())
+    }
+
+    fn assign(&mut self, target: ExprId, value: Operand) -> Result<(), Error> {
+        match &self.prog.ast.expr(target).kind {
             ExprKind::Var(name) => {
-                if let Some(v) = self.lookup(name) {
+                if let Some(v) = self.lookup(*name) {
                     self.emit(Inst::Copy { dst: v, src: value });
                 } else {
-                    let g = self.global_ids[name.as_str()];
+                    let g = self.global(*name);
                     self.emit(Inst::StoreGlobal { global: g, value });
                 }
                 Ok(())
             }
             ExprKind::Index(base, idx) => {
-                let b = self.index_base(base)?;
-                let i = self.expr(idx)?;
+                let b = self.index_base(*base)?;
+                let i = self.expr(*idx)?;
                 self.emit(Inst::StoreIndex {
                     base: b,
                     index: i,
@@ -428,7 +415,7 @@ impl<'a> FnLower<'a> {
                 Ok(())
             }
             ExprKind::Field(base, fname) => {
-                let (obj, field) = self.field_ref(base, fname)?;
+                let (obj, field) = self.field_ref(*base, *fname)?;
                 self.emit(Inst::StoreField { obj, field, value });
                 Ok(())
             }
@@ -436,7 +423,7 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn field_ref(&mut self, base: &Expr, fname: &str) -> Result<(Operand, u32), Error> {
+    fn field_ref(&mut self, base: ExprId, fname: Sym) -> Result<(Operand, u32), Error> {
         let sid = match self.expr_ty(base) {
             Ty::Ptr(inner) => match inner.as_ref() {
                 Ty::Struct(i) => *i,
@@ -444,25 +431,26 @@ impl<'a> FnLower<'a> {
             },
             _ => unreachable!("checker verified struct pointer"),
         };
-        let field = self.prog.structs[sid]
-            .field_index(fname)
+        let field = self.prog.ast.structs[sid]
+            .fields
+            .iter()
+            .position(|&(n, _)| n == fname)
             .expect("checker resolved field") as u32;
         let obj = self.expr(base)?;
         Ok((obj, field))
     }
 
-    fn index_base(&mut self, base: &Expr) -> Result<MemBase, Error> {
-        if let ExprKind::Var(name) = &base.kind {
+    fn index_base(&mut self, base: ExprId) -> Result<MemBase, Error> {
+        if let ExprKind::Var(name) = self.prog.ast.expr(base).kind {
             if let Some(v) = self.lookup(name) {
                 return Ok(MemBase::Var(v));
             }
-            let g = self.global_ids[name.as_str()];
-            match &self.prog.types.ty(base.id) {
+            let g = self.global(name);
+            match self.expr_ty(base) {
                 Ty::Array(..) => return Ok(MemBase::Global(g)),
                 _ => {
                     // A scalar pointer global: load it first.
-                    let ty = self.expr_ty(base).clone();
-                    let t = self.temp(ty);
+                    let t = self.temp_of(base);
                     self.emit(Inst::LoadGlobal { dst: t, global: g });
                     return Ok(MemBase::Var(t));
                 }
@@ -473,8 +461,7 @@ impl<'a> FnLower<'a> {
         match op {
             Operand::Var(v) => Ok(MemBase::Var(v)),
             other => {
-                let ty = self.expr_ty(base).clone();
-                let t = self.temp(ty);
+                let t = self.temp_of(base);
                 self.emit(Inst::Copy { dst: t, src: other });
                 Ok(MemBase::Var(t))
             }
@@ -483,56 +470,25 @@ impl<'a> FnLower<'a> {
 
     // ---- expressions ---------------------------------------------------------
 
-    /// Lowers an expression used only for effect (a unit call).
-    fn expr_discard(&mut self, e: &Expr) -> Result<(), Error> {
-        if let ExprKind::Call(name, args) = &e.kind {
-            if Intrinsic::from_name(name).is_none() && !self.is_builtin(name) {
-                let mut ops = Vec::new();
-                for a in args {
-                    ops.push(self.expr(a)?);
-                }
-                let func = self.func_ids[name.as_str()];
-                let dst = match self.expr_ty(e) {
-                    Ty::Unit => None,
-                    ty => Some(self.temp(ty.clone())),
-                };
-                self.emit(Inst::Call {
-                    dst,
-                    func,
-                    args: ops,
-                });
-                return Ok(());
-            }
-        }
-        self.expr(e)?;
-        Ok(())
-    }
-
-    fn is_builtin(&self, name: &str) -> bool {
-        dca_lang::sema::BUILTINS.iter().any(|(n, _, _)| *n == name)
-    }
-
-    fn expr(&mut self, e: &Expr) -> Result<Operand, Error> {
-        match &e.kind {
+    fn expr(&mut self, e: ExprId) -> Result<Operand, Error> {
+        match &self.prog.ast.expr(e).kind {
             ExprKind::IntLit(v) => Ok(Operand::ConstInt(*v)),
             ExprKind::FloatLit(v) => Ok(Operand::ConstFloat(*v)),
             ExprKind::BoolLit(v) => Ok(Operand::ConstBool(*v)),
             ExprKind::NullLit => Ok(Operand::Null),
             ExprKind::Var(name) => {
-                if let Some(v) = self.lookup(name) {
+                if let Some(v) = self.lookup(*name) {
                     Ok(Operand::Var(v))
                 } else {
-                    let g = self.global_ids[name.as_str()];
-                    let ty = self.expr_ty(e).clone();
-                    let t = self.temp(ty);
+                    let g = self.global(*name);
+                    let t = self.temp_of(e);
                     self.emit(Inst::LoadGlobal { dst: t, global: g });
                     Ok(Operand::Var(t))
                 }
             }
             ExprKind::Unary(op, a) => {
-                let av = self.expr(a)?;
-                let ty = self.expr_ty(e).clone();
-                let t = self.temp(ty);
+                let av = self.expr(*a)?;
+                let t = self.temp_of(e);
                 let op = match op {
                     ast::UnOp::Neg => UnOp::Neg,
                     ast::UnOp::Not => UnOp::Not,
@@ -540,12 +496,11 @@ impl<'a> FnLower<'a> {
                 self.emit(Inst::Un { dst: t, op, a: av });
                 Ok(Operand::Var(t))
             }
-            ExprKind::Binary(op, a, b) if op.is_logical() => self.short_circuit(*op, a, b),
+            ExprKind::Binary(op, a, b) if op.is_logical() => self.short_circuit(*op, *a, *b),
             ExprKind::Binary(op, a, b) => {
-                let av = self.expr(a)?;
-                let bv = self.expr(b)?;
-                let ty = self.expr_ty(e).clone();
-                let t = self.temp(ty);
+                let av = self.expr(*a)?;
+                let bv = self.expr(*b)?;
+                let t = self.temp_of(e);
                 let op = lower_binop(*op);
                 self.emit(Inst::Bin {
                     dst: t,
@@ -556,10 +511,9 @@ impl<'a> FnLower<'a> {
                 Ok(Operand::Var(t))
             }
             ExprKind::Index(base, idx) => {
-                let b = self.index_base(base)?;
-                let i = self.expr(idx)?;
-                let ty = self.expr_ty(e).clone();
-                let t = self.temp(ty);
+                let b = self.index_base(*base)?;
+                let i = self.expr(*idx)?;
+                let t = self.temp_of(e);
                 self.emit(Inst::LoadIndex {
                     dst: t,
                     base: b,
@@ -568,20 +522,18 @@ impl<'a> FnLower<'a> {
                 Ok(Operand::Var(t))
             }
             ExprKind::Field(base, fname) => {
-                let (obj, field) = self.field_ref(base, fname)?;
-                let ty = self.expr_ty(e).clone();
-                let t = self.temp(ty);
+                let (obj, field) = self.field_ref(*base, *fname)?;
+                let t = self.temp_of(e);
                 self.emit(Inst::LoadField { dst: t, obj, field });
                 Ok(Operand::Var(t))
             }
             ExprKind::Call(name, args) => {
                 let mut ops = Vec::new();
                 for a in args {
-                    ops.push(self.expr(a)?);
+                    ops.push(self.expr(*a)?);
                 }
-                let ty = self.expr_ty(e).clone();
-                if let Some(intr) = Intrinsic::from_name(name) {
-                    let t = self.temp(ty);
+                if let Some(intr) = self.intrinsic(*name) {
+                    let t = self.temp_of(e);
                     self.emit(Inst::Intrin {
                         dst: t,
                         op: intr,
@@ -589,10 +541,10 @@ impl<'a> FnLower<'a> {
                     });
                     return Ok(Operand::Var(t));
                 }
-                let func = self.func_ids[name.as_str()];
-                let dst = match &ty {
+                let func = self.func(*name);
+                let dst = match self.expr_ty(e) {
                     Ty::Unit => None,
-                    _ => Some(self.temp(ty.clone())),
+                    _ => Some(self.temp_of(e)),
                 };
                 self.emit(Inst::Call {
                     dst,
@@ -602,14 +554,8 @@ impl<'a> FnLower<'a> {
                 Ok(dst.map(Operand::Var).unwrap_or(Operand::ConstInt(0)))
             }
             ExprKind::NewStruct(name) => {
-                let sid = self
-                    .prog
-                    .structs
-                    .iter()
-                    .position(|s| s.name == *name)
-                    .expect("checker resolved struct");
-                let ty = self.expr_ty(e).clone();
-                let t = self.temp(ty);
+                let sid = self.prog.items.structs[name.index()].expect("checker resolved struct");
+                let t = self.temp_of(e);
                 self.emit(Inst::AllocStruct {
                     dst: t,
                     sid: StructId(sid as u32),
@@ -617,25 +563,20 @@ impl<'a> FnLower<'a> {
                 Ok(Operand::Var(t))
             }
             ExprKind::NewArray(_, len) => {
-                let l = self.expr(len)?;
-                let ty = self.expr_ty(e).clone();
-                let t = self.temp(ty);
+                let l = self.expr(*len)?;
+                let t = self.temp_of(e);
                 self.emit(Inst::AllocArray { dst: t, len: l });
                 Ok(Operand::Var(t))
             }
             ExprKind::Cast(inner, _) => {
-                let iv = self.expr(inner)?;
-                let from = self.expr_ty(inner).clone();
-                let to = self.expr_ty(e).clone();
-                if from == to {
-                    return Ok(iv);
-                }
-                let t = self.temp(to.clone());
-                let op = match (&from, &to) {
+                let iv = self.expr(*inner)?;
+                let op = match (self.expr_ty(*inner), self.expr_ty(e)) {
+                    (from, to) if from == to => return Ok(iv),
                     (Ty::Int, Ty::Float) => Intrinsic::IntToFloat,
                     (Ty::Float, Ty::Int) => Intrinsic::FloatToInt,
                     _ => unreachable!("checker verified cast"),
                 };
+                let t = self.temp_of(e);
                 self.emit(Inst::Intrin {
                     dst: t,
                     op,
@@ -646,7 +587,7 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn short_circuit(&mut self, op: ast::BinOp, a: &Expr, b: &Expr) -> Result<Operand, Error> {
+    fn short_circuit(&mut self, op: ast::BinOp, a: ExprId, b: ExprId) -> Result<Operand, Error> {
         let t = self.temp(Ty::Bool);
         let av = self.expr(a)?;
         let rhs_bb = self.new_block();
@@ -803,7 +744,7 @@ mod tests {
         // edge) and contains/leads to the loop condition.
         let preds: Vec<_> = f
             .block_ids()
-            .filter(|&b| f.block(b).term.successors().contains(&header))
+            .filter(|&b| f.block(b).term.successors().any(|s| s == header))
             .collect();
         assert!(preds.len() >= 2, "header should have entry + latch preds");
     }

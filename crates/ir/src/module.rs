@@ -86,12 +86,6 @@ impl Operand {
     }
 }
 
-impl From<VarId> for Operand {
-    fn from(v: VarId) -> Self {
-        Operand::Var(v)
-    }
-}
-
 /// Binary operators. Arithmetic operators are polymorphic over `int` and
 /// `float` (the checker guarantees both operands agree); the rest are
 /// integer- or pointer-typed as in the source language.
@@ -225,45 +219,36 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
+    /// Every intrinsic with the name it prints as; a builtin's is its
+    /// source name.
+    const NAMES: [(Intrinsic, &'static str); 14] = [
+        (Intrinsic::Sqrt, "sqrt"),
+        (Intrinsic::Sin, "sin"),
+        (Intrinsic::Cos, "cos"),
+        (Intrinsic::Exp, "exp"),
+        (Intrinsic::Log, "log"),
+        (Intrinsic::Fabs, "fabs"),
+        (Intrinsic::Pow, "pow"),
+        (Intrinsic::Fmin, "fmin"),
+        (Intrinsic::Fmax, "fmax"),
+        (Intrinsic::Iabs, "iabs"),
+        (Intrinsic::Imin, "imin"),
+        (Intrinsic::Imax, "imax"),
+        (Intrinsic::IntToFloat, "itof"),
+        (Intrinsic::FloatToInt, "ftoi"),
+    ];
+
     /// Resolves a builtin function name to its intrinsic, if it is one.
     pub fn from_name(name: &str) -> Option<Intrinsic> {
-        Some(match name {
-            "sqrt" => Intrinsic::Sqrt,
-            "sin" => Intrinsic::Sin,
-            "cos" => Intrinsic::Cos,
-            "exp" => Intrinsic::Exp,
-            "log" => Intrinsic::Log,
-            "fabs" => Intrinsic::Fabs,
-            "pow" => Intrinsic::Pow,
-            "fmin" => Intrinsic::Fmin,
-            "fmax" => Intrinsic::Fmax,
-            "iabs" => Intrinsic::Iabs,
-            "imin" => Intrinsic::Imin,
-            "imax" => Intrinsic::Imax,
-            _ => return None,
-        })
+        let builtins = &Self::NAMES[..12];
+        builtins.iter().find(|b| b.1 == name).map(|b| b.0)
     }
 }
 
 impl fmt::Display for Intrinsic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Intrinsic::Sqrt => "sqrt",
-            Intrinsic::Sin => "sin",
-            Intrinsic::Cos => "cos",
-            Intrinsic::Exp => "exp",
-            Intrinsic::Log => "log",
-            Intrinsic::Fabs => "fabs",
-            Intrinsic::Pow => "pow",
-            Intrinsic::Fmin => "fmin",
-            Intrinsic::Fmax => "fmax",
-            Intrinsic::Iabs => "iabs",
-            Intrinsic::Imin => "imin",
-            Intrinsic::Imax => "imax",
-            Intrinsic::IntToFloat => "itof",
-            Intrinsic::FloatToInt => "ftoi",
-        };
-        write!(f, "{s}")
+        let name = Self::NAMES.iter().find(|n| n.0 == *self).map(|n| n.1);
+        f.write_str(name.expect("every intrinsic is named"))
     }
 }
 
@@ -518,14 +503,15 @@ pub enum Terminator {
 
 impl Terminator {
     /// Successor blocks, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Terminator::Jump(b) => (Some(b), None),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return(_) => vec![],
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            Terminator::Return(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// The variables the terminator reads.
@@ -735,17 +721,17 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jump(BlockId(2)).successors(), vec![BlockId(2)]);
+        let succs = |t: Terminator| t.successors().collect::<Vec<_>>();
+        assert_eq!(succs(Terminator::Jump(BlockId(2))), vec![BlockId(2)]);
         assert_eq!(
-            Terminator::Branch {
+            succs(Terminator::Branch {
                 cond: Operand::ConstBool(true),
                 then_bb: BlockId(1),
                 else_bb: BlockId(2),
-            }
-            .successors(),
+            }),
             vec![BlockId(1), BlockId(2)]
         );
-        assert!(Terminator::Return(None).successors().is_empty());
+        assert!(succs(Terminator::Return(None)).is_empty());
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! Abstract syntax tree for mini-C.
 //!
-//! Every expression carries a unique [`ExprId`] assigned by the parser; the
-//! type checker publishes a side table mapping ids to resolved types
-//! (see [`crate::sema::TypeMap`]), which the IR lowering consults.
+//! Expressions live in one array per program, [`Program::exprs`], and
+//! refer to their operands by [`ExprId`], their index there, assigned by
+//! the parser; the type checker publishes a side table mapping ids to
+//! resolved types (see [`crate::sema::TypeMap`]), which the IR lowering
+//! consults.
+//!
+//! Identifiers are interned: the tree holds a [`Sym`] wherever the source
+//! names something, and the program's [`Names`] holds each distinct
+//! identifier once. Later stages resolve names through tables indexed by
+//! symbol rather than by hashing strings.
 
 use crate::token::Pos;
 use std::fmt;
@@ -10,6 +17,69 @@ use std::fmt;
 /// Unique id of an expression node within one [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExprId(pub u32);
+
+/// An interned identifier: an index into its program's [`Names`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Sym(pub u32);
+
+impl Sym {
+    /// The raw index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The distinct identifiers of one program, in order of first
+/// appearance, stored back to back. Every table starts with the names of
+/// the builtins, so builtin `i` of [`crate::sema::BUILTINS`] is `Sym(i)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Names {
+    text: String,
+    /// End offset of each name in `text`.
+    ends: Vec<u32>,
+}
+
+impl Default for Names {
+    fn default() -> Self {
+        let mut names = Names {
+            text: String::new(),
+            ends: Vec::new(),
+        };
+        for (name, _, _) in crate::sema::BUILTINS {
+            names.push(name);
+        }
+        names
+    }
+}
+
+impl Names {
+    /// Appends `name` as a new symbol, without looking for an equal one.
+    pub(crate) fn push(&mut self, name: &str) -> Sym {
+        self.text.push_str(name);
+        self.ends.push(self.text.len() as u32);
+        Sym(self.ends.len() as u32 - 1)
+    }
+
+    /// The identifier `s` stands for.
+    pub fn get(&self, s: Sym) -> &str {
+        let start = match s.index() {
+            0 => 0,
+            i => self.ends[i - 1] as usize,
+        };
+        &self.text[start..self.ends[s.index()] as usize]
+    }
+
+    /// Number of symbols, builtins included.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if there are no symbols (never: the builtins are always
+    /// there).
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+}
 
 /// A syntactic type annotation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -27,20 +97,7 @@ pub enum TyAst {
     /// A named struct type. Struct values live on the heap and are always
     /// manipulated through `*Name` pointers; a bare struct type is only legal
     /// under `Ptr` or in `new`.
-    Named(String),
-}
-
-impl fmt::Display for TyAst {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TyAst::Int => write!(f, "int"),
-            TyAst::Float => write!(f, "float"),
-            TyAst::Bool => write!(f, "bool"),
-            TyAst::Ptr(t) => write!(f, "*{t}"),
-            TyAst::Array(t, n) => write!(f, "[{t}; {n}]"),
-            TyAst::Named(n) => write!(f, "{n}"),
-        }
-    }
+    Named(Sym),
 }
 
 /// Binary operators.
@@ -85,14 +142,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// True for `==`, `!=`, `<`, `<=`, `>`, `>=`.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// True for the short-circuit logical operators.
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
@@ -143,11 +192,9 @@ impl fmt::Display for UnOp {
     }
 }
 
-/// An expression node.
+/// An expression node; its id is its index in [`Program::exprs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
-    /// Unique id (used by the type side table).
-    pub id: ExprId,
     /// Source position.
     pub pos: Pos,
     /// The expression itself.
@@ -166,24 +213,24 @@ pub enum ExprKind {
     /// `null` pointer literal.
     NullLit,
     /// Variable reference.
-    Var(String),
+    Var(Sym),
     /// Unary operation.
-    Unary(UnOp, Box<Expr>),
+    Unary(UnOp, ExprId),
     /// Binary operation (including short-circuit `&&`/`||`).
-    Binary(BinOp, Box<Expr>, Box<Expr>),
+    Binary(BinOp, ExprId, ExprId),
     /// `base[index]` on a fixed array or heap-array pointer.
-    Index(Box<Expr>, Box<Expr>),
+    Index(ExprId, ExprId),
     /// `base.field` / `base->field` on a struct pointer.
-    Field(Box<Expr>, String),
+    Field(ExprId, Sym),
     /// Function call `f(args...)`; may resolve to a builtin intrinsic.
-    Call(String, Vec<Expr>),
+    Call(Sym, Vec<ExprId>),
     /// `new Name` — heap-allocate a zeroed struct, yields `*Name`.
-    NewStruct(String),
+    NewStruct(Sym),
     /// `new [T; len]` — heap-allocate a zeroed array of dynamic length,
     /// yields `*T`.
-    NewArray(TyAst, Box<Expr>),
+    NewArray(TyAst, ExprId),
     /// `expr as T` numeric cast (int ↔ float).
-    Cast(Box<Expr>, TyAst),
+    Cast(ExprId, TyAst),
 }
 
 /// A statement node.
@@ -202,25 +249,25 @@ pub enum StmtKind {
     /// absent.
     Let {
         /// Variable name.
-        name: String,
+        name: Sym,
         /// Declared type.
         ty: TyAst,
         /// Optional initializer.
-        init: Option<Expr>,
+        init: Option<ExprId>,
     },
     /// `lvalue = expr;`
     Assign {
         /// Target lvalue (variable, index or field expression).
-        target: Expr,
+        target: ExprId,
         /// Value to store.
-        value: Expr,
+        value: ExprId,
     },
     /// Bare expression statement (must be a call).
-    Expr(Expr),
+    Expr(ExprId),
     /// `if (cond) { .. } else { .. }`
     If {
         /// Condition (bool).
-        cond: Expr,
+        cond: ExprId,
         /// Then branch.
         then_body: Vec<Stmt>,
         /// Else branch (empty when absent).
@@ -229,20 +276,20 @@ pub enum StmtKind {
     /// `while (cond) { .. }`, optionally tagged `@name: while ...`.
     While {
         /// Optional loop tag used by expert annotations and reports.
-        tag: Option<String>,
+        tag: Option<Sym>,
         /// Condition (bool).
-        cond: Expr,
+        cond: ExprId,
         /// Loop body.
         body: Vec<Stmt>,
     },
     /// `for (init; cond; step) { .. }`, optionally tagged.
     For {
         /// Optional loop tag.
-        tag: Option<String>,
+        tag: Option<Sym>,
         /// Init statement (let or assign), runs once.
         init: Box<Stmt>,
         /// Condition (bool), checked before each iteration.
-        cond: Expr,
+        cond: ExprId,
         /// Step statement (assign or expr), runs after each iteration.
         step: Box<Stmt>,
         /// Loop body.
@@ -253,7 +300,7 @@ pub enum StmtKind {
     /// `continue;` to the innermost loop's step/condition.
     Continue,
     /// `return expr?;`
-    Return(Option<Expr>),
+    Return(Option<ExprId>),
     /// `print(args...);` — observable output; marks the containing loop as
     /// having I/O, which excludes it from DCA candidacy (paper §IV-E).
     /// String-literal arguments label output; other arguments are evaluated.
@@ -268,16 +315,16 @@ pub enum PrintArg {
     /// A literal label, not evaluated.
     Label(String),
     /// An expression whose value is printed.
-    Value(Expr),
+    Value(ExprId),
 }
 
 /// A struct definition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructDef {
     /// Struct name.
-    pub name: String,
+    pub name: Sym,
     /// Field names and types, in declaration order.
-    pub fields: Vec<(String, TyAst)>,
+    pub fields: Vec<(Sym, TyAst)>,
     /// Source position.
     pub pos: Pos,
 }
@@ -287,11 +334,11 @@ pub struct StructDef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalDef {
     /// Global name.
-    pub name: String,
+    pub name: Sym,
     /// Declared type (scalar or fixed array).
     pub ty: TyAst,
     /// Optional constant initializer (scalars only).
-    pub init: Option<Expr>,
+    pub init: Option<ExprId>,
     /// Source position.
     pub pos: Pos,
 }
@@ -300,9 +347,9 @@ pub struct GlobalDef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FnDef {
     /// Function name.
-    pub name: String,
+    pub name: Sym,
     /// Parameter names and types.
-    pub params: Vec<(String, TyAst)>,
+    pub params: Vec<(Sym, TyAst)>,
     /// Return type; `None` for unit functions.
     pub ret: Option<TyAst>,
     /// Function body.
@@ -320,19 +367,23 @@ pub struct Program {
     pub globals: Vec<GlobalDef>,
     /// Function definitions.
     pub functions: Vec<FnDef>,
-    /// Number of expression ids allocated (ids are `0..expr_count`).
-    pub expr_count: u32,
+    /// Every expression, indexed by [`ExprId`]. An id the parser gave a
+    /// parenthesized expression before finding its inner one holds a
+    /// `null` nothing refers to.
+    pub exprs: Vec<Expr>,
+    /// The identifiers the tree's symbols stand for.
+    pub names: Names,
 }
 
 impl Program {
-    /// Finds a function by name.
-    pub fn function(&self, name: &str) -> Option<&FnDef> {
-        self.functions.iter().find(|f| f.name == name)
+    /// The expression with id `id`.
+    pub fn expr(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
     }
 
-    /// Finds a struct definition by name.
-    pub fn struct_def(&self, name: &str) -> Option<&StructDef> {
-        self.structs.iter().find(|s| s.name == name)
+    /// The identifier `s` stands for.
+    pub fn name(&self, s: Sym) -> &str {
+        self.names.get(s)
     }
 }
 
@@ -341,33 +392,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ty_display() {
-        let t = TyAst::Ptr(Box::new(TyAst::Named("Node".into())));
-        assert_eq!(t.to_string(), "*Node");
-        let a = TyAst::Array(Box::new(TyAst::Float), 8);
-        assert_eq!(a.to_string(), "[float; 8]");
+    fn names_intern_in_order_after_the_builtins() {
+        let mut names = Names::default();
+        let base = crate::sema::BUILTINS.len() as u32;
+        assert_eq!(names.len(), base as usize);
+        assert_eq!(names.get(Sym(0)), crate::sema::BUILTINS[0].0);
+        assert_eq!(names.push("node"), Sym(base));
+        assert_eq!(names.push("n"), Sym(base + 1));
+        assert_eq!(names.get(Sym(base)), "node");
+        assert_eq!(names.get(Sym(base + 1)), "n");
     }
 
     #[test]
     fn binop_classification() {
-        assert!(BinOp::Le.is_comparison());
-        assert!(!BinOp::Add.is_comparison());
         assert!(BinOp::And.is_logical());
         assert!(!BinOp::BitAnd.is_logical());
     }
 
     #[test]
-    fn program_lookup() {
+    fn program_names_its_symbols() {
         let mut p = Program::default();
-        p.functions.push(FnDef {
-            name: "main".into(),
-            params: vec![],
-            ret: None,
-            body: vec![],
-            pos: Pos::default(),
-        });
-        assert!(p.function("main").is_some());
-        assert!(p.function("other").is_none());
-        assert!(p.struct_def("Node").is_none());
+        let main = p.names.push("main");
+        assert_eq!(p.name(main), "main");
     }
 }

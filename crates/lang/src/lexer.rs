@@ -2,7 +2,9 @@
 //!
 //! Produces a flat [`Token`] stream terminated by [`TokenKind::Eof`]. Line
 //! comments (`// ...`) and block comments (`/* ... */`, non-nesting) are
-//! skipped.
+//! skipped. Identifiers and string literals borrow their text from the
+//! source, so lexing allocates nothing but the token vector. Columns
+//! count bytes from the start of the line.
 
 use crate::error::{Error, ErrorKind};
 use crate::token::{Pos, Token, TokenKind};
@@ -13,81 +15,87 @@ use crate::token::{Pos, Token, TokenKind};
 ///
 /// Returns a [`Error`] with [`ErrorKind::Lex`] on the first malformed
 /// character or literal.
-pub fn lex(source: &str) -> Result<Vec<Token>, Error> {
-    Lexer::new(source).run()
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, Error> {
+    Lexer {
+        src: source,
+        at: 0,
+        line: 1,
+        line_start: 0,
+        // The suite's programs hold about one token per four bytes.
+        out: Vec::with_capacity(source.len() / 3 + 1),
+    }
+    .run()
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     at: usize,
     line: u32,
-    col: u32,
-    out: Vec<Token>,
+    /// Byte offset where the current line starts.
+    line_start: usize,
+    out: Vec<Token<'a>>,
+}
+
+fn is_ident(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
 }
 
 impl<'a> Lexer<'a> {
-    fn new(source: &'a str) -> Self {
-        Lexer {
-            src: source.as_bytes(),
-            at: 0,
-            line: 1,
-            col: 1,
-            out: Vec::new(),
-        }
+    fn pos(&self) -> Pos {
+        Pos::new(self.line, (self.at - self.line_start + 1) as u32)
     }
 
-    fn pos(&self) -> Pos {
-        Pos::new(self.line, self.col)
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.src.as_bytes().get(at).copied()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.at).copied()
+        self.byte(self.at)
     }
 
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.at + 1).copied()
-    }
-
+    /// Consumes one byte, noting a line break.
     fn bump(&mut self) -> Option<u8> {
         let c = self.peek()?;
         self.at += 1;
         if c == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+            self.line_start = self.at;
         }
         Some(c)
+    }
+
+    /// Consumes bytes while `keep` holds for them; none may be a line
+    /// break.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        while self.peek().is_some_and(&keep) {
+            self.at += 1;
+        }
     }
 
     fn err(&self, msg: impl Into<String>) -> Error {
         Error::new(ErrorKind::Lex, msg, self.pos())
     }
 
-    fn run(mut self) -> Result<Vec<Token>, Error> {
+    fn push(&mut self, kind: TokenKind<'a>, pos: Pos) {
+        self.out.push(Token::new(kind, pos));
+    }
+
+    fn run(mut self) -> Result<Vec<Token<'a>>, Error> {
         while let Some(c) = self.peek() {
             let pos = self.pos();
             match c {
-                b' ' | b'\t' | b'\r' | b'\n' => {
+                b' ' | b'\t' | b'\r' => self.at += 1,
+                b'\n' => {
                     self.bump();
                 }
-                b'/' if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                b'/' if self.peek2() == Some(b'*') => {
-                    self.bump();
-                    self.bump();
+                b'/' if self.byte(self.at + 1) == Some(b'/') => self.skip_while(|c| c != b'\n'),
+                b'/' if self.byte(self.at + 1) == Some(b'*') => {
+                    self.at += 2;
                     loop {
                         match self.peek() {
                             None => return Err(self.err("unterminated block comment")),
-                            Some(b'*') if self.peek2() == Some(b'/') => {
-                                self.bump();
-                                self.bump();
+                            Some(b'*') if self.byte(self.at + 1) == Some(b'/') => {
+                                self.at += 2;
                                 break;
                             }
                             Some(_) => {
@@ -103,122 +111,90 @@ impl<'a> Lexer<'a> {
             }
         }
         let pos = self.pos();
-        self.out.push(Token::new(TokenKind::Eof, pos));
+        self.push(TokenKind::Eof, pos);
         Ok(self.out)
     }
 
     fn number(&mut self, pos: Pos) -> Result<(), Error> {
         let start = self.at;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.bump();
-        }
+        let digits = |c: u8| c.is_ascii_digit();
+        self.skip_while(digits);
         let mut is_float = false;
         // A fractional part: `.` followed by a digit (so `a[0].f` still works
         // if we ever allowed it; field access needs an identifier anyway).
-        if self.peek() == Some(b'.') && matches!(self.peek2(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'.') && self.byte(self.at + 1).is_some_and(digits) {
             is_float = true;
-            self.bump();
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.bump();
-            }
+            self.at += 1;
+            self.skip_while(digits);
         }
         // Exponent: e or E, optional sign, digits.
         if matches!(self.peek(), Some(b'e' | b'E')) {
             let mut look = self.at + 1;
-            if matches!(self.src.get(look), Some(b'+' | b'-')) {
+            if matches!(self.byte(look), Some(b'+' | b'-')) {
                 look += 1;
             }
-            if matches!(self.src.get(look), Some(b'0'..=b'9')) {
+            if self.byte(look).is_some_and(digits) {
                 is_float = true;
-                self.bump(); // e
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.bump();
-                }
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.bump();
-                }
+                self.at = look;
+                self.skip_while(digits);
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.at]).expect("ascii digits");
+        let text = &self.src[start..self.at];
         let kind = if is_float {
             let v: f64 = text
                 .parse()
                 .map_err(|_| Error::new(ErrorKind::Lex, "malformed float literal", pos))?;
             TokenKind::Float(v)
         } else {
-            let v: i64 = text
-                .parse()
-                .map_err(|_| Error::new(ErrorKind::Lex, "integer literal out of range", pos))?;
+            let v = text
+                .bytes()
+                .try_fold(0i64, |v, d| {
+                    v.checked_mul(10)?.checked_add(i64::from(d - b'0'))
+                })
+                .ok_or_else(|| Error::new(ErrorKind::Lex, "integer literal out of range", pos))?;
             TokenKind::Int(v)
         };
-        self.out.push(Token::new(kind, pos));
+        self.push(kind, pos);
         Ok(())
     }
 
     fn ident(&mut self, pos: Pos) {
         let start = self.at;
-        while matches!(
-            self.peek(),
-            Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
-        ) {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.at]).expect("ascii ident");
-        let kind = match text {
-            "fn" => TokenKind::Fn,
-            "let" => TokenKind::Let,
-            "struct" => TokenKind::Struct,
-            "if" => TokenKind::If,
-            "else" => TokenKind::Else,
-            "while" => TokenKind::While,
-            "for" => TokenKind::For,
-            "break" => TokenKind::Break,
-            "continue" => TokenKind::Continue,
-            "return" => TokenKind::Return,
-            "true" => TokenKind::True,
-            "false" => TokenKind::False,
-            "null" => TokenKind::Null,
-            "new" => TokenKind::New,
-            "print" => TokenKind::Print,
-            "int" => TokenKind::TyInt,
-            "float" => TokenKind::TyFloat,
-            "bool" => TokenKind::TyBool,
-            "as" => TokenKind::As,
-            _ => TokenKind::Ident(text.to_owned()),
-        };
-        self.out.push(Token::new(kind, pos));
+        self.skip_while(is_ident);
+        let text = &self.src[start..self.at];
+        let kind = TokenKind::keyword(text).unwrap_or(TokenKind::Ident(text));
+        self.push(kind, pos);
     }
 
     fn string(&mut self, pos: Pos) -> Result<(), Error> {
-        self.bump(); // opening quote
-        let mut text = String::new();
+        self.at += 1; // opening quote
+        let start = self.at;
         loop {
             match self.bump() {
                 None | Some(b'\n') => return Err(self.err("unterminated string literal")),
                 Some(b'"') => break,
                 Some(b'\\') => match self.bump() {
-                    Some(b'n') => text.push('\n'),
-                    Some(b't') => text.push('\t'),
-                    Some(b'"') => text.push('"'),
-                    Some(b'\\') => text.push('\\'),
+                    Some(b'n' | b't' | b'"' | b'\\') => {}
                     _ => return Err(self.err("unknown escape in string literal")),
                 },
-                Some(c) => text.push(c as char),
+                Some(_) => {}
             }
         }
-        self.out.push(Token::new(TokenKind::Str(text), pos));
+        let text = &self.src[start..self.at - 1];
+        self.push(TokenKind::Str(text), pos);
         Ok(())
     }
 
     fn punct(&mut self, pos: Pos) -> Result<(), Error> {
         use TokenKind::*;
         let c = self.bump().expect("peeked");
-        let two = |l: &mut Self, second: u8, yes: TokenKind, no: TokenKind| {
-            if l.peek() == Some(second) {
-                l.bump();
-                yes
+        // The token is `long` when the next byte is `second`, else `short`.
+        let mut two = |second: u8, long: TokenKind<'a>, short: TokenKind<'a>| {
+            if self.peek() == Some(second) {
+                self.at += 1;
+                long
             } else {
-                no
+                short
             }
         };
         let kind = match c {
@@ -238,43 +214,22 @@ impl<'a> Lexer<'a> {
             b'/' => Slash,
             b'%' => Percent,
             b'^' => Caret,
-            b'-' => two(self, b'>', Arrow, Minus),
-            b'=' => {
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    EqEq
-                } else if self.peek() == Some(b'>') {
-                    self.bump();
-                    FatArrow
-                } else {
-                    Assign
-                }
-            }
-            b'!' => two(self, b'=', NotEq, Bang),
-            b'<' => {
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    Le
-                } else if self.peek() == Some(b'<') {
-                    self.bump();
-                    Shl
-                } else {
-                    Lt
-                }
-            }
-            b'>' => {
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    Ge
-                } else if self.peek() == Some(b'>') {
-                    self.bump();
-                    Shr
-                } else {
-                    Gt
-                }
-            }
-            b'&' => two(self, b'&', AndAnd, Amp),
-            b'|' => two(self, b'|', OrOr, Pipe),
+            b'-' => two(b'>', Arrow, Minus),
+            b'=' => match two(b'=', EqEq, Assign) {
+                Assign => two(b'>', FatArrow, Assign),
+                k => k,
+            },
+            b'!' => two(b'=', NotEq, Bang),
+            b'<' => match two(b'=', Le, Lt) {
+                Lt => two(b'<', Shl, Lt),
+                k => k,
+            },
+            b'>' => match two(b'=', Ge, Gt) {
+                Gt => two(b'>', Shr, Gt),
+                k => k,
+            },
+            b'&' => two(b'&', AndAnd, Amp),
+            b'|' => two(b'|', OrOr, Pipe),
             other => {
                 return Err(Error::new(
                     ErrorKind::Lex,
@@ -283,7 +238,7 @@ impl<'a> Lexer<'a> {
                 ))
             }
         };
-        self.out.push(Token::new(kind, pos));
+        self.push(kind, pos);
         Ok(())
     }
 }
@@ -293,7 +248,7 @@ mod tests {
     use super::*;
     use crate::token::TokenKind::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src)
             .expect("lex failure")
             .into_iter()
@@ -305,7 +260,7 @@ mod tests {
     fn lexes_keywords_and_idents() {
         assert_eq!(
             kinds("fn main while whilex"),
-            vec![Fn, Ident("main".into()), While, Ident("whilex".into()), Eof]
+            vec![Fn, Ident("main"), While, Ident("whilex"), Eof]
         );
     }
 
@@ -351,7 +306,7 @@ mod tests {
 
     #[test]
     fn string_literals_with_escapes() {
-        assert_eq!(kinds(r#""a\nb""#), vec![Str("a\nb".into()), Eof]);
+        assert_eq!(kinds(r#""a\nb""#), vec![Str(r"a\nb"), Eof]);
     }
 
     #[test]
@@ -376,12 +331,12 @@ mod tests {
     fn minus_vs_arrow() {
         assert_eq!(kinds("a-b a->b"), {
             vec![
-                Ident("a".into()),
+                Ident("a"),
                 Minus,
-                Ident("b".into()),
-                Ident("a".into()),
+                Ident("b"),
+                Ident("a"),
                 Arrow,
-                Ident("b".into()),
+                Ident("b"),
                 Eof,
             ]
         });

@@ -1,24 +1,34 @@
 //! Recursive-descent parser for mini-C.
 //!
 //! Operator precedence follows C (with Rust-style `as` casts binding tighter
-//! than any binary operator). Loops may be tagged `@name:` so that expert
-//! annotations and reports can refer to them stably.
+//! than any binary operator); binary operators are parsed by precedence
+//! climbing, one loop over the table in `binary_op`. Loops may be tagged
+//! `@name:` so that expert annotations and reports can refer to them
+//! stably. Identifiers are interned as they are parsed (see [`Names`]).
 
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
-use crate::token::{Pos, Token, TokenKind};
+use crate::token::{unescape, Pos, Token, TokenKind};
+use std::collections::HashMap;
 
 /// Parses a token stream (as produced by [`crate::lex`]) into a [`Program`].
+/// The end of the slice reads as [`TokenKind::Eof`] at the last token's
+/// position, so a stream need not end with one.
 ///
 /// # Errors
 ///
 /// Returns a [`Error`] with [`ErrorKind::Parse`] on the first syntax error.
-pub fn parse(tokens: &[Token]) -> Result<Program, Error> {
+pub fn parse(tokens: &[Token<'_>]) -> Result<Program, Error> {
+    let end = tokens.last().map_or(Pos::new(1, 1), |t| t.pos);
+    let builtins = crate::sema::BUILTINS.iter().enumerate();
     Parser {
         tokens,
+        end: Token::new(TokenKind::Eof, end),
         at: 0,
-        next_expr: 0,
+        exprs: Vec::with_capacity(tokens.len() / 2),
         depth: 0,
+        syms: builtins.map(|(i, b)| (b.0, Sym(i as u32))).collect(),
+        names: Names::default(),
     }
     .program()
 }
@@ -29,44 +39,79 @@ struct DepthGuard;
 /// Maximum nesting depth of expressions, statements and types. The parser
 /// is recursive-descent; without a bound, adversarial input like ten
 /// thousand `(`s overflows the stack instead of reporting an error. The
-/// bound is conservative because debug-build frames are large: ~13 frames
-/// per nesting level must fit a 2 MiB test-thread stack.
+/// bound is conservative because debug-build frames are large, and it is
+/// part of the language: deeper programs are rejected.
 const MAX_DEPTH: u32 = 96;
 
-struct Parser<'a> {
-    tokens: &'a [Token],
+struct Parser<'t, 'a> {
+    tokens: &'t [Token<'a>],
+    /// What the parser reads past the last token.
+    end: Token<'a>,
     at: usize,
-    next_expr: u32,
+    exprs: Vec<Expr>,
     depth: u32,
+    /// Symbol of each identifier interned so far, the builtins first.
+    syms: HashMap<&'a str, Sym>,
+    names: Names,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.at.min(self.tokens.len() - 1)].kind
+/// The binary operator a token stands for and its precedence level,
+/// loosest (0) to tightest (9).
+fn binary_op(k: TokenKind<'_>) -> Option<(BinOp, u8)> {
+    use BinOp::*;
+    use TokenKind as T;
+    Some(match k {
+        T::OrOr => (Or, 0),
+        T::AndAnd => (And, 1),
+        T::Pipe => (BitOr, 2),
+        T::Caret => (BitXor, 3),
+        T::Amp => (BitAnd, 4),
+        T::EqEq => (Eq, 5),
+        T::NotEq => (Ne, 5),
+        T::Lt => (Lt, 6),
+        T::Le => (Le, 6),
+        T::Gt => (Gt, 6),
+        T::Ge => (Ge, 6),
+        T::Shl => (Shl, 7),
+        T::Shr => (Shr, 7),
+        T::Plus => (Add, 8),
+        T::Minus => (Sub, 8),
+        T::Star => (Mul, 9),
+        T::Slash => (Div, 9),
+        T::Percent => (Rem, 9),
+        _ => return None,
+    })
+}
+
+impl<'a> Parser<'_, 'a> {
+    fn token(&self) -> &Token<'a> {
+        self.tokens.get(self.at).unwrap_or(&self.end)
+    }
+
+    fn peek(&self) -> TokenKind<'a> {
+        self.token().kind
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.at.min(self.tokens.len() - 1)].pos
+        self.token().pos
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.peek().clone();
-        if self.at < self.tokens.len() - 1 {
-            self.at += 1;
-        }
+    fn bump(&mut self) -> TokenKind<'a> {
+        let k = self.peek();
+        self.at += 1;
         k
     }
 
-    fn eat(&mut self, k: &TokenKind) -> bool {
+    fn eat(&mut self, k: TokenKind<'_>) -> bool {
         if self.peek() == k {
-            self.bump();
+            self.at += 1;
             true
         } else {
             false
         }
     }
 
-    fn expect(&mut self, k: &TokenKind) -> Result<(), Error> {
+    fn expect(&mut self, k: TokenKind<'_>) -> Result<(), Error> {
         if self.eat(k) {
             Ok(())
         } else {
@@ -78,10 +123,11 @@ impl<'a> Parser<'a> {
         Error::new(ErrorKind::Parse, msg, self.pos())
     }
 
-    fn fresh(&mut self) -> ExprId {
-        let id = ExprId(self.next_expr);
-        self.next_expr += 1;
-        id
+    /// Adds an expression; ids are handed out in the order nodes are
+    /// added.
+    fn add(&mut self, pos: Pos, kind: ExprKind) -> ExprId {
+        self.exprs.push(Expr { pos, kind });
+        ExprId(self.exprs.len() as u32 - 1)
     }
 
     fn enter(&mut self) -> Result<DepthGuard, Error> {
@@ -97,12 +143,16 @@ impl<'a> Parser<'a> {
         self.depth -= 1;
     }
 
-    fn ident(&mut self) -> Result<String, Error> {
+    fn intern(&mut self, name: &'a str) -> Sym {
+        let names = &mut self.names;
+        *self.syms.entry(name).or_insert_with(|| names.push(name))
+    }
+
+    fn ident(&mut self) -> Result<Sym, Error> {
         match self.peek() {
             TokenKind::Ident(s) => {
-                let s = s.clone();
-                self.bump();
-                Ok(s)
+                self.at += 1;
+                Ok(self.intern(s))
             }
             other => Err(self.err(format!("expected identifier, found `{other}`"))),
         }
@@ -121,41 +171,49 @@ impl<'a> Parser<'a> {
                 other => return Err(self.err(format!("expected item, found `{other}`"))),
             }
         }
-        prog.expr_count = self.next_expr;
+        prog.exprs = self.exprs;
+        prog.names = self.names;
         Ok(prog)
+    }
+
+    /// Parses `item (, item)* ,? close` after the opening delimiter.
+    fn list<T>(
+        &mut self,
+        close: TokenKind<'_>,
+        mut item: impl FnMut(&mut Self) -> Result<T, Error>,
+    ) -> Result<Vec<T>, Error> {
+        let mut out = Vec::new();
+        while !self.eat(close) {
+            out.push(item(self)?);
+            if !self.eat(TokenKind::Comma) {
+                self.expect(close)?;
+                break;
+            }
+        }
+        Ok(out)
+    }
+
+    /// A `name: type` pair, as struct fields and parameters are written.
+    fn typed_name(&mut self) -> Result<(Sym, TyAst), Error> {
+        let name = self.ident()?;
+        self.expect(TokenKind::Colon)?;
+        Ok((name, self.ty()?))
     }
 
     fn struct_def(&mut self) -> Result<StructDef, Error> {
         let pos = self.pos();
-        self.expect(&TokenKind::Struct)?;
+        self.expect(TokenKind::Struct)?;
         let name = self.ident()?;
-        self.expect(&TokenKind::LBrace)?;
-        let mut fields = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
-            let fname = self.ident()?;
-            self.expect(&TokenKind::Colon)?;
-            let fty = self.ty()?;
-            fields.push((fname, fty));
-            if !self.eat(&TokenKind::Comma) {
-                self.expect(&TokenKind::RBrace)?;
-                break;
-            }
-        }
+        self.expect(TokenKind::LBrace)?;
+        let fields = self.list(TokenKind::RBrace, Self::typed_name)?;
         Ok(StructDef { name, fields, pos })
     }
 
     fn global_def(&mut self) -> Result<GlobalDef, Error> {
         let pos = self.pos();
-        self.expect(&TokenKind::Let)?;
-        let name = self.ident()?;
-        self.expect(&TokenKind::Colon)?;
-        let ty = self.ty()?;
-        let init = if self.eat(&TokenKind::Assign) {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Let)?;
+        let (name, ty) = self.typed_name()?;
+        let init = self.initializer()?;
         Ok(GlobalDef {
             name,
             ty,
@@ -164,23 +222,24 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// An optional `= expr`, then the `;` ending a `let`.
+    fn initializer(&mut self) -> Result<Option<ExprId>, Error> {
+        let init = if self.eat(TokenKind::Assign) {
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        self.expect(TokenKind::Semi)?;
+        Ok(init)
+    }
+
     fn fn_def(&mut self) -> Result<FnDef, Error> {
         let pos = self.pos();
-        self.expect(&TokenKind::Fn)?;
+        self.expect(TokenKind::Fn)?;
         let name = self.ident()?;
-        self.expect(&TokenKind::LParen)?;
-        let mut params = Vec::new();
-        while !self.eat(&TokenKind::RParen) {
-            let pname = self.ident()?;
-            self.expect(&TokenKind::Colon)?;
-            let pty = self.ty()?;
-            params.push((pname, pty));
-            if !self.eat(&TokenKind::Comma) {
-                self.expect(&TokenKind::RParen)?;
-                break;
-            }
-        }
-        let ret = if self.eat(&TokenKind::Arrow) {
+        self.expect(TokenKind::LParen)?;
+        let params = self.list(TokenKind::RParen, Self::typed_name)?;
+        let ret = if self.eat(TokenKind::Arrow) {
             Some(self.ty()?)
         } else {
             None
@@ -203,50 +262,47 @@ impl<'a> Parser<'a> {
     }
 
     fn ty_inner(&mut self) -> Result<TyAst, Error> {
-        match self.peek().clone() {
+        Ok(match self.peek() {
             TokenKind::TyInt => {
-                self.bump();
-                Ok(TyAst::Int)
+                self.at += 1;
+                TyAst::Int
             }
             TokenKind::TyFloat => {
-                self.bump();
-                Ok(TyAst::Float)
+                self.at += 1;
+                TyAst::Float
             }
             TokenKind::TyBool => {
-                self.bump();
-                Ok(TyAst::Bool)
+                self.at += 1;
+                TyAst::Bool
             }
             TokenKind::Star => {
-                self.bump();
-                Ok(TyAst::Ptr(Box::new(self.ty()?)))
+                self.at += 1;
+                TyAst::Ptr(Box::new(self.ty()?))
             }
             TokenKind::LBracket => {
-                self.bump();
+                self.at += 1;
                 let elem = self.ty()?;
-                self.expect(&TokenKind::Semi)?;
+                self.expect(TokenKind::Semi)?;
                 let n = match self.bump() {
                     TokenKind::Int(n) if n >= 0 => n as usize,
                     other => {
                         return Err(self.err(format!("expected array length, found `{other}`")))
                     }
                 };
-                self.expect(&TokenKind::RBracket)?;
-                Ok(TyAst::Array(Box::new(elem), n))
+                self.expect(TokenKind::RBracket)?;
+                TyAst::Array(Box::new(elem), n)
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(TyAst::Named(name))
-            }
-            other => Err(self.err(format!("expected type, found `{other}`"))),
-        }
+            TokenKind::Ident(_) => TyAst::Named(self.ident()?),
+            other => return Err(self.err(format!("expected type, found `{other}`"))),
+        })
     }
 
     // ---- statements ------------------------------------------------------
 
     fn block(&mut self) -> Result<Vec<Stmt>, Error> {
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut out = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
+        while !self.eat(TokenKind::RBrace) {
             out.push(self.stmt()?);
         }
         Ok(out)
@@ -261,129 +317,91 @@ impl<'a> Parser<'a> {
 
     fn stmt_inner(&mut self) -> Result<Stmt, Error> {
         let pos = self.pos();
-        match self.peek().clone() {
+        let kind = match self.peek() {
             TokenKind::At => {
-                self.bump();
+                self.at += 1;
                 let tag = self.ident()?;
-                self.expect(&TokenKind::Colon)?;
-                match self.peek() {
+                self.expect(TokenKind::Colon)?;
+                return match self.peek() {
                     TokenKind::While => self.while_stmt(Some(tag)),
                     TokenKind::For => self.for_stmt(Some(tag)),
                     other => Err(self.err(format!(
                         "loop tag must precede `while` or `for`, found `{other}`"
                     ))),
-                }
+                };
             }
             TokenKind::Let => {
-                self.bump();
-                let name = self.ident()?;
-                self.expect(&TokenKind::Colon)?;
-                let ty = self.ty()?;
-                let init = if self.eat(&TokenKind::Assign) {
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    pos,
-                    kind: StmtKind::Let { name, ty, init },
-                })
+                self.at += 1;
+                let (name, ty) = self.typed_name()?;
+                let init = self.initializer()?;
+                StmtKind::Let { name, ty, init }
             }
             TokenKind::If => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.at += 1;
+                self.expect(TokenKind::LParen)?;
                 let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 let then_body = self.block()?;
-                let else_body = if self.eat(&TokenKind::Else) {
-                    if *self.peek() == TokenKind::If {
-                        vec![self.stmt()?]
-                    } else {
-                        self.block()?
-                    }
-                } else {
+                let else_body = if !self.eat(TokenKind::Else) {
                     Vec::new()
+                } else if self.peek() == TokenKind::If {
+                    vec![self.stmt()?]
+                } else {
+                    self.block()?
                 };
-                Ok(Stmt {
-                    pos,
-                    kind: StmtKind::If {
-                        cond,
-                        then_body,
-                        else_body,
-                    },
-                })
+                StmtKind::If {
+                    cond,
+                    then_body,
+                    else_body,
+                }
             }
-            TokenKind::While => self.while_stmt(None),
-            TokenKind::For => self.for_stmt(None),
+            TokenKind::While => return self.while_stmt(None),
+            TokenKind::For => return self.for_stmt(None),
             TokenKind::Break => {
-                self.bump();
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    pos,
-                    kind: StmtKind::Break,
-                })
+                self.at += 1;
+                self.expect(TokenKind::Semi)?;
+                StmtKind::Break
             }
             TokenKind::Continue => {
-                self.bump();
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    pos,
-                    kind: StmtKind::Continue,
-                })
+                self.at += 1;
+                self.expect(TokenKind::Semi)?;
+                StmtKind::Continue
             }
             TokenKind::Return => {
-                self.bump();
-                let value = if *self.peek() == TokenKind::Semi {
+                self.at += 1;
+                let value = if self.peek() == TokenKind::Semi {
                     None
                 } else {
                     Some(self.expr()?)
                 };
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    pos,
-                    kind: StmtKind::Return(value),
-                })
+                self.expect(TokenKind::Semi)?;
+                StmtKind::Return(value)
             }
             TokenKind::Print => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let mut args = Vec::new();
-                while !self.eat(&TokenKind::RParen) {
-                    if let TokenKind::Str(s) = self.peek().clone() {
-                        self.bump();
-                        args.push(PrintArg::Label(s));
-                    } else {
-                        args.push(PrintArg::Value(self.expr()?));
+                self.at += 1;
+                self.expect(TokenKind::LParen)?;
+                let args = self.list(TokenKind::RParen, |p| match p.peek() {
+                    TokenKind::Str(s) => {
+                        p.at += 1;
+                        Ok(PrintArg::Label(unescape(s)))
                     }
-                    if !self.eat(&TokenKind::Comma) {
-                        self.expect(&TokenKind::RParen)?;
-                        break;
-                    }
-                }
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    pos,
-                    kind: StmtKind::Print(args),
-                })
+                    _ => Ok(PrintArg::Value(p.expr()?)),
+                })?;
+                self.expect(TokenKind::Semi)?;
+                StmtKind::Print(args)
             }
-            TokenKind::LBrace => {
-                let body = self.block()?;
-                Ok(Stmt {
-                    pos,
-                    kind: StmtKind::Block(body),
-                })
-            }
-            _ => self.assign_or_expr_stmt(),
-        }
+            TokenKind::LBrace => StmtKind::Block(self.block()?),
+            _ => return self.assign_or_expr_stmt(),
+        };
+        Ok(Stmt { pos, kind })
     }
 
-    fn while_stmt(&mut self, tag: Option<String>) -> Result<Stmt, Error> {
+    fn while_stmt(&mut self, tag: Option<Sym>) -> Result<Stmt, Error> {
         let pos = self.pos();
-        self.expect(&TokenKind::While)?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::While)?;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let body = self.block()?;
         Ok(Stmt {
             pos,
@@ -391,21 +409,21 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn for_stmt(&mut self, tag: Option<String>) -> Result<Stmt, Error> {
+    fn for_stmt(&mut self, tag: Option<Sym>) -> Result<Stmt, Error> {
         let pos = self.pos();
-        self.expect(&TokenKind::For)?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::For)?;
+        self.expect(TokenKind::LParen)?;
         // `init` ends with the `;` consumed by the sub-statement parse.
-        let init = if *self.peek() == TokenKind::Let {
+        let init = if self.peek() == TokenKind::Let {
             Box::new(self.stmt()?)
         } else {
             Box::new(self.assign_or_expr_stmt()?)
         };
         let cond = self.expr()?;
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         // `step` has no trailing `;` before the `)`.
         let step = Box::new(self.assign_no_semi()?);
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let body = self.block()?;
         Ok(Stmt {
             pos,
@@ -421,200 +439,125 @@ impl<'a> Parser<'a> {
 
     fn assign_or_expr_stmt(&mut self) -> Result<Stmt, Error> {
         let stmt = self.assign_no_semi()?;
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         Ok(stmt)
     }
 
     fn assign_no_semi(&mut self) -> Result<Stmt, Error> {
         let pos = self.pos();
         let first = self.expr()?;
-        if self.eat(&TokenKind::Assign) {
-            let value = self.expr()?;
-            Ok(Stmt {
-                pos,
-                kind: StmtKind::Assign {
-                    target: first,
-                    value,
-                },
-            })
+        let kind = if self.eat(TokenKind::Assign) {
+            StmtKind::Assign {
+                target: first,
+                value: self.expr()?,
+            }
         } else {
-            Ok(Stmt {
-                pos,
-                kind: StmtKind::Expr(first),
-            })
-        }
+            StmtKind::Expr(first)
+        };
+        Ok(Stmt { pos, kind })
     }
 
     // ---- expressions -----------------------------------------------------
 
-    fn expr(&mut self) -> Result<Expr, Error> {
+    fn expr(&mut self) -> Result<ExprId, Error> {
         let g = self.enter()?;
         let r = self.binary(0);
         self.leave(g);
         r
     }
 
-    /// Binary precedence levels, loosest (0) to tightest.
-    fn level_op(&self, level: u8) -> Option<BinOp> {
-        use BinOp::*;
-        use TokenKind as T;
-        let op = match (level, self.peek()) {
-            (0, T::OrOr) => Or,
-            (1, T::AndAnd) => And,
-            (2, T::Pipe) => BitOr,
-            (3, T::Caret) => BitXor,
-            (4, T::Amp) => BitAnd,
-            (5, T::EqEq) => Eq,
-            (5, T::NotEq) => Ne,
-            (6, T::Lt) => Lt,
-            (6, T::Le) => Le,
-            (6, T::Gt) => Gt,
-            (6, T::Ge) => Ge,
-            (7, T::Shl) => Shl,
-            (7, T::Shr) => Shr,
-            (8, T::Plus) => Add,
-            (8, T::Minus) => Sub,
-            (9, T::Star) => Mul,
-            (9, T::Slash) => Div,
-            (9, T::Percent) => Rem,
-            _ => return None,
-        };
-        Some(op)
-    }
-
-    fn binary(&mut self, level: u8) -> Result<Expr, Error> {
-        if level > 9 {
-            return self.unary();
-        }
-        let mut lhs = self.binary(level + 1)?;
-        while let Some(op) = self.level_op(level) {
+    /// An expression whose binary operators all bind at `min` or
+    /// tighter; operators of one level associate to the left.
+    fn binary(&mut self, min: u8) -> Result<ExprId, Error> {
+        let mut lhs = self.unary()?;
+        while let Some((op, level)) = binary_op(self.peek()).filter(|&(_, l)| l >= min) {
             let pos = self.pos();
-            self.bump();
+            self.at += 1;
             let rhs = self.binary(level + 1)?;
-            lhs = Expr {
-                id: self.fresh(),
-                pos,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
+            lhs = self.add(pos, ExprKind::Binary(op, lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, Error> {
+    fn unary(&mut self) -> Result<ExprId, Error> {
         let pos = self.pos();
-        if self.eat(&TokenKind::Minus) {
-            let e = self.unary()?;
-            return Ok(Expr {
-                id: self.fresh(),
-                pos,
-                kind: ExprKind::Unary(UnOp::Neg, Box::new(e)),
-            });
-        }
-        if self.eat(&TokenKind::Bang) {
-            let e = self.unary()?;
-            return Ok(Expr {
-                id: self.fresh(),
-                pos,
-                kind: ExprKind::Unary(UnOp::Not, Box::new(e)),
-            });
-        }
-        self.postfix()
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.postfix(),
+        };
+        self.at += 1;
+        let e = self.unary()?;
+        Ok(self.add(pos, ExprKind::Unary(op, e)))
     }
 
-    fn postfix(&mut self) -> Result<Expr, Error> {
+    fn postfix(&mut self) -> Result<ExprId, Error> {
         let mut e = self.primary()?;
         loop {
             let pos = self.pos();
-            if self.eat(&TokenKind::LBracket) {
-                let idx = self.expr()?;
-                self.expect(&TokenKind::RBracket)?;
-                e = Expr {
-                    id: self.fresh(),
-                    pos,
-                    kind: ExprKind::Index(Box::new(e), Box::new(idx)),
-                };
-            } else if self.eat(&TokenKind::Dot) || self.eat(&TokenKind::Arrow) {
-                let name = self.ident()?;
-                e = Expr {
-                    id: self.fresh(),
-                    pos,
-                    kind: ExprKind::Field(Box::new(e), name),
-                };
-            } else if self.eat(&TokenKind::As) {
-                let ty = self.ty()?;
-                e = Expr {
-                    id: self.fresh(),
-                    pos,
-                    kind: ExprKind::Cast(Box::new(e), ty),
-                };
-            } else {
-                return Ok(e);
-            }
+            let kind = match self.peek() {
+                TokenKind::LBracket => {
+                    self.at += 1;
+                    let idx = self.expr()?;
+                    self.expect(TokenKind::RBracket)?;
+                    ExprKind::Index(e, idx)
+                }
+                TokenKind::Dot | TokenKind::Arrow => {
+                    self.at += 1;
+                    ExprKind::Field(e, self.ident()?)
+                }
+                TokenKind::As => {
+                    self.at += 1;
+                    ExprKind::Cast(e, self.ty()?)
+                }
+                _ => return Ok(e),
+            };
+            e = self.add(pos, kind);
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, Error> {
+    /// A primary expression. Its id is taken before its operands', so it
+    /// is filled in once they are parsed.
+    fn primary(&mut self) -> Result<ExprId, Error> {
         let pos = self.pos();
-        let id = self.fresh();
-        let kind = match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                ExprKind::IntLit(v)
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                ExprKind::FloatLit(v)
-            }
-            TokenKind::True => {
-                self.bump();
-                ExprKind::BoolLit(true)
-            }
-            TokenKind::False => {
-                self.bump();
-                ExprKind::BoolLit(false)
-            }
-            TokenKind::Null => {
-                self.bump();
-                ExprKind::NullLit
-            }
+        let id = self.add(pos, ExprKind::NullLit);
+        let kind = match self.bump() {
+            TokenKind::Int(v) => ExprKind::IntLit(v),
+            TokenKind::Float(v) => ExprKind::FloatLit(v),
+            TokenKind::True => ExprKind::BoolLit(true),
+            TokenKind::False => ExprKind::BoolLit(false),
+            TokenKind::Null => ExprKind::NullLit,
             TokenKind::New => {
-                self.bump();
-                if self.eat(&TokenKind::LBracket) {
+                if self.eat(TokenKind::LBracket) {
                     let elem = self.ty()?;
-                    self.expect(&TokenKind::Semi)?;
+                    self.expect(TokenKind::Semi)?;
                     let len = self.expr()?;
-                    self.expect(&TokenKind::RBracket)?;
-                    ExprKind::NewArray(elem, Box::new(len))
+                    self.expect(TokenKind::RBracket)?;
+                    ExprKind::NewArray(elem, len)
                 } else {
-                    let name = self.ident()?;
-                    ExprKind::NewStruct(name)
+                    ExprKind::NewStruct(self.ident()?)
                 }
             }
             TokenKind::LParen => {
-                self.bump();
                 let inner = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 return Ok(inner);
             }
             TokenKind::Ident(name) => {
-                self.bump();
-                if self.eat(&TokenKind::LParen) {
-                    let mut args = Vec::new();
-                    while !self.eat(&TokenKind::RParen) {
-                        args.push(self.expr()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            self.expect(&TokenKind::RParen)?;
-                            break;
-                        }
-                    }
-                    ExprKind::Call(name, args)
+                let name = self.intern(name);
+                if self.eat(TokenKind::LParen) {
+                    ExprKind::Call(name, self.list(TokenKind::RParen, Self::expr)?)
                 } else {
                     ExprKind::Var(name)
                 }
             }
-            other => return Err(self.err(format!("expected expression, found `{other}`"))),
+            other => {
+                self.at -= 1;
+                return Err(self.err(format!("expected expression, found `{other}`")));
+            }
         };
-        Ok(Expr { id, pos, kind })
+        self.exprs[id.0 as usize].kind = kind;
+        Ok(id)
     }
 }
 
@@ -627,69 +570,85 @@ mod tests {
         parse(&lex(src).expect("lex")).expect("parse")
     }
 
-    fn parse_expr(src: &str) -> Expr {
+    /// The returned expression of `fn main`, printed with full
+    /// parentheses.
+    fn parse_expr(src: &str) -> String {
         let prog = parse_src(&format!("fn main() -> int {{ return {src}; }}"));
         match &prog.functions[0].body[0].kind {
-            StmtKind::Return(Some(e)) => e.clone(),
+            StmtKind::Return(Some(e)) => shape(&prog, *e),
             other => panic!("expected return, got {other:?}"),
         }
     }
 
-    fn shape(e: &Expr) -> String {
-        match &e.kind {
+    fn ty_shape(names: &Names, t: &TyAst) -> String {
+        match t {
+            TyAst::Int => "int".into(),
+            TyAst::Float => "float".into(),
+            TyAst::Bool => "bool".into(),
+            TyAst::Ptr(t) => format!("*{}", ty_shape(names, t)),
+            TyAst::Array(t, n) => format!("[{}; {n}]", ty_shape(names, t)),
+            TyAst::Named(n) => names.get(*n).into(),
+        }
+    }
+
+    fn shape(p: &Program, e: ExprId) -> String {
+        let s = |e: &ExprId| shape(p, *e);
+        let names = &p.names;
+        match &p.expr(e).kind {
             ExprKind::IntLit(v) => v.to_string(),
             ExprKind::FloatLit(v) => v.to_string(),
             ExprKind::BoolLit(v) => v.to_string(),
             ExprKind::NullLit => "null".into(),
-            ExprKind::Var(n) => n.clone(),
-            ExprKind::Unary(op, a) => format!("({op}{})", shape(a)),
-            ExprKind::Binary(op, a, b) => format!("({} {op} {})", shape(a), shape(b)),
-            ExprKind::Index(a, i) => format!("{}[{}]", shape(a), shape(i)),
-            ExprKind::Field(a, f) => format!("{}.{f}", shape(a)),
+            ExprKind::Var(n) => names.get(*n).into(),
+            ExprKind::Unary(op, a) => format!("({op}{})", s(a)),
+            ExprKind::Binary(op, a, b) => format!("({} {op} {})", s(a), s(b)),
+            ExprKind::Index(a, i) => format!("{}[{}]", s(a), s(i)),
+            ExprKind::Field(a, f) => format!("{}.{}", s(a), names.get(*f)),
             ExprKind::Call(f, args) => format!(
-                "{f}({})",
-                args.iter().map(shape).collect::<Vec<_>>().join(",")
+                "{}({})",
+                names.get(*f),
+                args.iter().map(s).collect::<Vec<_>>().join(",")
             ),
-            ExprKind::NewStruct(n) => format!("new {n}"),
-            ExprKind::NewArray(t, n) => format!("new[{t};{}]", shape(n)),
-            ExprKind::Cast(a, t) => format!("({} as {t})", shape(a)),
+            ExprKind::NewStruct(n) => format!("new {}", names.get(*n)),
+            ExprKind::NewArray(t, n) => format!("new[{};{}]", ty_shape(names, t), s(n)),
+            ExprKind::Cast(a, t) => format!("({} as {})", s(a), ty_shape(names, t)),
         }
     }
 
     #[test]
     fn precedence_mul_over_add() {
-        assert_eq!(shape(&parse_expr("1 + 2 * 3")), "(1 + (2 * 3))");
+        assert_eq!(parse_expr("1 + 2 * 3"), "(1 + (2 * 3))");
     }
 
     #[test]
     fn precedence_cmp_over_logic() {
         assert_eq!(
-            shape(&parse_expr("a < b && c >= d || e == f")),
+            parse_expr("a < b && c >= d || e == f"),
             "(((a < b) && (c >= d)) || (e == f))"
         );
     }
 
     #[test]
     fn precedence_shift_between_cmp_and_add() {
-        assert_eq!(shape(&parse_expr("a < b << 1 + c")), "(a < (b << (1 + c)))");
+        assert_eq!(parse_expr("a < b << 1 + c"), "(a < (b << (1 + c)))");
     }
 
     #[test]
     fn postfix_chain() {
-        assert_eq!(shape(&parse_expr("p.next.val")), "p.next.val");
-        assert_eq!(shape(&parse_expr("a[i][j]")), "a[i][j]");
-        assert_eq!(shape(&parse_expr("p->next->val")), "p.next.val");
+        assert_eq!(parse_expr("p.next.val"), "p.next.val");
+        assert_eq!(parse_expr("a[i][j]"), "a[i][j]");
+        assert_eq!(parse_expr("p->next->val"), "p.next.val");
     }
 
     #[test]
     fn cast_binds_tighter_than_binary() {
-        assert_eq!(shape(&parse_expr("x + i as float")), "(x + (i as float))");
+        assert_eq!(parse_expr("x + i as float"), "(x + (i as float))");
     }
 
     #[test]
     fn unary_chain() {
-        assert_eq!(shape(&parse_expr("- -x")), "(-(-x))");
-        assert_eq!(shape(&parse_expr("!a && b")), "((!a) && b)");
+        assert_eq!(parse_expr("- -x"), "(-(-x))");
+        assert_eq!(parse_expr("!a && b"), "((!a) && b)");
     }
 
     #[test]
@@ -714,8 +673,8 @@ mod tests {
         let body = &p.functions[0].body;
         match (&body[0].kind, &body[1].kind) {
             (StmtKind::For { tag: Some(a), .. }, StmtKind::While { tag: Some(b), .. }) => {
-                assert_eq!(a, "hot");
-                assert_eq!(b, "scan");
+                assert_eq!(p.name(*a), "hot");
+                assert_eq!(p.name(*b), "scan");
             }
             other => panic!("unexpected statements: {other:?}"),
         }
@@ -750,17 +709,14 @@ mod tests {
 
     #[test]
     fn parses_new_forms() {
-        assert_eq!(shape(&parse_expr("new Node")), "new Node");
-        assert_eq!(
-            shape(&parse_expr("new [float; n * 2]")),
-            "new[float;(n * 2)]"
-        );
+        assert_eq!(parse_expr("new Node"), "new Node");
+        assert_eq!(parse_expr("new [float; n * 2]"), "new[float;(n * 2)]");
     }
 
     #[test]
     fn expr_ids_are_unique() {
         let p = parse_src("fn main() -> int { return 1 + 2 * 3 - 4; }");
-        assert!(p.expr_count >= 7);
+        assert!(p.exprs.len() >= 7);
     }
 
     #[test]
@@ -780,6 +736,22 @@ mod tests {
                     .contains("nesting too deep"));
             }
         }
+    }
+
+    #[test]
+    fn empty_token_slice_is_an_empty_program() {
+        let p = parse(&[]).expect("no tokens is no items");
+        assert!(p.functions.is_empty() && p.structs.is_empty() && p.globals.is_empty());
+    }
+
+    #[test]
+    fn slice_end_reads_as_eof_at_the_last_position() {
+        let toks = lex("fn main() { }").expect("lex");
+        let without_eof = &toks[..toks.len() - 1];
+        assert_eq!(parse(without_eof), parse(&toks));
+        let err = parse(&toks[..4]).expect_err("cut inside the item");
+        assert_eq!(err.message(), "expected `{`, found `<eof>`");
+        assert_eq!(err.pos(), toks[3].pos);
     }
 
     #[test]

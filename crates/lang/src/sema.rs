@@ -19,7 +19,6 @@
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
 use crate::token::Pos;
-use std::collections::HashMap;
 
 /// A resolved (semantic) type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -84,13 +83,6 @@ pub struct StructInfo {
     pub fields: Vec<(String, Ty)>,
 }
 
-impl StructInfo {
-    /// Index of a field by name.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|(n, _)| n == name)
-    }
-}
-
 /// Signature of a function (or builtin).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FnSig {
@@ -107,9 +99,9 @@ pub struct TypeMap {
 }
 
 impl TypeMap {
-    fn new(expr_count: u32) -> Self {
+    fn new(exprs: usize) -> Self {
         TypeMap {
-            types: vec![None; expr_count as usize],
+            types: vec![None; exprs],
         }
     }
 
@@ -139,8 +131,103 @@ pub struct CheckedProgram {
     pub types: TypeMap,
     /// Resolved structs; `Ty::Struct(i)` indexes this.
     pub structs: Vec<StructInfo>,
-    /// Function signatures by name (user functions only).
-    pub fn_sigs: HashMap<String, FnSig>,
+    /// Function signatures, in the order of `ast.functions` (user
+    /// functions only).
+    pub fn_sigs: Vec<FnSig>,
+    /// What each symbol names at the top level.
+    pub items: Items,
+}
+
+/// Per symbol, the index of the struct (into [`CheckedProgram::structs`]),
+/// global and function (into the AST's lists) it names, if any.
+#[derive(Debug, Clone)]
+pub struct Items {
+    /// Structs by name.
+    pub structs: Vec<Option<usize>>,
+    /// Globals by name.
+    pub globals: Vec<Option<usize>>,
+    /// Functions by name.
+    pub funcs: Vec<Option<usize>>,
+}
+
+impl Items {
+    /// Resolves a type annotation; `names` spells symbols in errors.
+    ///
+    /// # Errors
+    ///
+    /// An unknown struct name, or array elements that are not scalars.
+    pub fn resolve(&self, t: &TyAst, pos: Pos, names: &Names) -> Result<Ty, Error> {
+        Ok(match t {
+            TyAst::Int => Ty::Int,
+            TyAst::Float => Ty::Float,
+            TyAst::Bool => Ty::Bool,
+            TyAst::Ptr(inner) => Ty::Ptr(Box::new(self.resolve(inner, pos, names)?)),
+            TyAst::Array(elem, n) => {
+                let e = self.resolve(elem, pos, names)?;
+                if !e.is_scalar() {
+                    return Err(err("array elements must be scalar or pointer", pos));
+                }
+                Ty::Array(Box::new(e), *n)
+            }
+            TyAst::Named(name) => match self.structs[name.index()] {
+                Some(i) => Ty::Struct(i),
+                None => return Err(err(format!("unknown type `{}`", names.get(*name)), pos)),
+            },
+        })
+    }
+}
+
+/// Lexical scopes of bindings from symbols to `T`, innermost last.
+/// Looking a symbol up reads one table slot; leaving a scope undoes its
+/// bindings in reverse.
+#[derive(Debug, Clone)]
+pub struct Scopes<T> {
+    /// Per symbol, its innermost binding in `bindings`.
+    innermost: Vec<Option<u32>>,
+    /// Live bindings, each with the one it shadows.
+    bindings: Vec<(Sym, T, Option<u32>)>,
+    /// Where each open scope's bindings start.
+    starts: Vec<usize>,
+}
+
+impl<T> Scopes<T> {
+    /// No scope open, for a program of `names` symbols.
+    pub fn new(names: usize) -> Self {
+        Scopes {
+            innermost: vec![None; names],
+            bindings: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    /// Opens a scope.
+    pub fn push(&mut self) {
+        self.starts.push(self.bindings.len());
+    }
+
+    /// Closes the innermost scope, dropping its bindings.
+    pub fn pop(&mut self) {
+        let start = self.starts.pop().expect("a scope is open");
+        for (sym, _, shadowed) in self.bindings.drain(start..).rev() {
+            self.innermost[sym.index()] = shadowed;
+        }
+    }
+
+    /// What `sym` is bound to in the innermost scope binding it.
+    pub fn get(&self, sym: Sym) -> Option<&T> {
+        let b = self.innermost[sym.index()]?;
+        Some(&self.bindings[b as usize].1)
+    }
+
+    /// Binds `sym` in the innermost scope, shadowing any earlier
+    /// binding; returns false if that scope already bound it.
+    pub fn bind(&mut self, sym: Sym, value: T) -> bool {
+        let start = *self.starts.last().expect("a scope is open");
+        let shadowed = self.innermost[sym.index()];
+        self.innermost[sym.index()] = Some(self.bindings.len() as u32);
+        self.bindings.push((sym, value, shadowed));
+        shadowed.is_none_or(|b| (b as usize) < start)
+    }
 }
 
 /// Builtin math intrinsics available to programs.
@@ -178,108 +265,123 @@ pub fn check(ast: Program) -> Result<CheckedProgram, Error> {
         types: checker.types,
         structs: checker.structs,
         fn_sigs: checker.fn_sigs,
+        items: checker.items,
         ast,
     })
 }
 
-struct Checker {
+struct Checker<'p> {
+    ast: &'p Program,
     types: TypeMap,
     structs: Vec<StructInfo>,
-    struct_ids: HashMap<String, usize>,
-    globals: HashMap<String, Ty>,
-    fn_sigs: HashMap<String, FnSig>,
-    /// Stack of lexical scopes for locals.
-    scopes: Vec<HashMap<String, Ty>>,
+    fn_sigs: Vec<FnSig>,
+    items: Items,
+    /// Types of the globals, in `ast.globals` order.
+    global_tys: Vec<Ty>,
+    /// Locals of the function being checked.
+    scopes: Scopes<Ty>,
     /// Return type of the function being checked.
     current_ret: Ty,
     loop_depth: u32,
-    seen_tags: Vec<String>,
+    seen_tags: Vec<Sym>,
 }
 
 fn err(msg: impl Into<String>, pos: Pos) -> Error {
     Error::new(ErrorKind::Type, msg, pos)
 }
 
-impl Checker {
-    fn new(ast: &Program) -> Result<Self, Error> {
-        // Pass 1: struct names.
-        let mut struct_ids = HashMap::new();
-        for (i, s) in ast.structs.iter().enumerate() {
-            if struct_ids.insert(s.name.clone(), i).is_some() {
-                return Err(err(format!("duplicate struct `{}`", s.name), s.pos));
-            }
-        }
+impl<'p> Checker<'p> {
+    fn name(&self, s: Sym) -> &'p str {
+        self.ast.names.get(s)
+    }
+
+    fn new(ast: &'p Program) -> Result<Self, Error> {
+        let n = ast.names.len();
         let mut checker = Checker {
-            types: TypeMap::new(ast.expr_count),
+            ast,
+            types: TypeMap::new(ast.exprs.len()),
             structs: Vec::new(),
-            struct_ids,
-            globals: HashMap::new(),
-            fn_sigs: HashMap::new(),
-            scopes: Vec::new(),
+            fn_sigs: Vec::new(),
+            items: Items {
+                structs: vec![None; n],
+                globals: vec![None; n],
+                funcs: vec![None; n],
+            },
+            global_tys: Vec::new(),
+            scopes: Scopes::new(n),
             current_ret: Ty::Unit,
             loop_depth: 0,
             seen_tags: Vec::new(),
         };
+        // Pass 1: struct names.
+        for (i, s) in ast.structs.iter().enumerate() {
+            if checker.items.structs[s.name.index()].replace(i).is_some() {
+                return Err(err(
+                    format!("duplicate struct `{}`", checker.name(s.name)),
+                    s.pos,
+                ));
+            }
+        }
         // Pass 2: struct fields (may reference any struct by pointer).
         for s in &ast.structs {
             let mut fields = Vec::new();
-            for (fname, fty) in &s.fields {
+            for (i, &(fname, ref fty)) in s.fields.iter().enumerate() {
                 let ty = checker.resolve_ty(fty, s.pos)?;
+                let (sname, fname_text) = (checker.name(s.name), checker.name(fname));
                 if !ty.is_scalar() {
                     return Err(err(
                         format!(
-                            "field `{}.{}` must be scalar or pointer, found `{ty}`",
-                            s.name, fname
+                            "field `{sname}.{fname_text}` must be scalar or pointer, found `{ty}`"
                         ),
                         s.pos,
                     ));
                 }
-                if fields.iter().any(|(n, _)| n == fname) {
+                if s.fields[..i].iter().any(|&(n, _)| n == fname) {
                     return Err(err(
-                        format!("duplicate field `{}` in struct `{}`", fname, s.name),
+                        format!("duplicate field `{fname_text}` in struct `{sname}`"),
                         s.pos,
                     ));
                 }
-                fields.push((fname.clone(), ty));
+                fields.push((fname_text.to_owned(), ty));
             }
             checker.structs.push(StructInfo {
-                name: s.name.clone(),
+                name: checker.name(s.name).to_owned(),
                 fields,
             });
         }
         // Pass 3: globals.
-        for g in &ast.globals {
+        for (i, g) in ast.globals.iter().enumerate() {
             let ty = checker.resolve_ty(&g.ty, g.pos)?;
+            let name = checker.name(g.name);
             match &ty {
                 Ty::Int | Ty::Float | Ty::Bool | Ty::Ptr(_) => {}
                 Ty::Array(elem, _) if elem.is_scalar() => {}
                 other => {
                     return Err(err(
-                        format!("global `{}` has unsupported type `{other}`", g.name),
+                        format!("global `{name}` has unsupported type `{other}`"),
                         g.pos,
                     ))
                 }
             }
-            if checker.globals.insert(g.name.clone(), ty).is_some() {
-                return Err(err(format!("duplicate global `{}`", g.name), g.pos));
+            if checker.items.globals[g.name.index()].replace(i).is_some() {
+                return Err(err(format!("duplicate global `{name}`"), g.pos));
             }
+            checker.global_tys.push(ty);
         }
         // Pass 4: function signatures.
-        for f in &ast.functions {
-            if BUILTINS.iter().any(|(n, _, _)| *n == f.name) {
-                return Err(err(
-                    format!("function `{}` shadows a builtin", f.name),
-                    f.pos,
-                ));
+        for (i, f) in ast.functions.iter().enumerate() {
+            let name = checker.name(f.name);
+            if f.name.index() < BUILTINS.len() {
+                return Err(err(format!("function `{name}` shadows a builtin"), f.pos));
             }
             let mut params = Vec::new();
-            for (pname, pty) in &f.params {
+            for &(pname, ref pty) in &f.params {
                 let ty = checker.resolve_ty(pty, f.pos)?;
                 if !ty.is_scalar() {
                     return Err(err(
                         format!(
-                            "parameter `{pname}` of `{}` must be scalar or pointer",
-                            f.name
+                            "parameter `{}` of `{name}` must be scalar or pointer",
+                            checker.name(pname)
                         ),
                         f.pos,
                     ));
@@ -292,64 +394,46 @@ impl Checker {
                     let ty = checker.resolve_ty(t, f.pos)?;
                     if !ty.is_scalar() {
                         return Err(err(
-                            format!("return type of `{}` must be scalar or pointer", f.name),
+                            format!("return type of `{name}` must be scalar or pointer"),
                             f.pos,
                         ));
                     }
                     ty
                 }
             };
-            let sig = FnSig { params, ret };
-            if checker.fn_sigs.insert(f.name.clone(), sig).is_some() {
-                return Err(err(format!("duplicate function `{}`", f.name), f.pos));
+            if checker.items.funcs[f.name.index()].replace(i).is_some() {
+                return Err(err(format!("duplicate function `{name}`"), f.pos));
             }
+            checker.fn_sigs.push(FnSig { params, ret });
         }
         Ok(checker)
     }
 
     fn resolve_ty(&self, t: &TyAst, pos: Pos) -> Result<Ty, Error> {
-        Ok(match t {
-            TyAst::Int => Ty::Int,
-            TyAst::Float => Ty::Float,
-            TyAst::Bool => Ty::Bool,
-            TyAst::Ptr(inner) => Ty::Ptr(Box::new(self.resolve_ty(inner, pos)?)),
-            TyAst::Array(elem, n) => {
-                let e = self.resolve_ty(elem, pos)?;
-                if !e.is_scalar() {
-                    return Err(err("array elements must be scalar or pointer", pos));
-                }
-                Ty::Array(Box::new(e), *n)
-            }
-            TyAst::Named(name) => match self.struct_ids.get(name) {
-                Some(&i) => Ty::Struct(i),
-                None => return Err(err(format!("unknown type `{name}`"), pos)),
-            },
-        })
+        self.items.resolve(t, pos, &self.ast.names)
     }
 
-    fn lookup(&self, name: &str) -> Option<&Ty> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(t) = scope.get(name) {
-                return Some(t);
-            }
-        }
-        self.globals.get(name)
+    fn lookup(&self, name: Sym) -> Option<&Ty> {
+        self.scopes
+            .get(name)
+            .or_else(|| Some(&self.global_tys[self.items.globals[name.index()]?]))
     }
 
-    fn declare(&mut self, name: &str, ty: Ty, pos: Pos) -> Result<(), Error> {
-        let scope = self.scopes.last_mut().expect("scope stack never empty");
-        if scope.insert(name.to_owned(), ty).is_some() {
-            return Err(err(format!("duplicate variable `{name}` in scope"), pos));
+    fn declare(&mut self, name: Sym, ty: Ty, pos: Pos) -> Result<(), Error> {
+        if !self.scopes.bind(name, ty) {
+            return Err(err(
+                format!("duplicate variable `{}` in scope", self.name(name)),
+                pos,
+            ));
         }
         Ok(())
     }
 
     fn check_fn(&mut self, f: &FnDef) -> Result<(), Error> {
-        self.scopes.clear();
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         self.seen_tags.clear();
         self.loop_depth = 0;
-        for (pname, pty) in &f.params {
+        for &(pname, ref pty) in &f.params {
             let ty = self.resolve_ty(pty, f.pos)?;
             self.declare(pname, ty, f.pos)?;
         }
@@ -363,7 +447,7 @@ impl Checker {
     }
 
     fn check_block(&mut self, body: &[Stmt]) -> Result<(), Error> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         for s in body {
             self.check_stmt(s)?;
         }
@@ -373,7 +457,12 @@ impl Checker {
 
     fn check_stmt(&mut self, s: &Stmt) -> Result<(), Error> {
         match &s.kind {
-            StmtKind::Let { name, ty, init } => {
+            StmtKind::Let {
+                name: sym,
+                ty,
+                init,
+            } => {
+                let name = self.name(*sym);
                 let ty = self.resolve_ty(ty, s.pos)?;
                 match &ty {
                     Ty::Int | Ty::Float | Ty::Bool | Ty::Ptr(_) => {}
@@ -389,7 +478,7 @@ impl Checker {
                         ))
                     }
                 }
-                if let Some(e) = init {
+                if let Some(e) = *init {
                     let et = self.check_expr(e, Some(&ty))?;
                     if !et.coerces_to(&ty) {
                         return Err(err(
@@ -398,11 +487,11 @@ impl Checker {
                         ));
                     }
                 }
-                self.declare(name, ty, s.pos)
+                self.declare(*sym, ty, s.pos)
             }
             StmtKind::Assign { target, value } => {
-                let tt = self.check_lvalue(target)?;
-                let vt = self.check_expr(value, Some(&tt))?;
+                let tt = self.check_lvalue(*target)?;
+                let vt = self.check_expr(*value, Some(&tt))?;
                 if !vt.coerces_to(&tt) {
                     return Err(err(
                         format!("cannot assign `{vt}` to lvalue of type `{tt}`"),
@@ -411,8 +500,8 @@ impl Checker {
                 }
                 Ok(())
             }
-            StmtKind::Expr(e) => {
-                if !matches!(e.kind, ExprKind::Call(..)) {
+            &StmtKind::Expr(e) => {
+                if !matches!(self.ast.expr(e).kind, ExprKind::Call(..)) {
                     return Err(err("expression statement must be a call", s.pos));
                 }
                 self.check_expr(e, None)?;
@@ -423,13 +512,13 @@ impl Checker {
                 then_body,
                 else_body,
             } => {
-                self.check_cond(cond)?;
+                self.check_cond(*cond)?;
                 self.check_block(then_body)?;
                 self.check_block(else_body)
             }
             StmtKind::While { tag, cond, body } => {
                 self.note_tag(tag, s.pos)?;
-                self.check_cond(cond)?;
+                self.check_cond(*cond)?;
                 self.loop_depth += 1;
                 let r = self.check_block(body);
                 self.loop_depth -= 1;
@@ -444,9 +533,9 @@ impl Checker {
             } => {
                 self.note_tag(tag, s.pos)?;
                 // The induction variable's scope covers cond/step/body.
-                self.scopes.push(HashMap::new());
+                self.scopes.push();
                 self.check_stmt(init)?;
-                self.check_cond(cond)?;
+                self.check_cond(*cond)?;
                 self.loop_depth += 1;
                 let r = self.check_stmt(step).and_then(|()| self.check_block(body));
                 self.loop_depth -= 1;
@@ -466,7 +555,7 @@ impl Checker {
                     s.pos,
                 )),
                 (Some(_), Ty::Unit) => Err(err("returning a value from a unit function", s.pos)),
-                (Some(e), ret) => {
+                (&Some(e), ret) => {
                     let ret = ret.clone();
                     let t = self.check_expr(e, Some(&ret))?;
                     if !t.coerces_to(&ret) {
@@ -480,7 +569,7 @@ impl Checker {
             },
             StmtKind::Print(args) => {
                 for a in args {
-                    if let PrintArg::Value(e) = a {
+                    if let &PrintArg::Value(e) = a {
                         let t = self.check_expr(e, None)?;
                         if !matches!(t, Ty::Int | Ty::Float | Ty::Bool) {
                             return Err(err(format!("cannot print value of type `{t}`"), s.pos));
@@ -493,28 +582,30 @@ impl Checker {
         }
     }
 
-    fn note_tag(&mut self, tag: &Option<String>, pos: Pos) -> Result<(), Error> {
-        if let Some(t) = tag {
-            if self.seen_tags.contains(t) {
-                return Err(err(format!("duplicate loop tag `@{t}`"), pos));
+    fn note_tag(&mut self, tag: &Option<Sym>, pos: Pos) -> Result<(), Error> {
+        if let Some(t) = *tag {
+            if self.seen_tags.contains(&t) {
+                return Err(err(format!("duplicate loop tag `@{}`", self.name(t)), pos));
             }
-            self.seen_tags.push(t.clone());
+            self.seen_tags.push(t);
         }
         Ok(())
     }
 
-    fn check_cond(&mut self, e: &Expr) -> Result<(), Error> {
+    fn check_cond(&mut self, e: ExprId) -> Result<(), Error> {
         let t = self.check_expr(e, Some(&Ty::Bool))?;
         if t != Ty::Bool {
-            return Err(err(format!("condition must be `bool`, found `{t}`"), e.pos));
+            let pos = self.ast.expr(e).pos;
+            return Err(err(format!("condition must be `bool`, found `{t}`"), pos));
         }
         Ok(())
     }
 
-    fn check_lvalue(&mut self, e: &Expr) -> Result<Ty, Error> {
+    fn check_lvalue(&mut self, id: ExprId) -> Result<Ty, Error> {
+        let e = self.ast.expr(id);
         match &e.kind {
             ExprKind::Var(_) | ExprKind::Index(..) | ExprKind::Field(..) => {
-                let t = self.check_expr(e, None)?;
+                let t = self.check_expr(id, None)?;
                 if let Ty::Array(..) = t {
                     return Err(err("cannot assign to a whole array", e.pos));
                 }
@@ -524,13 +615,13 @@ impl Checker {
         }
     }
 
-    fn check_expr(&mut self, e: &Expr, expected: Option<&Ty>) -> Result<Ty, Error> {
-        let ty = self.expr_ty(e, expected)?;
-        self.types.set(e.id, ty.clone());
+    fn check_expr(&mut self, e: ExprId, expected: Option<&Ty>) -> Result<Ty, Error> {
+        let ty = self.expr_ty(self.ast.expr(e), expected)?;
+        self.types.set(e, ty.clone());
         Ok(ty)
     }
 
-    fn expr_ty(&mut self, e: &Expr, expected: Option<&Ty>) -> Result<Ty, Error> {
+    fn expr_ty(&mut self, e: &'p Expr, expected: Option<&Ty>) -> Result<Ty, Error> {
         match &e.kind {
             ExprKind::IntLit(_) => Ok(Ty::Int),
             ExprKind::FloatLit(_) => Ok(Ty::Float),
@@ -539,22 +630,25 @@ impl Checker {
                 Some(t @ Ty::Ptr(_)) => Ok(t.clone()),
                 _ => Ok(Ty::NullPtr),
             },
-            ExprKind::Var(name) => match self.lookup(name) {
+            ExprKind::Var(name) => match self.lookup(*name) {
                 Some(t) => Ok(t.clone()),
-                None => Err(err(format!("unknown variable `{name}`"), e.pos)),
+                None => Err(err(
+                    format!("unknown variable `{}`", self.name(*name)),
+                    e.pos,
+                )),
             },
             ExprKind::Unary(op, a) => {
-                let t = self.check_expr(a, None)?;
+                let t = self.check_expr(*a, None)?;
                 match (op, &t) {
                     (UnOp::Neg, Ty::Int) | (UnOp::Neg, Ty::Float) => Ok(t),
                     (UnOp::Not, Ty::Bool) => Ok(Ty::Bool),
                     _ => Err(err(format!("cannot apply `{op}` to `{t}`"), e.pos)),
                 }
             }
-            ExprKind::Binary(op, a, b) => self.binary_ty(*op, a, b, e.pos),
+            ExprKind::Binary(op, a, b) => self.binary_ty(*op, *a, *b, e.pos),
             ExprKind::Index(base, idx) => {
-                let bt = self.check_expr(base, None)?;
-                let it = self.check_expr(idx, None)?;
+                let bt = self.check_expr(*base, None)?;
+                let it = self.check_expr(*idx, None)?;
                 if it != Ty::Int {
                     return Err(err(format!("index must be `int`, found `{it}`"), e.pos));
                 }
@@ -565,7 +659,7 @@ impl Checker {
                 }
             }
             ExprKind::Field(base, fname) => {
-                let bt = self.check_expr(base, None)?;
+                let bt = self.check_expr(*base, None)?;
                 let sid = match bt {
                     Ty::Ptr(inner) => match *inner {
                         Ty::Struct(i) => i,
@@ -583,16 +677,22 @@ impl Checker {
                         ))
                     }
                 };
-                match self.structs[sid].fields.iter().find(|(n, _)| n == fname) {
-                    Some((_, t)) => Ok(t.clone()),
+                let fields = &self.ast.structs[sid].fields;
+                match fields.iter().position(|(n, _)| n == fname) {
+                    Some(i) => Ok(self.structs[sid].fields[i].1.clone()),
                     None => Err(err(
-                        format!("struct `{}` has no field `{fname}`", self.structs[sid].name),
+                        format!(
+                            "struct `{}` has no field `{}`",
+                            self.structs[sid].name,
+                            self.name(*fname)
+                        ),
                         e.pos,
                     )),
                 }
             }
-            ExprKind::Call(name, args) => {
-                if let Some((_, ptys, ret)) = BUILTINS.iter().find(|(n, _, _)| n == name) {
+            ExprKind::Call(sym, args) => {
+                let name = self.name(*sym);
+                if let Some((_, ptys, ret)) = BUILTINS.get(sym.index()) {
                     if args.len() != ptys.len() {
                         return Err(err(
                             format!("builtin `{name}` expects {} arguments", ptys.len()),
@@ -600,51 +700,48 @@ impl Checker {
                         ));
                     }
                     for (a, pt) in args.iter().zip(ptys.iter()) {
-                        let at = self.check_expr(a, Some(pt))?;
+                        let at = self.check_expr(*a, Some(pt))?;
                         if !at.coerces_to(pt) {
                             return Err(err(
                                 format!("argument of `{name}` has type `{at}`, expected `{pt}`"),
-                                a.pos,
+                                self.ast.expr(*a).pos,
                             ));
                         }
                     }
                     return Ok(ret.clone());
                 }
-                let sig = match self.fn_sigs.get(name) {
-                    Some(s) => s.clone(),
-                    None => return Err(err(format!("unknown function `{name}`"), e.pos)),
+                let Some(f) = self.items.funcs[sym.index()] else {
+                    return Err(err(format!("unknown function `{name}`"), e.pos));
                 };
-                if args.len() != sig.params.len() {
+                let params = self.fn_sigs[f].params.len();
+                if args.len() != params {
                     return Err(err(
-                        format!(
-                            "`{name}` expects {} arguments, found {}",
-                            sig.params.len(),
-                            args.len()
-                        ),
+                        format!("`{name}` expects {params} arguments, found {}", args.len()),
                         e.pos,
                     ));
                 }
-                for (a, pt) in args.iter().zip(sig.params.iter()) {
-                    let at = self.check_expr(a, Some(pt))?;
-                    if !at.coerces_to(pt) {
+                for (i, a) in args.iter().enumerate() {
+                    let pt = self.fn_sigs[f].params[i].clone();
+                    let at = self.check_expr(*a, Some(&pt))?;
+                    if !at.coerces_to(&pt) {
                         return Err(err(
                             format!("argument of `{name}` has type `{at}`, expected `{pt}`"),
-                            a.pos,
+                            self.ast.expr(*a).pos,
                         ));
                     }
                 }
-                Ok(sig.ret)
+                Ok(self.fn_sigs[f].ret.clone())
             }
-            ExprKind::NewStruct(name) => match self.struct_ids.get(name) {
-                Some(&i) => Ok(Ty::Ptr(Box::new(Ty::Struct(i)))),
-                None => Err(err(format!("unknown struct `{name}`"), e.pos)),
+            ExprKind::NewStruct(name) => match self.items.structs[name.index()] {
+                Some(i) => Ok(Ty::Ptr(Box::new(Ty::Struct(i)))),
+                None => Err(err(format!("unknown struct `{}`", self.name(*name)), e.pos)),
             },
             ExprKind::NewArray(elem, len) => {
                 let et = self.resolve_ty(elem, e.pos)?;
                 if !et.is_scalar() {
                     return Err(err("heap array elements must be scalar or pointer", e.pos));
                 }
-                let lt = self.check_expr(len, None)?;
+                let lt = self.check_expr(*len, None)?;
                 if lt != Ty::Int {
                     return Err(err(
                         format!("array length must be `int`, found `{lt}`"),
@@ -655,7 +752,7 @@ impl Checker {
             }
             ExprKind::Cast(inner, to) => {
                 let to = self.resolve_ty(to, e.pos)?;
-                let from = self.check_expr(inner, None)?;
+                let from = self.check_expr(*inner, None)?;
                 match (&from, &to) {
                     (Ty::Int, Ty::Float)
                     | (Ty::Float, Ty::Int)
@@ -667,7 +764,7 @@ impl Checker {
         }
     }
 
-    fn binary_ty(&mut self, op: BinOp, a: &Expr, b: &Expr, pos: Pos) -> Result<Ty, Error> {
+    fn binary_ty(&mut self, op: BinOp, a: ExprId, b: ExprId, pos: Pos) -> Result<Ty, Error> {
         use BinOp::*;
         let at = self.check_expr(a, None)?;
         // Let `p == null` see the pointer type from the left side.
@@ -835,7 +932,7 @@ mod tests {
         let p = ok("fn main() -> int { return 1 + 2; }");
         // Every expression in this tiny program got a type.
         let mut found_int = 0;
-        for id in 0..p.ast.expr_count {
+        for id in 0..p.ast.exprs.len() as u32 {
             if *p.types.ty(ExprId(id)) == Ty::Int {
                 found_int += 1;
             }

@@ -24,209 +24,149 @@ impl fmt::Display for Pos {
     }
 }
 
-/// The kind of a lexed token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    // Literals and identifiers.
-    /// Integer literal, e.g. `42`.
-    Int(i64),
-    /// Floating point literal, e.g. `3.5` or `1e-8`.
-    Float(f64),
-    /// Identifier, e.g. `frontier`.
-    Ident(String),
-    /// String literal (only used by `print`), e.g. `"dist"`.
-    Str(String),
+/// Defines [`TokenKind`] with its keywords and punctuation, each written
+/// once with its spelling, which documents it and is how it prints.
+macro_rules! token_kinds {
+    (keywords { $($kw:ident = $kw_text:literal,)* } punctuation { $($p:ident = $p_text:literal,)* }) => {
+        /// The kind of a lexed token. Identifiers and string literals
+        /// borrow their text from the source, so a token is `Copy`.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum TokenKind<'a> {
+            /// Integer literal, e.g. `42`.
+            Int(i64),
+            /// Floating point literal, e.g. `3.5` or `1e-8`.
+            Float(f64),
+            /// Identifier, e.g. `frontier`.
+            Ident(&'a str),
+            /// String literal (only used by `print`), e.g. `"dist"`, as
+            /// written between its quotes: the lexer checks its escapes and
+            /// [`unescape`] resolves them.
+            Str(&'a str),
+            $(#[doc = concat!("`", $kw_text, "`")] $kw,)*
+            $(#[doc = concat!("`", $p_text, "`")] $p,)*
+            /// End of input.
+            Eof,
+        }
 
-    // Keywords.
-    /// `fn`
-    Fn,
-    /// `let`
-    Let,
-    /// `struct`
-    Struct,
-    /// `if`
-    If,
-    /// `else`
-    Else,
-    /// `while`
-    While,
-    /// `for`
-    For,
-    /// `break`
-    Break,
-    /// `continue`
-    Continue,
-    /// `return`
-    Return,
-    /// `true`
-    True,
-    /// `false`
-    False,
-    /// `null`
-    Null,
-    /// `new`
-    New,
-    /// `print`
-    Print,
-    /// `int`
-    TyInt,
-    /// `float`
-    TyFloat,
-    /// `bool`
-    TyBool,
-    /// `as`
-    As,
+        impl TokenKind<'_> {
+            /// The keyword spelled `text`, if it is one.
+            pub(crate) fn keyword(text: &str) -> Option<TokenKind<'static>> {
+                Some(match text {
+                    $($kw_text => TokenKind::$kw,)*
+                    _ => return None,
+                })
+            }
+        }
 
-    // Punctuation and operators.
-    /// `(`
-    LParen,
-    /// `)`
-    RParen,
-    /// `{`
-    LBrace,
-    /// `}`
-    RBrace,
-    /// `[`
-    LBracket,
-    /// `]`
-    RBracket,
-    /// `,`
-    Comma,
-    /// `;`
-    Semi,
-    /// `:`
-    Colon,
-    /// `.`
-    Dot,
-    /// `->` (field access through a pointer; alias for `.`)
-    Arrow,
-    /// `=>` unused, reserved
-    FatArrow,
-    /// `=`
-    Assign,
-    /// `+`
-    Plus,
-    /// `-`
-    Minus,
-    /// `*`
-    Star,
-    /// `/`
-    Slash,
-    /// `%`
-    Percent,
-    /// `==`
-    EqEq,
-    /// `!=`
-    NotEq,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `&&`
-    AndAnd,
-    /// `||`
-    OrOr,
-    /// `!`
-    Bang,
-    /// `&`
-    Amp,
-    /// `|`
-    Pipe,
-    /// `^`
-    Caret,
-    /// `<<`
-    Shl,
-    /// `>>`
-    Shr,
-    /// `@` (loop tag marker)
-    At,
-    /// End of input.
-    Eof,
+        impl fmt::Display for TokenKind<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    TokenKind::Int(v) => write!(f, "{v}"),
+                    TokenKind::Float(v) => write!(f, "{v}"),
+                    TokenKind::Ident(s) => f.write_str(s),
+                    TokenKind::Str(s) => write!(f, "{:?}", unescape(s)),
+                    $(TokenKind::$kw => f.write_str($kw_text),)*
+                    $(TokenKind::$p => f.write_str($p_text),)*
+                    TokenKind::Eof => f.write_str("<eof>"),
+                }
+            }
+        }
+    };
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use TokenKind::*;
-        match self {
-            Int(v) => write!(f, "{v}"),
-            Float(v) => write!(f, "{v}"),
-            Ident(s) => write!(f, "{s}"),
-            Str(s) => write!(f, "{s:?}"),
-            Fn => write!(f, "fn"),
-            Let => write!(f, "let"),
-            Struct => write!(f, "struct"),
-            If => write!(f, "if"),
-            Else => write!(f, "else"),
-            While => write!(f, "while"),
-            For => write!(f, "for"),
-            Break => write!(f, "break"),
-            Continue => write!(f, "continue"),
-            Return => write!(f, "return"),
-            True => write!(f, "true"),
-            False => write!(f, "false"),
-            Null => write!(f, "null"),
-            New => write!(f, "new"),
-            Print => write!(f, "print"),
-            TyInt => write!(f, "int"),
-            TyFloat => write!(f, "float"),
-            TyBool => write!(f, "bool"),
-            As => write!(f, "as"),
-            LParen => write!(f, "("),
-            RParen => write!(f, ")"),
-            LBrace => write!(f, "{{"),
-            RBrace => write!(f, "}}"),
-            LBracket => write!(f, "["),
-            RBracket => write!(f, "]"),
-            Comma => write!(f, ","),
-            Semi => write!(f, ";"),
-            Colon => write!(f, ":"),
-            Dot => write!(f, "."),
-            Arrow => write!(f, "->"),
-            FatArrow => write!(f, "=>"),
-            Assign => write!(f, "="),
-            Plus => write!(f, "+"),
-            Minus => write!(f, "-"),
-            Star => write!(f, "*"),
-            Slash => write!(f, "/"),
-            Percent => write!(f, "%"),
-            EqEq => write!(f, "=="),
-            NotEq => write!(f, "!="),
-            Lt => write!(f, "<"),
-            Le => write!(f, "<="),
-            Gt => write!(f, ">"),
-            Ge => write!(f, ">="),
-            AndAnd => write!(f, "&&"),
-            OrOr => write!(f, "||"),
-            Bang => write!(f, "!"),
-            Amp => write!(f, "&"),
-            Pipe => write!(f, "|"),
-            Caret => write!(f, "^"),
-            Shl => write!(f, "<<"),
-            Shr => write!(f, ">>"),
-            At => write!(f, "@"),
-            Eof => write!(f, "<eof>"),
-        }
+token_kinds! {
+    keywords {
+        Fn = "fn",
+        Let = "let",
+        Struct = "struct",
+        If = "if",
+        Else = "else",
+        While = "while",
+        For = "for",
+        Break = "break",
+        Continue = "continue",
+        Return = "return",
+        True = "true",
+        False = "false",
+        Null = "null",
+        New = "new",
+        Print = "print",
+        TyInt = "int",
+        TyFloat = "float",
+        TyBool = "bool",
+        As = "as",
+    }
+    punctuation {
+        LParen = "(",
+        RParen = ")",
+        LBrace = "{",
+        RBrace = "}",
+        LBracket = "[",
+        RBracket = "]",
+        Comma = ",",
+        Semi = ";",
+        Colon = ":",
+        Dot = ".",
+        Arrow = "->", // field access through a pointer, as `.`
+        FatArrow = "=>", // reserved
+        Assign = "=",
+        Plus = "+",
+        Minus = "-",
+        Star = "*",
+        Slash = "/",
+        Percent = "%",
+        EqEq = "==",
+        NotEq = "!=",
+        Lt = "<",
+        Le = "<=",
+        Gt = ">",
+        Ge = ">=",
+        AndAnd = "&&",
+        OrOr = "||",
+        Bang = "!",
+        Amp = "&",
+        Pipe = "|",
+        Caret = "^",
+        Shl = "<<",
+        Shr = ">>",
+        At = "@", // marks a loop tag
     }
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it starts in the source.
     pub pos: Pos,
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Creates a token at a position.
-    pub fn new(kind: TokenKind, pos: Pos) -> Self {
+    pub fn new(kind: TokenKind<'a>, pos: Pos) -> Self {
         Token { kind, pos }
     }
+}
+
+/// The text a string literal stands for, given the text between its
+/// quotes with escapes the lexer accepted (`\n`, `\t`, `\"`, `\\`).
+/// Each other byte stands for the character of the same number.
+pub fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut bytes = raw.bytes();
+    while let Some(c) = bytes.next() {
+        out.push(match c {
+            b'\\' => match bytes.next() {
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(e) => e as char,
+                None => '\\',
+            },
+            c => c as char,
+        });
+    }
+    out
 }
 
 #[cfg(test)]
@@ -239,15 +179,24 @@ mod tests {
     }
 
     #[test]
-    fn token_kind_display_round_trip_punctuation() {
-        for (k, s) in [
-            (TokenKind::Arrow, "->"),
-            (TokenKind::Le, "<="),
-            (TokenKind::AndAnd, "&&"),
-            (TokenKind::Shl, "<<"),
-        ] {
-            assert_eq!(k.to_string(), s);
-        }
+    fn every_fixed_token_lexes_and_prints_as_written() {
+        let text = "fn let struct if else while for break continue return true false \
+                    null new print int float bool as ( ) { } [ ] , ; : . -> => = + - * / % \
+                    == != < <= > >= && || ! & | ^ << >> @";
+        let printed: Vec<String> = crate::lex(text)
+            .expect("lex")
+            .iter()
+            .map(|t| t.kind.to_string())
+            .collect();
+        let mut expected: Vec<&str> = text.split_whitespace().collect();
+        expected.push("<eof>");
+        assert_eq!(printed, expected);
+    }
+
+    #[test]
+    fn string_tokens_display_their_unescaped_text() {
+        assert_eq!(unescape(r#"a\nb\t\"\\"#), "a\nb\t\"\\");
+        assert_eq!(TokenKind::Str(r"x\n").to_string(), r#""x\n""#);
     }
 
     #[test]

@@ -1050,7 +1050,7 @@ fn combine_value(
 /// [`ReductionOp::Bitwise`] conflates `&`/`|`/`^`; the identity and
 /// combine differ, so the executor re-derives the operator from the
 /// loop body.
-fn bitwise_op(func_ir: &Function, blocks: &BTreeSet<BlockId>, var: Option<VarId>) -> Option<BinOp> {
+fn bitwise_op(func_ir: &Function, blocks: &[BlockId], var: Option<VarId>) -> Option<BinOp> {
     let mut found: Option<BinOp> = None;
     for &b in blocks {
         for inst in &func_ir.block(b).insts {

@@ -27,7 +27,7 @@ pub mod plds;
 pub use expert::ExpertPlan;
 
 use dca_interp::Value;
-use dca_ir::{LoopRef, Module};
+use dca_ir::{FuncId, FuncView, LoopRef, Module};
 
 /// Which group a program belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,12 +78,17 @@ impl SuiteProgram {
         self.test_args.iter().map(|&v| Value::Int(v)).collect()
     }
 
-    /// Resolves a loop tag to its [`LoopRef`] in a compiled module.
+    /// Resolves a loop tag to its [`LoopRef`] in a compiled module: the
+    /// first loop carrying it in [`dca_ir::all_loops`] order. Only the
+    /// functions whose source tags name it get their loops built.
     pub fn loop_by_tag(&self, module: &Module, tag: &str) -> Option<LoopRef> {
-        dca_ir::all_loops(module)
-            .into_iter()
-            .find(|(_, t)| t.as_deref() == Some(tag))
-            .map(|(l, _)| l)
+        (0..module.funcs.len() as u32)
+            .map(FuncId)
+            .filter(|&f| module.func(f).loop_tags.values().any(|t| t == tag))
+            .find_map(|func| {
+                let loop_id = FuncView::new(module, func).loops.by_tag(tag)?.id;
+                Some(LoopRef { func, loop_id })
+            })
     }
 }
 
@@ -148,6 +153,19 @@ mod tests {
                     p.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn loop_by_tag_finds_what_all_loops_finds() {
+        for p in all_programs() {
+            let m = p.module();
+            let loops = dca_ir::all_loops(&m);
+            for tag in loops.iter().filter_map(|(_, t)| t.as_deref()) {
+                let first = loops.iter().find(|(_, t)| t.as_deref() == Some(tag));
+                assert_eq!(p.loop_by_tag(&m, tag), first.map(|&(l, _)| l), "{}", p.name);
+            }
+            assert_eq!(p.loop_by_tag(&m, "no-such-tag"), None);
         }
     }
 

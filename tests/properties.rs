@@ -114,6 +114,42 @@ fn parser_never_panics() {
             .collect();
         let _ = dca::ir::compile(&src);
     }
+    // Arbitrary token slices, empty and `Eof`-less ones included, drawn
+    // from every token a suite program and a few extra lines contain.
+    let source = format!(
+        "{}\nfn f(p: *N, q: [int; 4]) -> bool {{ print(\"x\\n\", 1.5e3 as int); \
+         return !(p == null) || 3 % 2 != 1 & 4 | 5 ^ 6 << 1 >> 2 <= 7; }}",
+        dca::suite::by_name("bfs").expect("bfs").source
+    );
+    let pool = dca::lang::lex(&source).expect("pool lexes");
+    for case in 0..400 {
+        // A window of the pool, from its start every fourth case so that
+        // parsing gets deep, with about one token in eight replaced.
+        let len = if case < 2 {
+            case
+        } else {
+            rng.range_usize(0, 80)
+        };
+        let start = if case % 4 == 0 {
+            0
+        } else {
+            rng.range_usize(0, pool.len() - len)
+        };
+        let mut tokens = pool[start..start + len].to_vec();
+        for t in &mut tokens {
+            if rng.below(8) == 0 {
+                *t = pool[rng.range_usize(0, pool.len())];
+            }
+        }
+        if rng.below(2) == 0 {
+            tokens.push(*pool.last().expect("the pool ends with `Eof`"));
+        }
+        if let Ok(ast) = dca::lang::parse(&tokens) {
+            if let Ok(checked) = dca::lang::check(ast) {
+                let _ = dca::ir::lower(&checked);
+            }
+        }
+    }
 }
 
 #[test]
