@@ -1,11 +1,13 @@
 //! Benches for the individual DCA pipeline stages (paper Fig. 3): the
-//! frontend, static analyses, golden recording, and permuted replay.
+//! frontend, static analyses, golden recording, and permuted replay, and
+//! the executor's pass over the suite's proven loops.
 
 use dca_analysis::{EffectMap, IteratorSlice, Liveness};
 use dca_bench::harness::Harness;
 use dca_core::{record_golden, run_replay, DcaConfig, ReplayController, ReplayGovernor};
 use dca_interp::Machine;
 use dca_ir::FuncView;
+use dca_parallel::{execute_loop, ExecConfig};
 use std::hint::black_box;
 
 fn fixture() -> (dca_ir::Module, dca_ir::LoopRef, Vec<dca_interp::Value>) {
@@ -133,10 +135,43 @@ fn bench_dynamic_stage(h: &mut Harness) {
     });
 }
 
+/// Every loop DCA proves at `targs()`, executed on two workers, each
+/// program on a fresh clone of its module: no compiled code and no entry
+/// cursor carries over between samples, so each program is run up to
+/// its loops once per sample.
+fn bench_exec_pass(h: &mut Harness) {
+    let dca = dca_core::Dca::new(DcaConfig::fast());
+    let programs: Vec<_> = dca_suite::all_programs()
+        .into_iter()
+        .map(|p| {
+            let (m, args) = (p.module(), p.targs());
+            let report = dca.analyze(&m, &args).expect("analyze");
+            let proven: Vec<_> = report.commutative_loops().map(|r| r.lref).collect();
+            (m, args, proven)
+        })
+        .collect();
+    let cfg = ExecConfig {
+        threads: 2,
+        ..ExecConfig::from_dca(&DcaConfig::fast())
+    };
+    let obs = dca_core::Obs::disabled();
+    h.bench_function("exec/suite_pass", |b| {
+        b.iter(|| {
+            for (m, args, proven) in &programs {
+                let m = m.clone();
+                for &lref in proven {
+                    let _ = black_box(execute_loop(&m, args, lref, &cfg, &obs));
+                }
+            }
+        })
+    });
+}
+
 fn main() {
     let mut h = Harness::new().sample_size(20);
     bench_frontend(&mut h);
     bench_static_stage(&mut h);
     bench_dynamic_stage(&mut h);
+    bench_exec_pass(&mut h);
     h.finish();
 }

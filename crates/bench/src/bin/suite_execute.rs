@@ -41,7 +41,10 @@
 //! `bench/expected/suite_execute.txt` and
 //! `bench/expected/suite_execute_noprecheck.txt`, so an oracle
 //! fingerprint cannot drift across commits unnoticed. Width-dependent
-//! accounting (steals, combines) goes to stderr.
+//! accounting (steals, combines) goes to stderr, with the runs of the
+//! programs the executor started (`program_starts`, one per program:
+//! every width and loop of a module shares its entry cursor) and the
+//! steps they ran up to the loops' entries (`idle_steps`).
 
 use dca_core::{Dca, DcaConfig, Obs};
 use dca_parallel::{execute_loop, ExecConfig, ExecError};
@@ -72,7 +75,8 @@ fn main() -> ExitCode {
     let widths = widths();
     let precheck = deps_precheck();
     let dca = Dca::new(DcaConfig::fast());
-    let obs = Obs::disabled();
+    // Metrics for the stderr accounting line only.
+    let obs = Obs::enabled();
     let (mut executable, mut rejected, mut refused, mut prespawn) = (0u64, 0u64, 0u64, 0u64);
     let (mut hard_failures, mut steals, mut combines) = (0u64, 0u64, 0u64);
     for p in dca_suite::all_programs() {
@@ -182,7 +186,12 @@ fn main() -> ExitCode {
         "exec-stats: widths={widths:?} executable={executable} \
          rejected={rejected} refused={refused} prespawn={prespawn} failed={hard_failures}"
     );
-    eprintln!("exec-accounting: steals={steals} combines={combines}");
+    let rollup = obs.rollup().expect("enabled metrics");
+    eprintln!(
+        "exec-accounting: steals={steals} combines={combines} program_starts={} idle_steps={}",
+        rollup.counter("exec.program_starts"),
+        rollup.counter("exec.record_idle_steps")
+    );
     if hard_failures > 0 {
         eprintln!("error: {hard_failures} loop(s) trapped, stalled or broke oracle stability");
         return ExitCode::FAILURE;

@@ -33,8 +33,8 @@ use crate::replay::GOVERN_GRANULE;
 use dca_analysis::IteratorSlice;
 use dca_deps::FootprintProbe;
 use dca_interp::{
-    AccessAt, Addr, Heap, LoopSink, LoopTracker, Machine, ObjId, OutputItem, Position, Snapshot,
-    TrackedSteps, Trap, Value,
+    AccessAt, Addr, EntryMiss, Heap, LoopSink, LoopTracker, Machine, ObjId, OutputItem, Position,
+    Snapshot, TrackedSteps, Trap, Value,
 };
 use dca_ir::{BlockId, FuncId, Function, Loop, LoopRef, VarId};
 use std::collections::HashMap;
@@ -369,6 +369,18 @@ pub enum RecordError {
     /// entry ([`RecordRequest::stop_at_fresh`]), and the recording
     /// stopped there. Carries the invocation's entry snapshot.
     FreshAccess(Arc<Snapshot>),
+}
+
+impl From<EntryMiss> for RecordError {
+    /// The failure a recording from program start meets where the entry
+    /// cursor finds no entry.
+    fn from(miss: EntryMiss) -> Self {
+        match miss {
+            EntryMiss::NotEntered => RecordError::NotExercised,
+            EntryMiss::Trapped(t) => RecordError::Trapped(t),
+            EntryMiss::BudgetExhausted => RecordError::BudgetExhausted,
+        }
+    }
 }
 
 /// One loop for [`record_program`] to record.
@@ -754,6 +766,14 @@ impl LoopSink for GoldenSink<'_> {
 /// invocations. The interpreter is deterministic, so each loop's records
 /// are the ones a run recording that loop alone would give.
 ///
+/// A machine with no live frame runs `main(args)` from the start. A
+/// machine already running the program goes on from where it stands,
+/// and `main` and `args` go unused: restored from the entry cursor's
+/// snapshot at a loop's first entry ([`dca_interp::first_entry`]), which
+/// reports that entry again, it records what a run from program start
+/// records from the entry on. Either way `max_steps` bounds the
+/// program's steps counted from its start.
+///
 /// The machine is driven by one [`LoopTracker`] watching every requested
 /// loop ([`LoopTracker::run`]: the stretches where none of them is live
 /// run without the recorder's hooks), with an optional wall-clock
@@ -852,22 +872,24 @@ pub fn record_program(
         if idle {
             break 'run Ok(None);
         }
-        if let Err(t) = machine.push_call(main, args) {
-            break 'run Err(RecordError::Trapped(t));
+        if machine.position().is_none() {
+            if let Err(t) = machine.push_call(main, args) {
+                break 'run Err(RecordError::Trapped(t));
+            }
         }
         // The sink stops the run whenever it has events, so each snapshot
-        // lands exactly at its header arrival.
+        // lands exactly at its header arrival. `max_steps` counts the
+        // program's steps, from its start.
         let start = machine.steps();
-        let budget = start.saturating_add(max_steps);
         loop {
             if let Some(ret) = machine.result() {
                 break 'run Ok(ret);
             }
             let now = machine.steps();
-            if now >= budget {
+            if now >= max_steps {
                 break 'run Err(RecordError::BudgetExhausted);
             }
-            let mut end = budget;
+            let mut end = max_steps;
             // Cooperative deadline and cancellation, one clock read /
             // atomic load per granule (checked at the first step too, so
             // a zero deadline or pre-tripped token fires

@@ -10,10 +10,12 @@
 //! arguments and allocates the frame arrays listed beside it.
 //!
 //! The code is built on the first [`crate::Machine`] created for a module
-//! and kept beside it ([`Module::derived`]); lowering never builds it.
+//! and kept beside it ([`Module::derived`]), with the module's entry
+//! cursors ([`crate::cursor`]); lowering never builds it.
 //!
 //! [`VarId`]: dca_ir::VarId
 
+use crate::cursor::Cursors;
 use crate::value::Value;
 use dca_ir::{
     BinOp, BlockId, FuncId, Inst, Intrinsic, MemBase, Module, Operand, PrintOp, Terminator, Ty,
@@ -134,10 +136,26 @@ pub(crate) struct Code {
     pub structs: Vec<Vec<Value>>,
 }
 
+/// What the interpreter keeps beside a module ([`Module::derived`]).
+pub(crate) struct Kept {
+    pub code: Code,
+    pub cursors: Cursors,
+}
+
+impl Kept {
+    /// The values kept beside `module`, built on first use.
+    pub fn of(module: &Module) -> &Kept {
+        module.derived(|m| Kept {
+            code: Code::compile(m),
+            cursors: Cursors::default(),
+        })
+    }
+}
+
 impl Code {
     /// The compiled code of `module`, built on first use.
     pub fn of(module: &Module) -> &Code {
-        module.derived(Code::compile)
+        &Kept::of(module).code
     }
 
     fn compile(module: &Module) -> Code {

@@ -27,12 +27,14 @@
 #![warn(missing_docs)]
 
 mod code;
+pub mod cursor;
 pub mod heap;
 pub mod hooks;
 pub mod machine;
 pub mod profile;
 pub mod value;
 
+pub use cursor::{first_entry, EntryMiss, FirstEntry};
 pub use heap::Heap;
 pub use hooks::{Hooks, NoHooks, Plan, Site, TermAction};
 pub use machine::{

@@ -163,7 +163,7 @@ pub struct Snapshot {
     steps: u64,
     heap_cells: u64,
     finished: Option<Option<Value>>,
-    entry_pending: bool,
+    entry_pending: Option<u64>,
 }
 
 impl Snapshot {
@@ -179,6 +179,11 @@ impl Snapshot {
     /// Heap cells allocated in the captured state: what a restore copies.
     pub fn heap_cells(&self) -> u64 {
         self.heap_cells
+    }
+
+    /// Instructions and terminators executed up to the captured state.
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 }
 
@@ -267,7 +272,7 @@ struct Journal {
     base_output_len: usize,
     base_steps: u64,
     base_finished: Option<Option<Value>>,
-    base_entry_pending: bool,
+    base_entry_pending: Option<u64>,
     base_frames: Vec<Frame>,
     base_regs: Vec<Value>,
     cells: Vec<CellUndo>,
@@ -333,9 +338,12 @@ pub struct Machine<'m> {
     heap_cells: u64,
     limits: Limits,
     finished: Option<Option<Value>>,
-    /// The entry block of a frame pushed by [`Machine::push_call`] has
-    /// not been reported to [`Hooks::on_block`] yet.
-    entry_pending: bool,
+    /// The running frame's current block, at its first instruction, has
+    /// not been reported to [`Hooks::on_block`] yet: the steps its
+    /// [`Site`] reports. Set by [`Machine::push_call`] for the entry
+    /// block, and in a snapshot taken at a block entry to be repeated
+    /// ([`Machine::snapshot_before_entry`]).
+    entry_pending: Option<u64>,
     ops: OpCounts,
     /// Fault injection: allocations remaining before the next [`Machine::alloc`]
     /// traps with [`Trap::OutOfMemory`]. Like [`OpCounts`], this is harness
@@ -376,7 +384,7 @@ impl<'m> Machine<'m> {
             heap_cells,
             limits,
             finished: None,
-            entry_pending: false,
+            entry_pending: None,
             ops: OpCounts::default(),
             alloc_fault: None,
             journal: None,
@@ -539,6 +547,64 @@ impl<'m> Machine<'m> {
         }
     }
 
+    /// [`Machine::snapshot`] at a block entry that `site` reported, with
+    /// the report still to come: a machine restored from it reports the
+    /// entry to its hooks again, with the same `site`, before its first
+    /// step. The machine must stand at the start of the block.
+    pub(crate) fn snapshot_before_entry(&self, site: Site) -> Snapshot {
+        debug_assert_eq!(
+            self.position(),
+            Some(Position {
+                func: site.func,
+                block: site.block,
+                inst: 0,
+                depth: site.depth,
+            }),
+            "a snapshot before an entry stands at the entered block"
+        );
+        Snapshot {
+            entry_pending: Some(site.steps),
+            ..self.snapshot()
+        }
+    }
+
+    /// Parks the machine's state in a snapshot, moving its buffers
+    /// instead of copying them; [`Machine::unpark`] resumes it.
+    pub(crate) fn park(self) -> Snapshot {
+        Snapshot {
+            heap: self.heap,
+            frames: self.frames,
+            regs: self.regs,
+            output: self.output,
+            steps: self.steps,
+            heap_cells: self.heap_cells,
+            finished: self.finished,
+            entry_pending: self.entry_pending,
+        }
+    }
+
+    /// A machine with default limits standing in the parked state
+    /// `snap`, which it takes over without copying.
+    pub(crate) fn unpark(module: &'m Module, snap: Snapshot) -> Self {
+        Machine {
+            module,
+            code: Code::of(module),
+            heap: snap.heap,
+            frames: snap.frames,
+            regs: snap.regs,
+            output: snap.output,
+            steps: snap.steps,
+            heap_cells: snap.heap_cells,
+            limits: Limits::default(),
+            finished: snap.finished,
+            entry_pending: snap.entry_pending,
+            ops: OpCounts::default(),
+            alloc_fault: None,
+            journal: None,
+            journal_stats: JournalStats::default(),
+        }
+    }
+
     /// Restores a snapshot (on this machine or any machine for the same
     /// module); the output stream is reset to the snapshot point. An
     /// armed journal is discarded: the snapshot wins.
@@ -691,7 +757,7 @@ impl<'m> Machine<'m> {
     /// does not match the signature.
     pub fn push_call(&mut self, func: FuncId, args: &[Value]) -> Result<(), Trap> {
         self.push_frame(func, Args::Values(args), NO_SLOT)?;
-        self.entry_pending = true;
+        self.entry_pending = Some(self.steps);
         Ok(())
     }
 
@@ -827,12 +893,12 @@ impl<'m> Machine<'m> {
         poll: bool,
     ) -> Result<Outcome, Trap> {
         let code = self.code;
-        if std::mem::take(&mut self.entry_pending) {
+        if let Some(steps) = self.entry_pending.take() {
             if let Some(&fr) = self.frames.last() {
                 let site = Site {
                     func: fr.func,
                     depth: self.frames.len() - 1,
-                    steps: self.steps,
+                    steps,
                     block: fr.block,
                     inst: 0,
                 };

@@ -610,9 +610,10 @@ pub struct Module {
 }
 
 /// One value derived from a module on first use and kept beside it for
-/// the module's lifetime: the interpreter's compiled code. It is not part
-/// of the module's meaning, so a clone starts empty and equality ignores
-/// it. A module must not be mutated once the value has been derived.
+/// the module's lifetime: the interpreter's compiled code and the runs it
+/// shares between callers. It is not part of the module's meaning, so a
+/// clone starts empty and equality ignores it. A module must not be
+/// mutated once the value has been derived.
 #[derive(Default)]
 struct Derived(OnceLock<Box<dyn Any + Send + Sync>>);
 

@@ -15,9 +15,14 @@
 //!    iterator values and the exit state — exactly as the analysis did,
 //!    stopping at the loop exit: nothing here reads the golden run's
 //!    program outcome, and the recording machine is kept, standing in
-//!    the exit state. The run's steps before the loop is entered go
-//!    without the recorder's hooks; the `exec.record_idle_steps` and
-//!    `exec.record_tracked_steps` counters split them. When the
+//!    the exit state. The recording starts at the loop's first entry,
+//!    restored from the module's entry cursor ([`first_entry`]): one
+//!    plain run of the program per argument list, shared by every call
+//!    on the module, which runs the program up to each entry once and
+//!    keeps a snapshot there. The `exec.record_idle_steps` counter is
+//!    the steps the cursor ran for this call (0 when it had passed the
+//!    entry), `exec.record_tracked_steps` the steps recorded with the
+//!    loop live, and `exec.program_starts` the cursors started. When the
 //!    decomposability pre-check or chunk autotuning wants it, a
 //!    [`dca_deps::FootprintProbe`] rides in the same run and returns the
 //!    per-iteration footprint profile. With the pre-check armed, the
@@ -88,7 +93,7 @@ use dca_core::{
 use dca_deps::{
     autotune_chunk, check_decomposable, Conflict, DepVerdict, FootprintProbe, LoopProfile,
 };
-use dca_interp::{Addr, Machine, ObjId, Trap, Value};
+use dca_interp::{first_entry, Addr, Machine, ObjId, Trap, Value};
 use dca_ir::{BinOp, BlockId, Function, Inst, LoopRef, Module, Operand, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
@@ -378,12 +383,26 @@ pub fn execute_loop(
     // chunk autotuning; when neither is requested, record without a probe.
     let want_profile = cfg.deps_precheck || cfg.schedule == Schedule::Auto;
     let mut probe = want_profile.then(FootprintProbe::new);
-    // The recording stops at the loop exit, so its machine is left
-    // standing in the sequential exit state: the oracle. Under the
-    // pre-check it stops sooner, at the payload's first access to an
-    // object the invocation allocated, which decides the refusal.
-    let mut oracle = Machine::new(module);
+    // The module's entry cursor runs the program up to the loop's first
+    // entry, once for every loop. The recording goes on from there and
+    // stops at the loop exit, so its machine is left standing in the
+    // sequential exit state: the oracle. Under the pre-check it stops
+    // sooner, at the payload's first access to an object the invocation
+    // allocated, which decides the refusal.
     let t = obs.span_start();
+    let entry = first_entry(module, main, args, lref.func, l.header, cfg.max_steps);
+    obs.count("exec.program_starts", u64::from(entry.started));
+    obs.count("exec.entry_snapshot_cells", entry.snapshot_cells);
+    let at_entry = match entry.at {
+        Ok(at_entry) => at_entry,
+        Err(miss) => {
+            obs.span_end("exec.record", t);
+            obs.count("exec.record_idle_steps", entry.steps);
+            return Err(ExecError::Record(miss.into()));
+        }
+    };
+    let mut oracle = Machine::new(module);
+    oracle.restore(&at_entry);
     let request = RecordRequest {
         func: lref.func,
         l,
@@ -407,7 +426,7 @@ pub fn execute_loop(
     );
     let profile = probe.map(FootprintProbe::finish);
     obs.span_end("exec.record", t);
-    obs.count("exec.record_idle_steps", run.steps.idle);
+    obs.count("exec.record_idle_steps", entry.steps + run.steps.idle);
     obs.count("exec.record_tracked_steps", run.steps.tracked);
     let record = run
         .loops
@@ -437,8 +456,9 @@ pub fn execute_loop(
     // pre-loop state (reduction seeds, histogram base objects).
     let mut master = Machine::new(module);
     master.restore(&snapshot);
-    // The entry snapshot and the master's restore.
-    obs.count("exec.heap_cells_copied", 2 * snapshot.heap_cells());
+    // The recording's restore from the cursor, its entry snapshot and the
+    // master's restore.
+    obs.count("exec.heap_cells_copied", 3 * snapshot.heap_cells());
 
     let mut reds: Vec<ScalarMerge> = Vec::with_capacity(plan.reductions.len());
     for sr in &plan.reductions {

@@ -36,11 +36,14 @@ fn prespawn_refusals_match_the_validator_exactly() {
     let dca = Dca::new(DcaConfig::fast());
     let mut refused_prespawn = BTreeSet::new();
     let (mut validated, mut structural) = (0usize, 0usize);
-    // The executor's golden runs: steps with no tested activation live
-    // (run without the recorder's hooks) and steps with one live.
+    // The executor's golden runs: the steps the module's entry cursor
+    // ran up to each loop's first entry (once per program, as every loop
+    // shares it) and the steps recorded with the loop live.
     let mut record_steps = (0u64, 0u64);
     // Recordings stopped at the access that decides an allocation
-    // refusal, and heap cells copied by snapshots and restores.
+    // refusal, and heap cells copied by snapshots and restores: each
+    // recording restores the cursor's entry snapshot, then snapshots,
+    // and the master and the workers restore.
     let (mut refused_in_record, mut heap_cells_copied) = (0u64, 0u64);
     for p in dca::suite::all_programs() {
         let m = p.module();
@@ -141,10 +144,10 @@ fn prespawn_refusals_match_the_validator_exactly() {
     );
     assert_eq!(validated, 171, "validated-loop count drifted");
     assert_eq!(structural, 23, "structural-refusal count drifted");
-    assert_eq!(record_steps, (2_053_320, 332_514), "recording work drifted");
+    assert_eq!(record_steps, (337_253, 332_514), "recording work drifted");
     assert_eq!(
         (refused_in_record, heap_cells_copied),
-        (11, 2_027_230),
+        (11, 2_548_120),
         "executor work drifted"
     );
 }

@@ -7,7 +7,9 @@
 //! widths 1, 2 and 4. The interrupt points vary per program so cancels
 //! land before, inside and after real verification work. Torn journal
 //! tails (a kill mid-append) must degrade to re-running exactly the torn
-//! loop, never to a panic or a wrong verdict.
+//! loop, never to a panic or a wrong verdict. A clean run's journal
+//! repeats byte for byte with one engine thread and line for line, in
+//! any order, with more.
 
 use dca::core::{Dca, DcaConfig, FaultPlan, LoopResult, LoopVerdict, SkipReason};
 use std::path::PathBuf;
@@ -131,4 +133,43 @@ fn torn_journal_tail_degrades_to_rerunning_the_torn_loop() {
         assert_eq!(o.replay_steps, r.replay_steps);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The journal a clean run of the suite at `width` writes; `run` names
+/// its file apart from other runs'.
+fn clean_journal(width: usize, run: usize) -> String {
+    let dir = std::env::temp_dir().join(format!(
+        "dca-interrupt-order-w{width}-{run}-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let journal = dir.join("suite.journal");
+    run_suite(width, Some(&journal), &|_| None);
+    let text = std::fs::read_to_string(&journal).expect("journal on disk");
+    std::fs::remove_dir_all(&dir).ok();
+    text
+}
+
+fn sorted_lines(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines
+}
+
+#[test]
+fn journals_hold_the_same_lines_at_every_width() {
+    // One engine thread appends the records in one order: the bytes
+    // repeat. More threads append them as loops finish, in an order
+    // thread timing sets: only the lines repeat.
+    let single = clean_journal(1, 0);
+    assert!(!single.is_empty());
+    assert_eq!(clean_journal(1, 1), single, "one thread, the same bytes");
+    for run in 0..2 {
+        let multi = clean_journal(2, run);
+        assert_eq!(
+            sorted_lines(&multi),
+            sorted_lines(&single),
+            "two threads, run {run}: the same lines"
+        );
+    }
 }

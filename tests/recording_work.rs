@@ -7,6 +7,8 @@
 //! `exec.record_idle_steps` and `exec.record_tracked_steps` counters)
 //! against the activations' own entry and exit steps, and check that
 //! the deadline and the cancel token still stop a run in an idle stretch.
+//! The executor runs the stretch before its loop on the module's entry
+//! cursor, once: a second call on the module has no idle steps.
 
 use dca::core::{
     record_program, CancelToken, DcaConfig, GoldenRecord, LoopFacts, Obs, RecordError,
@@ -94,6 +96,12 @@ fn the_executor_counts_idle_and_tracked_steps() {
     let counters = obs.rollup().expect("enabled").counters;
     assert_eq!(counters.get("exec.record_idle_steps"), Some(&idle));
     assert_eq!(counters.get("exec.record_tracked_steps"), Some(&tracked));
+    // A second call on the module starts from the entry its cursor kept.
+    let again = Obs::enabled();
+    execute_loop(&m, &[], loop_by_tag(&m, "l"), &cfg, &again).expect("execute again");
+    let rollup = again.rollup().expect("enabled");
+    assert_eq!(rollup.counter("exec.record_idle_steps"), 0);
+    assert_eq!(rollup.counter("exec.record_tracked_steps"), tracked);
 }
 
 #[test]
